@@ -65,7 +65,7 @@ from .systems import (
     ClopenSet,
     FiniteSymbolicSystem,
     aperiodicity_window_check,
-    disjoint_family_check,
+    overlapping_pair,
 )
 from .towers import (
     TowerPair,

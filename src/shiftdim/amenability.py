@@ -290,15 +290,6 @@ def _entry_free_image(sys, start: int, steps: int, orbit_window) -> frozenset:
     return frozenset(cur)
 
 
-def measure_deviation(sys: FiniteSymbolicSystem, emap: EquivariantMap, E) -> Fraction:
-    worst = Fraction(0)
-    for x, n, y in _window_edges(sys, E):
-        dev = emap.point(y).l1(emap.point(x).shift(n))
-        if dev > worst:
-            worst = dev
-    return worst
-
-
 def check_equivariance(
     sys: FiniteSymbolicSystem,
     emap: EquivariantMap,

@@ -18,7 +18,6 @@ SCHEMA_VERSION = 1
 
 PASS = "pass"
 FAIL = "fail"
-INCONCLUSIVE = "inconclusive-at-depth"
 
 
 @dataclass(frozen=True)
@@ -47,10 +46,6 @@ def _canon(value):
     return str(value)
 
 
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
-
-
 @dataclass(frozen=True)
 class Certificate:
     kind: str
@@ -61,12 +56,9 @@ class Certificate:
     schema_version: int = SCHEMA_VERSION
 
     @classmethod
-    def build(cls, kind: str, params: dict, clauses, inconclusive: bool = False) -> "Certificate":
+    def build(cls, kind: str, params: dict, clauses) -> "Certificate":
         clauses = tuple(clauses)
-        if inconclusive:
-            verdict = INCONCLUSIVE
-        else:
-            verdict = PASS if all(c.passed for c in clauses) else FAIL
+        verdict = PASS if all(c.passed for c in clauses) else FAIL
         return cls(kind=kind, params=_canon(params), clauses=clauses, verdict=verdict)
 
     @property

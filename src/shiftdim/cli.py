@@ -11,22 +11,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys as _sys
+from dataclasses import replace
+from fractions import Fraction
 
-from .certificates import Certificate, parse_rational
-from .config import spec_from_file
+from .certificates import Certificate
 from .errors import ConfigError, DepthInsufficient, ShiftDimError
 from .pipeline import (
     PipelineParams,
     recheck_certificate,
-    run_amen,
     run_bounds,
     run_certify,
-    run_cover,
-    run_dad,
-    run_lang,
-    run_rokhlin,
-    run_special,
-    run_towerdim,
+    run_stages,
+    write_file,
 )
 
 EXIT_PASS = 0
@@ -47,7 +43,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--epsilon", default="2", help="target epsilon as P/Q")
     p.add_argument("--window", default="-1,0,1", help="window set E, comma-separated")
     p.add_argument("--exponent-bound", type=int, default=2, help="groupoid witness bound")
-    p.add_argument("--seed", type=int, default=0, help="seed for fuzz-style runs")
 
 
 def _window(arg: str) -> tuple[int, ...]:
@@ -60,18 +55,33 @@ def _window(arg: str) -> tuple[int, ...]:
 def _emit(cert: Certificate, out: str | None, name: str):
     text = cert.canonical_json()
     if out:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, f"{name}.json"), "w") as fh:
-            fh.write(text)
+        write_file(out, f"{name}.json", text)
     _sys.stdout.write(text)
 
 
 def _exit_for(cert: Certificate) -> int:
-    if cert.verdict == "pass":
-        return EXIT_PASS
-    if cert.verdict == "inconclusive-at-depth":
-        return EXIT_INCONCLUSIVE
-    return EXIT_FAIL
+    return EXIT_PASS if cert.passed else EXIT_FAIL
+
+
+def _params(args) -> PipelineParams:
+    try:
+        with open(args.config) as fh:
+            config_text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {args.config}: {exc}")
+    return PipelineParams(
+        config_text=config_text,
+        out_dir=args.out,
+        horizon=args.horizon,
+        depth=args.depth,
+        past_len=args.past_len,
+        cover_horizon=args.cover_horizon,
+        height=args.height,
+        window_set=_window(args.window),
+        big_n=args.big_n,
+        epsilon=Fraction(args.epsilon),
+        exponent_bound=args.exponent_bound,
+    )
 
 
 def main(argv=None) -> int:
@@ -109,7 +119,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             with open(args.certificate) as fh:
                 cert = Certificate.from_json(fh.read())
-            ok, why = recheck_certificate(cert)
+            ok, why = recheck_certificate(cert, os.path.dirname(args.certificate))
             if ok and cert.verdict == "pass":
                 print(f"verified: {cert.kind} (pass)")
                 return EXIT_PASS
@@ -120,65 +130,20 @@ def main(argv=None) -> int:
                   f"{cert.first_failure()}")
             return _exit_for(cert)
 
-        spec, _ = spec_from_file(args.config)
-        epsilon = parse_rational(args.epsilon)
-        window = _window(args.window)
-        if args.command == "lang":
-            _, cert = run_lang(spec, args.horizon, args.out)
-            _emit(cert, args.out, "lang")
-            return _exit_for(cert)
-        if args.command == "special":
-            _, cert = run_special(spec, max(args.depth, 4))
-            _emit(cert, args.out, "special")
-            return _exit_for(cert)
-        if args.command == "cover":
-            _, cert = run_cover(spec, args.depth, args.past_len, args.cover_horizon)
-            _emit(cert, args.out, "cover")
-            return _exit_for(cert)
-        graph, cover_cert = run_cover(spec, args.depth, args.past_len, args.cover_horizon)
-        if args.command == "rokhlin":
-            _, cert = run_rokhlin(graph, args.height)
-            _emit(cert, args.out, "rokhlin")
-            return _exit_for(cert)
-        cover, _ = run_rokhlin(graph, args.height)
-        if args.command == "towerdim":
-            _, cert = run_towerdim(graph, cover, window)
-            _emit(cert, args.out, "towerdim")
-            return _exit_for(cert)
-        if args.command == "amen":
-            _, _, _, pair_cert, cert = run_amen(graph, cover, window, args.big_n, epsilon)
-            _emit(pair_cert, args.out, "amen_pairs")
-            _emit(cert, args.out, "amen")
-            return _exit_for(cert)
-        if args.command == "dad":
-            emap, _, orbit, _, _ = run_amen(graph, cover, window, args.big_n, epsilon)
-            _, cert = run_dad(graph, emap, orbit, window, args.exponent_bound, epsilon)
-            _emit(cert, args.out, "dad")
-            return _exit_for(cert)
+        params = _params(args)
         if args.command == "certify":
-            with open(args.config) as fh:
-                config_text = fh.read()
-            params = PipelineParams(
-                config_text=config_text,
-                out_dir=args.out,
-                horizon=args.horizon,
-                depth=args.depth,
-                past_len=args.past_len,
-                cover_horizon=args.cover_horizon,
-                height=args.height,
-                window_set=window,
-                big_n=args.big_n,
-                epsilon=epsilon,
-                exponent_bound=args.exponent_bound,
-            )
             certs, overall = run_certify(params)
             for name, cert in certs.items():
                 print(f"{name}: {cert.verdict}")
             print(f"overall: {overall}")
-            if overall == "pass":
-                return EXIT_PASS
-            return EXIT_INCONCLUSIVE if overall == "inconclusive-at-depth" else EXIT_FAIL
-        parser.error(f"unhandled command {args.command}")
+            return EXIT_PASS if overall == "pass" else EXIT_FAIL
+        if args.command == "special":
+            # the report depth, which certify takes from --horizon
+            params = replace(params, horizon=args.depth)
+        certs = run_stages(params, [args.command])
+        for name, cert in certs.items():
+            _emit(cert, args.out, name)
+        return max(_exit_for(cert) for cert in certs.values())
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
@@ -191,7 +156,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -8,6 +8,13 @@ re-checker rebuilds the (deterministic) arena from the echoed parameters,
 reconstitutes the claimed objects from witnesses and runs the verifier
 again; a certificate is accepted when the recomputation reproduces it
 byte for byte.
+
+Two registries define the chain once.  ``KINDS`` says, for every
+certificate kind, which witnesses it echoes and how it is re-checked; the
+``run_*`` functions stamp their certificates from it and
+``recheck_certificate`` looks the kind up there.  ``STAGES`` lists the
+stages, what each reads and which certificates it emits; ``run_certify``
+and the CLI subcommands run them through ``run_stages``.
 """
 
 from __future__ import annotations
@@ -15,6 +22,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
+from typing import Callable
 
 from .amenability import (
     EquivariantMap,
@@ -32,6 +41,7 @@ from .cover import (
     isolated_orbit_window,
     special_match_report,
 )
+from .errors import ConfigError
 from .groupoid import DadCover, bound_chain, build_dad_cover, build_window, verify_dad_cover
 from .rokhlin import RokhlinCover, RokhlinTower, build_rokhlin_cover, verify_rokhlin_cover
 from .special import sp_estimate
@@ -69,8 +79,10 @@ class PipelineParams:
         return spec
 
 
-def _spec_params(spec: SubshiftSpec) -> dict:
-    return {"spec": spec.describe()}
+def write_file(out_dir: str, name: str, text: str) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, name), "w") as fh:
+        fh.write(text)
 
 
 # -- individual stages --------------------------------------------------------
@@ -88,7 +100,7 @@ def run_lang(spec: SubshiftSpec, horizon: int, out_dir: str | None, words_cap: i
     ]
     cert = Certificate.build(
         kind="language-table",
-        params={**_spec_params(spec), "n_max": horizon, "p": list(table.p)},
+        params={"spec": spec.describe(), "n_max": horizon, "p": list(table.p)},
         clauses=clauses,
     )
     if out_dir:
@@ -113,7 +125,7 @@ def run_special(spec: SubshiftSpec, depth: int):
     cert = Certificate.build(
         kind="special-report",
         params={
-            **_spec_params(spec),
+            "spec": spec.describe(),
             "depth": depth,
             "counts": list(report.counts),
             "branch_lower": report.branch_lower,
@@ -143,7 +155,7 @@ def run_cover(spec: SubshiftSpec, k: int, l: int, horizon: int | None):
     cert = Certificate.build(
         kind="cover-graph",
         params={
-            **_spec_params(spec),
+            "spec": spec.describe(),
             "k": k,
             "l": l,
             "horizon": graph.horizon,
@@ -163,46 +175,14 @@ def run_rokhlin(graph: CoverGraph, height: int):
     sys = graph.system
     specials = cover_special_states(graph)
     cover = build_rokhlin_cover(sys, height, specials)
-    cert = verify_rokhlin_cover(sys, cover)
-    cert = Certificate.build(
-        kind=cert.kind,
-        params={
-            **cert.params,
-            **_spec_params(graph.spec),
-            "k": graph.k,
-            "l": graph.l,
-            "graph_horizon": graph.horizon,
-            "tower_bases": [sorted(t.base) for t in cover.towers],
-        },
-        clauses=cert.clauses,
-    )
-    return cover, cert
+    return cover, _stamp(verify_rokhlin_cover(sys, cover), graph, cover=cover)
 
 
 def run_towerdim(graph: CoverGraph, cover: RokhlinCover, window_set):
     sys = graph.system
     tps = pairs_from_rokhlin(cover, window_set)
     attach_shifted_pairs(tps, sys)
-    cert = verify_tower_pairs(sys, tps)
-    cert = Certificate.build(
-        kind=cert.kind,
-        params={
-            **cert.params,
-            **_spec_params(graph.spec),
-            "k": graph.k,
-            "l": graph.l,
-            "graph_horizon": graph.horizon,
-            "carrier": "full",
-            "pair_bases": [sorted(p.base) for p in tps.pairs],
-            "pair_kinds": [p.kind for p in tps.pairs],
-            "pair_origins": [p.origin for p in tps.pairs],
-            "pair_exponent_ranges": [
-                [min(p.exponents), max(p.exponents)] for p in tps.pairs
-            ],
-        },
-        clauses=cert.clauses,
-    )
-    return tps, cert
+    return tps, _stamp(verify_tower_pairs(sys, tps), graph, tps=tps, carrier="full")
 
 
 def run_amen(graph: CoverGraph, cover: RokhlinCover, window_set, big_n: int, epsilon):
@@ -212,47 +192,19 @@ def run_amen(graph: CoverGraph, cover: RokhlinCover, window_set, big_n: int, eps
     specials = cover_special_states(graph)
     d = 2 * len(cover.towers) - 1
     orbit = isolated_orbit_window(graph)
-    carrier = sys.without_entries_into(orbit)
+    entry_free = sys.without_entries_into(orbit)
     max_e = max(abs(n) for n in normalize_window(window_set))
     margin = list(range(-big_n * max_e, big_n * max_e + 1))
-    tps = build_phase_pairs(carrier, d + 1, margin, d_claimed=d)
-    pair_cert = verify_tower_pairs(carrier, tps)
-    pair_cert = Certificate.build(
-        kind=pair_cert.kind,
-        params={
-            **pair_cert.params,
-            **_spec_params(graph.spec),
-            "k": graph.k,
-            "l": graph.l,
-            "graph_horizon": graph.horizon,
-            "carrier": "entry-free",
-            "pair_bases": [sorted(p.base) for p in tps.pairs],
-            "pair_kinds": [p.kind for p in tps.pairs],
-            "pair_origins": [p.origin for p in tps.pairs],
-            "pair_exponent_ranges": [
-                [min(p.exponents), max(p.exponents)] for p in tps.pairs
-            ],
-        },
-        clauses=pair_cert.clauses,
+    tps = build_phase_pairs(entry_free, d + 1, margin, d_claimed=d)
+    pair_cert = _stamp(
+        verify_tower_pairs(entry_free, tps), graph, tps=tps, carrier="entry-free"
     )
     emap = build_equivariant_map(
-        sys, tps, window_set, big_n, specials, epsilon, orbit, level_carrier=carrier
+        sys, tps, window_set, big_n, specials, epsilon, orbit, level_carrier=entry_free
     )
-    eq_cert = check_equivariance(sys, emap, window_set, epsilon, orbit)
-    eq_cert = Certificate.build(
-        kind=eq_cert.kind,
-        params={
-            **eq_cert.params,
-            **_spec_params(graph.spec),
-            "k": graph.k,
-            "l": graph.l,
-            "graph_horizon": graph.horizon,
-            "orbit_window": sorted(orbit),
-            "phase_pair_bases": [sorted(p.base) for p in tps.pairs],
-            "phase_span": tps.height - 1,
-            "map": emap.to_jsonable(),
-        },
-        clauses=eq_cert.clauses,
+    eq_cert = _stamp(
+        check_equivariance(sys, emap, window_set, epsilon, orbit),
+        graph, emap=emap, tps=tps, orbit=orbit,
     )
     return emap, tps, orbit, pair_cert, eq_cert
 
@@ -270,30 +222,13 @@ def run_dad(
     specials = cover_special_states(graph)
     window = build_window(sys, window_set, exponent_bound)
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "window_elements.txt"), "w") as fh:
-            fh.write(window.to_text())
+        write_file(out_dir, "window_elements.txt", window.to_text())
     projected, moved = project_finite_support(emap, emap.support_window, Fraction(1, 2))
     eq_cert = check_equivariance(sys, projected, window_set, epsilon, orbit)
     cover = build_dad_cover(window, projected, specials, emap.d, orbit, eq_cert)
-    cert = verify_dad_cover(window, cover)
-    cert = Certificate.build(
-        kind=cert.kind,
-        params={
-            **cert.params,
-            **_spec_params(graph.spec),
-            "k": graph.k,
-            "l": graph.l,
-            "graph_horizon": graph.horizon,
-            "projection_moved": moved,
-            "support": list(projected.support_window),
-            "F": list(cover.F),
-            "pieces": [sorted(p) for p in cover.pieces],
-            "orbit_states": sorted(cover.orbit_states),
-            "map": projected.to_jsonable(),
-            "epsilon": Fraction(epsilon),
-        },
-        clauses=cert.clauses,
+    cert = _stamp(
+        verify_dad_cover(window, cover), graph,
+        cover=cover, projected=projected, moved=moved, epsilon=epsilon,
     )
     return cover, cert
 
@@ -322,63 +257,156 @@ def run_bounds(q: int, dim_x: int):
     return report, cert
 
 
-# -- full chain ----------------------------------------------------------------
+# -- the chain -------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One link of the chain.  ``build(params, built)`` reads the objects
+    of the stages in ``needs`` from ``built`` and returns its own object,
+    followed by the certificates named in ``emits``."""
+
+    needs: tuple[str, ...]
+    emits: tuple[str, ...]
+    build: Callable[[PipelineParams, dict], tuple]
+
+
+def _amen_stage(p: PipelineParams, built: dict):
+    emap, _, orbit, pair_cert, cert = run_amen(
+        built["cover"], built["rokhlin"], p.window_set, p.big_n, p.epsilon
+    )
+    return (emap, orbit), pair_cert, cert
+
+
+# In chain order; a stage needs only stages listed before it.
+STAGES = {
+    "spec": Stage((), (), lambda p, b: (p.spec(),)),
+    "lang": Stage(
+        ("spec",), ("lang",),
+        lambda p, b: run_lang(b["spec"], p.horizon, p.out_dir, p.words_cap),
+    ),
+    "special": Stage(
+        ("spec",), ("special",), lambda p, b: run_special(b["spec"], max(p.horizon, 4))
+    ),
+    "cover": Stage(
+        ("spec",), ("cover",),
+        lambda p, b: run_cover(b["spec"], p.depth, p.past_len, p.cover_horizon),
+    ),
+    "rokhlin": Stage(("cover",), ("rokhlin",), lambda p, b: run_rokhlin(b["cover"], p.height)),
+    "towerdim": Stage(
+        ("cover", "rokhlin"), ("towerdim",),
+        lambda p, b: run_towerdim(b["cover"], b["rokhlin"], p.window_set),
+    ),
+    "amen": Stage(("cover", "rokhlin"), ("amen_pairs", "amen"), _amen_stage),
+    "dad": Stage(
+        ("cover", "amen"), ("dad",),
+        lambda p, b: run_dad(
+            b["cover"], *b["amen"], p.window_set, p.exponent_bound, p.epsilon,
+            out_dir=p.out_dir,
+        ),
+    ),
+    "bounds": Stage(
+        ("cover",), ("bounds",), lambda p, b: run_bounds(len(cover_special_states(b["cover"])), 0)
+    ),
+}
+CERTIFICATES = tuple(name for stage in STAGES.values() for name in stage.emits)
+
+
+def run_stages(params: PipelineParams, names) -> dict[str, Certificate]:
+    """Run the stages ``names`` and the stages they need, in chain order;
+    return the certificates the named stages emit, by name."""
+    wanted = set(names)
+    for name in reversed(STAGES):
+        if name in wanted:
+            wanted.update(STAGES[name].needs)
+    built: dict = {}
+    certs: dict[str, Certificate] = {}
+    for name, stage in STAGES.items():
+        if name in wanted:
+            built[name], *emitted = stage.build(params, built)
+            if name in names:
+                certs.update(zip(stage.emits, emitted))
+    return certs
+
+
+def _chain_certificate(params: dict) -> Certificate:
+    stages = params["stages"]
+    return Certificate.build(
+        kind="certify-chain",
+        params=params,
+        clauses=[
+            Clause(f"stage-{name}", stages[name] == "pass", stages[name])
+            for name in CERTIFICATES
+        ],
+    )
 
 
 def run_certify(params: PipelineParams) -> tuple[dict[str, Certificate], str]:
     """Run the whole chain; returns certificates by stage and the overall
     verdict (worst stage verdict)."""
-    spec = params.spec()
-    certs: dict[str, Certificate] = {}
-    _, certs["lang"] = run_lang(spec, params.horizon, params.out_dir, params.words_cap)
-    _, certs["special"] = run_special(spec, max(params.horizon, 4))
-    graph, certs["cover"] = run_cover(spec, params.depth, params.past_len, params.cover_horizon)
-    cover, certs["rokhlin"] = run_rokhlin(graph, params.height)
-    _, certs["towerdim"] = run_towerdim(graph, cover, params.window_set)
-    emap, _tps, orbit, certs["amen_pairs"], certs["amen"] = run_amen(
-        graph, cover, params.window_set, params.big_n, params.epsilon
-    )
-    _, certs["dad"] = run_dad(
-        graph, emap, orbit, params.window_set, params.exponent_bound, params.epsilon,
-        out_dir=params.out_dir,
-    )
-    q = len(cover_special_states(graph))
-    _, certs["bounds"] = run_bounds(q, 0)
-    verdicts = {name: cert.verdict for name, cert in certs.items()}
-    overall = "pass"
-    if any(v == "inconclusive-at-depth" for v in verdicts.values()):
-        overall = "inconclusive-at-depth"
-    if any(v == "fail" for v in verdicts.values()):
-        overall = "fail"
+    certs = run_stages(params, STAGES)
+    overall = "pass" if all(cert.passed for cert in certs.values()) else "fail"
     if params.out_dir:
-        os.makedirs(params.out_dir, exist_ok=True)
         for name, cert in certs.items():
-            with open(os.path.join(params.out_dir, f"{name}.json"), "w") as fh:
-                fh.write(cert.canonical_json())
-        master = Certificate.build(
-            kind="certify-chain",
-            params={
-                "stages": {name: cert.verdict for name, cert in certs.items()},
-                "config": params.config_text,
-                "depth": params.depth,
-                "past_len": params.past_len,
-                "height": params.height,
-                "window_set": list(params.window_set),
-                "big_n": params.big_n,
-                "epsilon": Fraction(params.epsilon),
-            },
-            clauses=[
-                Clause(f"stage-{name}", cert.verdict == "pass", cert.verdict)
-                for name, cert in certs.items()
-            ],
-        )
-        with open(os.path.join(params.out_dir, "chain.json"), "w") as fh:
-            fh.write(master.canonical_json())
+            write_file(params.out_dir, f"{name}.json", cert.canonical_json())
+        master = _chain_certificate({
+            "stages": {name: cert.verdict for name, cert in certs.items()},
+            "config": params.config_text,
+            "depth": params.depth,
+            "past_len": params.past_len,
+            "height": params.height,
+            "window_set": list(params.window_set),
+            "big_n": params.big_n,
+            "epsilon": Fraction(params.epsilon),
+        })
+        write_file(params.out_dir, "chain.json", master.canonical_json())
         certs["chain"] = master
     return certs, overall
 
 
-# -- standalone re-checking ------------------------------------------------------
+# -- certificate kinds and standalone re-checking -------------------------------
+
+# The arena echo: a graph-based certificate's cover graph is rebuilt from these.
+ARENA = ("spec", "k", "l", "graph_horizon")
+
+
+class Mismatch(Exception):
+    """A re-check found a certificate that disagrees with what it refers to."""
+
+
+@dataclass(frozen=True)
+class GraphKind:
+    """A certificate kind whose claim lives on a cover graph.
+
+    ``witnesses`` maps each witness key the certificate echoes to how
+    construction reads its value off the objects the stage built;
+    ``rebuild(graph, params)`` rebuilds those objects from the echoed
+    values and returns the verifier's certificate.  Construction
+    (``_stamp``) and re-check both add the arena echo and exactly these
+    keys."""
+
+    witnesses: dict[str, Callable[[SimpleNamespace], object]]
+    rebuild: Callable[[CoverGraph, dict], Certificate]
+
+    def __call__(self, params: dict, directory: str | None) -> Certificate:
+        graph = build_cover_graph(
+            _echoed_spec(params), params["k"], params["l"], params["graph_horizon"]
+        )
+        echo = {key: params[key] for key in (*ARENA, *self.witnesses)}
+        return _with_echo(self.rebuild(graph, params), echo)
+
+
+def _with_echo(cert: Certificate, echo: dict) -> Certificate:
+    return Certificate.build(kind=cert.kind, params={**cert.params, **echo}, clauses=cert.clauses)
+
+
+def _stamp(cert: Certificate, graph: CoverGraph, **built) -> Certificate:
+    """The verifier's ``cert`` with the arena echo of ``graph`` and the
+    witnesses its kind reads off ``built``."""
+    objects = SimpleNamespace(**built)
+    arena = dict(zip(ARENA, (graph.spec.describe(), graph.k, graph.l, graph.horizon)))
+    witnesses = {key: read(objects) for key, read in KINDS[cert.kind].witnesses.items()}
+    return _with_echo(cert, {**arena, **witnesses})
 
 
 def _config_from_echo(spec_echo: dict) -> str:
@@ -392,154 +420,148 @@ def _config_from_echo(spec_echo: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def recheck_certificate(cert: Certificate) -> tuple[bool, str]:
-    """Reconstruct the arena from the echoed parameters, re-verify the
-    claim from the stored witnesses and compare byte-for-byte."""
-    params = cert.params
-    kind = cert.kind
+def _echoed_spec(params: dict) -> SubshiftSpec:
+    spec, _ = spec_from_config(_config_from_echo(params["spec"]))
+    return spec
 
-    def rebuild_graph() -> CoverGraph:
-        spec, _ = spec_from_config(_config_from_echo(params["spec"]))
-        return build_cover_graph(spec, params["k"], params["l"], params["graph_horizon"])
 
-    if kind == "language-table":
-        spec, _ = spec_from_config(_config_from_echo(params["spec"]))
-        _, fresh = run_lang(spec, params["n_max"], None)
-    elif kind == "special-report":
-        spec, _ = spec_from_config(_config_from_echo(params["spec"]))
-        _, fresh = run_special(spec, params["depth"])
-    elif kind == "cover-graph":
-        spec, _ = spec_from_config(_config_from_echo(params["spec"]))
-        _, fresh = run_cover(spec, params["k"], params["l"], params["horizon"])
-    elif kind == "rokhlin-cover":
-        graph = rebuild_graph()
-        sys = graph.system
-        towers = tuple(
-            RokhlinTower.from_base(sys, frozenset(base), params["height"])
-            for base in params["tower_bases"]
+def _rebuild_rokhlin(graph: CoverGraph, p: dict) -> Certificate:
+    sys = graph.system
+    towers = tuple(
+        RokhlinTower.from_base(sys, frozenset(base), p["height"]) for base in p["tower_bases"]
+    )
+    cover = RokhlinCover(p["height"], towers, p["special_count"], {"mode": "recheck"})
+    return verify_rokhlin_cover(sys, cover)
+
+
+def _rebuild_pairs(graph: CoverGraph, p: dict) -> Certificate:
+    sys = graph.system
+    if p["carrier"] == "entry-free":
+        sys = sys.without_entries_into(isolated_orbit_window(graph))
+    pairs = tuple(
+        TowerPair(frozenset(base), tuple(range(rng[0], rng[1] + 1)), kind, origin)
+        for base, rng, kind, origin in zip(
+            p["pair_bases"], p["pair_exponent_ranges"], p["pair_kinds"], p["pair_origins"]
         )
-        cover = RokhlinCover(
-            params["height"], towers, params["special_count"], {"mode": "recheck"}
-        )
-        fresh = verify_rokhlin_cover(sys, cover)
-        fresh = Certificate.build(
-            kind=fresh.kind,
-            params={
-                **fresh.params,
-                "spec": params["spec"],
-                "k": params["k"],
-                "l": params["l"],
-                "graph_horizon": params["graph_horizon"],
-                "tower_bases": params["tower_bases"],
-            },
-            clauses=fresh.clauses,
-        )
-    elif kind == "tower-pairs":
-        graph = rebuild_graph()
-        sys = graph.system
-        if params.get("carrier") == "entry-free":
-            sys = sys.without_entries_into(isolated_orbit_window(graph))
-        pairs = tuple(
-            TowerPair(
-                frozenset(base),
-                tuple(range(rng[0], rng[1] + 1)),
-                kind_,
-                origin,
+    )
+    tps = TowerPairSystem(pairs, p["E"], p["d_claimed"], p["M"], p["height"])
+    return verify_tower_pairs(sys, tps)
+
+
+def _rebuild_equivariance(graph: CoverGraph, p: dict) -> Certificate:
+    emap = EquivariantMap.from_jsonable(p["map"])
+    orbit = frozenset(p["orbit_window"])
+    return check_equivariance(graph.system, emap, tuple(p["E"]), Fraction(p["epsilon"]), orbit)
+
+
+def _rebuild_dad(graph: CoverGraph, p: dict) -> Certificate:
+    window = build_window(graph.system, tuple(p["E"]), p["exponent_bound"])
+    projected = EquivariantMap.from_jsonable(p["map"])
+    cover = DadCover(
+        pieces=tuple(frozenset(piece) for piece in p["pieces"]),
+        F=tuple(p["F"]),
+        support=tuple(projected.support_window),
+        orbit_states=frozenset(p["orbit_states"]),
+        d=len(p["pieces"]) - 1,
+    )
+    return verify_dad_cover(window, cover)
+
+
+def _recheck_chain(params: dict, directory: str | None) -> Certificate:
+    """Re-check every stage file the chain lists, from ``directory``: each
+    must record the chain's verdict for it, echo the presentation of the
+    chain's configuration and re-check.  Returns the chain certificate
+    recomputed from its ``stages``."""
+    if directory is None:
+        raise Mismatch("a certify-chain certificate is re-checked from its directory")
+    stages = params["stages"]
+    if sorted(stages) != sorted(CERTIFICATES):
+        raise Mismatch(f"chain lists stages {sorted(stages)}, not {sorted(CERTIFICATES)}")
+    try:
+        spec = spec_from_config(params["config"])[0].describe()
+    except ConfigError as exc:
+        raise Mismatch(f"chain config: {exc}")
+    certs = {}
+    for name in CERTIFICATES:
+        try:
+            with open(os.path.join(directory, f"{name}.json")) as fh:
+                certs[name] = cert = Certificate.from_json(fh.read())
+        except (OSError, ValueError, KeyError) as exc:
+            raise Mismatch(f"stage {name}: cannot read {name}.json: {exc}")
+        if cert.verdict != stages[name]:
+            raise Mismatch(
+                f"stage {name}: {name}.json records {cert.verdict}, the chain {stages[name]}"
             )
-            for base, rng, kind_, origin in zip(
-                params["pair_bases"],
-                params["pair_exponent_ranges"],
-                params["pair_kinds"],
-                params["pair_origins"],
-            )
-        )
-        tps = TowerPairSystem(
-            pairs,
-            params["E"],
-            params["d_claimed"],
-            params["M"],
-            params["height"],
-        )
-        fresh = verify_tower_pairs(sys, tps)
-        fresh = Certificate.build(
-            kind=fresh.kind,
-            params={
-                **fresh.params,
-                "spec": params["spec"],
-                "k": params["k"],
-                "l": params["l"],
-                "graph_horizon": params["graph_horizon"],
-                "carrier": params.get("carrier", "full"),
-                "pair_bases": params["pair_bases"],
-                "pair_kinds": params["pair_kinds"],
-                "pair_origins": params["pair_origins"],
-                "pair_exponent_ranges": params["pair_exponent_ranges"],
-            },
-            clauses=fresh.clauses,
-        )
-    elif kind == "equivariance":
-        graph = rebuild_graph()
-        emap = EquivariantMap.from_jsonable(params["map"])
-        orbit = frozenset(params["orbit_window"])
-        fresh = check_equivariance(
-            graph.system, emap, tuple(params["E"]), Fraction(params["epsilon"]), orbit
-        )
-        fresh = Certificate.build(
-            kind=fresh.kind,
-            params={
-                **fresh.params,
-                "spec": params["spec"],
-                "k": params["k"],
-                "l": params["l"],
-                "graph_horizon": params["graph_horizon"],
-                "orbit_window": params["orbit_window"],
-                "phase_pair_bases": params["phase_pair_bases"],
-                "phase_span": params["phase_span"],
-                "map": params["map"],
-            },
-            clauses=fresh.clauses,
-        )
-    elif kind == "dad-cover":
-        graph = rebuild_graph()
-        window = build_window(graph.system, tuple(params["E"]), params["exponent_bound"])
-        projected = EquivariantMap.from_jsonable(params["map"])
-        cover = DadCover(
-            pieces=tuple(frozenset(p) for p in params["pieces"]),
-            F=tuple(params["F"]),
-            support=tuple(projected.support_window),
-            orbit_states=frozenset(params["orbit_states"]),
-            d=len(params["pieces"]) - 1,
-        )
-        fresh = verify_dad_cover(window, cover)
-        fresh = Certificate.build(
-            kind=fresh.kind,
-            params={
-                **fresh.params,
-                "spec": params["spec"],
-                "k": params["k"],
-                "l": params["l"],
-                "graph_horizon": params["graph_horizon"],
-                "projection_moved": params["projection_moved"],
-                "support": params["support"],
-                "F": params["F"],
-                "pieces": params["pieces"],
-                "orbit_states": params["orbit_states"],
-                "map": params["map"],
-                "epsilon": params["epsilon"],
-            },
-            clauses=fresh.clauses,
-        )
-    elif kind == "bounds":
-        _, fresh = run_bounds(params["q"], params["dim_x"])
-    elif kind == "certify-chain":
-        return True, "chain master: verify the per-stage files"
-    else:
-        return False, f"unknown certificate kind {kind!r}"
-    same = fresh.canonical_json() == cert.canonical_json()
-    if same:
+        if "spec" in cert.params and cert.params["spec"] != spec:
+            raise Mismatch(f"stage {name}: presentation differs from the chain's config")
+    for name, cert in certs.items():
+        ok, why = recheck_certificate(cert)
+        if not ok:
+            raise Mismatch(f"stage {name}: {why}")
+    return _chain_certificate(params)
+
+
+# kind -> recheck(params, directory), returning the recomputed certificate.
+KINDS: dict[str, Callable[[dict, str | None], Certificate]] = {
+    "language-table": lambda p, _: run_lang(_echoed_spec(p), p["n_max"], None)[1],
+    "special-report": lambda p, _: run_special(_echoed_spec(p), p["depth"])[1],
+    "cover-graph": lambda p, _: run_cover(_echoed_spec(p), p["k"], p["l"], p["horizon"])[1],
+    "rokhlin-cover": GraphKind(
+        {"tower_bases": lambda o: [sorted(t.base) for t in o.cover.towers]}, _rebuild_rokhlin
+    ),
+    "tower-pairs": GraphKind(
+        {
+            "carrier": lambda o: o.carrier,
+            "pair_bases": lambda o: [sorted(p.base) for p in o.tps.pairs],
+            "pair_kinds": lambda o: [p.kind for p in o.tps.pairs],
+            "pair_origins": lambda o: [p.origin for p in o.tps.pairs],
+            "pair_exponent_ranges": lambda o: [
+                [min(p.exponents), max(p.exponents)] for p in o.tps.pairs
+            ],
+        },
+        _rebuild_pairs,
+    ),
+    "equivariance": GraphKind(
+        {
+            "orbit_window": lambda o: sorted(o.orbit),
+            "phase_pair_bases": lambda o: [sorted(p.base) for p in o.tps.pairs],
+            "phase_span": lambda o: o.tps.height - 1,
+            "map": lambda o: o.emap.to_jsonable(),
+        },
+        _rebuild_equivariance,
+    ),
+    "dad-cover": GraphKind(
+        {
+            "projection_moved": lambda o: o.moved,
+            "support": lambda o: list(o.projected.support_window),
+            "F": lambda o: list(o.cover.F),
+            "pieces": lambda o: [sorted(piece) for piece in o.cover.pieces],
+            "orbit_states": lambda o: sorted(o.cover.orbit_states),
+            "map": lambda o: o.projected.to_jsonable(),
+            "epsilon": lambda o: Fraction(o.epsilon),
+        },
+        _rebuild_dad,
+    ),
+    "bounds": lambda p, _: run_bounds(p["q"], p["dim_x"])[1],
+    "certify-chain": _recheck_chain,
+}
+
+
+def recheck_certificate(cert: Certificate, directory: str | None = None) -> tuple[bool, str]:
+    """Recompute ``cert`` as its kind says and compare byte for byte.
+    ``directory`` holds the stage files of a ``certify-chain``
+    certificate."""
+    recheck = KINDS.get(cert.kind)
+    if recheck is None:
+        return False, f"unknown certificate kind {cert.kind!r}"
+    try:
+        fresh = recheck(cert.params, directory)
+    except Mismatch as exc:
+        return False, str(exc)
+    if fresh.canonical_json() == cert.canonical_json():
         return True, ""
     detail = fresh.first_failure()
     return False, (
-        f"recomputation differs from stored certificate"
+        "recomputation differs from stored certificate"
         + (f"; failing clause: {detail}" if detail else "")
     )

@@ -28,7 +28,7 @@ from .errors import (
     NotSurjective,
     PeriodicWitness,
 )
-from .systems import ClopenSet, FiniteSymbolicSystem
+from .systems import ClopenSet, FiniteSymbolicSystem, overlapping_pair
 
 
 @dataclass(frozen=True)
@@ -53,31 +53,19 @@ class RokhlinCover:
     provenance: dict
 
 
-def _pairwise_disjoint(sets) -> tuple[bool, tuple[int, int] | None]:
-    seen: dict[int, int] = {}
-    for idx, clopen in enumerate(sets):
-        for s in clopen:
-            if s in seen:
-                return False, (seen[s], idx)
-            seen[s] = idx
-    return True, None
-
-
 def check_extension_hypotheses(sys: FiniteSymbolicSystem, U, V, N: int) -> None:
     """The exact preconditions of the base-extension step; raises
     HypothesisViolated naming the first failing clause."""
     U, V = frozenset(U), frozenset(V)
     deep = [sys.preimage(U, i) for i in range(N, 2 * N)]
-    ok, _ = _pairwise_disjoint(deep)
-    if not ok:
+    if overlapping_pair(deep) is not None:
         raise HypothesisViolated("U-deep-preimages-disjoint")
     for i in range(1, N):
         if sys.preimage(sys.image(U, i), i) != U:
             raise HypothesisViolated("U-idempotence", f"i={i}")
     pushed = sys.image(V, N)
     deep_v = [sys.preimage(pushed, i) for i in range(N, 2 * N)]
-    ok, _ = _pairwise_disjoint(deep_v)
-    if not ok:
+    if overlapping_pair(deep_v) is not None:
         raise HypothesisViolated("V-pushed-preimages-disjoint")
     for z in V:
         for i in range(1, N):
@@ -127,8 +115,7 @@ def _check_extension_post(sys, U, V, W, N) -> None:
         if sys.preimage(sys.image(W, i), i) != W:
             raise DepthInsufficient(f"W idempotence fails at i={i}")
     deep = [sys.preimage(W, i) for i in range(N, 2 * N)]
-    ok, _ = _pairwise_disjoint(deep)
-    if not ok:
+    if overlapping_pair(deep) is not None:
         raise DepthInsufficient("deep preimages of W are not pairwise disjoint")
 
 
@@ -191,8 +178,7 @@ def build_rokhlin_cover(
         for _ in range(2 * N - 1):
             level = sys.preimage(level, 1)
             levels.append(level)
-        ok, _ = _pairwise_disjoint(levels)
-        if not ok:
+        if overlapping_pair(levels) is not None:
             raise DepthInsufficient("special cone levels overlap")
         for lv in levels:
             cone |= lv
@@ -255,8 +241,8 @@ def verify_rokhlin_cover(sys: FiniteSymbolicSystem, cover: RokhlinCover) -> Cert
     dis_ok = True
     dis_witness = ""
     for t_idx, tower in enumerate(cover.towers):
-        ok, pair = _pairwise_disjoint(tower.levels)
-        if not ok:
+        pair = overlapping_pair(tower.levels)
+        if pair is not None:
             dis_ok = False
             dis_witness = f"tower {t_idx} levels {pair[0]} and {pair[1]} intersect"
             break

@@ -91,10 +91,6 @@ class SpecialReport:
         return self.branch_upper <= self.bound
 
 
-def _ceil_fraction(x: Fraction) -> int:
-    return ceil(x)
-
-
 def sp_estimate(spec: SubshiftSpec, depth: int) -> SpecialReport:
     """Estimate the number of infinite left special branches at ``depth``.
 
@@ -120,7 +116,7 @@ def sp_estimate(spec: SubshiftSpec, depth: int) -> SpecialReport:
         branch_upper=upper,
         stabilized=stabilized,
         d_hat=growth.d_hat,
-        bound=_ceil_fraction(2 * growth.d_hat),
+        bound=ceil(2 * growth.d_hat),
         superlinear_warning=growth.superlinear_flag,
     )
 

@@ -185,15 +185,17 @@ class FiniteSymbolicSystem:
         return "\n".join(lines) + "\n"
 
 
-def disjoint_family_check(family) -> bool:
-    """True iff the clopen sets are pairwise disjoint."""
-    seen: set = set()
-    for clopen in family:
+def overlapping_pair(family) -> tuple[int, int] | None:
+    """Indices (i, j), i < j, of two clopen sets of ``family`` that share a
+    state, with j as small as possible; None iff the sets are pairwise
+    disjoint."""
+    seen: dict = {}
+    for idx, clopen in enumerate(family):
         for s in clopen:
             if s in seen:
-                return False
-        seen.update(clopen)
-    return True
+                return seen[s], idx
+            seen[s] = idx
+    return None
 
 
 def aperiodicity_window_check(spec: SubshiftSpec, window: int) -> bool:

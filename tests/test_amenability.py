@@ -7,8 +7,8 @@ from shiftdim.amenability import (
     EquivariantMap,
     build_B_partition,
     build_equivariant_map,
+    check_equivariance,
     iterated_sumsets,
-    measure_deviation,
     project_finite_support,
 )
 from shiftdim.errors import NTooSmall, TailMassTooLarge, WindowTooSmall
@@ -169,7 +169,10 @@ def test_projection_preserves_equivariance_at_adjusted_bound():
     assert min(kept_masses) > 0
     delta = 2 * (1 - min(kept_masses)) + Fraction(1, 1000)
     projected, worst = project_finite_support(emap, support, delta)
-    new_dev = measure_deviation(sys, projected, (-1, 0, 1))
+    # with no orbit window every edge is regular, so this is the largest
+    # deviation over all window edges
+    cert = check_equivariance(sys, projected, (-1, 0, 1), Fraction(4), orbit_window=frozenset())
+    new_dev = Fraction(cert.params["max_regular_deviation"])
     assert new_dev <= emap.epsilon_achieved + 2 * worst
 
 

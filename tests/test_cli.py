@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import os
+import shutil
 
 import pytest
 
@@ -109,3 +112,66 @@ def test_verify_rejects_corrupted_certificate(fib_cfg, tmp_path, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "failed" in out
+
+
+@pytest.fixture(scope="module")
+def chain_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("certify")
+    cfg = root / "fib.cfg"
+    cfg.write_text(FIB_CFG)
+    out = root / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([
+            "certify", "--config", str(cfg), "--horizon", "16", "--depth", "250",
+            "--big-n", "30", "--epsilon", "5/2", "--out", str(out),
+        ])
+    assert code == 0
+    return out
+
+
+def verify_copy(chain_dir, tmp_path, capsys, edit=None, remove=None):
+    """Copy the chain, change its chain.json by ``edit`` and delete the
+    stage file ``remove``, then verify chain.json; (exit code, stdout)."""
+    out = tmp_path / "chain"
+    shutil.copytree(chain_dir, out)
+    path = out / "chain.json"
+    if edit:
+        data = json.loads(path.read_text())
+        edit(data["params"])
+        path.write_text(json.dumps(data))
+    if remove:
+        (out / remove).unlink()
+    capsys.readouterr()
+    code = main(["verify", str(path)])
+    return code, capsys.readouterr().out
+
+
+def test_verify_chain(chain_dir, tmp_path, capsys):
+    code, out = verify_copy(chain_dir, tmp_path, capsys)
+    assert code == 0
+    assert out == "verified: certify-chain (pass)\n"
+
+
+def test_verify_chain_rejects_other_config(chain_dir, tmp_path, capsys):
+    def edit(params):
+        params["config"] = "variant = full_shift\nalphabet = 0 1\n"
+        params["stages"]["dad"] = "fail"
+
+    code, out = verify_copy(chain_dir, tmp_path, capsys, edit=edit)
+    assert code == 1
+    assert "stage lang: presentation differs from the chain's config" in out
+
+
+def test_verify_chain_rejects_changed_stage_verdict(chain_dir, tmp_path, capsys):
+    def edit(params):
+        params["stages"]["dad"] = "fail"
+
+    code, out = verify_copy(chain_dir, tmp_path, capsys, edit=edit)
+    assert code == 1
+    assert "stage dad: dad.json records pass, the chain fail" in out
+
+
+def test_verify_chain_rejects_missing_stage_file(chain_dir, tmp_path, capsys):
+    code, out = verify_copy(chain_dir, tmp_path, capsys, remove="amen.json")
+    assert code == 1
+    assert "stage amen: cannot read amen.json" in out

@@ -6,7 +6,7 @@ from shiftdim.cover import build_cover_graph
 from shiftdim.systems import (
     FiniteSymbolicSystem,
     aperiodicity_window_check,
-    disjoint_family_check,
+    overlapping_pair,
 )
 from shiftdim.words import fibonacci_spec, full_shift_spec, golden_mean_spec
 
@@ -86,9 +86,11 @@ def test_relational_counterexample_documented():
 
 
 def test_disjoint_family_check():
-    assert disjoint_family_check([frozenset(), frozenset({1, 2})])
-    assert disjoint_family_check([frozenset({1}), frozenset({2})])
-    assert not disjoint_family_check([frozenset({1, 2}), frozenset({2, 3})])
+    assert overlapping_pair([frozenset(), frozenset({1, 2})]) is None
+    assert overlapping_pair([frozenset({1}), frozenset({2})]) is None
+    assert overlapping_pair([frozenset({1, 2}), frozenset({2, 3})]) == (0, 1)
+    assert overlapping_pair([frozenset({1}), frozenset({2}), frozenset({3, 2})]) == (1, 2)
+    assert overlapping_pair([frozenset({5}), frozenset({2}), frozenset({5})]) == (0, 2)
 
 
 def test_aperiodicity_fibonacci():
