@@ -4,10 +4,14 @@ The construction turns a verified tower-pair system into a piecewise
 constant map ``state -> probability vector``: each pair contributes mass
 at its level exponent, weighted by a tent over the exponent set whose
 plateau marks levels with full window margin.  The tent comes from an
-integer partition built from iterated sumsets of the window; its
-shift-containment properties make one-step moves change each coordinate
-by at most 1/resolution, which yields the deviation bound
-(d+1)(d+2)/resolution over all window edges.
+integer partition of the exponents by erosion depth: an exponent sits in
+block k when its translates by the k-fold sumset of the window stay
+inside the exponent set.  With a symmetric window holding 0 that depth is
+one less than the fewest nonzero window steps out of the exponent set,
+so one breadth-first pass from the boundary of the set computes every
+block.  The shift-containment properties of the partition make one-step
+moves change each coordinate by at most 1/resolution, which yields the
+deviation bound (d+1)(d+2)/resolution over all window edges.
 
 Everything is exact: the bump functions of the classical argument are
 indicators of clopen level sets here (one state-resolution quantum), the
@@ -31,15 +35,6 @@ from .errors import (
 from .simplex import SimplexPoint
 from .systems import FiniteSymbolicSystem
 from .towers import TowerPairSystem, normalize_window
-
-
-def iterated_sumsets(E, count: int) -> list[frozenset]:
-    """[Sigma_1 E, ..., Sigma_count E]; with 0 in E the chain is nested."""
-    E = frozenset(E)
-    out = [E]
-    for _ in range(count - 1):
-        out.append(frozenset(a + b for a in out[-1] for b in E))
-    return out
 
 
 @dataclass(frozen=True)
@@ -71,17 +66,19 @@ class PartitionB:
         return table
 
 
-def _is_interval(values) -> bool:
-    return values == tuple(range(values[0], values[-1] + 1))
-
-
 def build_B_partition(S, E, N: int, window: int) -> PartitionB:
-    """Blocks from the three defining sumset formulas, with the partition
-    and shift-containment properties checked exhaustively on the window.
+    """Blocks by erosion depth, with the partition and shift-containment
+    properties checked exhaustively on the window.
 
-    When both the exponent set and the window set are integer intervals
-    the k-fold sumsets are intervals too and the blocks come out in closed
-    form; the generic sumset computation handles everything else."""
+    Block k (1 <= k < N) of the sumset definition is D_k - D_{k+1} with
+    D_k = {x in [-window, window] : x - Sigma_k E inside S}, and block N
+    is D_N.  Because the normalized window is symmetric and holds 0, x lies
+    in D_k exactly when every point within k nonzero window steps of x
+    lies in S, that is when its erosion depth (the fewest nonzero steps
+    from x to a point outside S, minus 1) is at least k.  One
+    breadth-first pass from the points of S next to its complement
+    computes every depth below N in O(|S| |E|) steps, whatever N is;
+    points it leaves unreached are at depth N or more."""
     S = tuple(sorted(set(int(s) for s in S)))
     E = normalize_window(E)
     if N < 1:
@@ -90,30 +87,25 @@ def build_B_partition(S, E, N: int, window: int) -> PartitionB:
     if window < N * max_e + max(S):
         raise WindowTooSmall(f"window {window} < N*max|E| + max(S) = {N * max_e + max(S)}")
     universe = range(-window, window + 1)
-    if _is_interval(S) and _is_interval(E):
-        lo, hi = S[0], S[-1]
-        blocks = []
-        for k in range(1, N + 1):
-            # D_k = [lo + k*max_e, hi - k*max_e]
-            cur = (lo + k * max_e, hi - k * max_e)
-            if k == N:
-                blocks.append(frozenset(range(cur[0], cur[1] + 1)))
-            else:
-                nxt = (lo + (k + 1) * max_e, hi - (k + 1) * max_e)
-                block = set(range(cur[0], cur[1] + 1)) - set(range(nxt[0], nxt[1] + 1))
-                blocks.append(frozenset(block))
-    else:
-        s_set = frozenset(S)
-        sums = iterated_sumsets(E, N)
-        D: list[frozenset] = []
-        for k in range(N):
-            dk = frozenset(x for x in universe if all(x - m in s_set for m in sums[k]))
-            D.append(dk)
-        blocks = []
-        for k in range(1, N):
-            blocks.append(D[k - 1] - D[k])
-        blocks.append(D[N - 1])
-    part = PartitionB(S, E, N, window, tuple(blocks))
+    s_set = frozenset(S)
+    steps = [e for e in E if e]
+    frontier = [x for x in S if any(x + e not in s_set for e in steps)]
+    depth = dict.fromkeys(frontier, 0)
+    for k in range(1, N):
+        reached = []
+        for x in frontier:
+            for e in steps:
+                y = x + e
+                if y in s_set and y not in depth:
+                    depth[y] = k
+                    reached.append(y)
+        frontier = reached
+    blocks: list[set] = [set() for _ in range(N)]
+    for x in S:
+        k = depth.get(x, N)
+        if k and x in universe:
+            blocks[k - 1].add(x)
+    part = PartitionB(S, E, N, window, tuple(frozenset(b) for b in blocks))
     _check_partition(part, universe)
     return part
 
@@ -317,7 +309,7 @@ def check_equivariance(
     edges = 0
     for x, n, y in _window_edges(sys, E):
         edges += 1
-        dev = emap.point(y).l1(emap.point(x).shift(n))
+        dev = emap.point(y).l1(emap.point(x), n)
         if n >= 0:
             regular = y in _entry_free_image(sys, x, n, orbit_window)
         else:

@@ -52,6 +52,16 @@ def _window(arg: str) -> tuple[int, ...]:
         raise ConfigError(f"bad window set {arg!r}")
 
 
+def _epsilon(arg: str) -> Fraction:
+    try:
+        eps = Fraction(arg)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"bad --epsilon {arg!r}")
+    if eps <= 0:
+        raise ConfigError(f"bad --epsilon {arg!r}: must be positive")
+    return eps
+
+
 def _emit(cert: Certificate, out: str | None, name: str):
     text = cert.canonical_json()
     if out:
@@ -79,7 +89,7 @@ def _params(args) -> PipelineParams:
         height=args.height,
         window_set=_window(args.window),
         big_n=args.big_n,
-        epsilon=Fraction(args.epsilon),
+        epsilon=_epsilon(args.epsilon),
         exponent_bound=args.exponent_bound,
     )
 

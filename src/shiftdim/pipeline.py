@@ -467,11 +467,23 @@ def _rebuild_dad(graph: CoverGraph, p: dict) -> Certificate:
     return verify_dad_cover(window, cover)
 
 
+# chain parameter -> (the stage whose certificate echoes it, under which key)
+CHAIN_ECHOES = {
+    "depth": ("cover", "k"),
+    "past_len": ("cover", "l"),
+    "height": ("rokhlin", "height"),
+    "window_set": ("amen", "E"),
+    "big_n": ("amen", "resolution"),
+    "epsilon": ("amen", "epsilon"),
+}
+
+
 def _recheck_chain(params: dict, directory: str | None) -> Certificate:
     """Re-check every stage file the chain lists, from ``directory``: each
     must record the chain's verdict for it, echo the presentation of the
-    chain's configuration and re-check.  Returns the chain certificate
-    recomputed from its ``stages``."""
+    chain's configuration and re-check, and the stages in
+    ``CHAIN_ECHOES`` must echo the chain's parameters.  Returns the chain
+    certificate recomputed from its ``stages``."""
     if directory is None:
         raise Mismatch("a certify-chain certificate is re-checked from its directory")
     stages = params["stages"]
@@ -494,6 +506,16 @@ def _recheck_chain(params: dict, directory: str | None) -> Certificate:
             )
         if "spec" in cert.params and cert.params["spec"] != spec:
             raise Mismatch(f"stage {name}: presentation differs from the chain's config")
+    for key, (name, echo) in CHAIN_ECHOES.items():
+        value = params[key]
+        if key == "window_set":
+            value = list(normalize_window(value))
+        echoed = certs[name].params.get(echo)
+        if echoed != value:
+            raise Mismatch(
+                f"stage {name}: {name}.json echoes {echo} = {echoed!r}, "
+                f"the chain's {key} is {params[key]!r}"
+            )
     for name, cert in certs.items():
         ok, why = recheck_certificate(cert)
         if not ok:
@@ -550,7 +572,9 @@ KINDS: dict[str, Callable[[dict, str | None], Certificate]] = {
 def recheck_certificate(cert: Certificate, directory: str | None = None) -> tuple[bool, str]:
     """Recompute ``cert`` as its kind says and compare byte for byte.
     ``directory`` holds the stage files of a ``certify-chain``
-    certificate."""
+    certificate.  A certificate lacking an echo the re-check reads, or
+    holding one of the wrong type, fails as a missing or malformed
+    witness."""
     recheck = KINDS.get(cert.kind)
     if recheck is None:
         return False, f"unknown certificate kind {cert.kind!r}"
@@ -558,6 +582,10 @@ def recheck_certificate(cert: Certificate, directory: str | None = None) -> tupl
         fresh = recheck(cert.params, directory)
     except Mismatch as exc:
         return False, str(exc)
+    except KeyError as exc:
+        return False, f"missing or malformed witness {exc.args[0]!r}"
+    except (TypeError, ValueError) as exc:
+        return False, f"missing or malformed witness: {exc}"
     if fresh.canonical_json() == cert.canonical_json():
         return True, ""
     detail = fresh.first_failure()

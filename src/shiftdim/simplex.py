@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
 
 
 @dataclass(frozen=True)
@@ -57,18 +57,25 @@ class SimplexPoint:
         image of a point under n forward steps matches the shifted map."""
         return SimplexPoint(tuple((a - n, w) for a, w in self.entries))
 
-    def l1(self, other: "SimplexPoint") -> Fraction:
-        atoms = {a for a, _ in self.entries} | {a for a, _ in other.entries}
-        mine, theirs = self.as_dict(), other.as_dict()
-        return sum(
-            (abs(mine.get(a, Fraction(0)) - theirs.get(a, Fraction(0))) for a in atoms),
-            Fraction(0),
-        )
+    def l1(self, other: "SimplexPoint", n: int = 0) -> Fraction:
+        """l1 distance from this point to ``other.shift(n)``, read off the
+        entries without building the shifted point.  The weights are put
+        over one common denominator, so the sum is taken in integers."""
+        den = lcm(*(w.denominator for _, w in self.entries),
+                  *(w.denominator for _, w in other.entries))
+        mine = {a: w.numerator * (den // w.denominator) for a, w in self.entries}
+        total = 0
+        for a, w in other.entries:
+            total += abs(mine.pop(a - n, 0) - w.numerator * (den // w.denominator))
+        return Fraction(total + sum(mine.values()), den)
+
+    def ranked(self) -> list[tuple[int, Fraction]]:
+        """The entries, heaviest first; ties broken by integer order."""
+        return sorted(self.entries, key=lambda e: (-e[1], e[0]))
 
     def heaviest(self, count: int) -> tuple[int, ...]:
-        """The ``count`` heaviest atoms; ties broken by integer order."""
-        ranked = sorted(self.entries, key=lambda e: (-e[1], e[0]))
-        return tuple(sorted(a for a, _ in ranked[:count]))
+        """The ``count`` heaviest atoms, in atom order."""
+        return tuple(sorted(a for a, _ in self.ranked()[:count]))
 
 
 def skeleton_distance(mu: SimplexPoint, size: int):
@@ -110,11 +117,24 @@ def simplicial_cover_membership(mu: SimplexPoint, i: int, d: int):
 
 def cover_index(mu: SimplexPoint, d: int):
     """The first ring containing mu, with its cell; the rings cover the
-    whole ambient simplex, so this never fails on valid input."""
+    whole ambient simplex, so this never fails on valid input.
+
+    Decides ring i exactly as ``simplicial_cover_membership(mu, i, d)``
+    does, from one ranking of the atoms: the mass of the j heaviest atoms
+    is the j-th prefix sum of the ranked weights."""
+    if not in_simplex(mu, d):
+        raise ValueError("point lies outside the ambient simplex")
+    ranked = mu.ranked()
+    kept = [Fraction(0)]
+    for _, w in ranked:
+        kept.append(kept[-1] + w)
+    top = len(ranked)
     for i in range(d + 1):
-        member, cell = simplicial_cover_membership(mu, i, d)
-        if member:
-            return i, cell
+        if not 2 * (1 - kept[min(i + 1, top)]) < Fraction(1, 3 * 10**i):
+            continue
+        if i > 0 and not 2 * (1 - kept[min(i, top)]) > Fraction(5, 2 * 10**i):
+            continue
+        return i, tuple(sorted(a for a, _ in ranked[: i + 1]))
     raise AssertionError(f"cover property violated for {mu!r} at d={d}")
 
 

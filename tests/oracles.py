@@ -74,3 +74,26 @@ def left_special_oracle(language_n: set[str], language_n1: set[str], alphabet: s
 def min_ratio_oracle(counts: list[int]) -> Fraction:
     """min p(n)/n for n = 1..len(counts), exact."""
     return min(Fraction(p, n) for n, p in enumerate(counts, start=1))
+
+
+def iterated_sumsets(E, count: int) -> list[frozenset]:
+    """[Sigma_1 E, ..., Sigma_count E]; with 0 in E the chain is nested."""
+    E = frozenset(E)
+    out = [E]
+    for _ in range(count - 1):
+        out.append(frozenset(a + b for a in out[-1] for b in E))
+    return out
+
+
+def sumset_partition_oracle(S, E, N: int, window: int) -> tuple[frozenset, ...]:
+    """Blocks 1..N straight from the sumset definition: block k < N is
+    D_k - D_{k+1} and block N is D_N, where D_k collects the x in
+    [-window, window] with x - Sigma_k E inside S.  ``E`` is used as
+    given, so pass the normalized window."""
+    s_set = frozenset(S)
+    sums = iterated_sumsets(E, N)
+    D = [
+        frozenset(x for x in range(-window, window + 1) if all(x - m in s_set for m in sums[k]))
+        for k in range(N)
+    ]
+    return tuple(D[k - 1] - D[k] for k in range(1, N)) + (D[N - 1],)

@@ -8,13 +8,14 @@ from shiftdim.amenability import (
     build_B_partition,
     build_equivariant_map,
     check_equivariance,
-    iterated_sumsets,
     project_finite_support,
 )
 from shiftdim.errors import NTooSmall, TailMassTooLarge, WindowTooSmall
 from shiftdim.simplex import SimplexPoint
 from shiftdim.systems import FiniteSymbolicSystem
-from shiftdim.towers import TowerPair, TowerPairSystem, verify_tower_pairs
+from shiftdim.towers import TowerPair, TowerPairSystem, normalize_window, verify_tower_pairs
+
+from .oracles import iterated_sumsets, sumset_partition_oracle
 
 
 def cycle_system(n):
@@ -64,6 +65,28 @@ def test_iterated_sumsets_nested():
     sums = iterated_sumsets((-1, 0, 1), 4)
     assert sums[0] < sums[1] < sums[2] < sums[3]
     assert sums[3] == frozenset(range(-4, 5))
+
+
+def test_partition_matches_sumset_oracle():
+    # non-interval exponent sets and windows, negative exponents, slack
+    rng = random.Random(41)
+    for _ in range(300):
+        e_max = rng.randint(1, 4)
+        E = rng.sample(range(-e_max, e_max + 1), rng.randint(1, 3))
+        S = rng.sample(range(-8, 20), rng.randint(1, 20))
+        N = rng.randint(1, 6)
+        max_e = max(abs(e) for e in normalize_window(E))
+        window = N * max_e + max(S) + rng.randint(0, 4)
+        part = build_B_partition(S, E, N, window)
+        assert part.blocks == sumset_partition_oracle(S, normalize_window(E), N, window)
+
+
+def test_partition_deep_interval():
+    # the acceptance fixture's shape: D_k = [k, 6799 - k] in closed form
+    N = 721
+    part = build_B_partition(range(6800), [-1, 0, 1], N, N + 6799)
+    closed = [frozenset({k, 6799 - k}) for k in range(1, N)]
+    assert part.blocks == (*closed, frozenset(range(N, 6800 - N)))
 
 
 def _constant_pair_system(sys):

@@ -74,6 +74,13 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("epsilon", ["abc", "1/0", "0", "-1/2"])
+def test_bad_epsilon_exit_code(fib_cfg, epsilon, capsys):
+    code = main(["cover", "--config", fib_cfg, "--depth", "20", f"--epsilon={epsilon}"])
+    assert code == 3
+    assert f"bad --epsilon {epsilon!r}" in capsys.readouterr().err
+
+
 def test_special_command(fib_cfg, capsys):
     code = main(["special", "--config", fib_cfg, "--depth", "12"])
     assert code == 0
@@ -112,6 +119,26 @@ def test_verify_rejects_corrupted_certificate(fib_cfg, tmp_path, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "failed" in out
+
+
+def test_verify_reports_missing_witness(fib_cfg, tmp_path, capsys):
+    out_dir = str(tmp_path / "out")
+    main([
+        "rokhlin", "--config", fib_cfg, "--depth", "60", "--past-len", "6",
+        "--height", "5", "--out", out_dir,
+    ])
+    capsys.readouterr()
+    path = os.path.join(out_dir, "rokhlin.json")
+    with open(path) as fh:
+        data = json.load(fh)
+    del data["params"]["tower_bases"]
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    code = main(["verify", path])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        "verification failed: missing or malformed witness 'tower_bases'\n"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -175,3 +202,16 @@ def test_verify_chain_rejects_missing_stage_file(chain_dir, tmp_path, capsys):
     code, out = verify_copy(chain_dir, tmp_path, capsys, remove="amen.json")
     assert code == 1
     assert "stage amen: cannot read amen.json" in out
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("depth", 999, "stage cover: cover.json echoes k = 250, the chain's depth is 999"),
+    ("big_n", 1, "stage amen: amen.json echoes resolution = 30, the chain's big_n is 1"),
+])
+def test_verify_chain_rejects_other_parameter(chain_dir, tmp_path, capsys, key, value, message):
+    def edit(params):
+        params[key] = value
+
+    code, out = verify_copy(chain_dir, tmp_path, capsys, edit=edit)
+    assert code == 1
+    assert out == f"verification failed: {message}\n"

@@ -1,4 +1,4 @@
-"""Golden bytes of the depth-250 Fibonacci chain.
+"""Golden bytes of the depth-250 Fibonacci chain and of a skew-window run.
 
 Pins the sha256 of every file ``run_certify`` writes with criterion 15's
 parameters, and checks that each CLI subcommand given the matching flags
@@ -6,6 +6,11 @@ writes the same bytes to ``--out``.  ``special --depth`` plays the role of
 ``certify --horizon``.  The pins were taken before the stage registry
 replaced the hand-written stage dispatch, so a drift between the registry,
 the subcommands and the certificate schema shows up here.
+
+``SKEW_PINS`` covers the window E = {-2, 0, 3}, whose normalization is
+not an integer interval.  Its pins were taken while the B-partition was
+still built from the k-fold sumsets of the window, before the
+breadth-first erosion pass replaced that construction.
 """
 
 import contextlib
@@ -16,7 +21,7 @@ from fractions import Fraction
 import pytest
 
 from shiftdim.cli import main
-from shiftdim.pipeline import PipelineParams, run_certify
+from shiftdim.pipeline import PipelineParams, run_certify, run_stages
 
 FIB_CFG = "variant = substitution\nalphabet = 0 1\nrule.0 = 0 1\nrule.1 = 0\n"
 
@@ -120,3 +125,30 @@ def test_bounds_subcommand_matches_certify(chain_dir, tmp_path):
         code = main(["bounds", "--q", "1", "--out", str(out)])
     assert code == 0
     assert (out / "bounds.json").read_bytes() == (chain_dir / "bounds.json").read_bytes()
+
+
+SKEW_PINS = {
+    "amen_pairs": "c94063b00d61db78f4cf3d8114b4e31beb998139caf799550e2c4a77ebe6c3d1",
+    "amen": "58b13c53dbf3f56bd71f24d20685fe32f2b3e4277fd0b9cbd3be66cb5fa1e324",
+    "dad": "1170dca889493875a0b0c1c2a18a5c0d901f538a5c51f6a29835e9e696f20c11",
+}
+
+
+def test_skew_window_certificates_match_pins():
+    params = PipelineParams(
+        config_text=FIB_CFG,
+        depth=400,
+        past_len=6,
+        height=11,
+        window_set=(-2, 0, 3),
+        big_n=37,
+        epsilon=Fraction(2),
+        exponent_bound=3,
+    )
+    certs = run_stages(params, ["amen", "dad"])
+    assert all(cert.passed for cert in certs.values())
+    written = {
+        name: hashlib.sha256(cert.canonical_json().encode()).hexdigest()
+        for name, cert in certs.items()
+    }
+    assert written == SKEW_PINS

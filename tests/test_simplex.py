@@ -76,6 +76,43 @@ def test_shift_is_isometry():
         assert mu.l1(nu) == mu.shift(4).l1(nu.shift(4))
 
 
+def test_l1_with_shift_matches_shifted_point():
+    rng = random.Random(19)
+    for _ in range(500):
+        mu, nu = random_point(rng), random_point(rng)
+        n = rng.randint(-12, 12)
+        assert mu.l1(nu, n) == mu.l1(nu.shift(n))
+
+
+def _first_member_ring(mu, d):
+    for i in range(d + 1):
+        member, cell = simplicial_cover_membership(mu, i, d)
+        if member:
+            return i, cell
+    return None
+
+
+def test_cover_index_matches_membership():
+    # the first ring simplicial_cover_membership accepts, with its cell;
+    # tied weights and points with fewer than d+1 atoms included
+    rng = random.Random(29)
+    points = [random_point(rng, max_atoms=6, denom=rng.choice([6, 12, 60, 3000]))
+              for _ in range(1500)]
+    for count in range(1, 6):
+        tied = {a: Fraction(1, count) for a in rng.sample(range(-9, 10), count)}
+        points.append(SimplexPoint.from_dict(tied))
+    for _ in range(300):
+        heavy = Fraction(rng.randint(1, 99), 100)
+        atoms = rng.sample(range(-9, 10), 3)
+        rest = (1 - heavy) / 2
+        points.append(SimplexPoint.from_dict({atoms[0]: heavy, atoms[1]: rest, atoms[2]: rest}))
+    for mu in points:
+        for d in range(len(mu.entries) - 1, 6):
+            assert cover_index(mu, d) == _first_member_ring(mu, d), (mu, d)
+    with pytest.raises(ValueError):
+        cover_index(SimplexPoint.from_dict({0: Fraction(1, 2), 1: Fraction(1, 2)}), 0)
+
+
 def test_membership_examples():
     member, cell = simplicial_cover_membership(SimplexPoint.dirac(0), 0, 2)
     assert member and cell == (0,)
