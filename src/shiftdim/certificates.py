@@ -46,6 +46,15 @@ def _canon(value):
     return str(value)
 
 
+# Top-level keys every certificate has, with their JSON types.
+_SHAPE = {
+    "kind": (str, "a string"),
+    "params": (dict, "an object"),
+    "clauses": (list, "an array"),
+    "verdict": (str, "a string"),
+}
+
+
 @dataclass(frozen=True)
 class Certificate:
     kind: str
@@ -88,7 +97,24 @@ class Certificate:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n"
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Certificate":
+    def from_dict(cls, data) -> "Certificate":
+        """Raises ``ValueError`` unless ``data`` has the shape of
+        :meth:`to_dict`'s output."""
+        if not isinstance(data, dict):
+            raise ValueError("not a JSON object")
+        for key, (expected, name) in _SHAPE.items():
+            if key not in data:
+                raise ValueError(f"no {key!r}")
+            if not isinstance(data[key], expected):
+                raise ValueError(f"{key!r} is not {name}")
+        for c in data["clauses"]:
+            if not (
+                isinstance(c, dict)
+                and isinstance(c.get("name"), str)
+                and isinstance(c.get("passed"), bool)
+                and isinstance(c.get("witness", ""), str)
+            ):
+                raise ValueError(f"malformed clause {c!r}")
         return cls(
             kind=data["kind"],
             params=data["params"],

@@ -128,7 +128,11 @@ def main(argv=None) -> int:
             return _exit_for(cert)
         if args.command == "verify":
             with open(args.certificate) as fh:
-                cert = Certificate.from_json(fh.read())
+                try:
+                    cert = Certificate.from_json(fh.read())
+                except ValueError as exc:
+                    print(f"verification failed: not a certificate: {exc}")
+                    return EXIT_FAIL
             ok, why = recheck_certificate(cert, os.path.dirname(args.certificate))
             if ok and cert.verdict == "pass":
                 print(f"verified: {cert.kind} (pass)")

@@ -79,9 +79,18 @@ class CoverState:
         return (self.prefix, self.past)
 
     def descriptor(self, alphabet) -> str:
-        prefix = alphabet.decode(self.prefix)
-        if len(prefix) > 24:
-            prefix = prefix[:12] + ".." + prefix[-8:]
+        """``[<prefix>|<pasts>]``, the decoded prefix cut to its first 12
+        and last 8 characters when it is longer than 24.  Every symbol
+        decodes to at least one character, so a prefix of more than 24
+        symbols is always cut, and its kept ends are decoded from its first
+        12 and last 8 symbols alone."""
+        word = self.prefix
+        if len(word) > 24:
+            prefix = alphabet.decode(word[:12])[:12] + ".." + alphabet.decode(word[-8:])[-8:]
+        else:
+            prefix = alphabet.decode(word)
+            if len(prefix) > 24:
+                prefix = prefix[:12] + ".." + prefix[-8:]
         past = ",".join(alphabet.decode(p) for p in sorted(self.past))
         return f"[{prefix}|{past}]"
 
@@ -100,6 +109,7 @@ class CoverGraph:
         self.horizon = horizon
         self.depth = k + horizon
         self.lookahead = horizon - k
+        self._pasts: dict[str, frozenset] = {}  # tail -> its length-l past
         self._build()
 
     # -- construction ---------------------------------------------------------
@@ -107,7 +117,10 @@ class CoverGraph:
     def _key(self, word: str, lookahead: int | None = None):
         lam = self.lookahead if lookahead is None else lookahead
         tail = word[self.k : self.k + lam]
-        return (word[: self.k], _past_words(self.spec, tail, self.l))
+        past = self._pasts.get(tail)
+        if past is None:
+            past = self._pasts[tail] = _past_words(self.spec, tail, self.l)
+        return (word[: self.k], past)
 
     def _build(self):
         spec, k, lam = self.spec, self.k, self.lookahead

@@ -498,7 +498,7 @@ def _recheck_chain(params: dict, directory: str | None) -> Certificate:
         try:
             with open(os.path.join(directory, f"{name}.json")) as fh:
                 certs[name] = cert = Certificate.from_json(fh.read())
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             raise Mismatch(f"stage {name}: cannot read {name}.json: {exc}")
         if cert.verdict != stages[name]:
             raise Mismatch(

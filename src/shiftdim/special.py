@@ -9,6 +9,7 @@ stabilization flag instead of a claim about the infinite object.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
@@ -17,16 +18,14 @@ from .words import SFTSpec, SubshiftSpec, check_extendability, growth_report
 
 
 def left_special_words(spec: SubshiftSpec, n: int) -> list[str]:
-    """Sorted length-``n`` factors with >= 2 one-symbol left extensions."""
+    """Sorted length-``n`` factors with >= 2 one-symbol left extensions.
+    The left extensions of ``w`` are the length-``n+1`` factors ending in
+    it, so one pass over those counts them all."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    longer = spec.language(n + 1)
-    out = []
-    for w in spec.language(n):
-        ext = sum(1 for a in spec.alphabet.chars if a + w in longer)
-        if ext >= 2:
-            out.append(w)
-    return sorted(out)
+    lang = spec.language(n)
+    ends = Counter(u[1:] for u in spec.language(n + 1))
+    return sorted(w for w, ext in ends.items() if ext >= 2 and w in lang)
 
 
 def left_special_count(spec: SubshiftSpec, n: int) -> int:

@@ -33,6 +33,10 @@ def _chr(i: int) -> str:
     return chr(_BASE + i)
 
 
+# Internal characters of every symbol index, in order.
+_CHARS = "".join(_chr(i) for i in range(MAX_ALPHABET))
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered finite set of distinct symbol identifiers."""
@@ -46,6 +50,8 @@ class Alphabet:
             raise InvalidSpec("alphabet has duplicate symbols")
         if len(self.symbols) > MAX_ALPHABET:
             raise InvalidSpec(f"alphabet larger than {MAX_ALPHABET} symbols")
+        if not all(self.symbols):
+            raise InvalidSpec("alphabet has an empty symbol")
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -53,7 +59,7 @@ class Alphabet:
     @property
     def chars(self) -> str:
         """All internal characters, in declared order."""
-        return "".join(_chr(i) for i in range(len(self.symbols)))
+        return _CHARS[: len(self.symbols)]
 
     def encode(self, word) -> str:
         """Encode an iterable of symbols (a plain string is treated as a

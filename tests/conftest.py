@@ -1,6 +1,8 @@
 import pytest
 
 from shiftdim.words import (
+    Alphabet,
+    SubstitutionSpec,
     fibonacci_spec,
     full_shift_spec,
     golden_mean_spec,
@@ -17,6 +19,12 @@ def fib():
 @pytest.fixture(scope="session")
 def tm():
     return thue_morse_spec()
+
+
+@pytest.fixture(scope="session")
+def trib():
+    """0 -> 01, 1 -> 02, 2 -> 0 (Tribonacci; p(n) = 2n + 1)."""
+    return SubstitutionSpec(Alphabet(("0", "1", "2")), {"0": "01", "1": "02", "2": "0"})
 
 
 @pytest.fixture(scope="session")

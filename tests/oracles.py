@@ -97,3 +97,17 @@ def sumset_partition_oracle(S, E, N: int, window: int) -> tuple[frozenset, ...]:
         for k in range(N)
     ]
     return tuple(D[k - 1] - D[k] for k in range(1, N)) + (D[N - 1],)
+
+
+def descriptor_oracle(state, alphabet) -> str:
+    """A cover state's label the long way: decode the whole prefix with
+    the declared symbol names (space-joined unless every symbol is one
+    character), then cut it to 12 + '..' + 8 characters if it is longer
+    than 24."""
+    sep = "" if all(len(s) == 1 for s in alphabet.symbols) else " "
+    decode = lambda word: sep.join(alphabet.symbols[ord(c) - 48] for c in word)
+    prefix = decode(state.prefix)
+    if len(prefix) > 24:
+        prefix = prefix[:12] + ".." + prefix[-8:]
+    past = ",".join(decode(p) for p in sorted(state.past))
+    return f"[{prefix}|{past}]"

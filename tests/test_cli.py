@@ -215,3 +215,36 @@ def test_verify_chain_rejects_other_parameter(chain_dir, tmp_path, capsys, key, 
     code, out = verify_copy(chain_dir, tmp_path, capsys, edit=edit)
     assert code == 1
     assert out == f"verification failed: {message}\n"
+
+
+@pytest.mark.parametrize("text, reason", [
+    ('{"kind": "cover-graph"', "Expecting ',' delimiter"),
+    ('{"params": {}}', "no 'kind'"),
+    ("[]", "not a JSON object"),
+    ('{"kind": "cover-graph", "params": [], "clauses": [], "verdict": "pass"}',
+     "'params' is not an object"),
+    ('{"kind": "cover-graph", "params": {}, "clauses": [{"name": 1}], "verdict": "pass"}',
+     "malformed clause"),
+])
+def test_verify_rejects_non_certificate(tmp_path, capsys, text, reason):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code = main(["verify", str(path)])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert out.startswith("verification failed: not a certificate: ")
+    assert reason in out
+
+
+def test_verify_chain_rejects_stage_params_not_object(chain_dir, tmp_path, capsys):
+    out = tmp_path / "chain"
+    shutil.copytree(chain_dir, out)
+    stage = out / "cover.json"
+    data = json.loads(stage.read_text())
+    data["params"] = []
+    stage.write_text(json.dumps(data))
+    code = main(["verify", str(out / "chain.json")])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        "verification failed: stage cover: cannot read cover.json: 'params' is not an object\n"
+    )

@@ -1,8 +1,12 @@
 import itertools
+import random
 
 import pytest
 
+from shiftdim import cover
 from shiftdim.cover import (
+    CoverState,
+    _past_words,
     build_cover_graph,
     check_intertwining,
     cover_special_states,
@@ -12,6 +16,9 @@ from shiftdim.cover import (
     special_match_report,
 )
 from shiftdim.errors import InvalidSpec
+from shiftdim.words import Alphabet, SubstitutionSpec
+
+from .oracles import descriptor_oracle
 
 
 def test_past_set_full_shift(full2):
@@ -154,3 +161,74 @@ def test_thue_morse_special_states(tm):
     # (it oscillates between 2 and 4 for this substitution)
     assert len(specials) == len(left_special_words(tm, 6))
     assert special_match_report(graph).counts_match
+
+
+MULTI = Alphabet(("a", "bb", "c10"))
+
+
+def test_descriptor_matches_oracle_multichar():
+    rng = random.Random(4)
+    prefixes = [
+        "".join(w) for n in range(1, 8) for w in itertools.product(MULTI.chars, repeat=n)
+    ]
+    prefixes += [
+        "".join(rng.choice(MULTI.chars) for _ in range(n))
+        for n in range(8, 41)
+        for _ in range(60)
+    ]
+    decoded_lengths = set()
+    for prefix in prefixes:
+        state = CoverState(0, len(prefix), 2, prefix, frozenset({"01", "20", "1"}))
+        assert state.descriptor(MULTI) == descriptor_oracle(state, MULTI), prefix
+        decoded_lengths.add(len(MULTI.decode(prefix)))
+    # both sides of the 24-character cut are exercised
+    assert {23, 24, 25, 26} <= decoded_lengths
+
+
+def test_alphabet_rejects_empty_symbol():
+    with pytest.raises(InvalidSpec):
+        Alphabet(("a", ""))
+
+
+def test_adjacency_text_labels_match_oracle(trib):
+    multi_trib = SubstitutionSpec(
+        MULTI, {"a": ["a", "bb"], "bb": ["a", "c10"], "c10": ["a"]}
+    )
+    for spec, k in ((trib, 200), (multi_trib, 40)):
+        graph = build_cover_graph(spec, k, 6)
+        expected = [
+            f"{s}\t{descriptor_oracle(state, spec.alphabet)}\t-> "
+            + " ".join(str(t) for t in graph.succ[s])
+            for s, state in enumerate(graph.states)
+        ]
+        assert graph.to_adjacency_text().splitlines()[1:] == expected
+
+
+@pytest.mark.parametrize("name", ["fib", "tm", "trib"])
+def test_cached_keys_match_uncached_past_words(name, request):
+    spec = request.getfixturevalue(name)
+    graph = build_cover_graph(spec, 200, 6)
+    k, lam = graph.k, graph.lookahead
+    for w in graph.stored:
+        for word, m in ((w, lam), (w[1:], lam), (w, lam - 1)):
+            expected = (word[:k], _past_words(spec, word[k : k + m], graph.l))
+            assert graph._key(word, m) == expected
+
+
+def test_past_words_computed_once_per_tail(trib, monkeypatch):
+    calls = []
+
+    def counting(spec, tail, l):
+        calls.append((tail, l))
+        return _past_words(spec, tail, l)
+
+    monkeypatch.setattr(cover, "_past_words", counting)
+    graph = build_cover_graph(trib, 200, 6)
+    assert check_intertwining(graph)
+    assert len(calls) == len(set(calls))
+    # the stored words' tails at the lookahead and one below it, and the
+    # shifted words' tails at the lookahead; nothing else
+    k, lam = graph.k, graph.lookahead
+    tails = {w[k : k + m] for w in graph.stored for m in (lam, lam - 1)}
+    tails |= {w[k + 1 : k + 1 + lam] for w in graph.stored}
+    assert {tail for tail, _ in calls} == tails

@@ -96,3 +96,15 @@ def test_useful_inequality_single_orbit(single):
 def test_useful_inequality_epsilon_range(fib):
     with pytest.raises(ValueError):
         check_useful_inequality(fib, 10, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("name, depth", [
+    ("fib", 30), ("tm", 30), ("trib", 30), ("golden", 12), ("full2", 8), ("single", 6),
+])
+def test_left_special_words_match_oracle(name, depth, request):
+    spec = request.getfixturevalue(name)
+    for n in range(1, depth + 1):
+        expected = left_special_oracle(
+            set(spec.language(n)), set(spec.language(n + 1)), spec.alphabet.chars
+        )
+        assert left_special_words(spec, n) == sorted(expected)
