@@ -45,6 +45,7 @@ class LeftSpecialTree:
 
     @classmethod
     def build(cls, spec: SubshiftSpec, depth: int) -> "LeftSpecialTree":
+        spec.language(max(depth + 1, 0))  # longest first: shorter lengths are its prefixes
         return cls(depth, tuple(tuple(left_special_words(spec, n)) for n in range(1, depth + 1)))
 
     def counts(self) -> tuple[int, ...]:

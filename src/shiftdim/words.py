@@ -8,10 +8,18 @@ symbol *indices* (``chr(48 + i)`` for the ``i``-th alphabet symbol), so the
 built-in string order coincides with lexicographic order under the declared
 symbol order and slicing/hashing stay cheap at depth in the thousands.
 
-Complexity counts for forbidden-word presentations are taken from the
-de Bruijn recoding graph with exact integer path counting, which agrees
-with direct enumeration wherever enumeration is feasible (the tests check
-both routes against each other).
+Every factor of a subshift extends to the right, so the length-``n``
+factors are exactly the length-``n`` prefixes of the length-``m`` factors
+for any ``m > n``.  A presentation therefore answers a new length from the
+nearest longer length it has already computed, and builds a language from
+the presentation itself only when it holds no longer one.
+
+Substitution languages are characterised exactly from letter blocks and
+length-2 factors (see :class:`SubstitutionSpec`).  Forbidden-word languages
+are read off the de Bruijn recoding graph; their complexity counts come
+from exact integer path counting on that graph, which agrees with direct
+enumeration wherever enumeration is feasible (the tests check both routes
+against each other).
 """
 
 from __future__ import annotations
@@ -52,6 +60,12 @@ class Alphabet:
             raise InvalidSpec(f"alphabet larger than {MAX_ALPHABET} symbols")
         if not all(self.symbols):
             raise InvalidSpec("alphabet has an empty symbol")
+        # decode() translates each internal character to its symbol plus the
+        # separator, then cuts the one trailing separator.
+        sep = "" if all(len(s) == 1 for s in self.symbols) else " "
+        table = str.maketrans({c: s + sep for c, s in zip(self.chars, self.symbols)})
+        object.__setattr__(self, "_decode_table", table)
+        object.__setattr__(self, "_sep_len", len(sep))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -70,22 +84,18 @@ class Alphabet:
             raise InvalidSpec(f"word {word!r} uses symbols outside the alphabet")
 
     def decode(self, word: str) -> str:
-        """Render an internal word with the declared symbol names."""
-        syms = [self.symbols[ord(c) - _BASE] for c in word]
-        if all(len(s) == 1 for s in self.symbols):
-            return "".join(syms)
-        return " ".join(syms)
-
-
-def _sliding_factors(text: str, n: int) -> set[str]:
-    return {text[i : i + n] for i in range(len(text) - n + 1)}
+        """Render an internal word with the declared symbol names, joined
+        by single spaces unless every symbol is one character."""
+        text = word.translate(self._decode_table)
+        return text[: len(text) - self._sep_len]
 
 
 class SubshiftSpec:
     """Base class: a finite presentation acting as an exact language oracle.
 
-    Subclasses implement :meth:`language`.  All values are immutable after
-    construction; results are cached per length.
+    Subclasses implement :meth:`_compute_language`.  All values are
+    immutable after construction; results are cached per length, and a
+    length shorter than a cached one is read off the nearest longer one.
     """
 
     variant = "abstract"
@@ -102,9 +112,18 @@ class SubshiftSpec:
             raise ValueError("length must be nonnegative")
         if n == 0:
             return frozenset({""})
-        if n not in self._lang_cache:
-            self._lang_cache[n] = frozenset(self._compute_language(n))
-        return self._lang_cache[n]
+        cache = self._lang_cache
+        lang = cache.get(n)
+        if lang is None:
+            # Every factor extends to the right, so the length-n factors are
+            # the length-n prefixes of the factors of any longer length.
+            longer = min((m for m in cache if m > n), default=None)
+            if longer is None:
+                lang = frozenset(self._compute_language(n))
+            else:
+                lang = frozenset(w[:n] for w in cache[longer])
+            cache[n] = lang
+        return lang
 
     def _compute_language(self, n: int) -> set[str]:
         raise NotImplementedError
@@ -284,11 +303,28 @@ class SFTSpec(SubshiftSpec):
 class SubstitutionSpec(SubshiftSpec):
     """Primitive substitution subshift.
 
-    The language at each length is the stabilized factor set of iterated
-    images of the first alphabet symbol: iteration stops as soon as two
-    consecutive iterates yield the same factor set, which is exact for
-    primitive substitutions.  Primitivity (some power of the substitution
-    matrix strictly positive) is checked at construction.
+    Primitivity (some power of the substitution matrix strictly positive)
+    is checked at construction.  With more than one letter it makes every
+    letter occur in the language and every letter block ``σʲ(c)`` grow
+    without bound; with one letter the subshift is the fixed point and
+    its length-``n`` factor is that letter repeated ``n`` times.  The
+    language is that of the images ``σᵏ(c)``, characterised exactly:
+
+    - length 1: the alphabet;
+    - length 2: the 2-factors of every image ``σ(c)``, closed under adding
+      the 2-factors of ``σ(ab)`` for every ``ab`` already found.  A 2-factor
+      of ``σᵏ⁺¹(c)`` lies inside one ``σ(x)`` or across ``σ(x)σ(y)`` for a
+      2-factor ``xy`` of ``σᵏ(c)``, so induction on ``k`` finds them all;
+    - length ``n >= 3``: take ``j`` with every ``|σʲ(c)| >= n - 1``.  Each
+      length-``n`` factor occurs in ``σᵏ(a) = σʲ(σᵏ⁻ʲ(a))`` for all large
+      ``k``, a concatenation of blocks ``σʲ(x)``.  A window of ``n``
+      symbols cannot cover a whole block and one more symbol on each side,
+      so it lies inside one block or across the seam ``σʲ(x)|σʲ(y)`` of a
+      2-factor ``xy`` of ``σᵏ⁻ʲ(a)``.  The factors are the windows of the blocks and of
+      the ``2(n-1)``-symbol seams, and every such window is a factor.
+
+    The blocks of the largest power built so far are kept, so a longer
+    length continues from them.
     """
 
     variant = "substitution"
@@ -303,9 +339,9 @@ class SubstitutionSpec(SubshiftSpec):
             if not image:
                 raise InvalidSpec(f"substitution image of {sym!r} is empty")
             self.rules[_chr(i)] = image
-        self._iterates: list[str] = [_chr(0)]
         if not self.is_primitive():
             raise InvalidSpec("substitution is not primitive")
+        self._blocks: list[str] = list(alphabet.chars)  # σʲ(c), by letter index
 
     def apply(self, word: str) -> str:
         return "".join(self.rules[c] for c in word)
@@ -328,32 +364,37 @@ class SubstitutionSpec(SubshiftSpec):
             ]
         return all(acc[i][j] > 0 for i in range(s) for j in range(s))
 
-    def _extend_iterates(self) -> bool:
-        """Append the next iterate; False if the substitution stopped
-        growing (primitivity then forces a one-letter alphabet)."""
-        nxt = self.apply(self._iterates[-1])
-        if len(nxt) == len(self._iterates[-1]):
-            return False
-        self._iterates.append(nxt)
-        return True
+    def _two_factors(self) -> set[str]:
+        found: set[str] = set()
+        todo = list(self.rules.values())  # words whose 2-factors are factors
+        while todo:
+            word = todo.pop()
+            for i in range(len(word) - 1):
+                ab = word[i : i + 2]
+                if ab not in found:
+                    found.add(ab)
+                    todo.append(self.rules[ab[0]] + self.rules[ab[1]])
+        return found
 
     def _compute_language(self, n: int) -> set[str]:
-        k = 0
-        while len(self._iterates[k]) < n:
-            k += 1
-            if k == len(self._iterates) and not self._extend_iterates():
-                w = self._iterates[-1]
-                return _sliding_factors(w * (-(-n // len(w)) + 1), n)
-        prev = _sliding_factors(self._iterates[k], n)
-        while True:
-            k += 1
-            if k == len(self._iterates) and not self._extend_iterates():
-                w = self._iterates[-1]
-                return _sliding_factors(w * (-(-n // len(w)) + 1), n)
-            cur = _sliding_factors(self._iterates[k], n)
-            if cur == prev:
-                return cur
-            prev = cur
+        if len(self.alphabet) == 1:
+            return {_chr(0) * n}
+        if n == 1:
+            return set(self.alphabet.chars)
+        if n == 2:
+            return self._two_factors()
+        blocks = self._blocks
+        while min(map(len, blocks)) < n - 1:
+            # σʲ⁺¹(c) = σʲ(σ(c)), a join of the current blocks
+            blocks = [
+                "".join(blocks[ord(x) - _BASE] for x in self.rules[c]) for c in self.alphabet.chars
+            ]
+        self._blocks = blocks
+        out = {b[i : i + n] for b in blocks for i in range(len(b) - n + 1)}
+        for ab in self.language(2):
+            seam = blocks[ord(ab[0]) - _BASE][1 - n :] + blocks[ord(ab[1]) - _BASE][: n - 1]
+            out.update(seam[i : i + n] for i in range(n - 1))
+        return out
 
     def describe(self) -> dict:
         return {
@@ -475,6 +516,7 @@ class LanguageTable:
 
     @classmethod
     def build(cls, spec: SubshiftSpec, n_max: int) -> "LanguageTable":
+        spec.language(max(n_max, 0))  # longest first: shorter lengths are its prefixes
         words = tuple(tuple(enumerate_language(spec, n)) for n in range(1, n_max + 1))
         return cls(spec.describe(), n_max, words, tuple(len(w) for w in words))
 

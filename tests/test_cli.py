@@ -67,6 +67,15 @@ def test_lang_command_writes_csv(fib_cfg, tmp_path, capsys):
     assert [int(line.split(",")[1]) for line in lines[1:]] == list(range(2, 12))
 
 
+def test_lang_command_first_image_one_letter(tmp_path, capsys):
+    # 0 -> 1, 1 -> 01 is primitive and Sturmian; its first image is one letter
+    cfg = tmp_path / "flip.cfg"
+    cfg.write_text("variant = substitution\nalphabet = 0 1\nrule.0 = 1\nrule.1 = 0 1\n")
+    code = main(["lang", "--config", str(cfg), "--horizon", "6"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["params"]["p"] == [2, 3, 4, 5, 6, 7]
+
+
 def test_usage_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("variant = banana\nalphabet = 0 1\n")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,13 +14,18 @@ from shiftdim.words import (
     check_extendability,
     complexity,
     enumerate_language,
+    fibonacci_spec,
+    full_shift_spec,
+    golden_mean_spec,
     growth_report,
+    thue_morse_spec,
 )
 
 from .oracles import sft_factors_oracle, sliding_factors, substitution_factors_oracle, substitution_image
 
 FIB_RULES = {"0": "01", "1": "0"}
 TM_RULES = {"0": "01", "1": "10"}
+TRIB_RULES = {"0": "01", "1": "02", "2": "0"}
 
 
 def test_full_shift_words_n2(full2):
@@ -186,3 +192,76 @@ def test_sft_language_factorial(spec):
     shorter = spec.language(4)
     for w in words:
         assert w[:-1] in shorter and w[1:] in shorter
+
+
+def _random_primitive_rules(rng: random.Random) -> dict[str, str]:
+    """Images of 1-4 symbols over 2-4 letters, redrawn until primitive."""
+    while True:
+        letters = "0123"[: rng.randint(2, 4)]
+        rules = {
+            c: "".join(rng.choice(letters) for _ in range(rng.randint(1, 4))) for c in letters
+        }
+        try:
+            SubstitutionSpec(Alphabet(tuple(letters)), rules)
+        except InvalidSpec:
+            continue
+        return rules
+
+
+# Images that do not start with their own letter, and first images of one letter.
+HAND_RULES = [
+    {"0": "10", "1": "0"},
+    {"0": "1", "1": "01"},
+    {"0": "1", "1": "2", "2": "01"},
+    {"0": "2", "1": "20", "2": "1"},
+]
+RANDOM_RULES = [_random_primitive_rules(random.Random(seed)) for seed in range(16)]
+
+
+@pytest.mark.parametrize("rules", HAND_RULES + RANDOM_RULES, ids=str)
+def test_substitution_language_matches_window_oracle(rules):
+    # internal words of the symbols "0".."3" are those very strings
+    spec = SubstitutionSpec(Alphabet(tuple(sorted(rules))), rules)
+    for n in list(range(1, 31)) + [64]:
+        assert spec.language(n) == substitution_factors_oracle(rules, "0", n), n
+
+
+@pytest.mark.parametrize(
+    "make, m",
+    [
+        (fibonacci_spec, 40),
+        (thue_morse_spec, 40),
+        (lambda: SubstitutionSpec(Alphabet(("0", "1", "2")), TRIB_RULES), 40),
+        (golden_mean_spec, 14),
+        (lambda: full_shift_spec(2), 10),
+    ],
+)
+def test_shorter_lengths_read_off_longer_ones(make, m):
+    warmed = make()
+    warmed.language(m)
+    for n in range(m - 1, 0, -1):
+        assert warmed.language(n) == make().language(n), n
+    # a length between two cached ones
+    warmed = make()
+    warmed.language(m)
+    warmed.language(m // 2)
+    assert warmed.language(m // 2 - 1) == make().language(m // 2 - 1)
+    fresh = LanguageTable.build(make(), m)
+    warmed = make()
+    warmed.language(m + 3)
+    assert LanguageTable.build(warmed, m) == fresh
+
+
+@given(
+    random_sft(), st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=4)
+)
+@settings(max_examples=40, deadline=None)
+def test_sft_shorter_lengths_read_off_longer_ones(spec, n, extra):
+    fresh = SFTSpec(spec.alphabet, [spec.alphabet.decode(w) for w in spec.forbidden])
+    try:
+        spec.language(n + extra)
+    except EmptyLanguage:
+        with pytest.raises(EmptyLanguage):
+            fresh.language(n)
+        return
+    assert spec.language(n) == fresh.language(n)
