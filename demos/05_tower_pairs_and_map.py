@@ -48,9 +48,7 @@ print(f" {len(phase.pairs)} single-state bases, exponent interval 0..{phase.heig
 pcert = verify_tower_pairs(carrier, phase)
 print(" pair clauses verdict:", pcert.verdict)
 
-emap = build_equivariant_map(
-    sys, phase, (-1, 0, 1), N, specials, Fraction(2), orbit, level_carrier=carrier
-)
+emap = build_equivariant_map(sys, phase, (-1, 0, 1), N, specials, Fraction(2), orbit)
 bound = Fraction((d + 1) * (d + 2), N)
 print(f"\n d = {d}, N = {N}: measured deviation {emap.epsilon_achieved} "
       f"<= bound {bound} = {float(bound):.4f}")

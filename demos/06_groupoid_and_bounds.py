@@ -37,9 +37,7 @@ orbit = isolated_orbit_window(graph)
 carrier = sys.without_entries_into(orbit)
 phase = build_phase_pairs(carrier, d + 1, list(range(-N, N + 1)), d_claimed=d)
 verify_tower_pairs(carrier, phase)
-emap = build_equivariant_map(
-    sys, phase, (-1, 0, 1), N, specials, Fraction(2), orbit, level_carrier=carrier
-)
+emap = build_equivariant_map(sys, phase, (-1, 0, 1), N, specials, Fraction(2), orbit)
 ecert = check_equivariance(sys, emap, (-1, 0, 1), Fraction(2), orbit)
 
 window = build_window(sys, (-1, 0, 1), 2)

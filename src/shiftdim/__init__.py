@@ -17,7 +17,7 @@ from .amenability import (
     project_finite_support,
 )
 from .certificates import Certificate, Clause
-from .config import spec_from_config, spec_from_file
+from .config import spec_from_config
 from .cover import (
     CoverGraph,
     CoverState,

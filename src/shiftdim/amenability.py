@@ -185,15 +185,14 @@ def build_equivariant_map(
     special_states,
     target_epsilon,
     orbit_window=frozenset(),
-    level_carrier: FiniteSymbolicSystem | None = None,
 ) -> EquivariantMap:
     """The tower-pair map at resolution N for the window E.
 
     Requires a verified pair system whose margin clause covers the N-fold
-    sumset of E (that is exactly what makes the normalizer H >= 1).  When
-    an ``level_carrier`` is given (typically the entry-free restriction of
-    ``sys``), the level exponents are read off that carrier while fibers
-    and the deviation are still measured on the full system."""
+    sumset of E (that is exactly what makes the normalizer H >= 1).  The
+    level exponents are those read off the system the pairs were verified
+    on (typically the entry-free restriction of ``sys``), while fibers and
+    the deviation are measured on ``sys``."""
     E = normalize_window(E)
     eps = Fraction(target_epsilon)
     d = tps.d_claimed
@@ -203,12 +202,10 @@ def build_equivariant_map(
         raise NotSurjective("fiber maxima need every state to have a predecessor")
     if tps.certificate is None or not tps.certificate.passed:
         raise TowerPairsInsufficient("tower pairs must carry a passing certificate")
-    if tps.level_of is None:
-        tps.compute_levels(level_carrier if level_carrier is not None else sys)
     max_e = max(abs(e) for e in E)
     tents = []
     for pair in tps.pairs:
-        part = build_B_partition(pair.exponents, E, N, N * max_e + max(pair.exponents))
+        part = build_B_partition(pair.exponents, E, N, N * max_e + pair.exponents[-1])
         tents.append(part.level_table())
     num = sys.num_states
     points = []

@@ -79,12 +79,3 @@ def spec_from_config(text: str) -> tuple[SubshiftSpec, dict[str, str]]:
     else:
         raise ConfigError(f"unknown variant {variant!r}")
     return spec, table
-
-
-def spec_from_file(path: str) -> tuple[SubshiftSpec, dict[str, str]]:
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
-    return spec_from_config(text)

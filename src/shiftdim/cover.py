@@ -33,9 +33,6 @@ class PastSet:
     words: frozenset
     stabilized: bool
 
-    def sorted_words(self) -> tuple[str, ...]:
-        return tuple(sorted(self.words))
-
 
 def _right_extensions(spec: SubshiftSpec, w: str, m: int) -> list[str]:
     if m == len(w):

@@ -142,6 +142,7 @@ def run_special(spec: SubshiftSpec, depth: int):
 def run_cover(spec: SubshiftSpec, k: int, l: int, horizon: int | None):
     graph = build_cover_graph(spec, k, l, horizon)
     match = special_match_report(graph)
+    unwitnessed = [s for s, w in zip(match.special_states, match.witnesses) if not w]
     clauses = [
         Clause("intertwining", check_intertwining(graph), ""),
         Clause(
@@ -149,7 +150,11 @@ def run_cover(spec: SubshiftSpec, k: int, l: int, horizon: int | None):
             match.counts_match,
             f"cover {len(match.special_states)} vs words {match.branch_count_at_k}",
         ),
-        Clause("special-states-witnessed-by-left-special-words", match.all_witnessed, ""),
+        Clause(
+            "special-states-witnessed-by-left-special-words",
+            match.all_witnessed,
+            f"no left special stored word for states {unwitnessed[:5]}" if unwitnessed else "",
+        ),
         Clause("shift-onto-states", graph.surjective, ""),
     ]
     cert = Certificate.build(
@@ -199,9 +204,7 @@ def run_amen(graph: CoverGraph, cover: RokhlinCover, window_set, big_n: int, eps
     pair_cert = _stamp(
         verify_tower_pairs(entry_free, tps), graph, tps=tps, carrier="entry-free"
     )
-    emap = build_equivariant_map(
-        sys, tps, window_set, big_n, specials, epsilon, orbit, level_carrier=entry_free
-    )
+    emap = build_equivariant_map(sys, tps, window_set, big_n, specials, epsilon, orbit)
     eq_cert = _stamp(
         check_equivariance(sys, emap, window_set, epsilon, orbit),
         graph, emap=emap, tps=tps, orbit=orbit,
@@ -430,8 +433,14 @@ def _rebuild_rokhlin(graph: CoverGraph, p: dict) -> Certificate:
     towers = tuple(
         RokhlinTower.from_base(sys, frozenset(base), p["height"]) for base in p["tower_bases"]
     )
-    cover = RokhlinCover(p["height"], towers, p["special_count"], {"mode": "recheck"})
-    return verify_rokhlin_cover(sys, cover)
+    return verify_rokhlin_cover(sys, RokhlinCover(p["height"], towers))
+
+
+def _exponent_range(rng) -> range:
+    """The exponents of a ``[0, h-1]`` echo, h >= 1."""
+    if len(rng) != 2 or rng[0] != 0 or rng[1] < 0:
+        raise ValueError(f"exponent range {rng!r} is not [0, h-1] with h >= 1")
+    return range(rng[1] + 1)
 
 
 def _rebuild_pairs(graph: CoverGraph, p: dict) -> Certificate:
@@ -439,7 +448,7 @@ def _rebuild_pairs(graph: CoverGraph, p: dict) -> Certificate:
     if p["carrier"] == "entry-free":
         sys = sys.without_entries_into(isolated_orbit_window(graph))
     pairs = tuple(
-        TowerPair(frozenset(base), tuple(range(rng[0], rng[1] + 1)), kind, origin)
+        TowerPair(frozenset(base), _exponent_range(rng), kind, origin)
         for base, rng, kind, origin in zip(
             p["pair_bases"], p["pair_exponent_ranges"], p["pair_kinds"], p["pair_origins"]
         )
@@ -538,7 +547,7 @@ KINDS: dict[str, Callable[[dict, str | None], Certificate]] = {
             "pair_kinds": lambda o: [p.kind for p in o.tps.pairs],
             "pair_origins": lambda o: [p.origin for p in o.tps.pairs],
             "pair_exponent_ranges": lambda o: [
-                [min(p.exponents), max(p.exponents)] for p in o.tps.pairs
+                [p.exponents[0], p.exponents[-1]] for p in o.tps.pairs
             ],
         },
         _rebuild_pairs,

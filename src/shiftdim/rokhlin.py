@@ -19,6 +19,7 @@ independent verifier before returning.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .certificates import Certificate, Clause
 from .errors import (
@@ -39,33 +40,43 @@ class RokhlinTower:
 
     @classmethod
     def from_base(cls, sys: FiniteSymbolicSystem, base, height: int) -> "RokhlinTower":
-        levels = [frozenset(base)]
-        for _ in range(height - 1):
-            levels.append(sys.preimage(levels[-1], 1))
-        return cls(frozenset(base), height, tuple(levels))
+        return cls(frozenset(base), height, tuple(sys.preimage_levels(base, height)))
 
 
 @dataclass(frozen=True)
 class RokhlinCover:
     height: int
     towers: tuple[RokhlinTower, ...]
-    special_count: int
-    provenance: dict
+
+
+def _deep_levels_overlap(sys: FiniteSymbolicSystem, base, N: int) -> bool:
+    """Whether two of the preimage levels N..2N-1 of ``base`` meet."""
+    return overlapping_pair(islice(sys.preimage_levels(base, 2 * N), N, None)) is not None
+
+
+def _swept(sys: FiniteSymbolicSystem, base, N: int) -> set:
+    """The union of the first 2N preimage levels of ``base``."""
+    swept: set = set()
+    for level in sys.preimage_levels(base, 2 * N):
+        swept |= level
+    return swept
+
+
+def _split_towers(levels, N: int) -> list[RokhlinTower]:
+    """Two height-N towers from 2N consecutive preimage levels."""
+    return [RokhlinTower(levels[0], N, levels[:N]), RokhlinTower(levels[N], N, levels[N:])]
 
 
 def check_extension_hypotheses(sys: FiniteSymbolicSystem, U, V, N: int) -> None:
     """The exact preconditions of the base-extension step; raises
     HypothesisViolated naming the first failing clause."""
     U, V = frozenset(U), frozenset(V)
-    deep = [sys.preimage(U, i) for i in range(N, 2 * N)]
-    if overlapping_pair(deep) is not None:
+    if _deep_levels_overlap(sys, U, N):
         raise HypothesisViolated("U-deep-preimages-disjoint")
     for i in range(1, N):
         if sys.preimage(sys.image(U, i), i) != U:
             raise HypothesisViolated("U-idempotence", f"i={i}")
-    pushed = sys.image(V, N)
-    deep_v = [sys.preimage(pushed, i) for i in range(N, 2 * N)]
-    if overlapping_pair(deep_v) is not None:
+    if _deep_levels_overlap(sys, sys.image(V, N), N):
         raise HypothesisViolated("V-pushed-preimages-disjoint")
     for z in V:
         for i in range(1, N):
@@ -73,30 +84,16 @@ def check_extension_hypotheses(sys: FiniteSymbolicSystem, U, V, N: int) -> None:
                 raise HypothesisViolated("V-collapse", f"state={z} i={i}")
 
 
-def extend_tower_base(
-    sys: FiniteSymbolicSystem,
-    U,
-    V,
-    N: int,
-    *,
-    check_hypotheses: bool = True,
-) -> ClopenSet:
+def extend_tower_base(sys: FiniteSymbolicSystem, U, V, N: int) -> ClopenSet:
     """Grow U into a clopen W whose preimage levels absorb V.
 
     W = U united with the N-step image of the residual of V not already
-    swept by the 2N preimage levels of U.  All four postconditions are
-    checked exactly before returning.
+    swept by the 2N preimage levels of U.  The hypotheses and all four
+    postconditions are checked exactly.
     """
     U, V = frozenset(U), frozenset(V)
-    if check_hypotheses:
-        check_extension_hypotheses(sys, U, V, N)
-    swept = set()
-    layer = U
-    for _ in range(2 * N):
-        swept |= layer
-        layer = sys.preimage(layer, 1)
-    residual = V - swept
-    W = U | sys.image(residual, N)
+    check_extension_hypotheses(sys, U, V, N)
+    W = U | sys.image(V - _swept(sys, U, N), N)
     _check_extension_post(sys, U, V, W, N)
     return frozenset(W)
 
@@ -104,18 +101,12 @@ def extend_tower_base(
 def _check_extension_post(sys, U, V, W, N) -> None:
     if not U <= W:
         raise ConstructionFailed("U not contained in W")
-    covered = set()
-    layer = frozenset(W)
-    for _ in range(2 * N):
-        covered |= layer
-        layer = sys.preimage(layer, 1)
-    if not frozenset(V) <= covered:
+    if not frozenset(V) <= _swept(sys, W, N):
         raise ConstructionFailed("V escapes the 2N preimage levels of W")
     for i in range(1, N):
         if sys.preimage(sys.image(W, i), i) != W:
             raise DepthInsufficient(f"W idempotence fails at i={i}")
-    deep = [sys.preimage(W, i) for i in range(N, 2 * N)]
-    if overlapping_pair(deep) is not None:
+    if _deep_levels_overlap(sys, W, N):
         raise DepthInsufficient("deep preimages of W are not pairwise disjoint")
 
 
@@ -135,10 +126,7 @@ def _chain_extend(sys, W, x, N: int, swept: set) -> frozenset:
         if sys.preimage(nxt, 1) != block:
             raise DepthInsufficient("new tower block is not level-collapsing")
         block = nxt
-    layer = new
-    for _ in range(2 * N):
-        swept |= layer
-        layer = sys.preimage(layer, 1)
+    swept |= _swept(sys, new, N)
     return W | new
 
 
@@ -156,8 +144,7 @@ def build_rokhlin_cover(
     if specials != sys.special_states():
         raise ValueError("special_states must be exactly the merge states")
     if N == 1:
-        tower = RokhlinTower.from_base(sys, sys.all_states(), 1)
-        cover = RokhlinCover(1, (tower,), len(specials), {"mode": "trivial-height-1"})
+        cover = RokhlinCover(1, (RokhlinTower.from_base(sys, sys.all_states(), 1),))
         cert = verify_rokhlin_cover(sys, cover)
         if not cert.passed:
             raise ConstructionFailed("trivial cover failed verification")
@@ -173,48 +160,23 @@ def build_rokhlin_cover(
     # into two height-N blocks.
     cone: set = set()
     for w in specials:
-        level = frozenset({w})
-        levels = [level]
-        for _ in range(2 * N - 1):
-            level = sys.preimage(level, 1)
-            levels.append(level)
+        levels = tuple(sys.preimage_levels({w}, 2 * N))
         if overlapping_pair(levels) is not None:
             raise DepthInsufficient("special cone levels overlap")
         for lv in levels:
             cone |= lv
-        towers.append(RokhlinTower(frozenset({w}), N, tuple(levels[:N])))
-        towers.append(RokhlinTower(levels[N], N, tuple(levels[N:])))
+        towers += _split_towers(levels, N)
     # Sweep the remainder with a growing clopen W.
     rest = [s for s in range(sys.num_states) if s not in cone]
-    W: frozenset = frozenset()
-    swept: set = set()
     if rest:
-        first = rest[0]
-        W = frozenset({first})
-        check_extension_hypotheses(sys, W, W, N)
-        layer = W
-        for _ in range(2 * N):
-            swept |= layer
-            layer = sys.preimage(layer, 1)
+        first = frozenset(rest[:1])
+        check_extension_hypotheses(sys, first, first, N)
+        W, swept = first, _swept(sys, first, N)
         for x in rest[1:]:
             W = _chain_extend(sys, W, x, N, swept)
-        _check_extension_post(sys, frozenset({first}), frozenset(rest), W, N)
-        deep_base = sys.preimage(W, N)
-        towers.insert(0, RokhlinTower(deep_base, N, tuple(
-            sys.preimage(W, N + j) for j in range(N)
-        )))
-        towers.insert(0, RokhlinTower.from_base(sys, W, N))
-    cover = RokhlinCover(
-        height=N,
-        towers=tuple(towers),
-        special_count=len(specials),
-        provenance={
-            "mode": "cone-plus-sweep",
-            "special_states": specials,
-            "sweep_base_size": len(W),
-            "min_cycle_checked_window": 3 * N,
-        },
-    )
+        _check_extension_post(sys, first, frozenset(rest), W, N)
+        towers[:0] = _split_towers(tuple(sys.preimage_levels(W, 2 * N)), N)
+    cover = RokhlinCover(height=N, towers=tuple(towers))
     cert = verify_rokhlin_cover(sys, cover)
     if not cert.passed:
         raise ConstructionFailed(f"verifier rejected the cover: {cert.first_failure()}")
@@ -225,19 +187,17 @@ def verify_rokhlin_cover(sys: FiniteSymbolicSystem, cover: RokhlinCover) -> Cert
     """Independent checker: level recurrence, disjointness inside each
     tower, global covering, and the 2q + 2 bound."""
     clauses = []
-    rec_ok = True
     rec_witness = ""
     for t_idx, tower in enumerate(cover.towers):
         if tower.levels[0] != tower.base or len(tower.levels) != tower.height:
-            rec_ok, rec_witness = False, f"tower {t_idx} malformed"
+            rec_witness = f"tower {t_idx} malformed"
             break
-        for j in range(1, tower.height):
-            if tower.levels[j] != sys.preimage(tower.levels[j - 1], 1):
-                rec_ok, rec_witness = False, f"tower {t_idx} level {j}"
-                break
-        if not rec_ok:
+        walk = zip(tower.levels, sys.preimage_levels(tower.base, tower.height))
+        bad = next((j for j, (have, want) in enumerate(walk) if have != want), None)
+        if bad is not None:
+            rec_witness = f"tower {t_idx} level {bad}"
             break
-    clauses.append(Clause("level-recurrence", rec_ok, rec_witness))
+    clauses.append(Clause("level-recurrence", not rec_witness, rec_witness))
     dis_ok = True
     dis_witness = ""
     for t_idx, tower in enumerate(cover.towers):
@@ -275,7 +235,7 @@ def verify_rokhlin_cover(sys: FiniteSymbolicSystem, cover: RokhlinCover) -> Cert
         params={
             "height": cover.height,
             "towers": len(cover.towers),
-            "special_count": cover.special_count,
+            "special_count": q,
             "states": sys.num_states,
         },
         clauses=clauses,

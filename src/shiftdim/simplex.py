@@ -39,9 +39,6 @@ class SimplexPoint:
     def dirac(cls, atom: int) -> "SimplexPoint":
         return cls(((int(atom), Fraction(1)),))
 
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.entries)
-
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(a for a, _ in self.entries)

@@ -38,7 +38,7 @@ def left_special_count(spec: SubshiftSpec, n: int) -> int:
 
 @dataclass(frozen=True)
 class LeftSpecialTree:
-    """Per-length left special sets with parent (prefix) links."""
+    """Per-length left special sets."""
 
     depth: int
     levels: tuple[tuple[str, ...], ...]  # index n-1 -> sorted LS words
@@ -50,9 +50,6 @@ class LeftSpecialTree:
 
     def counts(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.levels)
-
-    def parent(self, word: str) -> str:
-        return word[:-1]
 
     def check_prefix_closure(self) -> bool:
         """The length-n prefix of every LS word of length n+1 is LS."""

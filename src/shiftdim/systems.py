@@ -89,6 +89,17 @@ class FiniteSymbolicSystem:
             cur = {s for t in cur for s in self.pred[t]}
         return frozenset(cur)
 
+    def preimage_levels(self, base, count: int):
+        """The first ``count`` preimage levels of ``base``: the base, then
+        each one-step preimage of the level before it, so level i equals
+        ``preimage(base, i)``.  Lazy: a level is computed only when asked
+        for, and a caller that stops early pays for no deeper one."""
+        level = frozenset(base)
+        for i in range(count):
+            if i:
+                level = self.preimage(level, 1)
+            yield level
+
     def image(self, clopen, n: int = 1) -> ClopenSet:
         """All states reachable from the set along n-step paths."""
         if n < 0:

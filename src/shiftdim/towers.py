@@ -1,9 +1,9 @@
 """Tower-pair systems: margin-carrying covers derived from tower covers.
 
-A pair is a clopen base V with a finite exponent set S whose preimage
-levels are pairwise disjoint.  A system of pairs covers the space so that
-every state sits at a level with margin: the prescribed window E shifted
-by the level stays inside S.  The conversion from a height-(2 + 3 max|E|)
+A pair is a clopen base V with a finite exponent interval S whose
+preimage levels are pairwise disjoint.  A system of pairs covers the
+space so that every state sits at a level with margin: the prescribed
+window E shifted by the level stays inside S.  The conversion from a height-(2 + 3 max|E|)
 tower cover yields each tower base twice, once as-is and once pulled back
 by M = 1 + 2 max|E|, and claims colorability with 2 (tower count) colors.
 """
@@ -11,6 +11,7 @@ by M = 1 + 2 max|E|, and claims colorability with 2 (tower count) colors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .certificates import Certificate, Clause
 from .errors import DepthInsufficient, HeightMismatch
@@ -29,7 +30,7 @@ def normalize_window(E) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class TowerPair:
     base: ClopenSet
-    exponents: tuple[int, ...]
+    exponents: range  # contiguous, step 1
     kind: str  # "base" or "shifted"
     origin: int  # tower index
 
@@ -41,29 +42,10 @@ class TowerPairSystem:
         self.d_claimed = d_claimed
         self.M = M
         self.height = height
+        # per pair, the exponent at which each state first occurs; set by
+        # verify_tower_pairs on the system it checks
         self.level_of: list[dict[int, int]] | None = None
         self.certificate: Certificate | None = None
-
-    def compute_levels(self, sys: FiniteSymbolicSystem) -> tuple[bool, str]:
-        """Per pair, the unique exponent at which each state occurs; a
-        collision is exactly a violation of pairwise level disjointness."""
-        maps: list[dict[int, int]] = []
-        ok, witness = True, ""
-        for idx, pair in enumerate(self.pairs):
-            level = frozenset(pair.base)
-            seen: dict[int, int] = {}
-            exps = set(pair.exponents)
-            for n in range(max(pair.exponents) + 1):
-                if n in exps:
-                    for s in level:
-                        if s in seen and ok:
-                            ok = False
-                            witness = f"pair {idx}: state {s} at levels {seen[s]} and {n}"
-                        seen.setdefault(s, n)
-                level = sys.preimage(level, 1)
-            maps.append(seen)
-        self.level_of = maps
-        return ok, witness
 
 
 def pairs_from_rokhlin(cover: RokhlinCover, E) -> TowerPairSystem:
@@ -77,7 +59,7 @@ def pairs_from_rokhlin(cover: RokhlinCover, E) -> TowerPairSystem:
         raise HeightMismatch(
             f"cover height {cover.height} != 2 + 3*max|E| = {required}"
         )
-    S = tuple(range(required))
+    S = range(required)
     pairs = []
     for t_idx, tower in enumerate(cover.towers):
         pairs.append(TowerPair(tower.base, S, "base", t_idx))
@@ -110,10 +92,8 @@ def _cycle_through(sys: FiniteSymbolicSystem, start: int) -> list[int]:
 
 
 def _first_collision_depth(sys: FiniteSymbolicSystem, base, maxdepth: int) -> int:
-    seen = set(base)
-    level = frozenset(base)
-    for d in range(1, maxdepth + 1):
-        level = sys.preimage(level, 1)
+    seen: set = set()
+    for d, level in enumerate(sys.preimage_levels(base, maxdepth + 1)):
         if level & seen:
             return d
         seen |= level
@@ -125,7 +105,6 @@ def build_phase_pairs(
     pair_count: int,
     margin_window,
     *,
-    span: int | None = None,
     d_claimed: int | None = None,
 ) -> TowerPairSystem:
     """Pair system for symmetric windows: staggered hitting-time phases.
@@ -150,18 +129,14 @@ def build_phase_pairs(
     need = 2 * rise + spacing
     bases = [cyc[(j * C) // pair_count] for j in range(pair_count)]
     max_probe = max(2 * need + rise + 2, 4 * C)
-    safe = min(_first_collision_depth(sys, {b}, max_probe) for b in bases) - 1
-    if span is None:
-        # use the whole collision-free depth: the margin plateau must also
-        # catch states that enter the cycle late (the orbit handle)
-        span = safe
-    if span > safe:
-        raise DepthInsufficient(f"span {span} exceeds collision-free depth {safe}")
+    # use the whole collision-free depth: the margin plateau must also
+    # catch states that enter the cycle late (the orbit handle)
+    span = min(_first_collision_depth(sys, {b}, max_probe) for b in bases) - 1
     if span < need:
         raise DepthInsufficient(
             f"usable span {span} below 2*rise + cycle/pairs = {need}; deepen the graph"
         )
-    S = tuple(range(span + 1))
+    S = range(span + 1)
     pairs = [TowerPair(frozenset({b}), S, "phase", j) for j, b in enumerate(bases)]
     tps = TowerPairSystem(
         pairs,
@@ -233,15 +208,25 @@ def verify_tower_pairs(sys: FiniteSymbolicSystem, tps: TowerPairSystem) -> Certi
     records how many states witness through an original pair (level < M)
     and how many through a pulled-back pair."""
     clauses = [Clause("(1)-openness-structural", True, "all sets clopen at state resolution")]
-    ok2, wit2 = tps.compute_levels(sys)
-    clauses.append(Clause("(2-as-read)-level-disjointness", ok2, wit2))
+    # One walk per pair gives its level sets and the exponent at which each
+    # state first occurs; a repeat is exactly a violation of pairwise level
+    # disjointness.
+    level_of: list[dict[int, int]] = []
     level_sets: list[frozenset] = []
+    wit2 = ""
     for idx, pair in enumerate(tps.pairs):
-        level = frozenset(pair.base)
-        for n in range(max(pair.exponents) + 1):
-            if n in pair.exponents:
-                level_sets.append(level)
-            level = sys.preimage(level, 1)
+        exps = pair.exponents
+        seen: dict[int, int] = {}
+        walk = islice(sys.preimage_levels(pair.base, exps.stop), exps.start, None)
+        for n, level in zip(exps, walk):
+            for s in level:
+                if s in seen and not wit2:
+                    wit2 = f"pair {idx}: state {s} at levels {seen[s]} and {n}"
+                seen.setdefault(s, n)
+            level_sets.append(level)
+        level_of.append(seen)
+    tps.level_of = level_of
+    clauses.append(Clause("(2-as-read)-level-disjointness", not wit2, wit2))
     nonempty = sum(1 for s in level_sets if s)
     if nonempty <= 20:
         chrom, exact = chromatic_number(level_sets)
@@ -259,21 +244,12 @@ def verify_tower_pairs(sys: FiniteSymbolicSystem, tps: TowerPairSystem) -> Certi
     clauses.append(
         Clause("(4)-covering", not missing, "" if not missing else f"missing {sorted(missing)[:5]}")
     )
-    assert tps.level_of is not None
-    # margin ranges: n is good for a pair iff E + {n} stays inside S
-    good_range: list[tuple[int, int]] = []
-    for pair in tps.pairs:
-        s_set = set(pair.exponents)
-        lo, hi = min(pair.exponents), max(pair.exponents)
-        if pair.exponents == tuple(range(lo, hi + 1)):
-            good_range.append((lo - min(tps.E), hi - max(tps.E)))
-        else:
-            good = [n for n in pair.exponents if all(n + e in s_set for e in tps.E)]
-            good_range.append((min(good), max(good)) if good else (1, 0))
+    lo_e, hi_e = min(tps.E), max(tps.E)
 
     def margin_ok(idx: int, n: int) -> bool:
-        lo, hi = good_range[idx]
-        return lo <= n <= hi and n in tps.pairs[idx].exponents
+        # E + {n} stays inside the pair's contiguous exponent range
+        exps = tps.pairs[idx].exponents
+        return n + lo_e in exps and n + hi_e in exps
 
     base_kind = 0
     shifted_kind = 0
@@ -288,7 +264,7 @@ def verify_tower_pairs(sys: FiniteSymbolicSystem, tps: TowerPairSystem) -> Certi
         for idx, pair in enumerate(tps.pairs):
             if pair.kind != "base":
                 continue
-            n = tps.level_of[idx].get(x)
+            n = level_of[idx].get(x)
             if n is None:
                 continue
             if n < tps.M and margin_ok(idx, n):
@@ -296,13 +272,13 @@ def verify_tower_pairs(sys: FiniteSymbolicSystem, tps: TowerPairSystem) -> Certi
                 break
             partner = shifted_partner.get(pair.origin)
             if n >= tps.M and partner is not None:
-                n2 = tps.level_of[partner].get(x)
+                n2 = level_of[partner].get(x)
                 if n2 is not None and margin_ok(partner, n2):
                     found = ("shifted", partner, n2)
                     break
         if found is None:
             for idx, pair in enumerate(tps.pairs):
-                n = tps.level_of[idx].get(x)
+                n = level_of[idx].get(x)
                 if n is not None and margin_ok(idx, n):
                     found = ("original" if pair.kind == "base" else "shifted", idx, n)
                     break

@@ -221,15 +221,6 @@ class SFTSpec(SubshiftSpec):
                 self._indeg[t] += 1
         self._graph_built = True
 
-    @property
-    def live_vertices(self) -> list[str]:
-        self._build_graph()
-        return self._vertices
-
-    def live_in_degree(self, vertex: str) -> int:
-        self._build_graph()
-        return self._indeg[vertex]
-
     # -- language -----------------------------------------------------------
 
     def _compute_language(self, n: int) -> set[str]:
@@ -342,9 +333,6 @@ class SubstitutionSpec(SubshiftSpec):
         if not self.is_primitive():
             raise InvalidSpec("substitution is not primitive")
         self._blocks: list[str] = list(alphabet.chars)  # σʲ(c), by letter index
-
-    def apply(self, word: str) -> str:
-        return "".join(self.rules[c] for c in word)
 
     def matrix(self) -> list[list[int]]:
         """M[i][j] = occurrences of symbol j in the image of symbol i."""

@@ -72,9 +72,7 @@ def big():
     carrier = sys.without_entries_into(orbit)
     tps = build_phase_pairs(carrier, d + 1, list(range(-N, N + 1)), d_claimed=d)
     pair_cert = verify_tower_pairs(carrier, tps)
-    emap = build_equivariant_map(
-        sys, tps, (-1, 0, 1), N, specials, Fraction(1, 10), orbit, level_carrier=carrier
-    )
+    emap = build_equivariant_map(sys, tps, (-1, 0, 1), N, specials, Fraction(1, 10), orbit)
     eq_cert = check_equivariance(sys, emap, (-1, 0, 1), Fraction(1, 10), orbit)
     return {
         "spec": spec,

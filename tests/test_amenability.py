@@ -92,7 +92,7 @@ def test_partition_deep_interval():
 def _constant_pair_system(sys):
     # one pair covering everything at the single exponent 0: the level
     # disjointness clause is vacuous and the margin for E = {0} is exact
-    pair = TowerPair(sys.all_states(), (0,), "phase", 0)
+    pair = TowerPair(sys.all_states(), range(1), "phase", 0)
     tps = TowerPairSystem((pair,), [0], 0, M=1, height=1)
     return tps
 
@@ -121,7 +121,7 @@ def test_lipschitz_step_on_cycle():
     n, N = 24, 4
     sys = cycle_system(n)
     pairs = tuple(
-        TowerPair(frozenset({(j * n) // 3}), tuple(range(0, 17)), "phase", j)
+        TowerPair(frozenset({(j * n) // 3}), range(17), "phase", j)
         for j in range(3)
     )
     tps = TowerPairSystem(pairs, list(range(-N, N + 1)), 2, M=2 * N + 1, height=17)
@@ -178,7 +178,7 @@ def test_projection_preserves_equivariance_at_adjusted_bound():
     n, N = 24, 4
     sys = cycle_system(n)
     pairs = tuple(
-        TowerPair(frozenset({(j * n) // 3}), tuple(range(0, 17)), "phase", j)
+        TowerPair(frozenset({(j * n) // 3}), range(17), "phase", j)
         for j in range(3)
     )
     tps = TowerPairSystem(pairs, list(range(-N, N + 1)), 2, M=2 * N + 1, height=17)

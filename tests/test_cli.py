@@ -165,12 +165,13 @@ def chain_dir(tmp_path_factory):
     return out
 
 
-def verify_copy(chain_dir, tmp_path, capsys, edit=None, remove=None):
-    """Copy the chain, change its chain.json by ``edit`` and delete the
-    stage file ``remove``, then verify chain.json; (exit code, stdout)."""
+def verify_copy(chain_dir, tmp_path, capsys, edit=None, remove=None, target="chain.json"):
+    """Copy the chain, change the params of its ``target`` file by ``edit``
+    and delete the stage file ``remove``, then verify ``target``; (exit
+    code, stdout)."""
     out = tmp_path / "chain"
     shutil.copytree(chain_dir, out)
-    path = out / "chain.json"
+    path = out / target
     if edit:
         data = json.loads(path.read_text())
         edit(data["params"])
@@ -224,6 +225,42 @@ def test_verify_chain_rejects_other_parameter(chain_dir, tmp_path, capsys, key, 
     code, out = verify_copy(chain_dir, tmp_path, capsys, edit=edit)
     assert code == 1
     assert out == f"verification failed: {message}\n"
+
+
+@pytest.mark.parametrize("target, key, value", [
+    ("rokhlin.json", "special_count", 7),
+    ("amen_pairs.json", "pair_exponent_ranges", [-3, 232]),
+    ("amen_pairs.json", "pair_exponent_ranges", [1, 232]),
+    ("amen_pairs.json", "pair_exponent_ranges", [5, 2]),
+], ids=["special-count", "range-negative-start", "range-start-1", "range-reversed"])
+def test_verify_rejects_tampered_echo(chain_dir, tmp_path, capsys, target, key, value):
+    def edit(params):
+        if key == "pair_exponent_ranges":
+            params[key][0] = value
+        else:
+            params[key] = value
+
+    code, out = verify_copy(chain_dir, tmp_path, capsys, edit=edit, target=target)
+    assert code == 1
+    assert out.startswith("verification failed")
+    if key == "pair_exponent_ranges":
+        assert f"missing or malformed witness: exponent range {value}" in out
+
+
+def test_cover_names_unwitnessed_special_states(tmp_path, capsys):
+    # Thue-Morse at depth 1500: two special states are the class of no
+    # left special stored word
+    path = tmp_path / "tm.cfg"
+    path.write_text("variant = substitution\nalphabet = 0 1\nrule.0 = 0 1\nrule.1 = 1 0\n")
+    code = main(["cover", "--config", str(path), "--depth", "1500"])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out)
+    clause = next(
+        c for c in payload["clauses"]
+        if c["name"] == "special-states-witnessed-by-left-special-words"
+    )
+    assert not clause["passed"]
+    assert clause["witness"].startswith("no left special stored word for states [")
 
 
 @pytest.mark.parametrize("text, reason", [

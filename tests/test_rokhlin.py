@@ -45,8 +45,7 @@ def test_verifier_rejects_hole(fib60):
     levels = list(towers[0].levels)
     levels[1] = levels[1] - {victim}
     broken_tower = RokhlinTower(towers[0].base, towers[0].height, tuple(levels))
-    broken = RokhlinCover(cover.height, (broken_tower,) + tuple(towers[1:]),
-                          cover.special_count, {})
+    broken = RokhlinCover(cover.height, (broken_tower,) + tuple(towers[1:]))
     cert = verify_rokhlin_cover(sys, broken)
     assert not cert.passed
     names = {c.name for c in cert.clauses if not c.passed}
@@ -61,8 +60,7 @@ def test_verifier_rejects_non_preimage_level(fib60):
     levels = list(towers[0].levels)
     levels[2] = levels[2] | {max(sys.all_states() - levels[2])}
     broken_tower = RokhlinTower(towers[0].base, towers[0].height, tuple(levels))
-    broken = RokhlinCover(cover.height, (broken_tower,) + tuple(towers[1:]),
-                          cover.special_count, {})
+    broken = RokhlinCover(cover.height, (broken_tower,) + tuple(towers[1:]))
     cert = verify_rokhlin_cover(sys, broken)
     assert not cert.passed
     assert any(c.name == "level-recurrence" and not c.passed for c in cert.clauses)

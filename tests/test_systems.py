@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +36,20 @@ def test_preimage_image_on_cylinder_graph(full2_graph):
     assert {full2_graph.pi(s) for s in pre} == {"00", "10"}
     img = sys.image(frozenset({labels.index("00")}), 1)
     assert {full2_graph.pi(s) for s in img} == {"00", "01"}
+
+
+def test_preimage_levels_match_preimage():
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        sys = FiniteSymbolicSystem(
+            labels=tuple(f"s{i}" for i in range(n)),
+            succ=tuple(tuple(rng.sample(range(n), rng.randint(1, min(3, n)))) for _ in range(n)),
+        )
+        base = frozenset(rng.sample(range(n), rng.randint(0, n)))
+        for count in (0, 1, rng.randint(2, 15)):
+            levels = list(sys.preimage_levels(base, count))
+            assert levels == [sys.preimage(base, i) for i in range(count)]
 
 
 def test_preimage_trivial_cases(full2_graph):
