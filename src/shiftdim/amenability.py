@@ -15,14 +15,17 @@ deviation bound (d+1)(d+2)/resolution over all window edges.
 
 Everything is exact: the bump functions of the classical argument are
 indicators of clopen level sets here (one state-resolution quantum), the
-normalizer H is verified to be >= 1 at every state before dividing, and
-the achieved deviation is measured, not assumed.
+integer tent levels at every state are verified to sum to at least N
+(the normalizer H >= 1) before dividing, and the achieved deviation is
+measured, not assumed.  Weights and deviations stay integer numerators
+over a denominator, compared by cross-multiplication.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .certificates import Certificate, Clause
 from .errors import (
@@ -148,25 +151,29 @@ class EquivariantMap:
         return self.assignment[state]
 
     def to_jsonable(self) -> dict:
-        """Exact serialization: weights as 'p/q' strings keyed by atom."""
+        """Exact serialization: weights as reduced 'p/q' strings keyed by atom."""
+        points = []
+        for p in self.assignment:
+            entry = {}
+            for a, x in zip(p.atoms, p.nums):
+                g = gcd(x, p.den)
+                entry[str(a)] = f"{x // g}/{p.den // g}"
+            points.append(entry)
         return {
             "window_set": list(self.window_set),
             "resolution": self.resolution,
             "d": self.d,
             "epsilon_achieved": f"{self.epsilon_achieved.numerator}/{self.epsilon_achieved.denominator}",
             "support_window": list(self.support_window),
-            "points": [
-                {str(a): f"{w.numerator}/{w.denominator}" for a, w in p.entries}
-                for p in self.assignment
-            ],
+            "points": points,
         }
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "EquivariantMap":
-        points = tuple(
-            SimplexPoint.from_dict({int(a): Fraction(w) for a, w in entry.items()})
-            for entry in data["points"]
-        )
+        """Inverse of ``to_jsonable``; a point with a weight that is not
+        positive, weights not summing to exactly 1, or a repeated atom
+        raises ValueError."""
+        points = tuple(SimplexPoint.from_entries(entry.items()) for entry in data["points"])
         return cls(
             assignment=points,
             window_set=tuple(data["window_set"]),
@@ -207,27 +214,26 @@ def build_equivariant_map(
     for pair in tps.pairs:
         part = build_B_partition(pair.exponents, E, N, N * max_e + pair.exponents[-1])
         tents.append(part.level_table())
-    num = sys.num_states
     points = []
-    for x in range(num):
-        mass: dict[int, Fraction] = {}
-        total = Fraction(0)
-        for idx in range(len(tps.pairs)):
-            m = tps.level_of[idx].get(x)
+    for x in range(sys.num_states):
+        # tent levels k of the pairs through x; the weights are k / N over
+        # the normalizer H = total / N, so the point is mass / total
+        mass: dict[int, int] = {}
+        total = 0
+        for levels, tent in zip(tps.level_of, tents):
+            m = levels.get(x)
             if m is None:
                 continue
-            k = tents[idx].get(m, 0)
-            if k == 0:
-                continue
-            contrib = Fraction(k, N)
-            mass[m] = mass.get(m, Fraction(0)) + contrib
-            total += contrib
-        if total < 1:
+            k = tent.get(m, 0)
+            if k:
+                mass[m] = mass.get(m, 0) + k
+                total += k
+        if total < N:
             raise TowerPairsInsufficient(
-                f"normalizer H = {total} < 1 at state {x}; the pair margins do "
+                f"normalizer H = {Fraction(total, N)} < 1 at state {x}; the pair margins do "
                 f"not cover the {N}-fold sumset of the window"
             )
-        points.append(SimplexPoint.from_dict({m: w / total for m, w in mass.items()}))
+        points.append(SimplexPoint.from_masses(mass))
     support = sorted({a for p in points for a in p.support})
     emap = EquivariantMap(
         assignment=tuple(points),
@@ -299,9 +305,10 @@ def check_equivariance(
     E = normalize_window(E)
     eps = Fraction(epsilon)
     orbit_window = frozenset(orbit_window)
-    worst = Fraction(0)
-    witness = None
-    exc_worst = Fraction(0)
+    # deviations as (numerator, denominator) pairs, ordered by
+    # cross-multiplication; ties keep the first witness edge
+    worst, witness = (0, 1), None
+    exc_worst = (0, 1)
     exc_edges = []
     edges = 0
     for x, n, y in _window_edges(sys, E):
@@ -312,12 +319,13 @@ def check_equivariance(
         else:
             regular = x in _entry_free_image(sys, y, -n, orbit_window)
         if regular:
-            if dev > worst:
+            if dev[0] * worst[1] > worst[0] * dev[1]:
                 worst, witness = dev, (x, n, y)
         else:
             exc_edges.append((x, n, y))
-            if dev > exc_worst:
+            if dev[0] * exc_worst[1] > exc_worst[0] * dev[1]:
                 exc_worst = dev
+    worst, exc_worst = Fraction(*worst), Fraction(*exc_worst)
     confined = all(
         (x in orbit_window or y in orbit_window) for x, n, y in exc_edges
     )
@@ -334,15 +342,13 @@ def check_equivariance(
         ),
         Clause(
             "probability-vectors",
-            all(
-                sum((w for _, w in p.entries), Fraction(0)) == 1
-                for p in emap.assignment
-            ),
+            # holds by construction of SimplexPoint; re-read from the numerators
+            all(sum(p.nums) == p.den for p in emap.assignment),
             "",
         ),
         Clause(
             "support-bound",
-            all(len(p.entries) <= emap.d + 1 for p in emap.assignment),
+            all(len(p.atoms) <= emap.d + 1 for p in emap.assignment),
             f"d+1 = {emap.d + 1}",
         ),
     ]
@@ -371,17 +377,20 @@ def project_finite_support(emap: EquivariantMap, S, delta) -> tuple[EquivariantM
     S = frozenset(int(s) for s in S)
     delta = Fraction(delta)
     new_points = []
-    worst = Fraction(0)
+    worst = (0, 1)
     for x, p in enumerate(emap.assignment):
-        kept = sum((w for a, w in p.entries if a in S), Fraction(0))
-        tail = 1 - kept
-        if kept == 0 or not tail < delta / 2:
-            raise TailMassTooLarge(f"state {x}: tail mass {tail} >= delta/2 = {delta / 2}")
-        q = SimplexPoint.from_dict({a: w / kept for a, w in p.entries if a in S})
+        mass = {a: x for a, x in zip(p.atoms, p.nums) if a in S}
+        tail = p.den - sum(mass.values())
+        # tail / den < delta / 2, cross-multiplied
+        if not mass or not 2 * tail * delta.denominator < delta.numerator * p.den:
+            raise TailMassTooLarge(
+                f"state {x}: tail mass {Fraction(tail, p.den)} >= delta/2 = {delta / 2}"
+            )
+        q = SimplexPoint.from_masses(mass)
         moved = p.l1(q)
-        if moved != 2 * tail:
+        if moved[0] * p.den != 2 * tail * moved[1]:
             raise AssertionError(f"projection distance formula violated at state {x}")
-        if moved > worst:
+        if moved[0] * worst[1] > worst[0] * moved[1]:
             worst = moved
         new_points.append(q)
     projected = EquivariantMap(
@@ -394,4 +403,4 @@ def project_finite_support(emap: EquivariantMap, S, delta) -> tuple[EquivariantM
         levels=emap.levels,
         tents=emap.tents,
     )
-    return projected, worst
+    return projected, Fraction(*worst)

@@ -453,7 +453,7 @@ def _rebuild_pairs(graph: CoverGraph, p: dict) -> Certificate:
             p["pair_bases"], p["pair_exponent_ranges"], p["pair_kinds"], p["pair_origins"]
         )
     )
-    tps = TowerPairSystem(pairs, p["E"], p["d_claimed"], p["M"], p["height"])
+    tps = TowerPairSystem(pairs, p["E"], p["d_claimed"], p["M"])
     return verify_tower_pairs(sys, tps)
 
 

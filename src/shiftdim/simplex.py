@@ -1,78 +1,118 @@
 """Exact geometry of finitely supported probability vectors on the integers.
 
-Points are rational probability vectors with finite support; the metric is
-l1.  The translation action shifts supports.  Skeleton distances (to the
-sets of points with support of bounded size) have the closed form
-2 (1 - mass of the heaviest atoms), decided with exact rationals, which
-is what the radius comparisons like 1/30 versus 1/4 require.  No floats
-anywhere in this module.
+A point is stored as its atoms in increasing order and one positive
+integer numerator per atom, with gcd 1; the denominator is the sum of the
+numerators, so every stored point is a probability vector by
+construction.  The metric is l1 and the translation action shifts
+atoms.  Skeleton distances (to the sets of points with support of
+bounded size) have the closed form 2 (1 - mass of the heaviest atoms).
+Every comparison, such as a ring radius 1/(3*10^i) against such a
+distance, is decided in integers by cross-multiplication; a ``Fraction``
+is built only for values handed out of the module.  No floats anywhere
+in this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf, lcm
+from math import gcd, inf, lcm
 
 
 @dataclass(frozen=True)
 class SimplexPoint:
-    """Finitely supported rational probability vector on the integers."""
+    """Finitely supported rational probability vector on the integers: the
+    weight of ``atoms[j]`` is ``nums[j] / den`` with ``den = sum(nums)``."""
 
-    entries: tuple[tuple[int, Fraction], ...]  # sorted by atom, weights > 0
+    atoms: tuple[int, ...]  # strictly increasing
+    nums: tuple[int, ...]  # positive, gcd 1
+    den: int = field(init=False, repr=False, compare=False)
+    _by_atom: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        atoms = [a for a, _ in self.entries]
-        if atoms != sorted(atoms) or len(set(atoms)) != len(atoms):
-            raise ValueError("entries must be sorted by atom and distinct")
-        if any(w <= 0 for _, w in self.entries):
+        if not self.atoms or len(self.atoms) != len(self.nums):
+            raise ValueError("a point needs one numerator per atom, and at least one atom")
+        if any(a >= b for a, b in zip(self.atoms, self.atoms[1:])):
+            raise ValueError("atoms must be sorted and distinct")
+        if min(self.nums) <= 0:
             raise ValueError("weights must be positive")
-        if sum((w for _, w in self.entries), Fraction(0)) != 1:
+        if gcd(*self.nums) != 1:
+            raise ValueError("numerators must have gcd 1")
+        object.__setattr__(self, "den", sum(self.nums))
+        object.__setattr__(self, "_by_atom", dict(zip(self.atoms, self.nums)))
+
+    @classmethod
+    def from_masses(cls, masses: dict[int, int]) -> "SimplexPoint":
+        """The point proportional to positive integer masses keyed by atom."""
+        atoms = sorted(masses)
+        nums = [masses[a] for a in atoms]
+        g = gcd(*nums) or 1
+        return cls(tuple(atoms), tuple(x // g for x in nums))
+
+    @classmethod
+    def from_entries(cls, entries) -> "SimplexPoint":
+        """The point with the given ``(atom, weight)`` pairs, in any order;
+        the atoms must be distinct and the weights positive rationals
+        summing to exactly 1."""
+        pairs = [(int(a), Fraction(w)) for a, w in entries]
+        if len({a for a, _ in pairs}) != len(pairs):
+            raise ValueError("atoms must be distinct")
+        if any(w <= 0 for _, w in pairs):
+            raise ValueError("weights must be positive")
+        den = lcm(*(w.denominator for _, w in pairs))
+        masses = {a: w.numerator * (den // w.denominator) for a, w in pairs}
+        if sum(masses.values()) != den:
             raise ValueError("weights must sum to exactly 1")
+        return cls.from_masses(masses)
 
     @classmethod
     def from_dict(cls, weights: dict) -> "SimplexPoint":
-        ent = tuple(sorted((int(a), Fraction(w)) for a, w in weights.items() if w != 0))
-        return cls(ent)
+        """``from_entries`` on the nonzero weights of an atom -> weight map."""
+        return cls.from_entries((a, w) for a, w in weights.items() if w != 0)
 
     @classmethod
     def dirac(cls, atom: int) -> "SimplexPoint":
-        return cls(((int(atom), Fraction(1)),))
+        return cls((int(atom),), (1,))
+
+    @property
+    def entries(self) -> tuple[tuple[int, Fraction], ...]:
+        """Read-only view: ``(atom, weight)`` pairs in atom order."""
+        return tuple((a, Fraction(x, self.den)) for a, x in zip(self.atoms, self.nums))
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(a for a, _ in self.entries)
+        return self.atoms
 
     def weight(self, atom: int) -> Fraction:
-        for a, w in self.entries:
-            if a == atom:
-                return w
-        return Fraction(0)
+        return Fraction(self._by_atom.get(atom, 0), self.den)
 
     def shift(self, n: int) -> "SimplexPoint":
         """Translation by the shift: mass at atom a moves to a - n, so the
         image of a point under n forward steps matches the shifted map."""
-        return SimplexPoint(tuple((a - n, w) for a, w in self.entries))
+        return SimplexPoint(tuple(a - n for a in self.atoms), self.nums)
 
-    def l1(self, other: "SimplexPoint", n: int = 0) -> Fraction:
+    def l1(self, other: "SimplexPoint", n: int = 0) -> tuple[int, int]:
         """l1 distance from this point to ``other.shift(n)``, read off the
-        entries without building the shifted point.  The weights are put
-        over one common denominator, so the sum is taken in integers."""
-        den = lcm(*(w.denominator for _, w in self.entries),
-                  *(w.denominator for _, w in other.entries))
-        mine = {a: w.numerator * (den // w.denominator) for a, w in self.entries}
-        total = 0
-        for a, w in other.entries:
-            total += abs(mine.pop(a - n, 0) - w.numerator * (den // w.denominator))
-        return Fraction(total + sum(mine.values()), den)
+        atoms without building the shifted point, as ``(numerator,
+        denominator)`` over the lcm of the two denominators (not reduced)."""
+        g = gcd(self.den, other.den)
+        mine_scale, other_scale = other.den // g, self.den // g
+        mine = self._by_atom
+        total = matched = 0
+        for a, y in zip(other.atoms, other.nums):
+            x = mine.get(a - n)
+            if x is None:
+                total += y * other_scale
+            else:
+                total += abs(x * mine_scale - y * other_scale)
+                matched += x
+        # the atoms of this point that ``other`` misses carry the rest
+        return total + (self.den - matched) * mine_scale, self.den * mine_scale
 
-    def ranked(self) -> list[tuple[int, Fraction]]:
-        """The entries, heaviest first; ties broken by integer order."""
-        return sorted(self.entries, key=lambda e: (-e[1], e[0]))
-
-    def heaviest(self, count: int) -> tuple[int, ...]:
-        """The ``count`` heaviest atoms, in atom order."""
-        return tuple(sorted(a for a, _ in self.ranked()[:count]))
+    def ranked(self) -> list[tuple[int, int]]:
+        """``(numerator, atom)`` pairs, heaviest first; ties broken by
+        integer order."""
+        return sorted(zip(self.nums, self.atoms), key=lambda e: (-e[0], e[1]))
 
 
 def skeleton_distance(mu: SimplexPoint, size: int):
@@ -83,12 +123,30 @@ def skeleton_distance(mu: SimplexPoint, size: int):
         raise ValueError("size must be >= 0")
     if size == 0:
         return inf
-    kept = sum((mu.weight(a) for a in mu.heaviest(size)), Fraction(0))
-    return 2 * (1 - kept)
+    kept = sum(x for x, _ in mu.ranked()[:size])
+    return Fraction(2 * (mu.den - kept), mu.den)
 
 
 def in_simplex(mu: SimplexPoint, d: int) -> bool:
-    return len(mu.entries) <= d + 1
+    return len(mu.atoms) <= d + 1
+
+
+def _prefix_masses(ranked, count: int) -> list[int]:
+    """Numerator of the mass of the j heaviest atoms, for j = 0..count."""
+    kept = [0]
+    for x, _ in ranked[:count]:
+        kept.append(kept[-1] + x)
+    return kept + [kept[-1]] * (count + 1 - len(kept))
+
+
+def _in_ring(den: int, kept: list[int], i: int) -> bool:
+    """Ring i from the prefix masses: the skeleton distance
+    2 (den - kept[i+1]) / den is below 1/(3*10^i), and for i > 0
+    2 (den - kept[i]) / den exceeds 5/(2*10^i), both cross-multiplied."""
+    scale = 10**i
+    if not 6 * scale * (den - kept[i + 1]) < den:
+        return False
+    return i == 0 or 4 * scale * (den - kept[i]) > 5 * den
 
 
 def simplicial_cover_membership(mu: SimplexPoint, i: int, d: int):
@@ -102,14 +160,10 @@ def simplicial_cover_membership(mu: SimplexPoint, i: int, d: int):
         raise ValueError("need 0 <= i <= d")
     if not in_simplex(mu, d):
         raise ValueError("point lies outside the ambient simplex")
-    outer = Fraction(1, 3 * 10**i)
-    inner = Fraction(5, 2 * 10**i)
-    near = skeleton_distance(mu, i + 1)
-    if not near < outer:
+    ranked = mu.ranked()
+    if not _in_ring(mu.den, _prefix_masses(ranked, i + 1), i):
         return False, None
-    if i > 0 and not skeleton_distance(mu, i) > inner:
-        return False, None
-    return True, mu.heaviest(i + 1)
+    return True, tuple(sorted(a for _, a in ranked[: i + 1]))
 
 
 def cover_index(mu: SimplexPoint, d: int):
@@ -117,21 +171,14 @@ def cover_index(mu: SimplexPoint, d: int):
     whole ambient simplex, so this never fails on valid input.
 
     Decides ring i exactly as ``simplicial_cover_membership(mu, i, d)``
-    does, from one ranking of the atoms: the mass of the j heaviest atoms
-    is the j-th prefix sum of the ranked weights."""
+    does, from one ranking of the atoms."""
     if not in_simplex(mu, d):
         raise ValueError("point lies outside the ambient simplex")
     ranked = mu.ranked()
-    kept = [Fraction(0)]
-    for _, w in ranked:
-        kept.append(kept[-1] + w)
-    top = len(ranked)
+    kept = _prefix_masses(ranked, d + 1)
     for i in range(d + 1):
-        if not 2 * (1 - kept[min(i + 1, top)]) < Fraction(1, 3 * 10**i):
-            continue
-        if i > 0 and not 2 * (1 - kept[min(i, top)]) > Fraction(5, 2 * 10**i):
-            continue
-        return i, tuple(sorted(a for a, _ in ranked[: i + 1]))
+        if _in_ring(mu.den, kept, i):
+            return i, tuple(sorted(a for _, a in ranked[: i + 1]))
     raise AssertionError(f"cover property violated for {mu!r} at d={d}")
 
 
@@ -139,5 +186,5 @@ def cell_distance(mu: SimplexPoint, cell) -> Fraction:
     """l1 distance from mu to the closed cell of points supported on the
     given atoms: 2 (1 - mass inside the cell)."""
     cell_set = set(cell)
-    kept = sum((w for a, w in mu.entries if a in cell_set), Fraction(0))
-    return 2 * (1 - kept)
+    kept = sum(x for a, x in zip(mu.atoms, mu.nums) if a in cell_set)
+    return Fraction(2 * (mu.den - kept), mu.den)

@@ -36,16 +36,21 @@ class TowerPair:
 
 
 class TowerPairSystem:
-    def __init__(self, pairs, E, d_claimed: int, M: int, height: int):
+    def __init__(self, pairs, E, d_claimed: int, M: int):
         self.pairs: tuple[TowerPair, ...] = tuple(pairs)
         self.E = normalize_window(E)
         self.d_claimed = d_claimed
         self.M = M
-        self.height = height
         # per pair, the exponent at which each state first occurs; set by
         # verify_tower_pairs on the system it checks
         self.level_of: list[dict[int, int]] | None = None
         self.certificate: Certificate | None = None
+
+    @property
+    def height(self) -> int:
+        """Read off the pairs: the length of the longest exponent range.
+        Every producer gives all its pairs one range ``[0, height - 1]``."""
+        return max((len(p.exponents) for p in self.pairs), default=0)
 
 
 def pairs_from_rokhlin(cover: RokhlinCover, E) -> TowerPairSystem:
@@ -64,7 +69,7 @@ def pairs_from_rokhlin(cover: RokhlinCover, E) -> TowerPairSystem:
     for t_idx, tower in enumerate(cover.towers):
         pairs.append(TowerPair(tower.base, S, "base", t_idx))
     d_claimed = 2 * len(cover.towers) - 1
-    return TowerPairSystem(pairs, E, d_claimed, M, required)
+    return TowerPairSystem(pairs, E, d_claimed, M)
 
 
 def attach_shifted_pairs(tps: TowerPairSystem, sys: FiniteSymbolicSystem) -> None:
@@ -143,7 +148,6 @@ def build_phase_pairs(
         margin_window,
         pair_count - 1 if d_claimed is None else d_claimed,
         M=2 * rise + 1,
-        height=span + 1,
     )
     return tps
 

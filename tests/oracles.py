@@ -111,3 +111,46 @@ def descriptor_oracle(state, alphabet) -> str:
         prefix = prefix[:12] + ".." + prefix[-8:]
     past = ",".join(decode(p) for p in sorted(state.past))
     return f"[{prefix}|{past}]"
+
+
+# -- the simplex in Fractions ---------------------------------------------------
+# A point is a dict atom -> Fraction weight, read off ``SimplexPoint.entries``.
+
+
+def l1_oracle(mu: dict, nu: dict, n: int = 0) -> Fraction:
+    """l1 distance from mu to nu shifted by n (nu's mass at a moves to
+    a - n), summed in Fractions over the union of the supports."""
+    shifted = {a - n: w for a, w in nu.items()}
+    return sum(
+        (abs(mu.get(a, Fraction(0)) - shifted.get(a, Fraction(0))) for a in set(mu) | set(shifted)),
+        Fraction(0),
+    )
+
+
+def ring_membership_oracle(mu: dict, i: int) -> tuple[bool, tuple | None]:
+    """Ring i of the skeleton-neighborhood cover in Fractions: within
+    1/(3*10^i) of the i-skeleton and, for i > 0, strictly farther than
+    5/(2*10^i) from the (i-1)-skeleton, the skeleton distances minimized
+    over every candidate support; the cell is the heaviest i+1 atoms,
+    ties broken by atom order."""
+
+    def skeleton(size: int) -> Fraction:
+        cells = itertools.combinations(sorted(mu), min(size, len(mu)))
+        return min(2 * (1 - sum((mu[a] for a in cell), Fraction(0))) for cell in cells)
+
+    if not skeleton(i + 1) < Fraction(1, 3 * 10**i):
+        return False, None
+    if i > 0 and not skeleton(i) > Fraction(5, 2 * 10**i):
+        return False, None
+    ranked = sorted(mu, key=lambda a: (-mu[a], a))
+    return True, tuple(sorted(ranked[: i + 1]))
+
+
+def projection_oracle(mu: dict, S) -> tuple[dict, Fraction]:
+    """Restriction of mu to S, renormalized, and its displacement, which
+    must equal twice the tail mass outside S."""
+    kept = sum((w for a, w in mu.items() if a in S), Fraction(0))
+    projected = {a: w / kept for a, w in mu.items() if a in S}
+    moved = l1_oracle(mu, projected)
+    assert moved == 2 * (1 - kept)
+    return projected, moved

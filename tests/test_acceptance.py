@@ -263,7 +263,7 @@ def test_criterion_11_projection_formula(big):
         if kept == 0:
             continue
         projected, worst = project_finite_support(emap, keep, 2 * (1 - kept) + Fraction(1, 99))
-        assert point.l1(projected.assignment[0]) == 2 * (1 - kept) == worst
+        assert Fraction(*point.l1(projected.assignment[0])) == 2 * (1 - kept) == worst
         checked += 1
     assert checked > 900
     # equivariance survives projection at the adjusted bound on the pipeline map
@@ -306,7 +306,7 @@ def test_criterion_12_simplex_geometry():
     separated = 0
     for (ca, mu), (cb, nu) in zip(members, members[1:]):
         if ca != cb:
-            assert mu.l1(nu) >= Fraction(1, 30)
+            assert Fraction(*mu.l1(nu)) >= Fraction(1, 30)
             separated += 1
     assert separated > 100
     report(12, f"skeleton distances match subset enumeration on 1000 points; "

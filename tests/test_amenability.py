@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -15,7 +16,8 @@ from shiftdim.simplex import SimplexPoint
 from shiftdim.systems import FiniteSymbolicSystem
 from shiftdim.towers import TowerPair, TowerPairSystem, normalize_window, verify_tower_pairs
 
-from .oracles import iterated_sumsets, sumset_partition_oracle
+from .oracles import iterated_sumsets, l1_oracle, projection_oracle, sumset_partition_oracle
+from .test_simplex import oracle_points
 
 
 def cycle_system(n):
@@ -93,7 +95,7 @@ def _constant_pair_system(sys):
     # one pair covering everything at the single exponent 0: the level
     # disjointness clause is vacuous and the margin for E = {0} is exact
     pair = TowerPair(sys.all_states(), range(1), "phase", 0)
-    tps = TowerPairSystem((pair,), [0], 0, M=1, height=1)
+    tps = TowerPairSystem((pair,), [0], 0, M=1)
     return tps
 
 
@@ -124,7 +126,7 @@ def test_lipschitz_step_on_cycle():
         TowerPair(frozenset({(j * n) // 3}), range(17), "phase", j)
         for j in range(3)
     )
-    tps = TowerPairSystem(pairs, list(range(-N, N + 1)), 2, M=2 * N + 1, height=17)
+    tps = TowerPairSystem(pairs, list(range(-N, N + 1)), 2, M=2 * N + 1)
     cert = verify_tower_pairs(sys, tps)
     assert cert.passed, cert.first_failure()
     emap = build_equivariant_map(sys, tps, [-1, 0, 1], N, [], Fraction(4))
@@ -168,7 +170,7 @@ def test_projection_formula_and_oracle():
         delta = 2 * (1 - min(kept_masses)) + Fraction(1, 100)
         projected, worst = project_finite_support(emap, keep, delta)
         for p, q, kept in zip(points, projected.assignment, kept_masses):
-            direct = p.l1(q)  # independent l1 evaluation
+            direct = Fraction(*p.l1(q))  # independent l1 evaluation
             assert direct == 2 * (1 - kept)
         assert worst == max(2 * (1 - kept) for kept in kept_masses)
 
@@ -181,7 +183,7 @@ def test_projection_preserves_equivariance_at_adjusted_bound():
         TowerPair(frozenset({(j * n) // 3}), range(17), "phase", j)
         for j in range(3)
     )
-    tps = TowerPairSystem(pairs, list(range(-N, N + 1)), 2, M=2 * N + 1, height=17)
+    tps = TowerPairSystem(pairs, list(range(-N, N + 1)), 2, M=2 * N + 1)
     verify_tower_pairs(sys, tps)
     emap = build_equivariant_map(sys, tps, [-1, 0, 1], N, [], Fraction(4))
     support = set(a for a in emap.support_window if a % 5 != 0)
@@ -226,3 +228,105 @@ def test_projection_identity_on_full_support():
     projected, worst = project_finite_support(emap, {0, 2}, Fraction(1, 10))
     assert worst == 0
     assert projected.assignment[0].entries == point.entries
+
+
+def _single_point_map(point):
+    return EquivariantMap(
+        assignment=(point,),
+        window_set=(0,),
+        resolution=1,
+        d=len(point.atoms) - 1,
+        epsilon_achieved=Fraction(0),
+        support_window=point.atoms,
+    )
+
+
+def test_projection_matches_fraction_oracle():
+    rng = random.Random(53)
+    for point in oracle_points(59):
+        keep = set(rng.sample(point.atoms, rng.randint(1, len(point.atoms))))
+        expected, moved = projection_oracle(dict(point.entries), keep)
+        emap = _single_point_map(point)
+        # the tail guard is strict: delta/2 equal to the tail mass fails
+        if moved:
+            with pytest.raises(TailMassTooLarge):
+                project_finite_support(emap, keep, moved)
+        projected, worst = project_finite_support(emap, keep, moved + Fraction(1, 2**70))
+        assert dict(projected.assignment[0].entries) == expected
+        assert worst == moved
+
+
+def test_map_json_round_trip_in_lowest_terms():
+    points = tuple(oracle_points(61))
+    emap = EquivariantMap(
+        assignment=points,
+        window_set=(0,),
+        resolution=1,
+        d=5,
+        epsilon_achieved=Fraction(3, 7),
+        support_window=tuple(sorted({a for p in points for a in p.atoms})),
+    )
+    data = emap.to_jsonable()
+    for point, entry in zip(points, data["points"]):
+        assert list(entry) == [str(a) for a in point.atoms]
+        for text, (_, weight) in zip(entry.values(), point.entries):
+            p, q = (int(part) for part in text.split("/"))
+            assert gcd(p, q) == 1 and Fraction(p, q) == weight
+    back = EquivariantMap.from_jsonable(data)
+    assert back.assignment == points
+    assert back.to_jsonable() == data
+
+
+@pytest.mark.parametrize("entry, reason", [
+    ({"0": "1/1", "1": "0/1"}, "positive"),
+    ({"0": "3/2", "1": "-1/2"}, "positive"),
+    ({"0": "1/2", "1": "1/3"}, "sum to exactly 1"),
+    ({"1": "1/2", "01": "1/2"}, "distinct"),
+], ids=["zero-weight", "negative-weight", "sum-not-1", "duplicate-atom"])
+def test_from_jsonable_rejects_invalid_points(entry, reason):
+    data = _single_point_map(SimplexPoint.dirac(0)).to_jsonable()
+    data["points"] = [entry]
+    with pytest.raises(ValueError, match=reason):
+        EquivariantMap.from_jsonable(data)
+
+
+def test_equivariance_witness_on_ties_matches_oracle():
+    # a few points whose distances tie, some over different denominators
+    # (1/2 as 2/4 and as 3/6): the witness is the first worst edge in the
+    # order x, then n
+    pool = [
+        SimplexPoint.from_dict({0: Fraction(1, 2), 1: Fraction(1, 2)}),
+        SimplexPoint.from_dict({0: Fraction(1, 4), 1: Fraction(3, 4)}),
+        SimplexPoint.from_dict({0: Fraction(3, 4), 1: Fraction(1, 4)}),
+        SimplexPoint.from_dict({0: Fraction(1, 2), 1: Fraction(1, 3), 2: Fraction(1, 6)}),
+        SimplexPoint.dirac(1),
+    ]
+    rng = random.Random(67)
+    E = normalize_window((-2, 0, 1))
+    ties = 0
+    for _ in range(200):
+        n_states = rng.randint(3, 9)
+        sys = cycle_system(n_states)
+        assignment = tuple(rng.choice(pool) for _ in range(n_states))
+        emap = EquivariantMap(
+            assignment=assignment,
+            window_set=E,
+            resolution=1,
+            d=2,
+            epsilon_achieved=Fraction(0),
+            support_window=(0, 1, 2),
+        )
+        devs = [
+            ((x, n, (x + n) % n_states),
+             l1_oracle(dict(assignment[(x + n) % n_states].entries), dict(assignment[x].entries), n))
+            for x in range(n_states)
+            for n in E
+        ]
+        worst = max(dev for _, dev in devs)
+        witness = next(edge for edge, dev in devs if dev == worst)
+        ties += sum(1 for _, dev in devs if dev == worst) > 1
+        cert = check_equivariance(sys, emap, E, Fraction(10))
+        assert Fraction(cert.params["max_regular_deviation"]) == worst
+        clause = next(c for c in cert.clauses if c.name == "regular-deviation-below-epsilon")
+        assert f"at edge {witness} over {len(devs)} edges" in clause.witness
+    assert ties > 100

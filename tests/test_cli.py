@@ -247,6 +247,21 @@ def test_verify_rejects_tampered_echo(chain_dir, tmp_path, capsys, target, key, 
         assert f"missing or malformed witness: exponent range {value}" in out
 
 
+@pytest.mark.parametrize("target, old, new", [
+    ("amen_pairs.json", 233, lambda h: 5),
+    ("towerdim.json", None, lambda h: h + 1),
+], ids=["amen-pairs-to-5", "towerdim-plus-1"])
+def test_verify_rejects_height_not_read_off_pairs(chain_dir, tmp_path, capsys, target, old, new):
+    # the height echo is the length of the pairs' [0, h-1] exponent ranges
+    def edit(params):
+        assert old is None or params["height"] == old
+        params["height"] = new(params["height"])
+
+    code, out = verify_copy(chain_dir, tmp_path, capsys, edit=edit, target=target)
+    assert code == 1
+    assert out.startswith("verification failed: recomputation differs from stored certificate")
+
+
 def test_cover_names_unwitnessed_special_states(tmp_path, capsys):
     # Thue-Morse at depth 1500: two special states are the class of no
     # left special stored word

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +14,8 @@ from shiftdim.simplex import (
     simplicial_cover_membership,
     skeleton_distance,
 )
+
+from .oracles import l1_oracle, ring_membership_oracle
 
 
 def random_point(rng, max_atoms=6, atom_range=10, denom=60):
@@ -49,7 +51,7 @@ def test_point_validation():
     with pytest.raises(ValueError):
         SimplexPoint.from_dict({0: Fraction(1, 2)})
     with pytest.raises(ValueError):
-        SimplexPoint(((0, Fraction(1, 2)), (1, Fraction(1, 2)), (1, Fraction(0))))
+        SimplexPoint.from_entries(((0, Fraction(1, 2)), (1, Fraction(1, 2)), (1, Fraction(0))))
 
 
 def test_skeleton_distance_examples():
@@ -152,7 +154,7 @@ def test_ring_one_cells_are_separated():
             produced += 1
     for (cell_a, mu), (cell_b, nu) in zip(pairs, pairs[1:]):
         if cell_a != cell_b:
-            assert mu.l1(nu) >= Fraction(1, 30)
+            assert Fraction(*mu.l1(nu)) >= Fraction(1, 30)
 
 
 def test_cell_distance_matches_formula():
@@ -165,3 +167,62 @@ def test_cell_distance_matches_formula():
 def test_dirac_always_in_ring_zero(atom):
     ring, cell = cover_index(SimplexPoint.dirac(atom), 3)
     assert ring == 0 and cell == (atom,)
+
+
+def _split(total, parts, rng, grain):
+    """``parts`` positive Fractions summing to ``total``, cut on a grid of
+    1/grain of it."""
+    cuts = sorted(rng.sample(range(1, grain), parts - 1))
+    return [total * Fraction(b - a, grain) for a, b in zip([0] + cuts, cuts + [grain])]
+
+
+def _on_radius(rng, top, rest, kept, wobble):
+    """``top`` tied heaviest atoms holding ``kept + wobble`` and ``rest``
+    lighter atoms holding the remainder."""
+    atoms = rng.sample(range(-9, 10), top + rest)
+    weights = [(kept + wobble) / top] * top + _split(1 - kept - wobble, rest, rng, 97)
+    return SimplexPoint.from_dict(dict(zip(atoms, weights)))
+
+
+def oracle_points(seed):
+    """Seeded points: denominators up to 3000 and above 2**64, tied
+    weights, and masses on the ring radii and one part in 2**64 + 13
+    either side of them."""
+    rng = random.Random(seed)
+    points = [random_point(rng, denom=rng.randint(2, 3000)) for _ in range(200)]
+    points += [random_point(rng, denom=2**64 + rng.randint(1, 10**9)) for _ in range(100)]
+    for count in range(1, 7):
+        points.append(SimplexPoint.from_dict(
+            {a: Fraction(1, count) for a in rng.sample(range(-9, 10), count)}
+        ))
+    tiny = Fraction(1, 2**64 + 13)
+    for i in range(4):
+        for wobble in (-tiny, 0, tiny):
+            # 2 (1 - kept) on the outer radius 1/(3*10^i) of ring i
+            points.append(_on_radius(rng, i + 1, 2, 1 - Fraction(1, 6 * 10**i), wobble))
+            if i:
+                # 2 (1 - kept) on the inner radius 5/(2*10^i) of ring i
+                points.append(_on_radius(rng, i, 2, 1 - Fraction(5, 4 * 10**i), wobble))
+    return points
+
+
+def test_l1_matches_fraction_oracle():
+    points = oracle_points(41)
+    rng = random.Random(43)
+    for _ in range(2000):
+        mu, nu = rng.choice(points), rng.choice(points)
+        n = rng.randint(-12, 12)
+        num, den = mu.l1(nu, n)
+        assert den == lcm(mu.den, nu.den)
+        assert Fraction(num, den) == l1_oracle(dict(mu.entries), dict(nu.entries), n)
+
+
+def test_ring_membership_matches_fraction_oracle():
+    for mu in oracle_points(47):
+        weights = dict(mu.entries)
+        for d in range(len(mu.atoms) - 1, 6):
+            rings = [ring_membership_oracle(weights, i) for i in range(d + 1)]
+            for i, expected in enumerate(rings):
+                assert simplicial_cover_membership(mu, i, d) == expected, (mu, i, d)
+            first = next(i for i, (member, _) in enumerate(rings) if member)
+            assert cover_index(mu, d) == (first, rings[first][1])
