@@ -58,6 +58,7 @@ from .special import (
     SpecialReport,
     check_useful_inequality,
     left_special_count,
+    left_special_levels,
     left_special_words,
     sp_estimate,
 )

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 from .certificates import Certificate, Clause
 from .errors import (
@@ -204,7 +204,10 @@ def build_equivariant_map(
     eps = Fraction(target_epsilon)
     d = tps.d_claimed
     if Fraction((d + 1) * (d + 2), N) >= eps:
-        raise NTooSmall(f"(d+1)(d+2)/N = {(d + 1) * (d + 2)}/{N} not below {eps}")
+        raise NTooSmall(
+            f"(d+1)(d+2)/N = {(d + 1) * (d + 2)}/{N} not below {eps}; "
+            f"N must be at least {floor((d + 1) * (d + 2) / eps) + 1}"
+        )
     if not sys.surjective_flag:
         raise NotSurjective("fiber maxima need every state to have a predecessor")
     if tps.certificate is None or not tps.certificate.passed:

@@ -3,7 +3,8 @@
 Subcommands: lang, special, cover, rokhlin, towerdim, amen, dad, bounds,
 certify (full chain), verify (re-check a certificate file).  Exit codes:
 0 pass, 1 fail (witnesses in the certificate), 2 inconclusive at this
-depth, 3 usage or configuration error.
+depth, 3 usage or configuration error or a bad parameter.  Errors name the
+stage that raised them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .certificates import Certificate
-from .errors import ConfigError, DepthInsufficient, ShiftDimError
+from .errors import ConfigError, DepthInsufficient, NTooSmall, ShiftDimError
 from .pipeline import (
     PipelineParams,
     recheck_certificate,
@@ -67,6 +68,10 @@ def _emit(cert: Certificate, out: str | None, name: str):
     if out:
         write_file(out, f"{name}.json", text)
     _sys.stdout.write(text)
+
+
+def _in_stage(exc) -> str:
+    return f" in stage {exc.stage}" if exc.stage else ""
 
 
 def _exit_for(cert: Certificate) -> int:
@@ -159,13 +164,16 @@ def main(argv=None) -> int:
             _emit(cert, args.out, name)
         return max(_exit_for(cert) for cert in certs.values())
     except ConfigError as exc:
-        print(f"config error: {exc}", file=_sys.stderr)
+        print(f"config error{_in_stage(exc)}: {exc}", file=_sys.stderr)
+        return EXIT_USAGE
+    except NTooSmall as exc:
+        print(f"bad parameter{_in_stage(exc)}: {exc}", file=_sys.stderr)
         return EXIT_USAGE
     except DepthInsufficient as exc:
-        print(f"inconclusive at this depth: {exc}", file=_sys.stderr)
+        print(f"inconclusive at this depth{_in_stage(exc)}: {exc}", file=_sys.stderr)
         return EXIT_INCONCLUSIVE
     except ShiftDimError as exc:
-        print(f"failed: {exc}", file=_sys.stderr)
+        print(f"failed{_in_stage(exc)}: {exc}", file=_sys.stderr)
         return EXIT_FAIL
     except OSError as exc:
         print(f"io error: {exc}", file=_sys.stderr)

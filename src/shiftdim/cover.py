@@ -121,7 +121,11 @@ class CoverGraph:
 
     def _build(self):
         spec, k, lam = self.spec, self.k, self.lookahead
-        self.stored = sorted(spec.language(self.depth))
+        # Build one length past the stored words first: the stored words are
+        # read off it in sorted order, and the left extensions of stored
+        # words that special_match_report counts are already there.
+        spec.language(self.depth + 1)
+        self.stored = spec.sorted_language(self.depth)
         if not self.stored:
             raise EmptyLanguage("no stored words at this depth")
         keys = {}

@@ -4,9 +4,14 @@ Construction routines raise rather than return partial objects; every
 exception carries the failing clause or witness so certificates can echo it.
 """
 
+from __future__ import annotations
+
 
 class ShiftDimError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  ``stage`` names the chain stage
+    that raised it, when it was raised inside one."""
+
+    stage: str | None = None
 
 
 class InvalidSpec(ShiftDimError):
@@ -23,7 +28,12 @@ class NotSurjective(ShiftDimError):
 
 
 class PeriodicWitness(ShiftDimError):
-    """A cycle shorter than the required aperiodicity window was found."""
+    """A cycle shorter than the required aperiodicity window was found;
+    ``length`` is its length."""
+
+    def __init__(self, message: str, length: int):
+        self.length = length
+        super().__init__(message)
 
 
 class DepthInsufficient(ShiftDimError):
@@ -49,7 +59,8 @@ class HeightMismatch(ShiftDimError):
 
 
 class NTooSmall(ShiftDimError):
-    """Resolution parameter too small for the target accuracy."""
+    """Resolution parameter too small for the target accuracy; a bad
+    parameter, whose message names the least value that works."""
 
 
 class WindowTooSmall(ShiftDimError):

@@ -41,10 +41,11 @@ from .cover import (
     isolated_orbit_window,
     special_match_report,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DepthInsufficient, PeriodicWitness, ShiftDimError
 from .groupoid import DadCover, bound_chain, build_dad_cover, build_window, verify_dad_cover
 from .rokhlin import RokhlinCover, RokhlinTower, build_rokhlin_cover, verify_rokhlin_cover
 from .special import sp_estimate
+from .systems import aperiodicity_window_check
 from .towers import (
     TowerPair,
     TowerPairSystem,
@@ -177,9 +178,25 @@ def run_cover(spec: SubshiftSpec, k: int, l: int, horizon: int | None):
 
 
 def run_rokhlin(graph: CoverGraph, height: int):
+    """Tower cover of height ``height``.  A short cycle of the cover graph
+    is a real periodic point only when the presentation has a periodic
+    word of at most its length; otherwise it is an artefact of the
+    resolution."""
     sys = graph.system
     specials = cover_special_states(graph)
-    cover = build_rokhlin_cover(sys, height, specials)
+    try:
+        cover = build_rokhlin_cover(sys, height, specials)
+    except PeriodicWitness as exc:
+        if aperiodicity_window_check(graph.spec, exc.length):
+            raise DepthInsufficient(
+                f"{exc}; the shift has no periodic point of period <= {exc.length}, "
+                "so the cycle is an artefact of the resolution"
+            ) from exc
+        raise PeriodicWitness(
+            f"{exc}; the shift has a periodic point of period <= {exc.length}, "
+            "so the cycle is a real periodic point",
+            exc.length,
+        ) from exc
     return cover, _stamp(verify_rokhlin_cover(sys, cover), graph, cover=cover)
 
 
@@ -326,7 +343,11 @@ def run_stages(params: PipelineParams, names) -> dict[str, Certificate]:
     certs: dict[str, Certificate] = {}
     for name, stage in STAGES.items():
         if name in wanted:
-            built[name], *emitted = stage.build(params, built)
+            try:
+                built[name], *emitted = stage.build(params, built)
+            except ShiftDimError as exc:
+                exc.stage = name
+                raise
             if name in names:
                 certs.update(zip(stage.emits, emitted))
     return certs

@@ -153,7 +153,8 @@ def build_rokhlin_cover(
     if short is not None:
         raise PeriodicWitness(
             f"cycle of length {short} within the 3N window ({3 * N}); "
-            "the resolution cannot support towers of this height"
+            "the resolution cannot support towers of this height",
+            short,
         )
     towers: list[RokhlinTower] = []
     # Towers for each special state: its first 2N preimage levels, split

@@ -5,27 +5,53 @@ extend it to the left inside the language.  Prefixes of left special words
 are left special, so the per-length sets form a tree; the number of its
 infinite branches is estimated from finite depth, with an explicit
 stabilization flag instead of a claim about the infinite object.
+
+Every level of the tree up to ``depth`` is read off one list: the
+length-``depth+1`` factors ``u``, taken in sorted order from the
+presentation's sorted top language and re-sorted as pairs
+``(u[1:], u[0])``.  The pairs whose end ``u[1:]`` starts with a given
+word are neighbours, so that word is left special exactly when two
+neighbouring pairs share it as a prefix and have different first letters.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .words import SFTSpec, SubshiftSpec, check_extendability, growth_report
+from .words import (
+    SFTSpec,
+    SubshiftSpec,
+    check_extendability,
+    common_prefix_length,
+    growth_report,
+)
+
+
+def left_special_levels(spec: SubshiftSpec, depth: int, start: int = 1) -> list[tuple[str, ...]]:
+    """Sorted left special words of each length ``start..depth``, from the
+    length-``depth+1`` factors: each level is the distinct length-``n``
+    prefixes of the ends of neighbouring pairs with different first
+    letters whose ends share at least ``n`` symbols."""
+    if start < 1:
+        raise ValueError("n must be >= 1")
+    pairs = sorted((u[1:], u[0]) for u in spec.sorted_language(depth + 1))
+    splits = [
+        (end, common_prefix_length(prev, end))
+        for (prev, a), (end, b) in zip(pairs, pairs[1:])
+        if a != b
+    ]
+    return [
+        tuple(w for w, _ in itertools.groupby(end[:n] for end, shared in splits if shared >= n))
+        for n in range(start, depth + 1)
+    ]
 
 
 def left_special_words(spec: SubshiftSpec, n: int) -> list[str]:
-    """Sorted length-``n`` factors with >= 2 one-symbol left extensions.
-    The left extensions of ``w`` are the length-``n+1`` factors ending in
-    it, so one pass over those counts them all."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    lang = spec.language(n)
-    ends = Counter(u[1:] for u in spec.language(n + 1))
-    return sorted(w for w, ext in ends.items() if ext >= 2 and w in lang)
+    """Sorted length-``n`` factors with >= 2 one-symbol left extensions."""
+    return list(left_special_levels(spec, n, n)[0])
 
 
 def left_special_count(spec: SubshiftSpec, n: int) -> int:
@@ -45,8 +71,7 @@ class LeftSpecialTree:
 
     @classmethod
     def build(cls, spec: SubshiftSpec, depth: int) -> "LeftSpecialTree":
-        spec.language(max(depth + 1, 0))  # longest first: shorter lengths are its prefixes
-        return cls(depth, tuple(tuple(left_special_words(spec, n)) for n in range(1, depth + 1)))
+        return cls(depth, tuple(left_special_levels(spec, depth)))
 
     def counts(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.levels)

@@ -10,9 +10,12 @@ symbol order and slicing/hashing stay cheap at depth in the thousands.
 
 Every factor of a subshift extends to the right, so the length-``n``
 factors are exactly the length-``n`` prefixes of the length-``m`` factors
-for any ``m > n``.  A presentation therefore answers a new length from the
-nearest longer length it has already computed, and builds a language from
-the presentation itself only when it holds no longer one.
+for any ``m > n``.  A presentation keeps the longest language it has built
+as one sorted list and builds from the presentation itself only when asked
+for a longer length.  A shorter length is the distinct length-``n``
+prefixes of that list, which come out already sorted, and p(n) for every
+``n`` up to its length is read off one histogram of the common-prefix
+lengths of neighbouring words.
 
 Substitution languages are characterised exactly from letter blocks and
 length-2 factors (see :class:`SubstitutionSpec`).  Forbidden-word languages
@@ -90,19 +93,44 @@ class Alphabet:
         return text[: len(text) - self._sep_len]
 
 
+def _prefixes(words, n: int) -> tuple[str, ...]:
+    """The distinct length-``n`` prefixes of the sorted ``words``, sorted:
+    equal prefixes of a sorted list are neighbours."""
+    return tuple(key for key, _ in itertools.groupby(w[:n] for w in words))
+
+
+def common_prefix_length(a: str, b: str) -> int:
+    """Length of the longest common prefix of ``a`` and ``b``, by halving
+    the unchecked span (each symbol is compared about twice)."""
+    lo, hi = 0, min(len(a), len(b))  # a[:lo] == b[:lo]; no longer than hi
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 class SubshiftSpec:
     """Base class: a finite presentation acting as an exact language oracle.
 
     Subclasses implement :meth:`_compute_language`.  All values are
-    immutable after construction; results are cached per length, and a
-    length shorter than a cached one is read off the nearest longer one.
+    immutable after construction.  The longest language built so far is
+    kept as one sorted tuple (the *top*); every shorter length is read off
+    it as distinct prefixes, already sorted, and cached.  Only
+    :meth:`language` builds from the presentation, and only for a length
+    beyond the top.
     """
 
     variant = "abstract"
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
+        self._top_len = 0
+        self._sorted: dict[int, tuple[str, ...]] = {0: ("",)}  # the top and lengths read off it
         self._lang_cache: dict[int, frozenset[str]] = {}
+        self._counts: tuple[int, ...] | None = None  # p(0..top length), read off the top
 
     # -- oracle interface ---------------------------------------------------
 
@@ -112,25 +140,50 @@ class SubshiftSpec:
             raise ValueError("length must be nonnegative")
         if n == 0:
             return frozenset({""})
-        cache = self._lang_cache
-        lang = cache.get(n)
+        lang = self._lang_cache.get(n)
         if lang is None:
-            # Every factor extends to the right, so the length-n factors are
-            # the length-n prefixes of the factors of any longer length.
-            longer = min((m for m in cache if m > n), default=None)
-            if longer is None:
-                lang = frozenset(self._compute_language(n))
+            if n > self._top_len:
+                built = self._compute_language(n)
+                self._top_len, self._counts = n, None
+                self._sorted[n] = tuple(sorted(built))
+                lang = frozenset(built)
             else:
-                lang = frozenset(w[:n] for w in cache[longer])
-            cache[n] = lang
+                lang = frozenset(self.sorted_language(n))
+            self._lang_cache[n] = lang
         return lang
+
+    def sorted_language(self, n: int) -> tuple[str, ...]:
+        """The length-``n`` factors in canonical order, read off the top."""
+        if n < 0:
+            raise ValueError("length must be nonnegative")
+        if n > self._top_len:
+            self.language(n)
+        words = self._sorted.get(n)
+        if words is None:
+            words = self._sorted[n] = _prefixes(self._sorted[self._top_len], n)
+        return words
 
     def _compute_language(self, n: int) -> set[str]:
         raise NotImplementedError
 
+    def factor_counts(self, n: int) -> tuple[int, ...]:
+        """p(0), ..., p(m) for some m >= ``n``, from the top: the
+        length-``j`` prefixes of neighbouring top words differ exactly when
+        their common prefix is shorter than ``j``, so p(j) is one plus the
+        number of neighbours whose common prefix is shorter than ``j``."""
+        if n > self._top_len:
+            self.language(n)
+        if self._counts is None:
+            top = self._sorted[self._top_len]
+            hist = [0] * (self._top_len + 1)
+            for a, b in zip(top, top[1:]):
+                hist[common_prefix_length(a, b)] += 1
+            self._counts = tuple(itertools.accumulate(hist[:-1], initial=1))
+        return self._counts
+
     def complexity(self, n: int) -> int:
         """p(n) = number of distinct length-``n`` factors, exact."""
-        return len(self.language(n))
+        return self.factor_counts(n)[n]
 
     def is_factor(self, word: str) -> bool:
         return word in self.language(len(word))
@@ -314,8 +367,9 @@ class SubstitutionSpec(SubshiftSpec):
       2-factor ``xy`` of ``σᵏ⁻ʲ(a)``.  The factors are the windows of the blocks and of
       the ``2(n-1)``-symbol seams, and every such window is a factor.
 
-    The blocks of the largest power built so far are kept, so a longer
-    length continues from them.
+    The 2-factors are found once, at construction.  The blocks of the
+    largest power built so far are kept, so a longer length continues from
+    them.
     """
 
     variant = "substitution"
@@ -333,6 +387,7 @@ class SubstitutionSpec(SubshiftSpec):
         if not self.is_primitive():
             raise InvalidSpec("substitution is not primitive")
         self._blocks: list[str] = list(alphabet.chars)  # σʲ(c), by letter index
+        self._pairs = frozenset(self._two_factors())  # the length-2 factors
 
     def matrix(self) -> list[list[int]]:
         """M[i][j] = occurrences of symbol j in the image of symbol i."""
@@ -370,7 +425,7 @@ class SubstitutionSpec(SubshiftSpec):
         if n == 1:
             return set(self.alphabet.chars)
         if n == 2:
-            return self._two_factors()
+            return set(self._pairs)
         blocks = self._blocks
         while min(map(len, blocks)) < n - 1:
             # σʲ⁺¹(c) = σʲ(σ(c)), a join of the current blocks
@@ -379,7 +434,7 @@ class SubstitutionSpec(SubshiftSpec):
             ]
         self._blocks = blocks
         out = {b[i : i + n] for b in blocks for i in range(len(b) - n + 1)}
-        for ab in self.language(2):
+        for ab in self._pairs:
             seam = blocks[ord(ab[0]) - _BASE][1 - n :] + blocks[ord(ab[1]) - _BASE][: n - 1]
             out.update(seam[i : i + n] for i in range(n - 1))
         return out
@@ -429,7 +484,7 @@ def enumerate_language(spec: SubshiftSpec, n: int) -> list[str]:
     """Sorted list of the length-``n`` factors (canonical order)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return sorted(spec.language(n))
+    return list(spec.sorted_language(n))
 
 
 def complexity(spec: SubshiftSpec, n: int) -> int:
@@ -458,13 +513,22 @@ def growth_report(spec: SubshiftSpec, horizon: int, threshold=Fraction(2)) -> Gr
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
-    ratios = [Fraction(spec.complexity(n), n) for n in range(1, horizon + 1)]
+    counts = [spec.complexity(n) for n in range(horizon, 0, -1)][::-1]  # longest first
+    ratios = [Fraction(p, n) for n, p in enumerate(counts, start=1)]
     d_hat = min(ratios)
     d_hat_at = ratios.index(d_hat) + 1
     half = [ratios[i] for i in range(horizon // 2 - 1, horizon)]
     increasing = all(a < b for a, b in zip(half, half[1:]))
     flag = increasing and ratios[-1] > threshold
     return GrowthReport(d_hat, d_hat_at, flag, horizon, Fraction(threshold), tuple(ratios))
+
+
+def _left_extendable(spec: SubshiftSpec, n: int) -> bool:
+    """Every length-``n`` factor has a left extension: the ends ``u[1:]`` of
+    the length-``n+1`` factors are all p(n) of them.  A left extension
+    ``av`` of ``v`` also extends every prefix of ``v``, so this covers
+    every shorter length too."""
+    return len({u[1:] for u in spec.language(n + 1)}) == spec.complexity(n)
 
 
 def check_extendability(spec: SubshiftSpec, horizon: int) -> bool:
@@ -480,42 +544,43 @@ def check_extendability(spec: SubshiftSpec, horizon: int) -> bool:
     if isinstance(spec, FullShiftSpec):
         return True
     if isinstance(spec, SFTSpec):
-        short = all(
-            spec.left_extension_count(w) >= 1
-            for m in range(1, min(horizon, spec.order) + 1)
-            for w in spec.language(m)
+        return _left_extendable(spec, min(horizon, spec.order)) and (
+            spec.left_extensions_all_positive()
         )
-        return short and spec.left_extensions_all_positive()
-    return all(
-        spec.left_extension_count(w) >= 1
-        for m in range(1, horizon + 1)
-        for w in spec.language(m)
-    )
+    return _left_extendable(spec, horizon)
 
 
 @dataclass(frozen=True)
 class LanguageTable:
-    """Per-length sorted factor lists with the complexity column."""
+    """The sorted length-``n_max`` factors with the complexity column; every
+    shorter length is read off them."""
 
     spec_echo: dict
     n_max: int
-    words: tuple[tuple[str, ...], ...]  # index n-1 -> sorted factors
-    p: tuple[int, ...]
+    top: tuple[str, ...]  # sorted length-n_max factors
+    p: tuple[int, ...]  # index n-1 -> p(n)
 
     @classmethod
     def build(cls, spec: SubshiftSpec, n_max: int) -> "LanguageTable":
-        spec.language(max(n_max, 0))  # longest first: shorter lengths are its prefixes
-        words = tuple(tuple(enumerate_language(spec, n)) for n in range(1, n_max + 1))
-        return cls(spec.describe(), n_max, words, tuple(len(w) for w in words))
+        if n_max < 1:
+            return cls(spec.describe(), n_max, (), ())
+        top = spec.sorted_language(n_max)
+        return cls(spec.describe(), n_max, top, spec.factor_counts(n_max)[1 : n_max + 1])
+
+    def words(self, n: int) -> tuple[str, ...]:
+        """Sorted length-``n`` factors, 1 <= n <= n_max."""
+        return _prefixes(self.top, n)
 
     def check_factorial(self) -> bool:
-        """Every length-(n-1) factor of every stored word occurs at n-1."""
-        for n in range(2, self.n_max + 1):
-            shorter = set(self.words[n - 2])
-            for w in self.words[n - 1]:
-                if w[:-1] not in shorter or w[1:] not in shorter:
-                    return False
-        return True
+        """Every length-(n-1) factor of every stored word occurs at n-1.
+        Shorter lengths are prefixes of the top words, so the prefix half
+        holds by construction, and the suffix half at every length follows
+        from the top: a top word with its first symbol dropped must be a
+        length-(n_max-1) prefix."""
+        if self.n_max < 2:
+            return True
+        shorter = set(self.words(self.n_max - 1))
+        return all(w[1:] in shorter for w in self.top)
 
     def write_csv(self, directory: str, alphabet: Alphabet, words_cap: int = 2000):
         """Write ``language.csv`` with columns (n, p, words_file) plus one
@@ -525,13 +590,12 @@ class LanguageTable:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n", "p", "words_file"])
-            for n in range(1, self.n_max + 1):
-                ws = self.words[n - 1]
+            for n, count in enumerate(self.p, start=1):
                 ref = ""
-                if len(ws) <= words_cap:
+                if count <= words_cap:
                     ref = f"words_{n:04d}.txt"
                     with open(os.path.join(directory, ref), "w") as wf:
-                        for w in ws:
+                        for w in self.words(n):
                             wf.write(alphabet.decode(w) + "\n")
-                writer.writerow([n, self.p[n - 1], ref])
+                writer.writerow([n, count, ref])
         return path

@@ -9,6 +9,7 @@ the oracles never call the code paths they check.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 
@@ -47,15 +48,21 @@ def substitution_factors_oracle(rules: dict[str, str], seed: str, n: int) -> set
 
 def sft_factors_oracle(alphabet: str, forbidden: set[str], n: int) -> set[str]:
     """All length-n words with no forbidden factor and at least one
-    arbitrarily long right extension (checked out to n + 3*maxlen + 8)."""
+    arbitrarily long right extension (checked out to n + 3*maxlen + 8).
+    A forbidden factor met by a new symbol ends at it, so it lies in the
+    last maxlen symbols: the walk keeps those suffixes of the extensions,
+    not the extensions themselves."""
     ok = lambda w: not any(f in w for f in forbidden)
+    maxlen = max((len(f) for f in forbidden), default=1)
     words = {"".join(t) for t in itertools.product(alphabet, repeat=n) if ok("".join(t))}
-    pad = 3 * max((len(f) for f in forbidden), default=1) + 8
+    pad = 3 * maxlen + 8
     out = set()
     for w in words:
-        frontier = {w}
+        frontier = {w[-maxlen:]}
         for _ in range(pad):
-            frontier = {u + a for u in frontier for a in alphabet if ok((u + a)[-(pad + 1) :])}
+            frontier = {
+                (u + a)[-maxlen:] for u in frontier for a in alphabet if ok((u + a)[-maxlen:])
+            }
             if not frontier:
                 break
         if frontier:
@@ -69,6 +76,47 @@ def left_special_oracle(language_n: set[str], language_n1: set[str], alphabet: s
         for w in language_n
         if sum(1 for a in alphabet if a + w in language_n1) >= 2
     }
+
+
+# -- the language layer, one length at a time --------------------------------
+# The routines the sorted language replaced: a set per length, a Counter of
+# left extensions, and the factorial check at every length.
+
+
+def prefix_sets_oracle(words, n_max: int) -> list[set[str]]:
+    """Index n-1 -> the set of length-n prefixes of ``words``, n = 1..n_max."""
+    return [{w[:n] for w in words} for n in range(1, n_max + 1)]
+
+
+def left_special_counter_oracle(lang_n, lang_n1) -> list[str]:
+    """Sorted length-n words with >= 2 left extensions: the left
+    extensions of w are the length-(n+1) factors ending in it."""
+    ends = Counter(u[1:] for u in lang_n1)
+    return sorted(w for w, ext in ends.items() if ext >= 2 and w in lang_n)
+
+
+def check_factorial_oracle(levels) -> bool:
+    """``levels[n-1]`` holds length-n words: both length-(n-1) factors of
+    every word occur one level up, at every length."""
+    for n in range(2, len(levels) + 1):
+        shorter = set(levels[n - 2])
+        for w in levels[n - 1]:
+            if w[:-1] not in shorter or w[1:] not in shorter:
+                return False
+    return True
+
+
+def prefix_closure_oracle(levels) -> bool:
+    """The length-n prefix of every level-(n+1) word is at level n."""
+    return all(w[:-1] in set(levels[n - 1]) for n in range(1, len(levels)) for w in levels[n])
+
+
+def full_chain_count_oracle(levels) -> int:
+    """Deepest-level words all of whose prefixes are at their levels."""
+    sets = [set(level) for level in levels]
+    return sum(
+        1 for w in levels[-1] if all(w[:m] in sets[m - 1] for m in range(1, len(levels)))
+    )
 
 
 def min_ratio_oracle(counts: list[int]) -> Fraction:

@@ -309,3 +309,46 @@ def test_verify_chain_rejects_stage_params_not_object(chain_dir, tmp_path, capsy
     assert capsys.readouterr().out == (
         "verification failed: stage cover: cannot read cover.json: 'params' is not an object\n"
     )
+
+
+TM_CFG = "variant = substitution\nalphabet = 0 1\nrule.0 = 0 1\nrule.1 = 1 0\n"
+
+
+@pytest.mark.parametrize("big_n, code", [(None, 3), ("78", 3), ("79", 1)])
+def test_big_n_too_small_names_least_n(tmp_path, capsys, big_n, code):
+    # Thue-Morse at depth 250 has d = 11: (d+1)(d+2) = 156 needs N > 156/2
+    path = tmp_path / "tm.cfg"
+    path.write_text(TM_CFG)
+    extra = [] if big_n is None else ["--big-n", big_n]
+    assert main(["certify", "--config", str(path), "--depth", "250", *extra]) == code
+    err = capsys.readouterr().err
+    if code == 3:
+        n = big_n or "37"
+        assert err == (
+            f"bad parameter in stage amen: (d+1)(d+2)/N = 156/{n} not below 2; "
+            "N must be at least 79\n"
+        )
+    else:
+        assert "bad parameter" not in err
+
+
+def test_resolution_cycle_is_inconclusive(fib_cfg, capsys):
+    # Fibonacci is aperiodic: the cover's 13-cycle is an artefact of depth 24
+    assert main(["certify", "--config", fib_cfg]) == 2
+    assert capsys.readouterr().err == (
+        "inconclusive at this depth in stage rokhlin: cycle of length 13 within the 3N "
+        "window (15); the resolution cannot support towers of this height; the shift has "
+        "no periodic point of period <= 13, so the cycle is an artefact of the resolution\n"
+    )
+
+
+def test_real_periodic_cycle_fails(tmp_path, capsys):
+    # the golden mean shift holds the fixed point 0^inf
+    path = tmp_path / "golden.cfg"
+    path.write_text(SFT_CFG)
+    assert main(["certify", "--config", str(path), "--depth", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("failed in stage rokhlin: cycle of length 1 within the 3N window")
+    assert err.endswith(
+        "the shift has a periodic point of period <= 1, so the cycle is a real periodic point\n"
+    )
