@@ -30,7 +30,8 @@ for n in (1, 2, 3, 5, 8):
 tree = LeftSpecialTree.build(tm, 12)
 print("\n== thue-morse left special counts by length ==")
 print(" counts:", tree.counts())
-print(" prefix closure holds:", tree.check_prefix_closure())
+closed = all(w[:-1] in tree.levels[n - 1] for n in range(1, tree.depth) for w in tree.levels[n])
+print(" prefix closure holds:", closed)
 
 print("\n== branch estimates ==")
 rep = sp_estimate(fib, 50)

@@ -23,7 +23,7 @@ specials = cover_special_states(graph)
 print(f"arena: {graph.num_states} states, merge states {specials}, "
       f"shortest cycle {sys.min_cycle_length(100)}")
 
-cover = build_rokhlin_cover(sys, 5, specials)
+cover = build_rokhlin_cover(sys, 5)
 print(f"\ncover of height 5: {len(cover.towers)} towers "
       f"(bound 2q + 2 = {2 * len(specials) + 2})")
 for idx, tower in enumerate(cover.towers):

@@ -17,7 +17,6 @@ from shiftdim import (
     build_phase_pairs,
     build_rokhlin_cover,
     check_equivariance,
-    cover_special_states,
     fibonacci_spec,
     isolated_orbit_window,
     pairs_from_rokhlin,
@@ -26,8 +25,7 @@ from shiftdim import (
 
 graph = build_cover_graph(fibonacci_spec(), 981, 6)
 sys = graph.system
-specials = cover_special_states(graph)
-cover = build_rokhlin_cover(sys, 5, specials)
+cover = build_rokhlin_cover(sys, 5)
 print(f"arena: {graph.num_states} states, {len(cover.towers)} towers, "
       f"cycle {sys.min_cycle_length(2000)}")
 
@@ -43,12 +41,12 @@ d = 2 * len(cover.towers) - 1
 N = 37
 orbit = isolated_orbit_window(graph)
 carrier = sys.without_entries_into(orbit)
-phase = build_phase_pairs(carrier, d + 1, list(range(-N, N + 1)), d_claimed=d)
+phase = build_phase_pairs(carrier, d + 1, list(range(-N, N + 1)))
 print(f" {len(phase.pairs)} single-state bases, exponent interval 0..{phase.height - 1}")
 pcert = verify_tower_pairs(carrier, phase)
 print(" pair clauses verdict:", pcert.verdict)
 
-emap = build_equivariant_map(sys, phase, (-1, 0, 1), N, specials, Fraction(2), orbit)
+emap = build_equivariant_map(sys, phase, (-1, 0, 1), N, Fraction(2), orbit)
 bound = Fraction((d + 1) * (d + 2), N)
 print(f"\n d = {d}, N = {N}: measured deviation {emap.epsilon_achieved} "
       f"<= bound {bound} = {float(bound):.4f}")

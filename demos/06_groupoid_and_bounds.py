@@ -31,13 +31,13 @@ print(" S = {0..4}  ->  F =", difference_set(range(5)))
 graph = build_cover_graph(fibonacci_spec(), 981, 6)
 sys = graph.system
 specials = cover_special_states(graph)
-cover = build_rokhlin_cover(sys, 5, specials)
+cover = build_rokhlin_cover(sys, 5)
 d, N = 2 * len(cover.towers) - 1, 37
 orbit = isolated_orbit_window(graph)
 carrier = sys.without_entries_into(orbit)
-phase = build_phase_pairs(carrier, d + 1, list(range(-N, N + 1)), d_claimed=d)
+phase = build_phase_pairs(carrier, d + 1, list(range(-N, N + 1)))
 verify_tower_pairs(carrier, phase)
-emap = build_equivariant_map(sys, phase, (-1, 0, 1), N, specials, Fraction(2), orbit)
+emap = build_equivariant_map(sys, phase, (-1, 0, 1), N, Fraction(2), orbit)
 ecert = check_equivariance(sys, emap, (-1, 0, 1), Fraction(2), orbit)
 
 window = build_window(sys, (-1, 0, 1), 2)
@@ -45,7 +45,7 @@ print(f"\n== groupoid window ==\n elements: {len(window)}, "
       f"units included: {window.check_unit_inclusion()}, "
       f"inversion-closed: {window.check_inversion_closure()}")
 
-dad = build_dad_cover(window, emap, specials, d, orbit | set(specials), ecert)
+dad = build_dad_cover(window, emap, specials, orbit | set(specials), ecert)
 cert = verify_dad_cover(window, dad)
 print("\n== cover certificate ==")
 for clause in cert.clauses:

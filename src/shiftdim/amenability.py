@@ -23,9 +23,9 @@ over a denominator, compared by cross-multiplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import floor, gcd
+from math import gcd
 
 from .certificates import Certificate, Clause
 from .errors import (
@@ -143,8 +143,7 @@ class EquivariantMap:
     d: int
     epsilon_achieved: Fraction
     support_window: tuple[int, ...]
-    # construction internals kept for diagnostics and invariant tests
-    levels: tuple[dict, ...] = ()
+    # per pair, the tent level of each exponent; kept for invariant tests
     tents: tuple[dict, ...] = ()
 
     def point(self, state: int) -> SimplexPoint:
@@ -189,7 +188,6 @@ def build_equivariant_map(
     tps: TowerPairSystem,
     E,
     N: int,
-    special_states,
     target_epsilon,
     orbit_window=frozenset(),
 ) -> EquivariantMap:
@@ -203,10 +201,12 @@ def build_equivariant_map(
     E = normalize_window(E)
     eps = Fraction(target_epsilon)
     d = tps.d_claimed
-    if Fraction((d + 1) * (d + 2), N) >= eps:
+    bound = (d + 1) * (d + 2)
+    # (d+1)(d+2)/N < eps, cross-multiplied so that N <= 0 fails too
+    if bound * eps.denominator >= eps.numerator * N:
         raise NTooSmall(
-            f"(d+1)(d+2)/N = {(d + 1) * (d + 2)}/{N} not below {eps}; "
-            f"N must be at least {floor((d + 1) * (d + 2) / eps) + 1}"
+            f"(d+1)(d+2)/N = {bound}/{N} not below {eps}; "
+            f"N must be at least {bound * eps.denominator // eps.numerator + 1}"
         )
     if not sys.surjective_flag:
         raise NotSurjective("fiber maxima need every state to have a predecessor")
@@ -245,21 +245,11 @@ def build_equivariant_map(
         d=d,
         epsilon_achieved=Fraction(0),
         support_window=tuple(support),
-        levels=tuple(tps.level_of),
         tents=tuple(tents),
     )
     cert = check_equivariance(sys, emap, E, eps, orbit_window)
     achieved = Fraction(str(cert.params["max_regular_deviation"]))
-    return EquivariantMap(
-        assignment=emap.assignment,
-        window_set=E,
-        resolution=N,
-        d=d,
-        epsilon_achieved=achieved,
-        support_window=emap.support_window,
-        levels=emap.levels,
-        tents=emap.tents,
-    )
+    return replace(emap, epsilon_achieved=achieved)
 
 
 def _window_edges(sys: FiniteSymbolicSystem, E):
@@ -396,14 +386,5 @@ def project_finite_support(emap: EquivariantMap, S, delta) -> tuple[EquivariantM
         if moved[0] * worst[1] > worst[0] * moved[1]:
             worst = moved
         new_points.append(q)
-    projected = EquivariantMap(
-        assignment=tuple(new_points),
-        window_set=emap.window_set,
-        resolution=emap.resolution,
-        d=emap.d,
-        epsilon_achieved=emap.epsilon_achieved,
-        support_window=tuple(sorted(S)),
-        levels=emap.levels,
-        tents=emap.tents,
-    )
+    projected = replace(emap, assignment=tuple(new_points), support_window=tuple(sorted(S)))
     return projected, Fraction(*worst)

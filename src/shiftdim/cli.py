@@ -16,7 +16,14 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .certificates import Certificate
-from .errors import ConfigError, DepthInsufficient, NTooSmall, ShiftDimError
+from .errors import (
+    ConfigError,
+    DepthInsufficient,
+    HeightMismatch,
+    InvalidSpec,
+    NTooSmall,
+    ShiftDimError,
+)
 from .pipeline import (
     PipelineParams,
     recheck_certificate,
@@ -33,17 +40,18 @@ EXIT_USAGE = 3
 
 
 def _add_common(p: argparse.ArgumentParser):
+    # the chain flags default to None: PipelineParams holds their defaults
     p.add_argument("--config", required=True, help="subshift presentation file")
     p.add_argument("--out", default=None, help="artifact directory")
-    p.add_argument("--depth", type=int, default=24, help="prefix length k / report depth")
-    p.add_argument("--past-len", type=int, default=6, help="past length l")
-    p.add_argument("--cover-horizon", type=int, default=None, help="cover horizon (default k + l)")
-    p.add_argument("--horizon", type=int, default=20, help="language horizon")
-    p.add_argument("--height", type=int, default=5, help="tower height N")
-    p.add_argument("--big-n", type=int, default=37, help="map resolution N")
-    p.add_argument("--epsilon", default="2", help="target epsilon as P/Q")
-    p.add_argument("--window", default="-1,0,1", help="window set E, comma-separated")
-    p.add_argument("--exponent-bound", type=int, default=2, help="groupoid witness bound")
+    p.add_argument("--depth", type=int, help="prefix length k / report depth")
+    p.add_argument("--past-len", type=int, help="past length l")
+    p.add_argument("--cover-horizon", type=int, help="cover horizon (default k + l)")
+    p.add_argument("--horizon", type=int, help="language horizon")
+    p.add_argument("--height", type=int, help="tower height N")
+    p.add_argument("--big-n", type=int, help="map resolution N")
+    p.add_argument("--epsilon", help="target epsilon as P/Q")
+    p.add_argument("--window", help="window set E, comma-separated")
+    p.add_argument("--exponent-bound", type=int, help="groupoid witness bound")
 
 
 def _window(arg: str) -> tuple[int, ...]:
@@ -84,19 +92,18 @@ def _params(args) -> PipelineParams:
             config_text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}")
-    return PipelineParams(
-        config_text=config_text,
-        out_dir=args.out,
-        horizon=args.horizon,
-        depth=args.depth,
-        past_len=args.past_len,
-        cover_horizon=args.cover_horizon,
-        height=args.height,
-        window_set=_window(args.window),
-        big_n=args.big_n,
-        epsilon=_epsilon(args.epsilon),
-        exponent_bound=args.exponent_bound,
-    )
+    given = {
+        name: getattr(args, name)
+        for name in (
+            "horizon", "depth", "past_len", "cover_horizon", "height", "big_n", "exponent_bound"
+        )
+        if getattr(args, name) is not None
+    }
+    if args.window is not None:
+        given["window_set"] = _window(args.window)
+    if args.epsilon is not None:
+        given["epsilon"] = _epsilon(args.epsilon)
+    return PipelineParams(config_text=config_text, out_dir=args.out, **given)
 
 
 def main(argv=None) -> int:
@@ -158,7 +165,7 @@ def main(argv=None) -> int:
             return EXIT_PASS if overall == "pass" else EXIT_FAIL
         if args.command == "special":
             # the report depth, which certify takes from --horizon
-            params = replace(params, horizon=args.depth)
+            params = replace(params, horizon=params.depth)
         certs = run_stages(params, [args.command])
         for name, cert in certs.items():
             _emit(cert, args.out, name)
@@ -166,7 +173,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error{_in_stage(exc)}: {exc}", file=_sys.stderr)
         return EXIT_USAGE
-    except NTooSmall as exc:
+    except (NTooSmall, InvalidSpec, HeightMismatch) as exc:
         print(f"bad parameter{_in_stage(exc)}: {exc}", file=_sys.stderr)
         return EXIT_USAGE
     except DepthInsufficient as exc:

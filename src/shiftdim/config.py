@@ -6,7 +6,8 @@ The format is flat ``key = value`` lines, ``#`` comments.  Keys:
     alphabet  = space-separated symbol names
     rule.SYM  = image word of SYM (substitution variants)
     forbidden = space-separated forbidden words (sft variant)
-    horizon   = default horizon for language operations (optional)
+
+A key the variant does not read is refused.
 
 Words are space-separated symbol tokens; a single token is split into
 characters when every alphabet symbol is one character.
@@ -44,7 +45,8 @@ def _word_tokens(value: str, alphabet: Alphabet) -> list[str]:
 
 
 def spec_from_config(text: str) -> tuple[SubshiftSpec, dict[str, str]]:
-    """Build the presented subshift; returns (spec, remaining options)."""
+    """Build the presented subshift; returns (spec, {}).  A key the
+    variant does not read raises ConfigError."""
     table = parse_config_text(text)
     variant = table.pop("variant", None)
     if variant is None:
@@ -78,4 +80,6 @@ def spec_from_config(text: str) -> tuple[SubshiftSpec, dict[str, str]]:
         spec = SubstitutionSpec(alphabet, rules)
     else:
         raise ConfigError(f"unknown variant {variant!r}")
-    return spec, table
+    if table:
+        raise ConfigError(f"unknown key {next(iter(table))!r} for variant {variant!r}")
+    return spec, {}

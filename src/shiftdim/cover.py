@@ -97,9 +97,9 @@ class CoverGraph:
 
     def __init__(self, spec: SubshiftSpec, k: int, l: int, horizon: int):
         if k < 1 or l < 1:
-            raise InvalidSpec("k and l must be >= 1")
+            raise InvalidSpec(f"k = {k} and l = {l} must be >= 1")
         if horizon < k + l:
-            raise InvalidSpec("horizon must be >= k + l")
+            raise InvalidSpec(f"horizon {horizon} must be >= k + l = {k + l}")
         self.spec = spec
         self.k = k
         self.l = l

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .amenability import EquivariantMap
 from .certificates import Certificate, Clause
-from .errors import MissingEquivarianceCertificate
+from .errors import InvalidSpec, MissingEquivarianceCertificate
 from .simplex import cover_index
 from .systems import FiniteSymbolicSystem
 from .towers import normalize_window
@@ -27,8 +27,11 @@ class GroupoidWindow:
 
     def __init__(self, sys: FiniteSymbolicSystem, E, exponent_bound: int):
         E = normalize_window(E)
-        if exponent_bound < max(abs(n) for n in E):
-            raise ValueError("exponent bound below max |n| of the window set")
+        max_n = max(abs(n) for n in E)
+        if exponent_bound < max_n:
+            raise InvalidSpec(
+                f"exponent bound {exponent_bound} below max |n| = {max_n} of the window set"
+            )
         self.sys = sys
         self.E = E
         self.exponent_bound = exponent_bound
@@ -112,16 +115,17 @@ def build_dad_cover(
     window: GroupoidWindow,
     map_prime: EquivariantMap,
     special_states,
-    d: int,
     orbit_states,
     equivariance_certificate: Certificate,
 ) -> DadCover:
-    """Pieces U_i = (states sent into the i-th skeleton ring) united with
-    the special-orbit window; F is the difference set of the support."""
+    """Pieces U_i (i = 0..d, with d the map's) = (states sent into the
+    i-th skeleton ring) united with the special-orbit window; F is the
+    difference set of the support."""
     if equivariance_certificate is None or not equivariance_certificate.passed:
         raise MissingEquivarianceCertificate(
             "dad cover needs a passing equivariance certificate for the map"
         )
+    d = map_prime.d
     orbit = frozenset(orbit_states) | frozenset(special_states)
     pieces = [set() for _ in range(d + 1)]
     for x in range(window.sys.num_states):

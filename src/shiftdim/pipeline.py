@@ -60,7 +60,8 @@ from .words import LanguageTable, SubshiftSpec
 
 @dataclass
 class PipelineParams:
-    """Everything a chain run needs; mirrors the CLI flags."""
+    """Everything a chain run needs.  The chain defaults live here alone:
+    the CLI passes only the flags it was given."""
 
     config_text: str
     out_dir: str | None = None
@@ -73,7 +74,6 @@ class PipelineParams:
     big_n: int = 37
     epsilon: Fraction = Fraction(2)
     exponent_bound: int = 2
-    words_cap: int = 2000
 
     def spec(self) -> SubshiftSpec:
         spec, _ = spec_from_config(self.config_text)
@@ -89,7 +89,7 @@ def write_file(out_dir: str, name: str, text: str) -> None:
 # -- individual stages --------------------------------------------------------
 
 
-def run_lang(spec: SubshiftSpec, horizon: int, out_dir: str | None, words_cap: int = 2000):
+def run_lang(spec: SubshiftSpec, horizon: int, out_dir: str | None):
     table = LanguageTable.build(spec, horizon)
     clauses = [
         Clause("factorial", table.check_factorial(), ""),
@@ -105,7 +105,7 @@ def run_lang(spec: SubshiftSpec, horizon: int, out_dir: str | None, words_cap: i
         clauses=clauses,
     )
     if out_dir:
-        table.write_csv(out_dir, spec.alphabet, words_cap)
+        table.write_csv(out_dir, spec.alphabet)
     return table, cert
 
 
@@ -183,9 +183,8 @@ def run_rokhlin(graph: CoverGraph, height: int):
     word of at most its length; otherwise it is an artefact of the
     resolution."""
     sys = graph.system
-    specials = cover_special_states(graph)
     try:
-        cover = build_rokhlin_cover(sys, height, specials)
+        cover = build_rokhlin_cover(sys, height)
     except PeriodicWitness as exc:
         if aperiodicity_window_check(graph.spec, exc.length):
             raise DepthInsufficient(
@@ -211,17 +210,16 @@ def run_amen(graph: CoverGraph, cover: RokhlinCover, window_set, big_n: int, eps
     """Equivariant-map stage: staggered-phase pairs sized for the full
     big_n-fold sumset margin, map construction, exact deviation split."""
     sys = graph.system
-    specials = cover_special_states(graph)
     d = 2 * len(cover.towers) - 1
     orbit = isolated_orbit_window(graph)
     entry_free = sys.without_entries_into(orbit)
     max_e = max(abs(n) for n in normalize_window(window_set))
     margin = list(range(-big_n * max_e, big_n * max_e + 1))
-    tps = build_phase_pairs(entry_free, d + 1, margin, d_claimed=d)
+    tps = build_phase_pairs(entry_free, d + 1, margin)
     pair_cert = _stamp(
         verify_tower_pairs(entry_free, tps), graph, tps=tps, carrier="entry-free"
     )
-    emap = build_equivariant_map(sys, tps, window_set, big_n, specials, epsilon, orbit)
+    emap = build_equivariant_map(sys, tps, window_set, big_n, epsilon, orbit)
     eq_cert = _stamp(
         check_equivariance(sys, emap, window_set, epsilon, orbit),
         graph, emap=emap, tps=tps, orbit=orbit,
@@ -245,7 +243,7 @@ def run_dad(
         write_file(out_dir, "window_elements.txt", window.to_text())
     projected, moved = project_finite_support(emap, emap.support_window, Fraction(1, 2))
     eq_cert = check_equivariance(sys, projected, window_set, epsilon, orbit)
-    cover = build_dad_cover(window, projected, specials, emap.d, orbit, eq_cert)
+    cover = build_dad_cover(window, projected, specials, orbit, eq_cert)
     cert = _stamp(
         verify_dad_cover(window, cover), graph,
         cover=cover, projected=projected, moved=moved, epsilon=epsilon,
@@ -303,7 +301,7 @@ STAGES = {
     "spec": Stage((), (), lambda p, b: (p.spec(),)),
     "lang": Stage(
         ("spec",), ("lang",),
-        lambda p, b: run_lang(b["spec"], p.horizon, p.out_dir, p.words_cap),
+        lambda p, b: run_lang(b["spec"], p.horizon, p.out_dir),
     ),
     "special": Stage(
         ("spec",), ("special",), lambda p, b: run_special(b["spec"], max(p.horizon, 4))

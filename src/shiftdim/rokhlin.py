@@ -26,6 +26,7 @@ from .errors import (
     ConstructionFailed,
     DepthInsufficient,
     HypothesisViolated,
+    InvalidSpec,
     NotSurjective,
     PeriodicWitness,
 )
@@ -130,19 +131,13 @@ def _chain_extend(sys, W, x, N: int, swept: set) -> frozenset:
     return W | new
 
 
-def build_rokhlin_cover(
-    sys: FiniteSymbolicSystem,
-    N: int,
-    special_states,
-) -> RokhlinCover:
-    """Cover the state space with at most 2q + 2 towers of height N."""
+def build_rokhlin_cover(sys: FiniteSymbolicSystem, N: int) -> RokhlinCover:
+    """Cover the state space with at most 2q + 2 towers of height N, where
+    the q special states are the merge states of ``sys``."""
     if N < 1:
-        raise ValueError("height must be >= 1")
+        raise InvalidSpec(f"tower height N = {N} must be >= 1")
     if not sys.surjective_flag:
         raise NotSurjective("every state needs a predecessor")
-    specials = sorted(special_states)
-    if specials != sys.special_states():
-        raise ValueError("special_states must be exactly the merge states")
     if N == 1:
         cover = RokhlinCover(1, (RokhlinTower.from_base(sys, sys.all_states(), 1),))
         cert = verify_rokhlin_cover(sys, cover)
@@ -160,7 +155,7 @@ def build_rokhlin_cover(
     # Towers for each special state: its first 2N preimage levels, split
     # into two height-N blocks.
     cone: set = set()
-    for w in specials:
+    for w in sys.special_states():
         levels = tuple(sys.preimage_levels({w}, 2 * N))
         if overlapping_pair(levels) is not None:
             raise DepthInsufficient("special cone levels overlap")

@@ -12,6 +12,8 @@ presentation's sorted top language and re-sorted as pairs
 ``(u[1:], u[0])``.  The pairs whose end ``u[1:]`` starts with a given
 word are neighbours, so that word is left special exactly when two
 neighbouring pairs share it as a prefix and have different first letters.
+Every prefix of such a word is then shared by the same two pairs, so the
+levels are prefix closed by construction.
 """
 
 from __future__ import annotations
@@ -55,16 +57,18 @@ def left_special_words(spec: SubshiftSpec, n: int) -> list[str]:
 
 
 def left_special_count(spec: SubshiftSpec, n: int) -> int:
-    """|LS(n)|, via graph counting for forbidden-word presentations (exact
-    at any length) and enumeration otherwise."""
-    if isinstance(spec, SFTSpec):
+    """|LS(n)|, by path counting on the graph of a forbidden-word
+    presentation from its order on, and by enumeration otherwise."""
+    if isinstance(spec, SFTSpec) and n >= spec.order:
         return spec.left_special_count(n)
     return len(left_special_words(spec, n))
 
 
 @dataclass(frozen=True)
 class LeftSpecialTree:
-    """Per-length left special sets."""
+    """Per-length left special sets.  The length-n prefix of every word at
+    level n+1 is at level n (see :func:`left_special_levels`), so every
+    deepest-level word has its whole prefix chain in the tree."""
 
     depth: int
     levels: tuple[tuple[str, ...], ...]  # index n-1 -> sorted LS words
@@ -75,23 +79,6 @@ class LeftSpecialTree:
 
     def counts(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.levels)
-
-    def check_prefix_closure(self) -> bool:
-        """The length-n prefix of every LS word of length n+1 is LS."""
-        for n in range(1, self.depth):
-            shorter = set(self.levels[n - 1])
-            if any(w[:-1] not in shorter for w in self.levels[n]):
-                return False
-        return True
-
-    def full_chain_count(self) -> int:
-        """Deepest-level words whose entire prefix chain is left special."""
-        count = 0
-        level_sets = [set(level) for level in self.levels]
-        for w in self.levels[self.depth - 1]:
-            if all(w[:m] in level_sets[m - 1] for m in range(1, self.depth)):
-                count += 1
-        return count
 
 
 @dataclass(frozen=True)
@@ -117,16 +104,16 @@ def sp_estimate(spec: SubshiftSpec, depth: int) -> SpecialReport:
     """Estimate the number of infinite left special branches at ``depth``.
 
     ``branch_lower`` counts deepest-level words with a fully left special
-    prefix chain; the upper bound equals it only when the per-length counts
+    prefix chain, which is every deepest-level word (the tree is prefix
+    closed); the upper bound equals it only when the per-length counts
     are constant over the last quarter of depths.  The growth surrogate
     d_hat and the bound ceil(2 d_hat) are reported alongside; a superlinear
     warning marks runs where the finiteness hypothesis fails.
     """
     if depth < 4:
         raise ValueError("depth must be >= 4")
-    tree = LeftSpecialTree.build(spec, depth)
-    counts = tree.counts()
-    lower = tree.full_chain_count()
+    counts = LeftSpecialTree.build(spec, depth).counts()
+    lower = counts[-1]
     quarter = counts[depth - max(depth // 4, 2) :]
     stabilized = len(set(quarter)) == 1
     growth = growth_report(spec, depth)

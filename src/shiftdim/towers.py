@@ -16,7 +16,7 @@ from itertools import islice
 from .certificates import Certificate, Clause
 from .errors import DepthInsufficient, HeightMismatch
 from .rokhlin import RokhlinCover
-from .systems import ClopenSet, FiniteSymbolicSystem
+from .systems import ClopenSet, FiniteSymbolicSystem, overlapping_pair
 
 
 def normalize_window(E) -> tuple[int, ...]:
@@ -97,20 +97,14 @@ def _cycle_through(sys: FiniteSymbolicSystem, start: int) -> list[int]:
 
 
 def _first_collision_depth(sys: FiniteSymbolicSystem, base, maxdepth: int) -> int:
-    seen: set = set()
-    for d, level in enumerate(sys.preimage_levels(base, maxdepth + 1)):
-        if level & seen:
-            return d
-        seen |= level
-    return maxdepth + 1
+    """The first preimage level of ``base`` that meets an earlier one, or
+    ``maxdepth + 1`` when levels 0..maxdepth are pairwise disjoint."""
+    pair = overlapping_pair(sys.preimage_levels(base, maxdepth + 1))
+    return maxdepth + 1 if pair is None else pair[1]
 
 
 def build_phase_pairs(
-    sys: FiniteSymbolicSystem,
-    pair_count: int,
-    margin_window,
-    *,
-    d_claimed: int | None = None,
+    sys: FiniteSymbolicSystem, pair_count: int, margin_window
 ) -> TowerPairSystem:
     """Pair system for symmetric windows: staggered hitting-time phases.
 
@@ -122,7 +116,8 @@ def build_phase_pairs(
     base at an exponent with full symmetric margin, while the interval
     stays below the first self-collision depth of each base (that keeps
     the level sets of a pair pairwise disjoint and hence the pair count
-    an upper bound for the chromatic number).
+    an upper bound for the chromatic number).  The claimed dimension is
+    ``pair_count - 1``.
     """
     margin_window = normalize_window(margin_window)
     rise = max(abs(n) for n in margin_window)
@@ -143,68 +138,53 @@ def build_phase_pairs(
         )
     S = range(span + 1)
     pairs = [TowerPair(frozenset({b}), S, "phase", j) for j, b in enumerate(bases)]
-    tps = TowerPairSystem(
-        pairs,
-        margin_window,
-        pair_count - 1 if d_claimed is None else d_claimed,
-        M=2 * rise + 1,
-    )
-    return tps
+    return TowerPairSystem(pairs, margin_window, pair_count - 1, M=2 * rise + 1)
 
 
-def chromatic_number(family, exact_limit: int = 20) -> tuple[int, bool]:
-    """Chromatic number of the intersection graph of the sets.
+# Most nonempty sets chromatic_number colours by exhaustive search.
+EXACT_COLORING_LIMIT = 20
 
-    Exact by backtracking when at most ``exact_limit`` sets are nonempty;
-    otherwise a greedy proper coloring gives a flagged upper bound.
-    Returns (value, exact_flag).
-    """
-    sets = [frozenset(s) for s in family]
-    idx = [i for i, s in enumerate(sets) if s]
-    n = len(idx)
+
+def chromatic_number(family) -> int:
+    """Exact chromatic number of the intersection graph of the sets, by
+    backtracking.  At most ``EXACT_COLORING_LIMIT`` sets may be nonempty;
+    more raise ValueError, so the search never runs unbounded."""
+    sets = [frozenset(s) for s in family if s]
+    n = len(sets)
+    if n > EXACT_COLORING_LIMIT:
+        raise ValueError(f"{n} nonempty sets, above {EXACT_COLORING_LIMIT}")
     if n == 0:
-        return 0, True
+        return 0
     adj = [[False] * n for _ in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
-            if sets[idx[a]] & sets[idx[b]]:
+            if sets[a] & sets[b]:
                 adj[a][b] = adj[b][a] = True
-    if n <= exact_limit:
-        order = sorted(range(n), key=lambda v: -sum(adj[v]))
+    order = sorted(range(n), key=lambda v: -sum(adj[v]))
 
-        def can_color(colors: int) -> bool:
-            assignment = [-1] * n
+    def can_color(colors: int) -> bool:
+        assignment = [-1] * n
 
-            def place(pos: int, used_colors: int) -> bool:
-                if pos == n:
-                    return True
-                v = order[pos]
-                used = {assignment[u] for u in range(n) if adj[v][u] and assignment[u] >= 0}
-                # canonical order: at most one fresh color per step
-                for c in range(min(colors, used_colors + 1)):
-                    if c not in used:
-                        assignment[v] = c
-                        if place(pos + 1, max(used_colors, c + 1)):
-                            return True
-                        assignment[v] = -1
-                return False
+        def place(pos: int, used_colors: int) -> bool:
+            if pos == n:
+                return True
+            v = order[pos]
+            used = {assignment[u] for u in range(n) if adj[v][u] and assignment[u] >= 0}
+            # canonical order: at most one fresh color per step
+            for c in range(min(colors, used_colors + 1)):
+                if c not in used:
+                    assignment[v] = c
+                    if place(pos + 1, max(used_colors, c + 1)):
+                        return True
+                    assignment[v] = -1
+            return False
 
-            return place(0, 0)
+        return place(0, 0)
 
-        k = 1
-        while not can_color(k):
-            k += 1
-        return k, True
-    colors: list[int] = []
-    assigned: list[int] = []
-    for v in range(n):
-        used = {assigned[u] for u in range(v) if adj[v][u]}
-        c = 0
-        while c in used:
-            c += 1
-        assigned.append(c)
-        colors.append(c)
-    return max(assigned) + 1, False
+    k = 1
+    while not can_color(k):
+        k += 1
+    return k
 
 
 def verify_tower_pairs(sys: FiniteSymbolicSystem, tps: TowerPairSystem) -> Certificate:
@@ -232,12 +212,12 @@ def verify_tower_pairs(sys: FiniteSymbolicSystem, tps: TowerPairSystem) -> Certi
     tps.level_of = level_of
     clauses.append(Clause("(2-as-read)-level-disjointness", not wit2, wit2))
     nonempty = sum(1 for s in level_sets if s)
-    if nonempty <= 20:
-        chrom, exact = chromatic_number(level_sets)
+    if nonempty <= EXACT_COLORING_LIMIT:
+        chrom = chromatic_number(level_sets)
         wit3 = f"exact chromatic {chrom}"
     else:
         # pair-index coloring is proper by clause (2); its size is the bound
-        chrom, exact = len(tps.pairs), False
+        chrom = len(tps.pairs)
         wit3 = f"upper bound only: pair coloring with {chrom} colors"
     ok3 = chrom <= tps.d_claimed + 1
     clauses.append(Clause("(3)-chromatic-bound", ok3, f"{wit3} <= d+1 = {tps.d_claimed + 1}"))

@@ -30,7 +30,7 @@ from __future__ import annotations
 import csv
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptyLanguage, InvalidSpec
@@ -38,6 +38,9 @@ from .errors import EmptyLanguage, InvalidSpec
 # Internal word encoding: character for symbol index i.
 _BASE = 48
 MAX_ALPHABET = 64
+# LanguageTable.write_csv writes a words file for a length with at most
+# this many factors.
+WORDS_CAP = 2000
 
 
 def _chr(i: int) -> str:
@@ -117,10 +120,11 @@ class SubshiftSpec:
 
     Subclasses implement :meth:`_compute_language`.  All values are
     immutable after construction.  The longest language built so far is
-    kept as one sorted tuple (the *top*); every shorter length is read off
-    it as distinct prefixes, already sorted, and cached.  Only
-    :meth:`language` builds from the presentation, and only for a length
-    beyond the top.
+    kept as one sorted tuple (the *top*), the only sorted store: every
+    shorter length is read off it as distinct prefixes, already sorted,
+    and handed out without being kept.  The frozensets that serve
+    :meth:`is_factor` are cached per length.  Only :meth:`language` builds
+    from the presentation, and only for a length beyond the top.
     """
 
     variant = "abstract"
@@ -128,7 +132,7 @@ class SubshiftSpec:
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
         self._top_len = 0
-        self._sorted: dict[int, tuple[str, ...]] = {0: ("",)}  # the top and lengths read off it
+        self._top: tuple[str, ...] = ("",)  # the sorted length-_top_len factors
         self._lang_cache: dict[int, frozenset[str]] = {}
         self._counts: tuple[int, ...] | None = None  # p(0..top length), read off the top
 
@@ -145,7 +149,7 @@ class SubshiftSpec:
             if n > self._top_len:
                 built = self._compute_language(n)
                 self._top_len, self._counts = n, None
-                self._sorted[n] = tuple(sorted(built))
+                self._top = tuple(sorted(built))
                 lang = frozenset(built)
             else:
                 lang = frozenset(self.sorted_language(n))
@@ -153,15 +157,13 @@ class SubshiftSpec:
         return lang
 
     def sorted_language(self, n: int) -> tuple[str, ...]:
-        """The length-``n`` factors in canonical order, read off the top."""
+        """The length-``n`` factors in canonical order: the top itself, or
+        its length-``n`` prefixes, which are not kept."""
         if n < 0:
             raise ValueError("length must be nonnegative")
         if n > self._top_len:
             self.language(n)
-        words = self._sorted.get(n)
-        if words is None:
-            words = self._sorted[n] = _prefixes(self._sorted[self._top_len], n)
-        return words
+        return self._top if n == self._top_len else _prefixes(self._top, n)
 
     def _compute_language(self, n: int) -> set[str]:
         raise NotImplementedError
@@ -174,7 +176,7 @@ class SubshiftSpec:
         if n > self._top_len:
             self.language(n)
         if self._counts is None:
-            top = self._sorted[self._top_len]
+            top = self._top
             hist = [0] * (self._top_len + 1)
             for a, b in zip(top, top[1:]):
                 hist[common_prefix_length(a, b)] += 1
@@ -321,12 +323,10 @@ class SFTSpec(SubshiftSpec):
 
     def left_special_count(self, n: int) -> int:
         """Number of length-``n`` factors with >= 2 one-symbol left
-        extensions, counted exactly on the graph for n >= order."""
-        self._build_graph()
+        extensions, counted exactly on the graph; needs n >= order."""
         if n < self.order:
-            from .special import left_special_words
-
-            return len(left_special_words(self, n))
+            raise ValueError(f"graph counting needs n >= order = {self.order}")
+        self._build_graph()
         counts = self._path_counts(n - self.order)
         return sum(c for v, c in counts.items() if self._indeg[v] >= 2)
 
@@ -498,18 +498,19 @@ class GrowthReport:
     d_hat: Fraction
     d_hat_at: int
     superlinear_flag: bool
-    horizon: int
-    threshold: Fraction
-    ratios: tuple[Fraction, ...] = field(repr=False)
 
 
-def growth_report(spec: SubshiftSpec, horizon: int, threshold=Fraction(2)) -> GrowthReport:
+# p(n)/n above this at the horizon, after rising, flags superlinear growth
+SUPERLINEAR_RATIO = 2
+
+
+def growth_report(spec: SubshiftSpec, horizon: int) -> GrowthReport:
     """Finite-horizon growth surrogate.
 
     ``d_hat`` is the minimum of p(n)/n over 1 <= n <= horizon as an exact
     rational.  The superlinear flag is set when p(n)/n is strictly
     increasing over the last half of the horizon and ends above
-    ``threshold``.
+    ``SUPERLINEAR_RATIO``.
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
@@ -519,8 +520,8 @@ def growth_report(spec: SubshiftSpec, horizon: int, threshold=Fraction(2)) -> Gr
     d_hat_at = ratios.index(d_hat) + 1
     half = [ratios[i] for i in range(horizon // 2 - 1, horizon)]
     increasing = all(a < b for a, b in zip(half, half[1:]))
-    flag = increasing and ratios[-1] > threshold
-    return GrowthReport(d_hat, d_hat_at, flag, horizon, Fraction(threshold), tuple(ratios))
+    flag = increasing and ratios[-1] > SUPERLINEAR_RATIO
+    return GrowthReport(d_hat, d_hat_at, flag)
 
 
 def _left_extendable(spec: SubshiftSpec, n: int) -> bool:
@@ -582,9 +583,9 @@ class LanguageTable:
         shorter = set(self.words(self.n_max - 1))
         return all(w[1:] in shorter for w in self.top)
 
-    def write_csv(self, directory: str, alphabet: Alphabet, words_cap: int = 2000):
+    def write_csv(self, directory: str, alphabet: Alphabet):
         """Write ``language.csv`` with columns (n, p, words_file) plus one
-        words file per length whose factor count is within the cap."""
+        words file per length with at most ``WORDS_CAP`` factors."""
         os.makedirs(directory, exist_ok=True)
         path = os.path.join(directory, "language.csv")
         with open(path, "w", newline="") as fh:
@@ -592,7 +593,7 @@ class LanguageTable:
             writer.writerow(["n", "p", "words_file"])
             for n, count in enumerate(self.p, start=1):
                 ref = ""
-                if count <= words_cap:
+                if count <= WORDS_CAP:
                     ref = f"words_{n:04d}.txt"
                     with open(os.path.join(directory, ref), "w") as wf:
                         for w in self.words(n):

@@ -65,14 +65,14 @@ def big():
     graph = build_cover_graph(spec, 6800, 6)
     sys = graph.system
     specials = cover_special_states(graph)
-    cover = build_rokhlin_cover(sys, 5, specials)
+    cover = build_rokhlin_cover(sys, 5)
     d = 2 * len(cover.towers) - 1
     N = 721
     orbit = isolated_orbit_window(graph)
     carrier = sys.without_entries_into(orbit)
-    tps = build_phase_pairs(carrier, d + 1, list(range(-N, N + 1)), d_claimed=d)
+    tps = build_phase_pairs(carrier, d + 1, list(range(-N, N + 1)))
     pair_cert = verify_tower_pairs(carrier, tps)
-    emap = build_equivariant_map(sys, tps, (-1, 0, 1), N, specials, Fraction(1, 10), orbit)
+    emap = build_equivariant_map(sys, tps, (-1, 0, 1), N, Fraction(1, 10), orbit)
     eq_cert = check_equivariance(sys, emap, (-1, 0, 1), Fraction(1, 10), orbit)
     return {
         "spec": spec,
@@ -176,7 +176,7 @@ def test_criterion_07_tower_cover_construction():
     specials = cover_special_states(graph)
     q = len(specials)
     start = time.monotonic()
-    cover = build_rokhlin_cover(sys, 5, specials)
+    cover = build_rokhlin_cover(sys, 5)
     cert = verify_rokhlin_cover(sys, cover)
     elapsed = time.monotonic() - start
     assert q == 1
@@ -191,7 +191,7 @@ def test_criterion_08_tower_pairs():
     fib = fibonacci_spec()
     graph = build_cover_graph(fib, 60, 6)
     sys = graph.system
-    cover = build_rokhlin_cover(sys, 5, cover_special_states(graph))
+    cover = build_rokhlin_cover(sys, 5)
     tps = pairs_from_rokhlin(cover, [-1, 0, 1])
     assert tps.M == 3 and tps.height == 5
     attach_shifted_pairs(tps, sys)

@@ -104,7 +104,7 @@ def test_constant_map_zero_deviation():
     tps = _constant_pair_system(sys)
     cert = verify_tower_pairs(sys, tps)
     assert cert.passed
-    emap = build_equivariant_map(sys, tps, [0], 4, [], Fraction(10))
+    emap = build_equivariant_map(sys, tps, [0], 4, Fraction(10))
     assert emap.epsilon_achieved == 0
     # every point is the same single atom
     assert len({p.entries for p in emap.assignment}) == 1
@@ -115,7 +115,7 @@ def test_n_too_small():
     tps = _constant_pair_system(sys)
     verify_tower_pairs(sys, tps)
     with pytest.raises(NTooSmall):
-        build_equivariant_map(sys, tps, [0], 1, [], Fraction(1, 10))
+        build_equivariant_map(sys, tps, [0], 1, Fraction(1, 10))
 
 
 def test_lipschitz_step_on_cycle():
@@ -129,7 +129,7 @@ def test_lipschitz_step_on_cycle():
     tps = TowerPairSystem(pairs, list(range(-N, N + 1)), 2, M=2 * N + 1)
     cert = verify_tower_pairs(sys, tps)
     assert cert.passed, cert.first_failure()
-    emap = build_equivariant_map(sys, tps, [-1, 0, 1], N, [], Fraction(4))
+    emap = build_equivariant_map(sys, tps, [-1, 0, 1], N, Fraction(4))
     bound = Fraction((emap.d + 1) * (emap.d + 2), N)
     assert emap.epsilon_achieved <= bound
     # the per-pair tent moves by at most 1/N along every edge
@@ -185,7 +185,7 @@ def test_projection_preserves_equivariance_at_adjusted_bound():
     )
     tps = TowerPairSystem(pairs, list(range(-N, N + 1)), 2, M=2 * N + 1)
     verify_tower_pairs(sys, tps)
-    emap = build_equivariant_map(sys, tps, [-1, 0, 1], N, [], Fraction(4))
+    emap = build_equivariant_map(sys, tps, [-1, 0, 1], N, Fraction(4))
     support = set(a for a in emap.support_window if a % 5 != 0)
     kept_masses = [
         sum((w for a, w in p.entries if a in support), Fraction(0))

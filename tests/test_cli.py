@@ -48,6 +48,28 @@ def test_config_errors_report_line():
         spec_from_config("alphabet = 0 1\n")
 
 
+def test_config_refuses_unknown_keys():
+    # a typo of the variant's own key must not run as the full shift
+    with pytest.raises(ConfigError, match="unknown key 'forbiden' for variant 'sft'"):
+        spec_from_config("variant = sft\nalphabet = 0 1\nforbiden = 11\n")
+    # a key of another variant, and `horizon`, which no variant reads
+    with pytest.raises(ConfigError, match="unknown key 'forbidden' for variant 'substitution'"):
+        spec_from_config(FIB_CFG + "forbidden = 11\n")
+    with pytest.raises(ConfigError, match="unknown key 'rule.0' for variant 'full_shift'"):
+        spec_from_config("variant = full_shift\nalphabet = 0 1\nrule.0 = 0 1\n")
+    with pytest.raises(ConfigError, match="unknown key 'horizon' for variant 'sft'"):
+        spec_from_config(SFT_CFG + "horizon = 20\n")
+
+
+def test_unknown_config_key_exit_code(tmp_path, capsys):
+    path = tmp_path / "typo.cfg"
+    path.write_text("variant = sft\nalphabet = 0 1\nforbiden = 11\n")
+    assert main(["lang", "--config", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "config error in stage spec: unknown key 'forbiden' for variant 'sft'\n"
+    )
+
+
 def test_bounds_command(capsys):
     code = main(["bounds", "--q", "1"])
     out = capsys.readouterr().out
@@ -352,3 +374,33 @@ def test_real_periodic_cycle_fails(tmp_path, capsys):
     assert err.endswith(
         "the shift has a periodic point of period <= 1, so the cycle is a real periodic point\n"
     )
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("rokhlin", ["--height", "0"], "rokhlin: tower height N = 0 must be >= 1"),
+    (
+        "amen", ["--depth", "250", "--big-n", "0"],
+        "amen: (d+1)(d+2)/N = 72/0 not below 2; N must be at least 37",
+    ),
+    (
+        "dad", ["--depth", "250", "--exponent-bound", "0"],
+        "dad: exponent bound 0 below max |n| = 1 of the window set",
+    ),
+    ("cover", ["--depth", "0"], "cover: k = 0 and l = 6 must be >= 1"),
+    ("cover", ["--past-len", "0"], "cover: k = 24 and l = 0 must be >= 1"),
+    ("cover", ["--cover-horizon", "3"], "cover: horizon 3 must be >= k + l = 30"),
+    (
+        "towerdim", ["--depth", "60", "--height", "4"],
+        "towerdim: cover height 4 != 2 + 3*max|E| = 5",
+    ),
+])
+def test_bad_parameter_exits_3_naming_stage_and_bound(fib_cfg, capsys, command, flags, message):
+    assert main([command, "--config", fib_cfg, *flags]) == 3
+    assert capsys.readouterr().err == f"bad parameter in stage {message}\n"
+
+
+def test_non_primitive_substitution_exits_3(tmp_path, capsys):
+    path = tmp_path / "identity.cfg"
+    path.write_text("variant = substitution\nalphabet = 0 1\nrule.0 = 0\nrule.1 = 1\n")
+    assert main(["lang", "--config", str(path)]) == 3
+    assert capsys.readouterr().err == "bad parameter in stage spec: substitution is not primitive\n"

@@ -88,7 +88,7 @@ def test_dad_micro_genuine_epsilon():
     # the window holds non-unit merge pairs (a,0,b) with a common image
     assert (0, 0, 1) in win.triples()
     orbit = {0, 1, 2}
-    cover = build_dad_cover(win, emap, [2], 0, orbit, cert)
+    cover = build_dad_cover(win, emap, [2], orbit, cert)
     dcert = verify_dad_cover(win, cover)
     assert dcert.passed, dcert.first_failure()
     counts = next(
@@ -110,7 +110,7 @@ def test_dad_requires_certificate():
     emap = _constant_map(sys)
     win = build_window(sys, [0], 1)
     with pytest.raises(MissingEquivarianceCertificate):
-        build_dad_cover(win, emap, [2], 0, {0, 1, 2}, None)
+        build_dad_cover(win, emap, [2], {0, 1, 2}, None)
 
 
 def test_dad_cover_coverage_failure_detected():
@@ -118,7 +118,7 @@ def test_dad_cover_coverage_failure_detected():
     emap = _constant_map(sys)
     cert = check_equivariance(sys, emap, [0], Fraction(1, 3))
     win = build_window(sys, [0], 1)
-    cover = build_dad_cover(win, emap, [2], 0, {0, 1, 2}, cert)
+    cover = build_dad_cover(win, emap, [2], {0, 1, 2}, cert)
     broken = DadCover(
         pieces=(cover.pieces[0] - {1},),
         F=cover.F,
@@ -136,7 +136,7 @@ def test_dad_f_symmetry_checked():
     emap = _constant_map(sys)
     cert = check_equivariance(sys, emap, [0], Fraction(1, 3))
     win = build_window(sys, [0], 1)
-    cover = build_dad_cover(win, emap, [2], 0, {0, 1, 2}, cert)
+    cover = build_dad_cover(win, emap, [2], {0, 1, 2}, cert)
     assert set(cover.F) == {-n for n in cover.F}
 
 

@@ -19,8 +19,8 @@ def fib60():
 
 
 def test_trivial_height_one(fib60):
-    _, sys, specials = fib60
-    cover = build_rokhlin_cover(sys, 1, specials)
+    _, sys, _ = fib60
+    cover = build_rokhlin_cover(sys, 1)
     assert len(cover.towers) == 1
     assert cover.towers[0].base == sys.all_states()
     assert verify_rokhlin_cover(sys, cover).passed
@@ -28,7 +28,7 @@ def test_trivial_height_one(fib60):
 
 def test_fibonacci_cover_height_five(fib60):
     _, sys, specials = fib60
-    cover = build_rokhlin_cover(sys, 5, specials)
+    cover = build_rokhlin_cover(sys, 5)
     q = len(specials)
     assert q == 1
     assert len(cover.towers) <= 2 * q + 2
@@ -37,8 +37,8 @@ def test_fibonacci_cover_height_five(fib60):
 
 
 def test_verifier_rejects_hole(fib60):
-    _, sys, specials = fib60
-    cover = build_rokhlin_cover(sys, 3, specials)
+    _, sys, _ = fib60
+    cover = build_rokhlin_cover(sys, 3)
     # remove one state from one level: covering must fail with a witness
     towers = list(cover.towers)
     victim = next(iter(towers[0].levels[1]))
@@ -54,8 +54,8 @@ def test_verifier_rejects_hole(fib60):
 
 
 def test_verifier_rejects_non_preimage_level(fib60):
-    _, sys, specials = fib60
-    cover = build_rokhlin_cover(sys, 3, specials)
+    _, sys, _ = fib60
+    cover = build_rokhlin_cover(sys, 3)
     towers = list(cover.towers)
     levels = list(towers[0].levels)
     levels[2] = levels[2] | {max(sys.all_states() - levels[2])}
@@ -67,10 +67,10 @@ def test_verifier_rejects_non_preimage_level(fib60):
 
 
 def test_periodic_witness_blocks_tall_towers(fib60):
-    _, sys, specials = fib60
+    _, sys, _ = fib60
     # min cycle is 34, so height 12 needs a 36-window: refused
     with pytest.raises(PeriodicWitness):
-        build_rokhlin_cover(sys, 12, specials)
+        build_rokhlin_cover(sys, 12)
 
 
 def test_extend_tower_base_trivial_residual(fib60):
@@ -124,8 +124,8 @@ def test_extend_tower_base_overlapping_preimages_rejected(fib60):
 
 def test_shifted_disjointness_inherits(fib60):
     # offsets N..2N-1 disjoint plus onto-ness implies offsets 0..N-1 disjoint
-    _, sys, specials = fib60
-    cover = build_rokhlin_cover(sys, 5, specials)
+    _, sys, _ = fib60
+    cover = build_rokhlin_cover(sys, 5)
     sweep = cover.towers[0].base
     deep = [sys.preimage(sweep, i) for i in range(5, 10)]
     shallow = [sys.preimage(sweep, i) for i in range(5)]

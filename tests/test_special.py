@@ -9,9 +9,9 @@ from shiftdim.special import (
     left_special_words,
     sp_estimate,
 )
-from shiftdim.words import check_extendability, complexity
+from shiftdim.words import Alphabet, SFTSpec, check_extendability, complexity
 
-from .oracles import left_special_oracle
+from .oracles import full_chain_count_oracle, left_special_oracle, prefix_closure_oracle
 
 
 def test_fibonacci_left_special_n1(fib):
@@ -33,7 +33,9 @@ def test_sft_no11_left_special_n1(golden):
 def test_prefix_closure(fib, tm, golden):
     for spec in (fib, tm, golden):
         tree = LeftSpecialTree.build(spec, 12)
-        assert tree.check_prefix_closure()
+        assert prefix_closure_oracle(tree.levels)
+        # so every deepest word counts toward the branch lower bound
+        assert full_chain_count_oracle(tree.levels) == len(tree.levels[-1])
 
 
 def test_counting_bound(fib, tm, golden):
@@ -47,6 +49,15 @@ def test_counting_bound(fib, tm, golden):
 def test_sft_left_special_count_matches_enumeration(golden):
     for m in range(1, 12):
         assert golden.left_special_count(m) == len(left_special_words(golden, m))
+
+
+def test_sft_left_special_count_below_the_graph_order():
+    # order 2: length 1 is enumerated, the graph counts from length 2 on
+    spec = SFTSpec(Alphabet(("0", "1")), ["111", "000"])
+    with pytest.raises(ValueError, match="order = 2"):
+        spec.left_special_count(1)
+    for m in range(1, 8):
+        assert left_special_count(spec, m) == len(left_special_words(spec, m))
 
 
 def test_sp_estimate_fibonacci(fib):

@@ -1,9 +1,10 @@
 import pytest
 
-from shiftdim.cover import build_cover_graph, cover_special_states
+from shiftdim.cover import build_cover_graph
 from shiftdim.errors import HeightMismatch
 from shiftdim.rokhlin import build_rokhlin_cover
 from shiftdim.towers import (
+    EXACT_COLORING_LIMIT,
     TowerPairSystem,
     attach_shifted_pairs,
     build_phase_pairs,
@@ -19,8 +20,7 @@ from shiftdim.words import fibonacci_spec
 def fib_pipeline():
     graph = build_cover_graph(fibonacci_spec(), 60, 6)
     sys = graph.system
-    specials = cover_special_states(graph)
-    cover = build_rokhlin_cover(sys, 5, specials)
+    cover = build_rokhlin_cover(sys, 5)
     return graph, sys, cover
 
 
@@ -43,7 +43,7 @@ def test_conversion_degenerate_window():
     # E = {0}: M = 1, height 2, S = {0, 1}
     graph = build_cover_graph(fibonacci_spec(), 20, 4)
     sys = graph.system
-    cover = build_rokhlin_cover(sys, 2, cover_special_states(graph))
+    cover = build_rokhlin_cover(sys, 2)
     tps = pairs_from_rokhlin(cover, [0])
     assert tps.M == 1 and tps.height == 2
     assert tps.pairs[0].exponents == range(2)
@@ -83,33 +83,26 @@ def test_clause5_breaks_when_exponents_shrink(fib_pipeline):
 
 def test_chromatic_exact_examples():
     disjoint = [frozenset({i}) for i in range(5)]
-    assert chromatic_number(disjoint) == (1, True)
+    assert chromatic_number(disjoint) == 1
     triangle = [frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 1})]
-    assert chromatic_number(triangle) == (3, True)
+    assert chromatic_number(triangle) == 3
     # complete graph on 4 overlapping sets
     k4 = [frozenset({0, i}) for i in range(1, 5)]
-    assert chromatic_number(k4) == (4, True)
+    assert chromatic_number(k4) == 4
 
 
-def test_chromatic_greedy_flagged():
-    sets = [frozenset({i}) for i in range(25)]
-    value, exact = chromatic_number(sets)
-    assert not exact
-    assert value >= 1  # upper bound by construction
-
-
-def test_chromatic_greedy_bound_dominates_exact():
-    triangle = [frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 1})]
-    exact_value, _ = chromatic_number(triangle)
-    greedy_value, flag = chromatic_number(triangle, exact_limit=0)
-    assert not flag
-    assert greedy_value >= exact_value
+def test_chromatic_refuses_more_sets_than_the_search_limit():
+    # empty sets do not count toward the limit
+    limit = [frozenset({i}) for i in range(EXACT_COLORING_LIMIT)] + [frozenset()]
+    assert chromatic_number(limit) == 1
+    with pytest.raises(ValueError, match="21 nonempty sets, above 20"):
+        chromatic_number([frozenset({i}) for i in range(EXACT_COLORING_LIMIT + 1)])
 
 
 def test_phase_pairs_margins(fib_pipeline):
     _, sys, _ = fib_pipeline
     # rise 7 within the 34-cycle: span must fit under the collision depth
-    tps = build_phase_pairs(sys, 8, list(range(-7, 8)), d_claimed=7)
+    tps = build_phase_pairs(sys, 8, list(range(-7, 8)))
     cert = verify_tower_pairs(sys, tps)
     assert cert.passed, cert.first_failure()
     assert len(tps.pairs) == 8
