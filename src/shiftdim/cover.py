@@ -8,6 +8,14 @@ computed at lookahead ``horizon - k``; one extra tail symbol is always
 available so the one-step shift of every stored word can be classified at
 the same lookahead, which makes the edge set well defined.
 
+The stored words are never copied.  Each is the first ``depth`` symbols
+of a row of the presentation's top, the sorted tuple of its longest
+factors, and the graph names it by that row number; a class is named by
+the rank of its prefix among the distinct length-``k`` prefixes of the
+top and its past set.  Strings are sliced off the top only for the state
+labels and when the read-only views ``stored``, ``class_words`` and
+``states`` are read.
+
 The resulting directed graph is the finite approximation consumed by the
 tower machinery.  The shift on classes is single valued exactly where the
 resolution suffices; ``functional`` reports that, and certificates carry
@@ -16,6 +24,8 @@ the stabilization and soundness flags rather than silently assuming them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import DepthInsufficient, EmptyLanguage, InvalidSpec
@@ -92,8 +102,37 @@ class CoverState:
         return f"[{prefix}|{past}]"
 
 
+class _View(Sequence):
+    """Read-only sequence of ``n`` items, each made by ``item(i)`` only
+    when it is read."""
+
+    __slots__ = ("_n", "_item")
+
+    def __init__(self, n: int, item):
+        self._n, self._item = n, item
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i: int):
+        if not -self._n <= i < self._n:
+            raise IndexError("view index out of range")
+        return self._item(i % self._n)
+
+
+def _words(top: tuple[str, ...], rows, n: int) -> _View:
+    """The first ``n`` symbols of the ``rows`` of ``top``, as a view."""
+    return _View(len(rows), lambda j: top[rows[j]][:n])
+
+
 class CoverGraph:
-    """Classes of depth-(k+horizon) words with the induced shift edges."""
+    """Classes of depth-(k+horizon) words with the induced shift edges.
+
+    The graph holds the presentation's top and integers into it: the row
+    of each stored word, the first row of each prefix rank, and per state
+    its rank and past set.  ``stored`` (the length-``depth`` factors in
+    sorted order), ``class_words`` (the stored words of each state) and
+    ``states`` are views that slice the top when read; ``pi`` does too."""
 
     def __init__(self, spec: SubshiftSpec, k: int, l: int, horizon: int):
         if k < 1 or l < 1:
@@ -111,51 +150,78 @@ class CoverGraph:
 
     # -- construction ---------------------------------------------------------
 
-    def _key(self, word: str, lookahead: int | None = None):
-        lam = self.lookahead if lookahead is None else lookahead
-        tail = word[self.k : self.k + lam]
+    def _past(self, tail: str) -> frozenset:
         past = self._pasts.get(tail)
         if past is None:
             past = self._pasts[tail] = _past_words(self.spec, tail, self.l)
-        return (word[: self.k], past)
+        return past
+
+    def _key(self, word: str, lookahead: int | None = None):
+        """``(prefix, past)`` of ``word`` at ``lookahead``, spelled out as
+        :meth:`CoverState.key` spells a state's."""
+        lam = self.lookahead if lookahead is None else lookahead
+        return (word[: self.k], self._past(word[self.k : self.k + lam]))
+
+    def _rank_key(self, word: str, start: int = 0):
+        """``(prefix rank, past)`` of ``word[start:]``, or None when its
+        length-``k`` prefix is not a factor.  The rank is read off the
+        first top row that starts with the prefix."""
+        k, top = self.k, self._top
+        prefix = word[start : start + k]
+        row = bisect_left(top, prefix)
+        if row == len(top) or not top[row].startswith(prefix):
+            return None
+        rank = bisect_left(self._rank_rows, row)
+        return rank, self._past(word[start + k : start + k + self.lookahead])
 
     def _build(self):
-        spec, k, lam = self.spec, self.k, self.lookahead
-        # Build one length past the stored words first: the stored words are
-        # read off it in sorted order, and the left extensions of stored
-        # words that special_match_report counts are already there.
-        spec.language(self.depth + 1)
-        self.stored = spec.sorted_language(self.depth)
-        if not self.stored:
+        spec, k, depth, lam = self.spec, self.k, self.depth, self.lookahead
+        # The top reaches one symbol past the stored words: the left
+        # extensions that special_match_report counts are prefixes of it.
+        top = self._top = spec.top(depth + 1)
+        # One pass over neighbouring rows: a row starts a stored word when
+        # it does not start with the current one, and a prefix rank when
+        # it does not start with the current prefix.
+        rows: list[int] = []  # the row of each stored word
+        keys = []  # the (rank, past) of each stored word
+        rank_rows = self._rank_rows = []  # the first row of each prefix rank
+        word = prefix = None
+        for row, u in enumerate(top):
+            if word is not None and u.startswith(word):
+                continue
+            word = u[:depth]
+            if prefix is None or not u.startswith(prefix):
+                prefix = u[:k]
+                rank_rows.append(row)
+            rows.append(row)
+            keys.append((len(rank_rows) - 1, self._past(u[k : k + lam])))
+        if not rows:
             raise EmptyLanguage("no stored words at this depth")
-        keys = {}
-        classes: dict = {}
-        for w in self.stored:
-            key = self._key(w)
-            keys[w] = key
-            classes.setdefault(key, []).append(w)
-        order = sorted(classes, key=lambda key: (key[0], tuple(sorted(key[1]))))
+        self._rows = rows
+        # Rank order is prefix order, so this is the order of the spelled
+        # keys: by prefix, ties broken by the sorted past.
+        order = sorted(set(keys), key=lambda key: (key[0], sorted(key[1])))
+        self._keys = tuple(order)
         self._index = {key: i for i, key in enumerate(order)}
-        self.states = tuple(
-            CoverState(i, self.k, self.l, key[0], frozenset(key[1]))
-            for i, key in enumerate(order)
-        )
-        self.class_words = tuple(tuple(classes[key]) for key in order)
-        self.iota_table = {w: self._index[keys[w]] for w in self.stored}
+        classes = [self._index[key] for key in keys]
+        class_rows: list[list[int]] = [[] for _ in order]
         edges: list[set[int]] = [set() for _ in order]
-        for w in self.stored:
-            tgt_key = self._key(w[1:])
-            if tgt_key not in self._index:
+        for row, state in zip(rows, classes):
+            class_rows[state].append(row)
+            target = self._index.get(self._rank_key(top[row], 1))
+            if target is None:
                 raise DepthInsufficient(
                     "shifted class not among stored classes; deepen the horizon"
                 )
-            edges[self.iota_table[w]].add(self._index[tgt_key])
+            edges[state].add(target)
+        self._class_rows = tuple(map(tuple, class_rows))
         self.succ = tuple(tuple(sorted(e)) for e in edges)
         # stabilization: same partition of stored words at lookahead-1
         if lam - 1 >= 1:
             coarse: dict = {}
-            for w in self.stored:
-                coarse.setdefault(self._key(w, lam - 1), set()).add(self.iota_table[w])
+            for row, (rank, _), state in zip(rows, keys, classes):
+                tail = top[row][k : k + lam - 1]
+                coarse.setdefault((rank, self._past(tail)), set()).add(state)
             self.past_stabilized = all(len(v) == 1 for v in coarse.values()) and len(
                 coarse
             ) == len(order)
@@ -174,12 +240,30 @@ class CoverGraph:
     # -- interface --------------------------------------------------------------
 
     @property
+    def stored(self) -> _View:
+        """The length-``depth`` factors, sorted."""
+        return _words(self._top, self._rows, self.depth)
+
+    @property
+    def class_words(self) -> _View:
+        """The stored words of each state, sorted."""
+        top, depth, class_rows = self._top, self.depth, self._class_rows
+        return _View(len(class_rows), lambda s: _words(top, class_rows[s], depth))
+
+    @property
+    def states(self) -> _View:
+        return _View(len(self._keys), self._state)
+
+    def _state(self, s: int) -> CoverState:
+        return CoverState(s, self.k, self.l, self.pi(s), self._keys[s][1])
+
+    @property
     def system(self) -> FiniteSymbolicSystem:
         return self._system
 
     @property
     def num_states(self) -> int:
-        return len(self.states)
+        return len(self._keys)
 
     @property
     def functional(self) -> bool:
@@ -193,16 +277,17 @@ class CoverGraph:
         """Class of a word of length >= k + lookahead."""
         if len(word) < self.k + self.lookahead:
             raise ValueError("word too short to classify at this resolution")
-        if word in self.iota_table:
-            return self.iota_table[word]
-        key = self._key(word)
-        if key not in self._index:
+        return self._class(word)
+
+    def _class(self, word: str, start: int = 0) -> int:
+        state = self._index.get(self._rank_key(word, start))
+        if state is None:
             raise DepthInsufficient("word class not represented among stored words")
-        return self._index[key]
+        return state
 
     def pi(self, state: int) -> str:
         """Length-k prefix of the class."""
-        return self.states[state].prefix
+        return self._top[self._rank_rows[self._keys[state][0]]][: self.k]
 
     def to_adjacency_text(self) -> str:
         return self._system.to_adjacency_text()
@@ -240,27 +325,21 @@ def special_match_report(graph: CoverGraph) -> SpecialMatchReport:
     """Check the special states against the left special words at depth k:
     the counts must agree and every special state must be the class of a
     left special stored word."""
-    from .special import left_special_words
+    from .special import left_special_count
 
+    spec = graph.spec
     specials = tuple(cover_special_states(graph))
-    ls_k = len(left_special_words(graph.spec, graph.k))
-    witnesses = []
-    all_witnessed = True
-    for s in specials:
-        found = ""
-        for w in graph.class_words[s]:
-            if graph.spec.left_extension_count(w) >= 2:
-                found = w
-                break
-        witnesses.append(found)
-        if not found:
-            all_witnessed = False
+    ls_k = left_special_count(spec, graph.k)
+    witnesses = tuple(
+        next((w for w in graph.class_words[s] if spec.left_extension_count(w) >= 2), "")
+        for s in specials
+    )
     return SpecialMatchReport(
         special_states=specials,
         branch_count_at_k=ls_k,
         counts_match=len(specials) == ls_k,
-        witnesses=tuple(witnesses),
-        all_witnessed=all_witnessed,
+        witnesses=witnesses,
+        all_witnessed=all(witnesses),
     )
 
 
@@ -286,13 +365,15 @@ def check_intertwining(graph: CoverGraph) -> bool:
     """For every stored word w the class of the shifted word is among the
     successors of the class of w; with a single-valued shift this is the
     exact equality of states."""
-    for w in graph.stored:
-        src = graph.iota_table[w]
-        tgt = graph.iota(w[1:])
-        if tgt not in graph.succ[src]:
-            return False
-        if len(graph.succ[src]) == 1 and graph.succ[src][0] != tgt:
-            return False
+    top = graph._top
+    for src, rows in enumerate(graph._class_rows):
+        succ = graph.succ[src]
+        for row in rows:
+            tgt = graph._class(top[row], 1)
+            if tgt not in succ:
+                return False
+            if len(succ) == 1 and succ[0] != tgt:
+                return False
     return True
 
 
@@ -312,7 +393,7 @@ def isolated_state_check(
     exactly one class-determining word.  For states of the perfect part
     this fails at once (no unique marked continuation, the base set just
     splits)."""
-    base_key = graph.states[state].key()
+    base_key = graph._keys[state]
     for ref in refinements:
         if len(ref) == 2:
             fine = build_cover_graph(spec, ref[0], ref[1])
@@ -322,7 +403,9 @@ def isolated_state_check(
             raise InvalidSpec("refinement too shallow to classify at the base level")
         specials = set(fine.system.special_states())
         inside = {
-            fine.iota_table[w] for w in fine.stored if graph._key(w) == base_key
+            s
+            for s, rows in enumerate(fine._class_rows)
+            if any(graph._rank_key(fine._top[row]) == base_key for row in rows)
         }
         marked = inside & specials
         if len(marked) != 1:

@@ -41,7 +41,7 @@ from .cover import (
     isolated_orbit_window,
     special_match_report,
 )
-from .errors import ConfigError, DepthInsufficient, PeriodicWitness, ShiftDimError
+from .errors import ConfigError, DepthInsufficient, InvalidSpec, PeriodicWitness, ShiftDimError
 from .groupoid import DadCover, bound_chain, build_dad_cover, build_window, verify_dad_cover
 from .rokhlin import RokhlinCover, RokhlinTower, build_rokhlin_cover, verify_rokhlin_cover
 from .special import sp_estimate
@@ -289,6 +289,13 @@ class Stage:
     build: Callable[[PipelineParams, dict], tuple]
 
 
+def _at_least(value: int, bound: int, name: str) -> int:
+    """``value``, refused as a bad parameter when it is below ``bound``."""
+    if value < bound:
+        raise InvalidSpec(f"{name} {value} must be >= {bound}")
+    return value
+
+
 def _amen_stage(p: PipelineParams, built: dict):
     emap, _, orbit, pair_cert, cert = run_amen(
         built["cover"], built["rokhlin"], p.window_set, p.big_n, p.epsilon
@@ -301,10 +308,11 @@ STAGES = {
     "spec": Stage((), (), lambda p, b: (p.spec(),)),
     "lang": Stage(
         ("spec",), ("lang",),
-        lambda p, b: run_lang(b["spec"], p.horizon, p.out_dir),
+        lambda p, b: run_lang(b["spec"], _at_least(p.horizon, 1, "language horizon"), p.out_dir),
     ),
     "special": Stage(
-        ("spec",), ("special",), lambda p, b: run_special(b["spec"], max(p.horizon, 4))
+        ("spec",), ("special",),
+        lambda p, b: run_special(b["spec"], _at_least(p.horizon, 4, "report depth")),
     ),
     "cover": Stage(
         ("spec",), ("cover",),

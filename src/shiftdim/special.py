@@ -58,10 +58,13 @@ def left_special_words(spec: SubshiftSpec, n: int) -> list[str]:
 
 def left_special_count(spec: SubshiftSpec, n: int) -> int:
     """|LS(n)|, by path counting on the graph of a forbidden-word
-    presentation from its order on, and by enumeration otherwise."""
+    presentation from its order on, and otherwise off the top: a
+    length-``n`` factor, the prefix of a run of neighbouring top words,
+    counts when two letters extend it to a prefix of a top word."""
     if isinstance(spec, SFTSpec) and n >= spec.order:
         return spec.left_special_count(n)
-    return len(left_special_words(spec, n))
+    factors = (w for w, _ in itertools.groupby(u[:n] for u in spec.top(n + 1)))
+    return sum(1 for w in factors if spec.left_extension_count(w) >= 2)
 
 
 @dataclass(frozen=True)

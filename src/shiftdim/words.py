@@ -27,6 +27,7 @@ against each other).
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
 import os
@@ -156,14 +157,20 @@ class SubshiftSpec:
             self._lang_cache[n] = lang
         return lang
 
+    def top(self, n: int) -> tuple[str, ...]:
+        """The top, built to length at least ``n`` first: every factor of
+        length at most ``n`` is a prefix of one of its words."""
+        if n > self._top_len:
+            self.language(n)
+        return self._top
+
     def sorted_language(self, n: int) -> tuple[str, ...]:
         """The length-``n`` factors in canonical order: the top itself, or
         its length-``n`` prefixes, which are not kept."""
         if n < 0:
             raise ValueError("length must be nonnegative")
-        if n > self._top_len:
-            self.language(n)
-        return self._top if n == self._top_len else _prefixes(self._top, n)
+        top = self.top(n)
+        return top if n == self._top_len else _prefixes(top, n)
 
     def _compute_language(self, n: int) -> set[str]:
         raise NotImplementedError
@@ -173,10 +180,8 @@ class SubshiftSpec:
         length-``j`` prefixes of neighbouring top words differ exactly when
         their common prefix is shorter than ``j``, so p(j) is one plus the
         number of neighbours whose common prefix is shorter than ``j``."""
-        if n > self._top_len:
-            self.language(n)
+        top = self.top(n)
         if self._counts is None:
-            top = self._top
             hist = [0] * (self._top_len + 1)
             for a, b in zip(top, top[1:]):
                 hist[common_prefix_length(a, b)] += 1
@@ -191,9 +196,16 @@ class SubshiftSpec:
         return word in self.language(len(word))
 
     def left_extension_count(self, word: str) -> int:
-        """Number of symbols ``a`` with ``a + word`` in the language."""
-        longer = self.language(len(word) + 1)
-        return sum(1 for a in self.alphabet.chars if a + word in longer)
+        """Number of symbols ``a`` with ``a + word`` in the language: those
+        for which ``a + word`` is a prefix of a top word, the first top
+        word not below it."""
+        top = self.top(len(word) + 1)
+        count = 0
+        for a in self.alphabet.chars:
+            extended = a + word
+            row = bisect.bisect_left(top, extended)
+            count += row < len(top) and top[row].startswith(extended)
+        return count
 
     def describe(self) -> dict:
         """Serializable echo of the presentation (for certificates)."""

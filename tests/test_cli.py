@@ -404,3 +404,25 @@ def test_non_primitive_substitution_exits_3(tmp_path, capsys):
     path.write_text("variant = substitution\nalphabet = 0 1\nrule.0 = 0\nrule.1 = 1\n")
     assert main(["lang", "--config", str(path)]) == 3
     assert capsys.readouterr().err == "bad parameter in stage spec: substitution is not primitive\n"
+
+
+@pytest.mark.parametrize("command, flag", [("special", "--depth"), ("certify", "--horizon")])
+def test_report_depth_below_4_exits_3(fib_cfg, capsys, command, flag):
+    assert main([command, "--config", fib_cfg, flag, "3"]) == 3
+    assert capsys.readouterr().err == (
+        "bad parameter in stage special: report depth 3 must be >= 4\n"
+    )
+
+
+def test_report_depth_4_passes(fib_cfg, capsys):
+    assert main(["special", "--config", fib_cfg, "--depth", "4"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["params"]["depth"] == 4 and payload["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("horizon", ["0", "-5"])
+def test_language_horizon_below_1_exits_3(fib_cfg, capsys, horizon):
+    assert main(["lang", "--config", fib_cfg, f"--horizon={horizon}"]) == 3
+    assert capsys.readouterr().err == (
+        f"bad parameter in stage lang: language horizon {horizon} must be >= 1\n"
+    )

@@ -232,3 +232,61 @@ def test_past_words_computed_once_per_tail(trib, monkeypatch):
     tails = {w[k : k + m] for w in graph.stored for m in (lam, lam - 1)}
     tails |= {w[k + 1 : k + 1 + lam] for w in graph.stored}
     assert {tail for tail, _ in calls} == tails
+
+
+@pytest.mark.parametrize("name", ["fib", "tm", "trib"])
+@pytest.mark.parametrize("k", [1, 2, 50, 200])
+def test_row_number_cover_matches_spelled_classification(name, k, request):
+    from shiftdim.special import left_special_words
+
+    spec = request.getfixturevalue(name)
+    graph = build_cover_graph(spec, k, 6)
+    lam, l = graph.lookahead, graph.l
+    stored = list(graph.stored)
+    assert stored == list(spec.sorted_language(graph.depth))
+
+    def key(word):
+        return (word[:k], _past_words(spec, word[k : k + lam], l))
+
+    groups = {}
+    for w in stored:
+        groups.setdefault(key(w), []).append(w)
+    order = sorted(groups, key=lambda kp: (kp[0], sorted(kp[1])))
+    assert [state.key() for state in graph.states] == order
+    assert [list(words) for words in graph.class_words] == [groups[kp] for kp in order]
+    index = {kp: s for s, kp in enumerate(order)}
+    edges = [set() for _ in order]
+    for w in stored:
+        assert graph.iota(w) == index[key(w)]
+        assert graph.iota(w[1:]) == index[key(w[1:])]
+        edges[index[key(w)]].add(index[key(w[1:])])
+    assert graph.succ == tuple(tuple(sorted(e)) for e in edges)
+    assert [graph.pi(s) for s in range(graph.num_states)] == [kp[0] for kp in order]
+    report = special_match_report(graph)
+    assert report.branch_count_at_k == len(left_special_words(spec, k))
+
+
+def test_cover_retains_less_than_half_the_top():
+    """The graph refers to the presentation's top by row number: building
+    it keeps less than half the top's bytes again and never allocates a
+    whole top's worth above it."""
+    import tracemalloc
+
+    from shiftdim.pipeline import run_cover
+    from shiftdim.words import thue_morse_spec
+
+    spec, k = thue_morse_spec(), 400
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        spec.language(2 * k + 7)  # the top of the k = 400, l = 6 cover
+        top_bytes = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        graph, cert = run_cover(spec, k, 6, None)
+        retained, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert cert.passed and len(graph.stored) == spec.complexity(graph.depth)
+    assert retained < 0.5 * top_bytes
+    assert peak < 1.0 * top_bytes
