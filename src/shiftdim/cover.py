@@ -16,6 +16,22 @@ top and its past set.  Strings are sliced off the top only for the state
 labels and when the read-only views ``stored``, ``class_words`` and
 ``states`` are read.
 
+The top reaches one symbol past the stored words, so the shift
+``u[1:depth+1]`` of every top row ``u`` is a stored word.  Rows that
+share a first letter are sorted by the rest, so one forward walk per
+first letter gives every row the index of its shifted stored word: the
+*shift map*.  Everything about the shift is read off it, so no shifted
+word is classified by a search of the top:
+
+- the edges: a stored word's state to the state of its shift's word;
+- :func:`special_match_report`: a stored word's one-symbol left
+  extensions are the letter blocks whose shifts land on it, so a special
+  state is witnessed by a stored word that two blocks reach, and |LS(k)|
+  counts the length-``k`` prefixes that two blocks reach;
+- :func:`check_intertwining`: every entry of the map is compared once
+  against the top (the named stored word must be the row's shift), and
+  then the edge it implies must be in the graph.
+
 The resulting directed graph is the finite approximation consumed by the
 tower machinery.  The shift on classes is single valued exactly where the
 resolution suffices; ``functional`` reports that, and certificates carry
@@ -86,20 +102,27 @@ class CoverState:
         return (self.prefix, self.past)
 
     def descriptor(self, alphabet) -> str:
-        """``[<prefix>|<pasts>]``, the decoded prefix cut to its first 12
-        and last 8 characters when it is longer than 24.  Every symbol
-        decodes to at least one character, so a prefix of more than 24
-        symbols is always cut, and its kept ends are decoded from its first
-        12 and last 8 symbols alone."""
-        word = self.prefix
-        if len(word) > 24:
-            prefix = alphabet.decode(word[:12])[:12] + ".." + alphabet.decode(word[-8:])[-8:]
-        else:
-            prefix = alphabet.decode(word)
-            if len(prefix) > 24:
-                prefix = prefix[:12] + ".." + prefix[-8:]
-        past = ",".join(alphabet.decode(p) for p in sorted(self.past))
-        return f"[{prefix}|{past}]"
+        return _descriptor(self.prefix, len(self.prefix), _past_text(self.past, alphabet), alphabet)
+
+
+def _past_text(past: frozenset, alphabet) -> str:
+    """The sorted past words, decoded and joined by ``,``."""
+    return ",".join(alphabet.decode(p) for p in sorted(past))
+
+
+def _descriptor(word: str, k: int, past_text: str, alphabet) -> str:
+    """``[<prefix>|<pasts>]`` for the first ``k`` symbols of ``word``, the
+    decoded prefix cut to its first 12 and last 8 characters when it is
+    longer than 24.  Every symbol decodes to at least one character, so a
+    prefix of more than 24 symbols is always cut, and its kept ends are
+    decoded from its first 12 and last 8 symbols alone."""
+    if k > 24:
+        prefix = alphabet.decode(word[:12])[:12] + ".." + alphabet.decode(word[k - 8 : k])[-8:]
+    else:
+        prefix = alphabet.decode(word[:k])
+        if len(prefix) > 24:
+            prefix = prefix[:12] + ".." + prefix[-8:]
+    return f"[{prefix}|{past_text}]"
 
 
 class _View(Sequence):
@@ -129,10 +152,11 @@ class CoverGraph:
     """Classes of depth-(k+horizon) words with the induced shift edges.
 
     The graph holds the presentation's top and integers into it: the row
-    of each stored word, the first row of each prefix rank, and per state
-    its rank and past set.  ``stored`` (the length-``depth`` factors in
-    sorted order), ``class_words`` (the stored words of each state) and
-    ``states`` are views that slice the top when read; ``pi`` does too."""
+    and the state of each stored word, the first row of each prefix rank,
+    per state its rank and past set, and the shift map.  ``stored`` (the
+    length-``depth`` factors in sorted order), ``class_words`` (the stored
+    words of each state) and ``states`` are views that slice the top when
+    read; ``pi`` does too."""
 
     def __init__(self, spec: SubshiftSpec, k: int, l: int, horizon: int):
         if k < 1 or l < 1:
@@ -156,28 +180,22 @@ class CoverGraph:
             past = self._pasts[tail] = _past_words(self.spec, tail, self.l)
         return past
 
-    def _key(self, word: str, lookahead: int | None = None):
-        """``(prefix, past)`` of ``word`` at ``lookahead``, spelled out as
-        :meth:`CoverState.key` spells a state's."""
-        lam = self.lookahead if lookahead is None else lookahead
-        return (word[: self.k], self._past(word[self.k : self.k + lam]))
-
-    def _rank_key(self, word: str, start: int = 0):
-        """``(prefix rank, past)`` of ``word[start:]``, or None when its
+    def _rank_key(self, word: str):
+        """``(prefix rank, past)`` of ``word``, or None when its
         length-``k`` prefix is not a factor.  The rank is read off the
         first top row that starts with the prefix."""
         k, top = self.k, self._top
-        prefix = word[start : start + k]
+        prefix = word[:k]
         row = bisect_left(top, prefix)
         if row == len(top) or not top[row].startswith(prefix):
             return None
         rank = bisect_left(self._rank_rows, row)
-        return rank, self._past(word[start + k : start + k + self.lookahead])
+        return rank, self._past(word[k : k + self.lookahead])
 
     def _build(self):
         spec, k, depth, lam = self.spec, self.k, self.depth, self.lookahead
-        # The top reaches one symbol past the stored words: the left
-        # extensions that special_match_report counts are prefixes of it.
+        # One symbol past the stored words, so every row's shift is a
+        # stored word.
         top = self._top = spec.top(depth + 1)
         # One pass over neighbouring rows: a row starts a stored word when
         # it does not start with the current one, and a prefix rank when
@@ -200,42 +218,68 @@ class CoverGraph:
         self._rows = rows
         # Rank order is prefix order, so this is the order of the spelled
         # keys: by prefix, ties broken by the sorted past.
-        order = sorted(set(keys), key=lambda key: (key[0], sorted(key[1])))
+        sorted_pasts = {past: tuple(sorted(past)) for past in {past for _, past in keys}}
+        order = sorted(set(keys), key=lambda key: (key[0], sorted_pasts[key[1]]))
         self._keys = tuple(order)
         self._index = {key: i for i, key in enumerate(order)}
-        classes = [self._index[key] for key in keys]
+        classes = self._classes = [self._index[key] for key in keys]
+        shift = self._shift = self._shift_map()
         class_rows: list[list[int]] = [[] for _ in order]
         edges: list[set[int]] = [set() for _ in order]
         for row, state in zip(rows, classes):
             class_rows[state].append(row)
-            target = self._index.get(self._rank_key(top[row], 1))
-            if target is None:
-                raise DepthInsufficient(
-                    "shifted class not among stored classes; deepen the horizon"
-                )
-            edges[state].add(target)
+            edges[state].add(classes[shift[row]])
         self._class_rows = tuple(map(tuple, class_rows))
         self.succ = tuple(tuple(sorted(e)) for e in edges)
-        # stabilization: same partition of stored words at lookahead-1
+        # stabilization: same partition of stored words at lookahead-1,
+        # so no coarse key holds two states and there are as many keys
         if lam - 1 >= 1:
-            coarse: dict = {}
+            coarse: dict = {}  # coarse key -> the state of its first stored word
+            split = False
             for row, (rank, _), state in zip(rows, keys, classes):
                 tail = top[row][k : k + lam - 1]
-                coarse.setdefault((rank, self._past(tail)), set()).add(state)
-            self.past_stabilized = all(len(v) == 1 for v in coarse.values()) and len(
-                coarse
-            ) == len(order)
+                split |= coarse.setdefault((rank, self._past(tail)), state) != state
+            self.past_stabilized = not split and len(coarse) == len(order)
         else:
             self.past_stabilized = False
         self.past_sound = isinstance(spec, SFTSpec) and lam >= spec.max_forbidden_len
+        alphabet = spec.alphabet
+        past_texts = {past: _past_text(past, alphabet) for past in sorted_pasts}
         self._system = FiniteSymbolicSystem(
-            labels=tuple(s.descriptor(spec.alphabet) for s in self.states),
+            labels=tuple(
+                _descriptor(top[rank_rows[rank]], k, past_texts[past], alphabet)
+                for rank, past in order
+            ),
             succ=self.succ,
             depth_meta=(
                 f"cover graph k={self.k} l={self.l} horizon={self.horizon} "
                 f"lookahead={lam} stabilized={self.past_stabilized}"
             ),
         )
+
+    def _shift_map(self) -> list[int]:
+        """The stored word ``top[row][1:depth+1]`` of every row of the top,
+        by its index.  A letter's rows are sorted by their shifts, so one
+        pointer walks the stored words forward once per first letter; it
+        runs off the end only if a shift is not a stored word, which a
+        factorial top rules out.  The shift is cut to ``depth`` symbols
+        because the top may be longer than ``depth + 1``, when a deeper
+        graph or a longer language built it first."""
+        top, rows, depth = self._top, self._rows, self.depth
+        # the first row of each first letter's block, then the end
+        letter_rows = self._letter_rows = (
+            *(bisect_left(top, c) for c in self.spec.alphabet.chars),
+            len(top),
+        )
+        shift: list[int] = []
+        for start, end in zip(letter_rows, letter_rows[1:]):
+            stored = 0
+            for row in range(start, end):
+                shifted = top[row][1 : depth + 1]
+                while not top[rows[stored]].startswith(shifted):
+                    stored += 1
+                shift.append(stored)
+        return shift
 
     # -- interface --------------------------------------------------------------
 
@@ -279,8 +323,8 @@ class CoverGraph:
             raise ValueError("word too short to classify at this resolution")
         return self._class(word)
 
-    def _class(self, word: str, start: int = 0) -> int:
-        state = self._index.get(self._rank_key(word, start))
+    def _class(self, word: str) -> int:
+        state = self._index.get(self._rank_key(word))
         if state is None:
             raise DepthInsufficient("word class not represented among stored words")
         return state
@@ -324,16 +368,35 @@ class SpecialMatchReport:
 def special_match_report(graph: CoverGraph) -> SpecialMatchReport:
     """Check the special states against the left special words at depth k:
     the counts must agree and every special state must be the class of a
-    left special stored word."""
-    from .special import left_special_count
+    left special stored word.
 
-    spec = graph.spec
+    Both are read off the shift map.  The rows whose shift lands on a
+    stored word ``w`` are the one-symbol left extensions of ``w``, so the
+    letters of ``w`` are the letter blocks that reach it; a length-``k``
+    word is left special when at least two letter blocks reach its prefix
+    rank.  Within a block the shift map is nondecreasing, so each block
+    reaches a stored word or a rank in one run of neighbouring rows."""
+    shift, classes, keys = graph._shift, graph._classes, graph._keys
+    letters = [0] * len(classes)  # left extensions of each stored word
+    rank_letters = [0] * len(graph._rank_rows)  # of each length-k prefix
+    blocks = graph._letter_rows
+    for start, end in zip(blocks, blocks[1:]):
+        stored = rank = -1
+        for target in shift[start:end]:
+            if target != stored:
+                stored = target
+                letters[stored] += 1
+                prefix_rank = keys[classes[stored]][0]
+                if prefix_rank != rank:
+                    rank = prefix_rank
+                    rank_letters[rank] += 1
+    ls_k = sum(1 for count in rank_letters if count >= 2)
     specials = tuple(cover_special_states(graph))
-    ls_k = left_special_count(spec, graph.k)
-    witnesses = tuple(
-        next((w for w in graph.class_words[s] if spec.left_extension_count(w) >= 2), "")
-        for s in specials
-    )
+    first: dict[int, int] = {}  # state -> its first left special stored word
+    for stored, count in enumerate(letters):
+        if count >= 2:
+            first.setdefault(classes[stored], stored)
+    witnesses = tuple(graph.stored[first[s]] if s in first else "" for s in specials)
     return SpecialMatchReport(
         special_states=specials,
         branch_count_at_k=ls_k,
@@ -362,17 +425,21 @@ def isolated_orbit_window(graph: CoverGraph) -> frozenset:
 
 
 def check_intertwining(graph: CoverGraph) -> bool:
-    """For every stored word w the class of the shifted word is among the
-    successors of the class of w; with a single-valued shift this is the
-    exact equality of states."""
-    top = graph._top
-    for src, rows in enumerate(graph._class_rows):
-        succ = graph.succ[src]
-        for row in rows:
-            tgt = graph._class(top[row], 1)
-            if tgt not in succ:
+    """For every row of the top, the stored word its shift-map entry names
+    is the row's shift (one comparison against the top), and the class of
+    that word is among the successors of the class of the row's own stored
+    word; with a single-valued shift this is the exact equality of
+    states."""
+    top, depth, rows, shift = graph._top, graph.depth, graph._rows, graph._shift
+    classes, succ = graph._classes, graph.succ
+    ends = (*rows[1:], len(top))
+    for own, (first, end) in enumerate(zip(rows, ends)):
+        successors = succ[classes[own]]
+        for row in range(first, end):
+            target = shift[row]
+            if not top[rows[target]].startswith(top[row][1 : depth + 1]):
                 return False
-            if len(succ) == 1 and succ[0] != tgt:
+            if classes[target] not in successors:
                 return False
     return True
 

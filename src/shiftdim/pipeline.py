@@ -89,8 +89,15 @@ def write_file(out_dir: str, name: str, text: str) -> None:
 # -- individual stages --------------------------------------------------------
 
 
+def _at_least(value: int, bound: int, name: str) -> int:
+    """``value``, refused as a bad parameter when it is below ``bound``."""
+    if value < bound:
+        raise InvalidSpec(f"{name} {value} must be >= {bound}")
+    return value
+
+
 def run_lang(spec: SubshiftSpec, horizon: int, out_dir: str | None):
-    table = LanguageTable.build(spec, horizon)
+    table = LanguageTable.build(spec, _at_least(horizon, 1, "language horizon"))
     clauses = [
         Clause("factorial", table.check_factorial(), ""),
         Clause(
@@ -110,7 +117,7 @@ def run_lang(spec: SubshiftSpec, horizon: int, out_dir: str | None):
 
 
 def run_special(spec: SubshiftSpec, depth: int):
-    report = sp_estimate(spec, depth)
+    report = sp_estimate(spec, _at_least(depth, 4, "report depth"))
     clauses = [
         Clause(
             "bound-consistency",
@@ -289,13 +296,6 @@ class Stage:
     build: Callable[[PipelineParams, dict], tuple]
 
 
-def _at_least(value: int, bound: int, name: str) -> int:
-    """``value``, refused as a bad parameter when it is below ``bound``."""
-    if value < bound:
-        raise InvalidSpec(f"{name} {value} must be >= {bound}")
-    return value
-
-
 def _amen_stage(p: PipelineParams, built: dict):
     emap, _, orbit, pair_cert, cert = run_amen(
         built["cover"], built["rokhlin"], p.window_set, p.big_n, p.epsilon
@@ -308,11 +308,11 @@ STAGES = {
     "spec": Stage((), (), lambda p, b: (p.spec(),)),
     "lang": Stage(
         ("spec",), ("lang",),
-        lambda p, b: run_lang(b["spec"], _at_least(p.horizon, 1, "language horizon"), p.out_dir),
+        lambda p, b: run_lang(b["spec"], p.horizon, p.out_dir),
     ),
     "special": Stage(
         ("spec",), ("special",),
-        lambda p, b: run_special(b["spec"], _at_least(p.horizon, 4, "report depth")),
+        lambda p, b: run_special(b["spec"], p.horizon),
     ),
     "cover": Stage(
         ("spec",), ("cover",),
@@ -610,7 +610,8 @@ def recheck_certificate(cert: Certificate, directory: str | None = None) -> tupl
     ``directory`` holds the stage files of a ``certify-chain``
     certificate.  A certificate lacking an echo the re-check reads, or
     holding one of the wrong type, fails as a missing or malformed
-    witness."""
+    witness; one whose parameter breaks a bound of its stage fails as a
+    bad parameter, naming the bound."""
     recheck = KINDS.get(cert.kind)
     if recheck is None:
         return False, f"unknown certificate kind {cert.kind!r}"
@@ -622,6 +623,8 @@ def recheck_certificate(cert: Certificate, directory: str | None = None) -> tupl
         return False, f"missing or malformed witness {exc.args[0]!r}"
     except (TypeError, ValueError) as exc:
         return False, f"missing or malformed witness: {exc}"
+    except InvalidSpec as exc:
+        return False, f"bad parameter: {exc}"
     if fresh.canonical_json() == cert.canonical_json():
         return True, ""
     detail = fresh.first_failure()

@@ -161,6 +161,15 @@ def descriptor_oracle(state, alphabet) -> str:
     return f"[{prefix}|{past}]"
 
 
+def cover_key(graph, word: str, lookahead: int) -> tuple:
+    """``(prefix, past)`` of ``word`` at ``lookahead``, spelled out as
+    ``CoverState.key`` spells a state's.  The past is read through the
+    graph's per-tail cache, so this is what a test checks against the
+    uncached past, not an oracle itself."""
+    k = graph.k
+    return (word[:k], graph._past(word[k : k + lookahead]))
+
+
 # -- the simplex in Fractions ---------------------------------------------------
 # A point is a dict atom -> Fraction weight, read off ``SimplexPoint.entries``.
 

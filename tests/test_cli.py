@@ -426,3 +426,20 @@ def test_language_horizon_below_1_exits_3(fib_cfg, capsys, horizon):
     assert capsys.readouterr().err == (
         f"bad parameter in stage lang: language horizon {horizon} must be >= 1\n"
     )
+
+
+@pytest.mark.parametrize("command, edit, bound", [
+    ("lang", {"n_max": 0, "p": []}, "language horizon 0 must be >= 1"),
+    ("special", {"depth": 3}, "report depth 3 must be >= 4"),
+])
+def test_verify_applies_the_stage_bound(fib_cfg, tmp_path, capsys, command, edit, bound):
+    # the re-check refuses the parameters the stage itself refuses
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", fib_cfg, "--out", str(out_dir)]) == 0
+    path = out_dir / f"{command}.json"
+    data = json.loads(path.read_text())
+    data["params"].update(edit)
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == f"verification failed: bad parameter: {bound}\n"

@@ -16,9 +16,12 @@ from shiftdim.cover import (
     special_match_report,
 )
 from shiftdim.errors import InvalidSpec
-from shiftdim.words import Alphabet, SubstitutionSpec
+from shiftdim.pipeline import run_cover
+from shiftdim.special import left_special_words
+from shiftdim.words import Alphabet, SubstitutionSpec, fibonacci_spec, thue_morse_spec
 
-from .oracles import descriptor_oracle
+from .oracles import cover_key, descriptor_oracle
+from .test_words import RANDOM_RULES, TRIB_RULES
 
 
 def test_past_set_full_shift(full2):
@@ -153,8 +156,6 @@ def test_horizon_precondition(fib):
 
 
 def test_thue_morse_special_states(tm):
-    from shiftdim.special import left_special_words
-
     graph = build_cover_graph(tm, 6, 6)
     specials = cover_special_states(graph)
     # the count follows the word-level left special count at this depth
@@ -212,7 +213,7 @@ def test_cached_keys_match_uncached_past_words(name, request):
     for w in graph.stored:
         for word, m in ((w, lam), (w[1:], lam), (w, lam - 1)):
             expected = (word[:k], _past_words(spec, word[k : k + m], graph.l))
-            assert graph._key(word, m) == expected
+            assert cover_key(graph, word, m) == expected
 
 
 def test_past_words_computed_once_per_tail(trib, monkeypatch):
@@ -234,13 +235,39 @@ def test_past_words_computed_once_per_tail(trib, monkeypatch):
     assert {tail for tail, _ in calls} == tails
 
 
-@pytest.mark.parametrize("name", ["fib", "tm", "trib"])
-@pytest.mark.parametrize("k", [1, 2, 50, 200])
-def test_row_number_cover_matches_spelled_classification(name, k, request):
-    from shiftdim.special import left_special_words
+def _substitution(rules):
+    return lambda: SubstitutionSpec(Alphabet(tuple(sorted(rules))), rules)
 
-    spec = request.getfixturevalue(name)
+
+# Fresh presentations: a test that builds a longer top must not leave it
+# to the session's shared ones.
+PRESENTATIONS = {
+    "fib": fibonacci_spec,
+    "tm": thue_morse_spec,
+    "trib": _substitution(TRIB_RULES),
+    **{f"random{i}": _substitution(RANDOM_RULES[i]) for i in range(4)},
+}
+
+
+@pytest.mark.parametrize("name, k, before", [
+    pytest.param(name, k, before, id="-".join(str(p) for p in (k, name, before) if p))
+    for before in (None, "language", "graph")
+    for name in PRESENTATIONS
+    for k in (1, 2, 50, 200)
+])
+def test_row_number_cover_matches_spelled_classification(name, k, before):
+    """The graph against the classification spelled out word by word.
+    ``before`` builds a longer top first: the language 40 symbols past the
+    graph's top, or the graph at 2k, whose certificate and adjacency text
+    must then equal a fresh build's."""
+    spec = PRESENTATIONS[name]()
+    if before == "language":
+        spec.language(2 * k + 7 + 40)  # the top of the (k, 6) graph is 2k + 7
+    elif before == "graph":
+        build_cover_graph(spec, 2 * k, 6)
     graph = build_cover_graph(spec, k, 6)
+    if before:
+        assert len(spec.top(0)[0]) > graph.depth + 1
     lam, l = graph.lookahead, graph.l
     stored = list(graph.stored)
     assert stored == list(spec.sorted_language(graph.depth))
@@ -262,8 +289,29 @@ def test_row_number_cover_matches_spelled_classification(name, k, request):
         edges[index[key(w)]].add(index[key(w[1:])])
     assert graph.succ == tuple(tuple(sorted(e)) for e in edges)
     assert [graph.pi(s) for s in range(graph.num_states)] == [kp[0] for kp in order]
+    assert check_intertwining(graph)
     report = special_match_report(graph)
     assert report.branch_count_at_k == len(left_special_words(spec, k))
+    # each witness is the first stored word of its state with two left
+    # extensions, and only a state with none has no witness
+    for s, witness in zip(report.special_states, report.witnesses):
+        special = [w for w in graph.class_words[s] if spec.left_extension_count(w) >= 2]
+        assert witness == (special[0] if special else "")
+    if before == "graph":
+        fresh_graph, fresh_cert = run_cover(PRESENTATIONS[name](), k, 6, None)
+        assert run_cover(spec, k, 6, None)[1].canonical_json() == fresh_cert.canonical_json()
+        assert graph.to_adjacency_text() == fresh_graph.to_adjacency_text()
+
+
+@pytest.mark.parametrize("row", [0, 1, 200, -1])
+def test_intertwining_fails_on_a_wrong_shift_entry(fib, row):
+    """A shift-map entry pointed at the neighbouring stored word fails the
+    intertwining check."""
+    graph = build_cover_graph(fib, 50, 6)
+    assert check_intertwining(graph)
+    target = graph._shift[row]
+    graph._shift[row] = target + 1 if target + 1 < len(graph.stored) else target - 1
+    assert not check_intertwining(graph)
 
 
 def test_cover_retains_less_than_half_the_top():
