@@ -252,32 +252,6 @@ def build_equivariant_map(
     return replace(emap, epsilon_achieved=achieved)
 
 
-def _window_edges(sys: FiniteSymbolicSystem, E):
-    """(x, n, y) with y an n-step successor of x (n >= 0) or an |n|-step
-    predecessor (n < 0), for n in the window."""
-    for x in range(sys.num_states):
-        for n in E:
-            ys = sys.image({x}, n) if n >= 0 else sys.preimage({x}, -n)
-            for y in ys:
-                yield x, n, y
-
-
-def _entry_free_image(sys, start: int, steps: int, orbit_window) -> frozenset:
-    """Forward reachability that never steps from outside the orbit window
-    into it (the entry edges are the finite-resolution seam where a mixed
-    class feeds the discrete orbit)."""
-    cur = {start}
-    for _ in range(steps):
-        nxt = set()
-        for u in cur:
-            for v in sys.succ[u]:
-                if v in orbit_window and u not in orbit_window:
-                    continue
-                nxt.add(v)
-        cur = nxt
-    return frozenset(cur)
-
-
 def check_equivariance(
     sys: FiniteSymbolicSystem,
     emap: EquivariantMap,
@@ -285,7 +259,9 @@ def check_equivariance(
     epsilon,
     orbit_window=frozenset(),
 ) -> Certificate:
-    """Exact deviation measurement over every window edge.
+    """Exact deviation measurement over every window edge (x, n, y), n in
+    the normalized window, y an n-step successor (n >= 0) or |n|-step
+    predecessor (n < 0) of x.
 
     Edges realizable without crossing into ``orbit_window`` from outside
     are *regular* and must stay below epsilon.  Entry-crossing edges are
@@ -294,34 +270,52 @@ def check_equivariance(
     constant on classes can move both histories correctly at once, so
     these finitely many edges form the exception bucket: the certificate
     requires them to be confined to the declared window and reports their
-    count and worst deviation separately."""
+    count and worst deviation separately.
+
+    One forward walk per state measures each edge (x, n, y), n > 0, once.
+    Its mirror (y, -n, x) has the same deviation (the shift is an l1
+    isometry) and regularity (x is an n-step predecessor of y exactly when
+    y is an n-step successor of x), and (x, 0, x) has deviation 0, so
+    ``edges`` is the states plus twice the forward edges.  The witness is
+    the first worst regular edge in the order x, n, then y as
+    ``sys.image({x}, n)`` or ``sys.preimage({x}, -n)`` iterates; None if
+    every regular deviation is 0."""
     E = normalize_window(E)
     eps = Fraction(epsilon)
     orbit_window = frozenset(orbit_window)
+    points = emap.assignment
+    succ = sys.succ
+    steps = frozenset(n for n in E if n > 0)
     # deviations as (numerator, denominator) pairs, ordered by
-    # cross-multiplication; ties keep the first witness edge
-    worst, witness = (0, 1), None
-    exc_worst = (0, 1)
-    exc_edges = []
-    edges = 0
-    for x, n, y in _window_edges(sys, E):
-        edges += 1
-        dev = emap.point(y).l1(emap.point(x), n)
-        if n >= 0:
-            regular = y in _entry_free_image(sys, x, n, orbit_window)
-        else:
-            regular = x in _entry_free_image(sys, y, -n, orbit_window)
-        if regular:
-            if dev[0] * worst[1] > worst[0] * dev[1]:
-                worst, witness = dev, (x, n, y)
-        else:
-            exc_edges.append((x, n, y))
-            if dev[0] * exc_worst[1] > exc_worst[0] * dev[1]:
-                exc_worst = dev
+    # cross-multiplication; the forward edges tied at the worst regular
+    # deviation are kept to rank them and their mirrors for the witness
+    worst, tied, exc_worst = (0, 1), [], (0, 1)
+    forward = exceptional = 0
+    confined = True
+    for x in range(sys.num_states):
+        px, image, free = points[x], {x}, {x}
+        for n in range(1, max(steps, default=0) + 1):
+            image = {t for s in image for t in succ[s]}
+            free = {t for s in free for t in succ[s] if s in orbit_window or t not in orbit_window}
+            if n not in steps:
+                continue
+            forward += len(image)
+            for y in image:
+                dev = points[y].l1(px, n)
+                if y in free:
+                    gap = dev[0] * worst[1] - worst[0] * dev[1]
+                    if gap > 0:
+                        worst, tied = dev, [(x, n, y)]
+                    elif gap == 0 and dev[0]:
+                        tied.append((x, n, y))
+                else:
+                    exceptional += 1
+                    confined = confined and (x in orbit_window or y in orbit_window)
+                    if dev[0] * exc_worst[1] > exc_worst[0] * dev[1]:
+                        exc_worst = dev
+    witness = _first_edge(sys, tied + [(y, -n, x) for x, n, y in tied])
     worst, exc_worst = Fraction(*worst), Fraction(*exc_worst)
-    confined = all(
-        (x in orbit_window or y in orbit_window) for x, n, y in exc_edges
-    )
+    edges = sys.num_states + 2 * forward
     clauses = [
         Clause(
             "regular-deviation-below-epsilon",
@@ -331,7 +325,7 @@ def check_equivariance(
         Clause(
             "exceptional-edges-confined-to-orbit-window",
             confined,
-            f"{len(exc_edges)} entry edges, worst deviation {exc_worst}",
+            f"{2 * exceptional} entry edges, worst deviation {exc_worst}",
         ),
         Clause(
             "probability-vectors",
@@ -353,13 +347,24 @@ def check_equivariance(
             "resolution": emap.resolution,
             "d": emap.d,
             "max_regular_deviation": worst,
-            "exceptional_edges": len(exc_edges),
+            "exceptional_edges": 2 * exceptional,
             "max_exceptional_deviation": exc_worst,
             "orbit_window_size": len(orbit_window),
             "edges": edges,
         },
         clauses=clauses,
     )
+
+
+def _first_edge(sys: FiniteSymbolicSystem, edges):
+    """The first of ``edges`` in ``check_equivariance``'s edge order (the
+    normalized window is sorted), or None for no edges."""
+    if not edges:
+        return None
+    x, n = min((x, n) for x, n, _ in edges)
+    ys = {y for u, m, y in edges if (u, m) == (x, n)}
+    reach = sys.image({x}, n) if n >= 0 else sys.preimage({x}, -n)
+    return next((x, n, y) for y in reach if y in ys)
 
 
 def project_finite_support(emap: EquivariantMap, S, delta) -> tuple[EquivariantMap, Fraction]:

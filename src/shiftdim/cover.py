@@ -44,7 +44,7 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import DepthInsufficient, EmptyLanguage, InvalidSpec
+from .errors import EmptyLanguage, InvalidSpec
 from .systems import FiniteSymbolicSystem
 from .words import SFTSpec, SubshiftSpec
 
@@ -221,8 +221,8 @@ class CoverGraph:
         sorted_pasts = {past: tuple(sorted(past)) for past in {past for _, past in keys}}
         order = sorted(set(keys), key=lambda key: (key[0], sorted_pasts[key[1]]))
         self._keys = tuple(order)
-        self._index = {key: i for i, key in enumerate(order)}
-        classes = self._classes = [self._index[key] for key in keys]
+        index = {key: i for i, key in enumerate(order)}
+        classes = self._classes = [index[key] for key in keys]
         shift = self._shift = self._shift_map()
         class_rows: list[list[int]] = [[] for _ in order]
         edges: list[set[int]] = [set() for _ in order]
@@ -316,18 +316,6 @@ class CoverGraph:
     @property
     def surjective(self) -> bool:
         return self._system.surjective_flag
-
-    def iota(self, word: str) -> int:
-        """Class of a word of length >= k + lookahead."""
-        if len(word) < self.k + self.lookahead:
-            raise ValueError("word too short to classify at this resolution")
-        return self._class(word)
-
-    def _class(self, word: str) -> int:
-        state = self._index.get(self._rank_key(word))
-        if state is None:
-            raise DepthInsufficient("word class not represented among stored words")
-        return state
 
     def pi(self, state: int) -> str:
         """Length-k prefix of the class."""

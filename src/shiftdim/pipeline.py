@@ -249,6 +249,9 @@ def run_dad(
     if out_dir:
         write_file(out_dir, "window_elements.txt", window.to_text())
     projected, moved = project_finite_support(emap, emap.support_window, Fraction(1, 2))
+    # build_dad_cover needs the certificate of the map it covers, the
+    # projected one, not the map run_amen checked (onto its own support
+    # window the projection moves no point, onto a smaller one it would)
     eq_cert = check_equivariance(sys, projected, window_set, epsilon, orbit)
     cover = build_dad_cover(window, projected, specials, orbit, eq_cert)
     cert = _stamp(
@@ -621,7 +624,7 @@ def recheck_certificate(cert: Certificate, directory: str | None = None) -> tupl
         return False, str(exc)
     except KeyError as exc:
         return False, f"missing or malformed witness {exc.args[0]!r}"
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         return False, f"missing or malformed witness: {exc}"
     except InvalidSpec as exc:
         return False, f"bad parameter: {exc}"

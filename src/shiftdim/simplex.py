@@ -19,6 +19,21 @@ from fractions import Fraction
 from math import gcd, inf, lcm
 
 
+def _ratio(weight) -> tuple[int, int]:
+    """(numerator, positive denominator) of a weight, not reduced: ``"p/q"``
+    in ASCII digits is read in integers (q = 0 raises ValueError), the rest
+    by ``Fraction``."""
+    if isinstance(weight, str):
+        p, _, q = weight.partition("/")
+        if p.isascii() and p.isdigit() and q.isascii() and q.isdigit():
+            num, den = int(p), int(q)
+            if den == 0:
+                raise ValueError(f"weight {weight!r} has a zero denominator")
+            return num, den
+    weight = Fraction(weight)
+    return weight.numerator, weight.denominator
+
+
 @dataclass(frozen=True)
 class SimplexPoint:
     """Finitely supported rational probability vector on the integers: the
@@ -54,13 +69,13 @@ class SimplexPoint:
         """The point with the given ``(atom, weight)`` pairs, in any order;
         the atoms must be distinct and the weights positive rationals
         summing to exactly 1."""
-        pairs = [(int(a), Fraction(w)) for a, w in entries]
-        if len({a for a, _ in pairs}) != len(pairs):
+        pairs = [(int(a), *_ratio(w)) for a, w in entries]
+        if len({a for a, _, _ in pairs}) != len(pairs):
             raise ValueError("atoms must be distinct")
-        if any(w <= 0 for _, w in pairs):
+        if any(p <= 0 for _, p, _ in pairs):
             raise ValueError("weights must be positive")
-        den = lcm(*(w.denominator for _, w in pairs))
-        masses = {a: w.numerator * (den // w.denominator) for a, w in pairs}
+        den = lcm(*(q for _, _, q in pairs))
+        masses = {a: p * (den // q) for a, p, q in pairs}
         if sum(masses.values()) != den:
             raise ValueError("weights must sum to exactly 1")
         return cls.from_masses(masses)
@@ -69,10 +84,6 @@ class SimplexPoint:
     def from_dict(cls, weights: dict) -> "SimplexPoint":
         """``from_entries`` on the nonzero weights of an atom -> weight map."""
         return cls.from_entries((a, w) for a, w in weights.items() if w != 0)
-
-    @classmethod
-    def dirac(cls, atom: int) -> "SimplexPoint":
-        return cls((int(atom),), (1,))
 
     @property
     def entries(self) -> tuple[tuple[int, Fraction], ...]:
@@ -180,11 +191,3 @@ def cover_index(mu: SimplexPoint, d: int):
         if _in_ring(mu.den, kept, i):
             return i, tuple(sorted(a for _, a in ranked[: i + 1]))
     raise AssertionError(f"cover property violated for {mu!r} at d={d}")
-
-
-def cell_distance(mu: SimplexPoint, cell) -> Fraction:
-    """l1 distance from mu to the closed cell of points supported on the
-    given atoms: 2 (1 - mass inside the cell)."""
-    cell_set = set(cell)
-    kept = sum(x for a, x in zip(mu.atoms, mu.nums) if a in cell_set)
-    return Fraction(2 * (mu.den - kept), mu.den)

@@ -12,6 +12,9 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
+from shiftdim.certificates import Certificate, Clause
+from shiftdim.simplex import SimplexPoint
+
 
 def substitution_image(rules: dict[str, str], seed: str, power: int) -> str:
     word = seed
@@ -170,8 +173,43 @@ def cover_key(graph, word: str, lookahead: int) -> tuple:
     return (word[:k], graph._past(word[k : k + lookahead]))
 
 
+def cover_class(graph, word: str) -> int:
+    """The state of ``word``'s class, found by its ``(prefix rank, past)``
+    key among the graph's state keys; like ``cover_key``, what a test
+    checks against its own grouping, not an oracle itself."""
+    return graph._keys.index(graph._rank_key(word))
+
+
 # -- the simplex in Fractions ---------------------------------------------------
 # A point is a dict atom -> Fraction weight, read off ``SimplexPoint.entries``.
+
+
+def dirac(atom: int) -> SimplexPoint:
+    """The point with all its mass on one atom."""
+    return SimplexPoint((int(atom),), (1,))
+
+
+def cell_distance(mu: SimplexPoint, cell) -> Fraction:
+    """l1 distance from mu to the closed cell of points supported on the
+    given atoms: 2 (1 - mass inside the cell)."""
+    cell = set(cell)
+    kept = sum((w for a, w in mu.entries if a in cell), Fraction(0))
+    return 2 * (1 - kept)
+
+
+def entries_oracle(entries) -> dict:
+    """``SimplexPoint.from_entries`` read with a ``Fraction`` per weight:
+    the atom -> weight map, or the ValueError of the first rule broken
+    (distinct atoms, positive weights, sum exactly 1).  A weight that
+    ``Fraction`` refuses raises what ``Fraction`` raises."""
+    pairs = [(int(a), Fraction(w)) for a, w in entries]
+    if len({a for a, _ in pairs}) != len(pairs):
+        raise ValueError("atoms must be distinct")
+    if any(w <= 0 for _, w in pairs):
+        raise ValueError("weights must be positive")
+    if sum(w for _, w in pairs) != 1:
+        raise ValueError("weights must sum to exactly 1")
+    return dict(pairs)
 
 
 def l1_oracle(mu: dict, nu: dict, n: int = 0) -> Fraction:
@@ -211,3 +249,95 @@ def projection_oracle(mu: dict, S) -> tuple[dict, Fraction]:
     moved = l1_oracle(mu, projected)
     assert moved == 2 * (1 - kept)
     return projected, moved
+
+
+# -- equivariance, one window edge at a time -------------------------------------
+
+
+def _symmetric_window(E) -> list[int]:
+    """The window with its negatives and 0, sorted."""
+    return sorted({0} | {int(n) for n in E} | {-int(n) for n in E})
+
+
+def _entry_free_path(sys, start: int, end: int, steps: int, window) -> bool:
+    """Some ``steps``-step path from start to end never steps from outside
+    ``window`` into it; every path is tried."""
+    if steps == 0:
+        return start == end
+    return any(
+        _entry_free_path(sys, v, end, steps - 1, window)
+        for v in sys.succ[start]
+        if start in window or v not in window
+    )
+
+
+def window_edges_oracle(sys, emap, E, orbit_window=frozenset()):
+    """Every window edge ``(x, n, y, deviation, regular)``, in the order
+    x, then n in the normalized window, then y in the iteration of
+    ``sys.image({x}, n)`` or ``sys.preimage({x}, -n)``, each measured on
+    its own with ``l1_oracle``.  An edge is regular when an |n|-step path
+    along its direction avoids every entry into the orbit window."""
+    window = frozenset(orbit_window)
+    points = [dict(p.entries) for p in emap.assignment]
+    E = _symmetric_window(E)
+    for x in range(sys.num_states):
+        for n in E:
+            ys = sys.image({x}, n) if n >= 0 else sys.preimage({x}, -n)
+            for y in ys:
+                start, end = (x, y) if n >= 0 else (y, x)
+                regular = _entry_free_path(sys, start, end, abs(n), window)
+                yield x, n, y, l1_oracle(points[y], points[x], n), regular
+
+
+def equivariance_oracle(sys, emap, E, epsilon, orbit_window=frozenset(), edges=None) -> Certificate:
+    """The equivariance certificate by the per-edge loop over
+    ``window_edges_oracle`` (or over its output, passed as ``edges``); the
+    witness is the first edge at the worst regular deviation."""
+    E = _symmetric_window(E)
+    eps = Fraction(epsilon)
+    window = frozenset(orbit_window)
+    if edges is None:
+        edges = window_edges_oracle(sys, emap, E, window)
+    worst, witness, exc_worst, exc_edges, count = Fraction(0), None, Fraction(0), [], 0
+    for x, n, y, dev, regular in edges:
+        count += 1
+        if regular:
+            if dev > worst:
+                worst, witness = dev, (x, n, y)
+        else:
+            exc_edges.append((x, y))
+            exc_worst = max(exc_worst, dev)
+    points = [dict(p.entries) for p in emap.assignment]
+    clauses = [
+        Clause(
+            "regular-deviation-below-epsilon",
+            worst < eps,
+            f"max regular deviation {worst} at edge {witness} over {count} edges",
+        ),
+        Clause(
+            "exceptional-edges-confined-to-orbit-window",
+            all(x in window or y in window for x, y in exc_edges),
+            f"{len(exc_edges)} entry edges, worst deviation {exc_worst}",
+        ),
+        Clause("probability-vectors", all(sum(p.values()) == 1 for p in points), ""),
+        Clause(
+            "support-bound",
+            all(len(p) <= emap.d + 1 for p in points),
+            f"d+1 = {emap.d + 1}",
+        ),
+    ]
+    return Certificate.build(
+        kind="equivariance",
+        params={
+            "E": E,
+            "epsilon": eps,
+            "resolution": emap.resolution,
+            "d": emap.d,
+            "max_regular_deviation": worst,
+            "exceptional_edges": len(exc_edges),
+            "max_exceptional_deviation": exc_worst,
+            "orbit_window_size": len(window),
+            "edges": count,
+        },
+        clauses=clauses,
+    )

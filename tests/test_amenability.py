@@ -16,8 +16,16 @@ from shiftdim.simplex import SimplexPoint
 from shiftdim.systems import FiniteSymbolicSystem
 from shiftdim.towers import TowerPair, TowerPairSystem, normalize_window, verify_tower_pairs
 
-from .oracles import iterated_sumsets, l1_oracle, projection_oracle, sumset_partition_oracle
-from .test_simplex import oracle_points
+from .oracles import (
+    dirac,
+    equivariance_oracle,
+    iterated_sumsets,
+    l1_oracle,
+    projection_oracle,
+    sumset_partition_oracle,
+    window_edges_oracle,
+)
+from .test_simplex import oracle_points, random_point
 
 
 def cycle_system(n):
@@ -284,7 +292,7 @@ def test_map_json_round_trip_in_lowest_terms():
     ({"1": "1/2", "01": "1/2"}, "distinct"),
 ], ids=["zero-weight", "negative-weight", "sum-not-1", "duplicate-atom"])
 def test_from_jsonable_rejects_invalid_points(entry, reason):
-    data = _single_point_map(SimplexPoint.dirac(0)).to_jsonable()
+    data = _single_point_map(dirac(0)).to_jsonable()
     data["points"] = [entry]
     with pytest.raises(ValueError, match=reason):
         EquivariantMap.from_jsonable(data)
@@ -299,7 +307,7 @@ def test_equivariance_witness_on_ties_matches_oracle():
         SimplexPoint.from_dict({0: Fraction(1, 4), 1: Fraction(3, 4)}),
         SimplexPoint.from_dict({0: Fraction(3, 4), 1: Fraction(1, 4)}),
         SimplexPoint.from_dict({0: Fraction(1, 2), 1: Fraction(1, 3), 2: Fraction(1, 6)}),
-        SimplexPoint.dirac(1),
+        dirac(1),
     ]
     rng = random.Random(67)
     E = normalize_window((-2, 0, 1))
@@ -330,3 +338,71 @@ def test_equivariance_witness_on_ties_matches_oracle():
         clause = next(c for c in cert.clauses if c.name == "regular-deviation-below-epsilon")
         assert f"at edge {witness} over {len(devs)} edges" in clause.witness
     assert ties > 100
+
+
+TIE_POOL = (
+    SimplexPoint.from_dict({0: Fraction(1, 2), 1: Fraction(1, 2)}),
+    SimplexPoint.from_dict({0: Fraction(1, 4), 1: Fraction(3, 4)}),
+    SimplexPoint.from_dict({0: Fraction(3, 4), 1: Fraction(1, 4)}),
+    SimplexPoint.from_dict({-1: Fraction(1, 2), 1: Fraction(1, 3), 2: Fraction(1, 6)}),
+    dirac(1),
+    dirac(3),
+)
+
+
+def random_branching_system(rng):
+    """3-9 states, each with 1-3 successors, so branch and merge states
+    both occur."""
+    n = rng.randint(3, 9)
+    succ = tuple(
+        tuple(sorted(rng.sample(range(n), rng.choice((1, 1, 2, 3))))) for _ in range(n)
+    )
+    return FiniteSymbolicSystem(labels=tuple(f"s{i}" for i in range(n)), succ=succ)
+
+
+def test_equivariance_matches_edge_by_edge_oracle():
+    # the forward walk with mirrored edges against the per-edge loop, whole
+    # certificates compared, witness and counts included
+    rng = random.Random(12)
+    seen = {"branch": 0, "merge": 0, "tied": 0, "exceptional": 0, "mirror-witness": 0}
+    for _ in range(200):
+        sys = random_branching_system(rng)
+        seen["branch"] += bool(sys.branch_states())
+        seen["merge"] += bool(sys.special_states())
+        orbit = frozenset(rng.sample(range(sys.num_states), rng.randint(0, sys.num_states // 2)))
+        pool = TIE_POOL + tuple(random_point(rng, max_atoms=3, denom=12) for _ in range(2))
+        emap = EquivariantMap(
+            assignment=tuple(rng.choice(pool) for _ in range(sys.num_states)),
+            window_set=(0,),
+            resolution=1,
+            d=rng.choice((1, 2)),
+            epsilon_achieved=Fraction(0),
+            support_window=(),
+        )
+        for E in ((0,), (-1, 0, 1), (-2, 0, 3), (-3, 0, 5)):
+            eps = rng.choice((Fraction(1, 2), Fraction(1), Fraction(10)))
+            cert = check_equivariance(sys, emap, E, eps, orbit)
+            edges = list(window_edges_oracle(sys, emap, E, orbit))
+            oracle = equivariance_oracle(sys, emap, E, eps, orbit, edges=edges)
+            assert cert.canonical_json() == oracle.canonical_json()
+            devs = [dev for *_, dev, regular in edges if regular]
+            seen["tied"] += max(devs) > 0 and devs.count(max(devs)) > 1
+            seen["exceptional"] += cert.params["exceptional_edges"] > 0
+            seen["mirror-witness"] += ", -" in cert.clauses[0].witness
+    assert min(seen.values()) > 50, seen
+
+
+def test_skew_window_map_matches_edge_by_edge_oracle():
+    # the fib-skew-dad benchmark's map at k=1700 and its projection
+    from shiftdim.pipeline import run_amen, run_cover, run_rokhlin
+    from shiftdim.words import fibonacci_spec
+    E = (-2, 0, 3)
+    graph = run_cover(fibonacci_spec(), 1700, 6, None)[0]
+    cover = run_rokhlin(graph, 11)[0]
+    emap, _, orbit, _, _ = run_amen(graph, cover, E, 37, Fraction(2))
+    projected, _ = project_finite_support(emap, emap.support_window, Fraction(1, 2))
+    for m in (emap, projected):
+        cert = check_equivariance(graph.system, m, E, Fraction(2), orbit)
+        oracle = equivariance_oracle(graph.system, m, E, Fraction(2), orbit)
+        assert cert.canonical_json() == oracle.canonical_json()
+        assert cert.params["edges"] == 8545

@@ -254,11 +254,19 @@ def test_verify_chain_rejects_other_parameter(chain_dir, tmp_path, capsys, key, 
     ("amen_pairs.json", "pair_exponent_ranges", [-3, 232]),
     ("amen_pairs.json", "pair_exponent_ranges", [1, 232]),
     ("amen_pairs.json", "pair_exponent_ranges", [5, 2]),
-], ids=["special-count", "range-negative-start", "range-start-1", "range-reversed"])
+    ("amen.json", "map", "1/0"),
+    ("dad.json", "map", "1/0"),
+    ("amen.json", "epsilon", "1/0"),
+], ids=["special-count", "range-negative-start", "range-start-1", "range-reversed",
+        "amen-weight-zero-denominator", "dad-weight-zero-denominator",
+        "amen-epsilon-zero-denominator"])
 def test_verify_rejects_tampered_echo(chain_dir, tmp_path, capsys, target, key, value):
     def edit(params):
         if key == "pair_exponent_ranges":
             params[key][0] = value
+        elif key == "map":
+            point = params[key]["points"][0]
+            point[next(iter(point))] = value
         else:
             params[key] = value
 
@@ -267,6 +275,8 @@ def test_verify_rejects_tampered_echo(chain_dir, tmp_path, capsys, target, key, 
     assert out.startswith("verification failed")
     if key == "pair_exponent_ranges":
         assert f"missing or malformed witness: exponent range {value}" in out
+    if value == "1/0":
+        assert out.startswith("verification failed: missing or malformed witness")
 
 
 @pytest.mark.parametrize("target, old, new", [

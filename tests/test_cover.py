@@ -20,7 +20,7 @@ from shiftdim.pipeline import run_cover
 from shiftdim.special import left_special_words
 from shiftdim.words import Alphabet, SubstitutionSpec, fibonacci_spec, thue_morse_spec
 
-from .oracles import cover_key, descriptor_oracle
+from .oracles import cover_class, cover_key, descriptor_oracle
 from .test_words import RANDOM_RULES, TRIB_RULES
 
 
@@ -100,7 +100,7 @@ def test_intertwining_exhaustive_medium(fib):
 def test_pi_iota_prefix_recovery(fib):
     graph = build_cover_graph(fib, 4, 4)
     for w in graph.stored:
-        assert graph.pi(graph.iota(w)) == w[:4]
+        assert graph.pi(cover_class(graph, w)) == w[:4]
 
 
 def test_cover_surjective_when_extendable(fib, tm):
@@ -284,8 +284,8 @@ def test_row_number_cover_matches_spelled_classification(name, k, before):
     index = {kp: s for s, kp in enumerate(order)}
     edges = [set() for _ in order]
     for w in stored:
-        assert graph.iota(w) == index[key(w)]
-        assert graph.iota(w[1:]) == index[key(w[1:])]
+        assert cover_class(graph, w) == index[key(w)]
+        assert cover_class(graph, w[1:]) == index[key(w[1:])]
         edges[index[key(w)]].add(index[key(w[1:])])
     assert graph.succ == tuple(tuple(sorted(e)) for e in edges)
     assert [graph.pi(s) for s in range(graph.num_states)] == [kp[0] for kp in order]

@@ -12,8 +12,9 @@ from shiftdim.groupoid import (
     difference_set,
     verify_dad_cover,
 )
-from shiftdim.simplex import SimplexPoint
 from shiftdim.systems import FiniteSymbolicSystem
+
+from .oracles import dirac
 
 
 def merge_system():
@@ -66,7 +67,7 @@ def test_window_inversion_closure():
 
 def _constant_map(sys, atom=0):
     return EquivariantMap(
-        assignment=tuple(SimplexPoint.dirac(atom) for _ in range(sys.num_states)),
+        assignment=tuple(dirac(atom) for _ in range(sys.num_states)),
         window_set=(0,),
         resolution=1,
         d=0,

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from shiftdim.simplex import (
     SimplexPoint,
-    cell_distance,
     cover_index,
     simplicial_cover_membership,
     skeleton_distance,
 )
 
-from .oracles import l1_oracle, ring_membership_oracle
+from .oracles import cell_distance, dirac, entries_oracle, l1_oracle, ring_membership_oracle
 
 
 def random_point(rng, max_atoms=6, atom_range=10, denom=60):
@@ -54,8 +53,48 @@ def test_point_validation():
         SimplexPoint.from_entries(((0, Fraction(1, 2)), (1, Fraction(1, 2)), (1, Fraction(0))))
 
 
+WEIGHT_TEXTS = (
+    "37/262", "2/4", "0.5", " 1/2", "1/2 ", "+1/2", "-1/2", "1_0/20", "\u0661/\u0662",
+    "0/1", "1", "\u00b2/4", "1/2/3", "/2", "1/", "",
+)
+
+
+def _read(read, entries):
+    """What ``read`` makes of the entries: the weights by atom, or the
+    exception's class and message."""
+    try:
+        point = read(entries)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+    return point if isinstance(point, dict) else dict(point.entries)
+
+
+@pytest.mark.parametrize("text", WEIGHT_TEXTS)
+def test_from_entries_reads_weights_like_fraction(text):
+    # a "p/q" of ASCII digits is read in integers, anything else by
+    # Fraction: the same point, or the same error, either way
+    cases = [[(0, text)], [(0, text), (1, "1/2")], [(3, "1/4"), (0, text)]]
+    try:
+        rest = 1 - Fraction(text)
+    except ValueError:
+        rest = None
+    if rest is not None and 0 < rest < 1:
+        cases.append([(0, text), (-2, f"{rest.numerator}/{rest.denominator}")])
+    for entries in cases:
+        assert _read(SimplexPoint.from_entries, entries) == _read(entries_oracle, entries)
+
+
+def test_from_entries_refuses_zero_denominator():
+    with pytest.raises(ZeroDivisionError):
+        entries_oracle([(0, "1/0")])
+    with pytest.raises(ValueError, match="zero denominator"):
+        SimplexPoint.from_entries([(0, "1/0")])
+    with pytest.raises(ValueError, match="zero denominator"):
+        SimplexPoint.from_entries([(0, "1/2"), (1, "1/00")])
+
+
 def test_skeleton_distance_examples():
-    assert skeleton_distance(SimplexPoint.dirac(0), 1) == 0
+    assert skeleton_distance(dirac(0), 1) == 0
     uniform2 = SimplexPoint.from_dict({0: Fraction(1, 2), 1: Fraction(1, 2)})
     assert skeleton_distance(uniform2, 1) == 1
     uniform3 = SimplexPoint.from_dict({i: Fraction(1, 3) for i in range(3)})
@@ -116,7 +155,7 @@ def test_cover_index_matches_membership():
 
 
 def test_membership_examples():
-    member, cell = simplicial_cover_membership(SimplexPoint.dirac(0), 0, 2)
+    member, cell = simplicial_cover_membership(dirac(0), 0, 2)
     assert member and cell == (0,)
     uniform2 = SimplexPoint.from_dict({0: Fraction(1, 2), 1: Fraction(1, 2)})
     member, _ = simplicial_cover_membership(uniform2, 0, 2)
@@ -165,7 +204,7 @@ def test_cell_distance_matches_formula():
 @given(st.integers(0, 4))
 @settings(max_examples=20, deadline=None)
 def test_dirac_always_in_ring_zero(atom):
-    ring, cell = cover_index(SimplexPoint.dirac(atom), 3)
+    ring, cell = cover_index(dirac(atom), 3)
     assert ring == 0 and cell == (atom,)
 
 
