@@ -285,7 +285,7 @@ def check_equivariance(
     orbit_window = frozenset(orbit_window)
     points = emap.assignment
     succ = sys.succ
-    steps = frozenset(n for n in E if n > 0)
+    steps = frozenset(E)
     # deviations as (numerator, denominator) pairs, ordered by
     # cross-multiplication; the forward edges tied at the worst regular
     # deviation are kept to rank them and their mirrors for the witness
@@ -294,7 +294,7 @@ def check_equivariance(
     confined = True
     for x in range(sys.num_states):
         px, image, free = points[x], {x}, {x}
-        for n in range(1, max(steps, default=0) + 1):
+        for n in range(1, E[-1] + 1):
             image = {t for s in image for t in succ[s]}
             free = {t for s in free for t in succ[s] if s in orbit_window or t not in orbit_window}
             if n not in steps:
