@@ -376,7 +376,13 @@ def project_finite_support(emap: EquivariantMap, S, delta) -> tuple[EquivariantM
     delta = Fraction(delta)
     new_points = []
     worst = (0, 1)
+    # a point with no atom outside S has tail 0, below delta/2 when delta
+    # is positive, and stays where it is
+    keeps_whole = delta > 0
     for x, p in enumerate(emap.assignment):
+        if keeps_whole and S.issuperset(p.atoms):
+            new_points.append(p)
+            continue
         mass = {a: x for a, x in zip(p.atoms, p.nums) if a in S}
         tail = p.den - sum(mass.values())
         # tail / den < delta / 2, cross-multiplied

@@ -10,8 +10,9 @@ reviewable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 TOOL_VERSION = "shiftdim-0.1.0"
 SCHEMA_VERSION = 1
@@ -27,23 +28,74 @@ class Clause:
     witness: str = ""
 
 
+# Types ``_canon`` passes through unchanged.
+_PLAIN = frozenset({str, int, bool, type(None)})
+_STR = frozenset({str})
+
+
 def _canon(value):
-    """Make a value JSON-stable: fractions to 'p/q', sets sorted."""
+    """Make a value JSON-stable: fractions to 'p/q', sets sorted, tuples
+    to lists.  A value of any other type than these, strings, integers,
+    booleans, None, dicts and lists raises ``TypeError``, so that no float
+    and no ``repr`` reaches a certificate."""
+    if type(value) in _PLAIN:
+        return value
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, bool) or isinstance(value, int) or isinstance(value, str):
+    if isinstance(value, (int, str)):
         return value
-    if value is None:
-        return None
     if isinstance(value, float):
         raise TypeError("floats are banned from certificates; use Fraction")
     if isinstance(value, dict):
+        if _STR.issuperset(map(type, value)) and _PLAIN.issuperset(map(type, value.values())):
+            return dict(value)
         return {str(k): _canon(v) for k, v in value.items()}
     if isinstance(value, (frozenset, set)):
         return sorted(_canon(v) for v in value)
     if isinstance(value, (list, tuple)):
+        if _PLAIN.issuperset(map(type, value)):
+            return list(value)
         return [_canon(v) for v in value]
-    return str(value)
+    raise TypeError(f"{type(value).__name__} values cannot go into a certificate")
+
+
+# JSON's scalar types: a container holding only these is written in one call.
+_SCALARS = _PLAIN | {float}
+
+
+@lru_cache(maxsize=None)
+def _flat_encoder(depth: int) -> json.JSONEncoder:
+    """The encoder of a container of scalars nested ``depth`` deep.  With no
+    ``indent`` it runs in C and puts each member on a line of its own,
+    indented, after the first."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + " " * (depth + 1), ": "))
+
+
+def _write(value, depth: int = 0) -> str:
+    """``json.dumps(value, sort_keys=True, indent=1)`` for a value nested
+    ``depth`` deep, whose dicts that hold containers have string keys.
+    Only the containers that hold containers are walked here."""
+    enc = _flat_encoder(depth)
+    if isinstance(value, dict):
+        members = value.values()
+    elif isinstance(value, (list, tuple)):
+        members = value
+    else:
+        return enc.encode(value)
+    pad = " " * depth
+    if _SCALARS.issuperset(map(type, members)):
+        text = enc.encode(value)
+        if len(text) == 2:  # empty
+            return text
+        return f"{text[0]}\n {pad}{text[1:-1]}\n{pad}{text[-1]}"
+    if isinstance(value, dict):
+        key = json.encoder.encode_basestring_ascii
+        body = enc.item_separator.join(
+            f"{key(k)}: {_write(v, depth + 1)}" for k, v in sorted(value.items())
+        )
+        return f"{{\n {pad}{body}\n{pad}}}"
+    body = enc.item_separator.join(_write(m, depth + 1) for m in value)
+    return f"[\n {pad}{body}\n{pad}]"
 
 
 # Top-level keys every certificate has, with their JSON types.
@@ -93,8 +145,15 @@ class Certificate:
             "verdict": self.verdict,
         }
 
+    def with_params(self, extra: dict) -> "Certificate":
+        """This certificate with ``extra`` added to its params.  Only
+        ``extra`` is normalised: ``build`` already normalised the params."""
+        return replace(self, params={**self.params, **_canon(extra)})
+
     def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n"
+        """``json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\\n"``,
+        byte for byte."""
+        return _write(self.to_dict()) + "\n"
 
     @classmethod
     def from_dict(cls, data) -> "Certificate":

@@ -159,13 +159,16 @@ def verify_dad_cover(window: GroupoidWindow, cover: DadCover) -> Certificate:
     clauses.append(Clause("difference-set-symmetric", sym_ok, f"|F| = {len(fset)}"))
     case_counts = []
     bad = None
+    # The closure of a piece's restricted elements under inversion and
+    # composition inside the window is those elements themselves: an
+    # inverse or composite has the same endpoints, so if it lies in the
+    # window it is restricted too.
     closure_sizes = []
     for i, piece in enumerate(cover.pieces):
-        case1 = case2 = 0
-        restricted = []
+        case1 = case2 = restricted = 0
         for (x, n, y) in window.triples():
             if x in piece and y in piece:
-                restricted.append((x, n, y))
+                restricted += 1
                 if n in fset:
                     case1 += 1
                 elif x in cover.orbit_states and y in cover.orbit_states:
@@ -173,7 +176,7 @@ def verify_dad_cover(window: GroupoidWindow, cover: DadCover) -> Certificate:
                 elif bad is None:
                     bad = (i, x, n, y)
         case_counts.append((case1, case2))
-        closure_sizes.append(_closure_size(window, restricted))
+        closure_sizes.append(restricted)
     clauses.append(
         Clause(
             "restricted-elements-two-cases",
@@ -204,30 +207,6 @@ def verify_dad_cover(window: GroupoidWindow, cover: DadCover) -> Certificate:
         },
         clauses=clauses,
     )
-
-
-def _closure_size(window: GroupoidWindow, restricted) -> int:
-    """Size of the closure of the restricted elements under inversion and
-    composition inside the window."""
-    have = set(restricted)
-    by_source: dict[int, set] = {}
-    for g in have:
-        by_source.setdefault(g[2], set()).add(g)
-    frontier = list(have)
-    while frontier:
-        x, n, y = frontier.pop()
-        inv = (y, -n, x)
-        if inv in window.elements and inv not in have:
-            have.add(inv)
-            by_source.setdefault(x, set()).add(inv)
-            frontier.append(inv)
-        for g2 in list(by_source.get(y, ())):
-            composed = (x, n + g2[1], g2[2])
-            if composed in window.elements and composed not in have:
-                have.add(composed)
-                by_source.setdefault(g2[2], set()).add(composed)
-                frontier.append(composed)
-    return len(have)
 
 
 @dataclass(frozen=True)

@@ -426,11 +426,7 @@ class GraphKind:
             _echoed_spec(params), params["k"], params["l"], params["graph_horizon"]
         )
         echo = {key: params[key] for key in (*ARENA, *self.witnesses)}
-        return _with_echo(self.rebuild(graph, params), echo)
-
-
-def _with_echo(cert: Certificate, echo: dict) -> Certificate:
-    return Certificate.build(kind=cert.kind, params={**cert.params, **echo}, clauses=cert.clauses)
+        return self.rebuild(graph, params).with_params(echo)
 
 
 def _stamp(cert: Certificate, graph: CoverGraph, **built) -> Certificate:
@@ -439,7 +435,7 @@ def _stamp(cert: Certificate, graph: CoverGraph, **built) -> Certificate:
     objects = SimpleNamespace(**built)
     arena = dict(zip(ARENA, (graph.spec.describe(), graph.k, graph.l, graph.horizon)))
     witnesses = {key: read(objects) for key, read in KINDS[cert.kind].witnesses.items()}
-    return _with_echo(cert, {**arena, **witnesses})
+    return cert.with_params({**arena, **witnesses})
 
 
 def _config_from_echo(spec_echo: dict) -> str:

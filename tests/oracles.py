@@ -9,6 +9,7 @@ the oracles never call the code paths they check.
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -341,3 +342,38 @@ def equivariance_oracle(sys, emap, E, epsilon, orbit_window=frozenset(), edges=N
         },
         clauses=clauses,
     )
+
+
+# -- groupoid windows --------------------------------------------------------------
+
+
+def closure_size_oracle(window, restricted) -> int:
+    """Size of the closure of the restricted elements under inversion and
+    composition inside the window, by walking it."""
+    have = set(restricted)
+    by_source: dict[int, set] = {}
+    for g in have:
+        by_source.setdefault(g[2], set()).add(g)
+    frontier = list(have)
+    while frontier:
+        x, n, y = frontier.pop()
+        inv = (y, -n, x)
+        if inv in window.elements and inv not in have:
+            have.add(inv)
+            by_source.setdefault(x, set()).add(inv)
+            frontier.append(inv)
+        for g2 in list(by_source.get(y, ())):
+            composed = (x, n + g2[1], g2[2])
+            if composed in window.elements and composed not in have:
+                have.add(composed)
+                by_source.setdefault(g2[2], set()).add(composed)
+                frontier.append(composed)
+    return len(have)
+
+
+# -- certificates --------------------------------------------------------------------
+
+
+def canonical_json_oracle(data) -> str:
+    """Canonical JSON by the standard library's indenting encoder."""
+    return json.dumps(data, sort_keys=True, indent=1) + "\n"

@@ -238,6 +238,14 @@ def test_projection_identity_on_full_support():
     assert projected.assignment[0].entries == point.entries
 
 
+def test_projection_onto_own_support_window_keeps_every_point(fib_skew_dad):
+    emap = fib_skew_dad.emap
+    projected, worst = project_finite_support(emap, emap.support_window, Fraction(1, 2))
+    assert projected.assignment == emap.assignment
+    assert projected.support_window == emap.support_window
+    assert isinstance(worst, Fraction) and worst == 0
+
+
 def _single_point_map(point):
     return EquivariantMap(
         assignment=(point,),
@@ -392,17 +400,13 @@ def test_equivariance_matches_edge_by_edge_oracle():
     assert min(seen.values()) > 50, seen
 
 
-def test_skew_window_map_matches_edge_by_edge_oracle():
+def test_skew_window_map_matches_edge_by_edge_oracle(fib_skew_dad):
     # the fib-skew-dad benchmark's map at k=1700 and its projection
-    from shiftdim.pipeline import run_amen, run_cover, run_rokhlin
-    from shiftdim.words import fibonacci_spec
-    E = (-2, 0, 3)
-    graph = run_cover(fibonacci_spec(), 1700, 6, None)[0]
-    cover = run_rokhlin(graph, 11)[0]
-    emap, _, orbit, _, _ = run_amen(graph, cover, E, 37, Fraction(2))
+    sys, E, emap = fib_skew_dad.graph.system, fib_skew_dad.E, fib_skew_dad.emap
+    orbit = fib_skew_dad.orbit
     projected, _ = project_finite_support(emap, emap.support_window, Fraction(1, 2))
     for m in (emap, projected):
-        cert = check_equivariance(graph.system, m, E, Fraction(2), orbit)
-        oracle = equivariance_oracle(graph.system, m, E, Fraction(2), orbit)
+        cert = check_equivariance(sys, m, E, Fraction(2), orbit)
+        oracle = equivariance_oracle(sys, m, E, Fraction(2), orbit)
         assert cert.canonical_json() == oracle.canonical_json()
         assert cert.params["edges"] == 8545

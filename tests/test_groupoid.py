@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from shiftdim.groupoid import (
 )
 from shiftdim.systems import FiniteSymbolicSystem
 
-from .oracles import dirac
+from .oracles import closure_size_oracle, dirac
+from .test_amenability import random_branching_system
 
 
 def merge_system():
@@ -139,6 +141,51 @@ def test_dad_f_symmetry_checked():
     win = build_window(sys, [0], 1)
     cover = build_dad_cover(win, emap, [2], {0, 1, 2}, cert)
     assert set(cover.F) == {-n for n in cover.F}
+
+
+def _closure_witness(cert) -> str:
+    (clause,) = [c for c in cert.clauses if c.name == "generated-subgroupoid-finite-witness"]
+    return clause.witness
+
+
+def _oracle_closure_sizes(window, pieces) -> list[int]:
+    sizes = []
+    for piece in pieces:
+        restricted = [(x, n, y) for (x, n, y) in window.triples() if x in piece and y in piece]
+        assert closure_size_oracle(window, restricted) == len(restricted)
+        sizes.append(len(restricted))
+    return sizes
+
+
+def test_closure_sizes_match_closure_walk():
+    # the restricted elements of a piece are already closed in the window
+    rng = random.Random(31)
+    for _ in range(150):
+        sys = random_branching_system(rng)
+        E = rng.choice(((0,), (-1, 0, 1), (-2, 0, 3), (-3, 0, 5)))
+        window = build_window(sys, E, max(map(abs, E)) + rng.randint(0, 2))
+        states = range(sys.num_states)
+        pieces = tuple(
+            frozenset(rng.sample(states, rng.randint(0, sys.num_states)))
+            for _ in range(rng.randint(1, 4))
+        )
+        cover = DadCover(
+            pieces=pieces,
+            F=difference_set(range(rng.randint(0, 3))),
+            support=(),
+            orbit_states=frozenset(rng.sample(states, rng.randint(0, sys.num_states))),
+            d=len(pieces) - 1,
+        )
+        sizes = _oracle_closure_sizes(window, pieces)
+        cert = verify_dad_cover(window, cover)
+        assert _closure_witness(cert) == f"closure sizes within window: {sizes}"
+
+
+def test_closure_sizes_match_closure_walk_on_skew_benchmark(fib_skew_dad):
+    graph, cover = fib_skew_dad.graph, fib_skew_dad.cover
+    window = build_window(graph.system, fib_skew_dad.E, 3)
+    sizes = _oracle_closure_sizes(window, cover.pieces)
+    assert _closure_witness(fib_skew_dad.dad) == f"closure sizes within window: {sizes}"
 
 
 def test_bound_chain_examples():
