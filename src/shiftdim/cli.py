@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys as _sys
-from dataclasses import replace
 from fractions import Fraction
 
 from .certificates import Certificate
@@ -25,8 +24,10 @@ from .errors import (
     ShiftDimError,
 )
 from .pipeline import (
+    STAGES,
     PipelineParams,
     recheck_certificate,
+    required_stages,
     run_bounds,
     run_certify,
     run_stages,
@@ -39,36 +40,44 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
 
-def _add_common(p: argparse.ArgumentParser):
-    # the chain flags default to None: PipelineParams holds their defaults
-    p.add_argument("--config", required=True, help="subshift presentation file")
-    p.add_argument("--out", default=None, help="artifact directory")
-    p.add_argument("--depth", type=int, help="prefix length k / report depth")
-    p.add_argument("--past-len", type=int, help="past length l")
-    p.add_argument("--cover-horizon", type=int, help="cover horizon (default k + l)")
-    p.add_argument("--horizon", type=int, help="language horizon")
-    p.add_argument("--height", type=int, help="tower height N")
-    p.add_argument("--big-n", type=int, help="map resolution N")
-    p.add_argument("--epsilon", help="target epsilon as P/Q")
-    p.add_argument("--window", help="window set E, comma-separated")
-    p.add_argument("--exponent-bound", type=int, help="groupoid witness bound")
+class _Parser(argparse.ArgumentParser):
+    """Exits 3 on a usage error, since 2 means inconclusive at this depth."""
+
+    def error(self, message):
+        self.print_usage(_sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _window(arg: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in arg.replace(",", " ").split())
     except ValueError:
-        raise ConfigError(f"bad window set {arg!r}")
+        raise argparse.ArgumentTypeError(f"bad window set {arg!r}")
 
 
 def _epsilon(arg: str) -> Fraction:
     try:
         eps = Fraction(arg)
     except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"bad --epsilon {arg!r}")
+        raise argparse.ArgumentTypeError(f"bad --epsilon {arg!r}")
     if eps <= 0:
-        raise ConfigError(f"bad --epsilon {arg!r}: must be positive")
+        raise argparse.ArgumentTypeError(f"bad --epsilon {arg!r}: must be positive")
     return eps
+
+
+# PipelineParams field -> (flag, parser, help).  A subcommand takes the
+# flags of the fields its stages read; the defaults live in PipelineParams.
+FLAGS = {
+    "horizon": ("--horizon", int, "language horizon and report depth"),
+    "depth": ("--depth", int, "prefix length k"),
+    "past_len": ("--past-len", int, "past length l"),
+    "cover_horizon": ("--cover-horizon", int, "cover horizon (default k + l)"),
+    "height": ("--height", int, "tower height N"),
+    "window_set": ("--window", _window, "window set E, comma-separated"),
+    "big_n": ("--big-n", int, "map resolution N"),
+    "epsilon": ("--epsilon", _epsilon, "target epsilon as P/Q"),
+    "exponent_bound": ("--exponent-bound", int, "groupoid witness bound"),
+}
 
 
 def _emit(cert: Certificate, out: str | None, name: str):
@@ -92,34 +101,25 @@ def _params(args) -> PipelineParams:
             config_text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}")
-    given = {
-        name: getattr(args, name)
-        for name in (
-            "horizon", "depth", "past_len", "cover_horizon", "height", "big_n", "exponent_bound"
-        )
-        if getattr(args, name) is not None
-    }
-    if args.window is not None:
-        given["window_set"] = _window(args.window)
-    if args.epsilon is not None:
-        given["epsilon"] = _epsilon(args.epsilon)
+    given = {f: v for f, v in vars(args).items() if f in FLAGS and v is not None}
     return PipelineParams(config_text=config_text, out_dir=args.out, **given)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="shiftdim")
+    parser = _Parser(prog="shiftdim")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (
-        "lang",
-        "special",
-        "cover",
-        "rokhlin",
-        "towerdim",
-        "amen",
-        "dad",
-        "certify",
-    ):
-        _add_common(sub.add_parser(name))
+    # a subcommand per stage that emits a certificate, but bounds, a calculator of --q
+    commands = {name: [name] for name, stage in STAGES.items() if stage.emits and name != "bounds"}
+    for command, stages in {**commands, "certify": STAGES}.items():
+        p = sub.add_parser(command)
+        p.add_argument("--config", required=True, help="subshift presentation file")
+        p.add_argument("--out", default=None, help="artifact directory")
+        reads = {field for stage in required_stages(stages).values() for field in stage.reads}
+        for field, (flag, parse, text) in FLAGS.items():
+            if field in reads:
+                # special takes its report depth, the horizon its stage reads, as --depth
+                flag = "--depth" if (command, field) == ("special", "horizon") else flag
+                p.add_argument(flag, dest=field, type=parse, help=text)
     bounds_p = sub.add_parser("bounds")
     bounds_p.add_argument("--q", type=int, required=True)
     bounds_p.add_argument("--dim-x", type=int, default=0)
@@ -163,9 +163,6 @@ def main(argv=None) -> int:
                 print(f"{name}: {cert.verdict}")
             print(f"overall: {overall}")
             return EXIT_PASS if overall == "pass" else EXIT_FAIL
-        if args.command == "special":
-            # the report depth, which certify takes from --horizon
-            params = replace(params, horizon=params.depth)
         certs = run_stages(params, [args.command])
         for name, cert in certs.items():
             _emit(cert, args.out, name)

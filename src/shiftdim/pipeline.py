@@ -13,8 +13,9 @@ Two registries define the chain once.  ``KINDS`` says, for every
 certificate kind, which witnesses it echoes and how it is re-checked; the
 ``run_*`` functions stamp their certificates from it and
 ``recheck_certificate`` looks the kind up there.  ``STAGES`` lists the
-stages, what each reads and which certificates it emits; ``run_certify``
-and the CLI subcommands run them through ``run_stages``.
+stages, the stages and parameters each reads and the certificates it
+emits; ``run_certify`` and the CLI subcommands run them through
+``run_stages``, and each subcommand's flags are the parameters it reads.
 """
 
 from __future__ import annotations
@@ -74,10 +75,6 @@ class PipelineParams:
     big_n: int = 37
     epsilon: Fraction = Fraction(2)
     exponent_bound: int = 2
-
-    def spec(self) -> SubshiftSpec:
-        spec, _ = spec_from_config(self.config_text)
-        return spec
 
 
 def write_file(out_dir: str, name: str, text: str) -> None:
@@ -290,16 +287,17 @@ def run_bounds(q: int, dim_x: int):
 
 @dataclass(frozen=True)
 class Stage:
-    """One link of the chain.  ``build(params, built)`` reads the objects
-    of the stages in ``needs`` from ``built`` and returns its own object,
-    followed by the certificates named in ``emits``."""
+    """One link of the chain.  ``build(params, built)`` reads the fields
+    ``reads`` of the run's parameters and the objects of the stages in
+    ``needs``, and returns its own object and the certificates ``emits``."""
 
     needs: tuple[str, ...]
+    reads: tuple[str, ...]
     emits: tuple[str, ...]
-    build: Callable[[PipelineParams, dict], tuple]
+    build: Callable[[SimpleNamespace, dict], tuple]
 
 
-def _amen_stage(p: PipelineParams, built: dict):
+def _amen_stage(p: SimpleNamespace, built: dict):
     emap, _, orbit, pair_cert, cert = run_amen(
         built["cover"], built["rokhlin"], p.window_set, p.big_n, p.epsilon
     )
@@ -308,57 +306,67 @@ def _amen_stage(p: PipelineParams, built: dict):
 
 # In chain order; a stage needs only stages listed before it.
 STAGES = {
-    "spec": Stage((), (), lambda p, b: (p.spec(),)),
+    "spec": Stage((), ("config_text",), (), lambda p, b: (spec_from_config(p.config_text)[0],)),
     "lang": Stage(
-        ("spec",), ("lang",),
+        ("spec",), ("horizon", "out_dir"), ("lang",),
         lambda p, b: run_lang(b["spec"], p.horizon, p.out_dir),
     ),
     "special": Stage(
-        ("spec",), ("special",),
-        lambda p, b: run_special(b["spec"], p.horizon),
+        ("spec",), ("horizon",), ("special",), lambda p, b: run_special(b["spec"], p.horizon)
     ),
     "cover": Stage(
-        ("spec",), ("cover",),
+        ("spec",), ("depth", "past_len", "cover_horizon"), ("cover",),
         lambda p, b: run_cover(b["spec"], p.depth, p.past_len, p.cover_horizon),
     ),
-    "rokhlin": Stage(("cover",), ("rokhlin",), lambda p, b: run_rokhlin(b["cover"], p.height)),
+    "rokhlin": Stage(
+        ("cover",), ("height",), ("rokhlin",), lambda p, b: run_rokhlin(b["cover"], p.height)
+    ),
     "towerdim": Stage(
-        ("cover", "rokhlin"), ("towerdim",),
+        ("cover", "rokhlin"), ("window_set",), ("towerdim",),
         lambda p, b: run_towerdim(b["cover"], b["rokhlin"], p.window_set),
     ),
-    "amen": Stage(("cover", "rokhlin"), ("amen_pairs", "amen"), _amen_stage),
+    "amen": Stage(
+        ("cover", "rokhlin"), ("window_set", "big_n", "epsilon"), ("amen_pairs", "amen"),
+        _amen_stage,
+    ),
     "dad": Stage(
-        ("cover", "amen"), ("dad",),
+        ("cover", "amen"), ("window_set", "exponent_bound", "epsilon", "out_dir"), ("dad",),
         lambda p, b: run_dad(
             b["cover"], *b["amen"], p.window_set, p.exponent_bound, p.epsilon,
             out_dir=p.out_dir,
         ),
     ),
     "bounds": Stage(
-        ("cover",), ("bounds",), lambda p, b: run_bounds(len(cover_special_states(b["cover"])), 0)
+        ("cover",), (), ("bounds",),
+        lambda p, b: run_bounds(len(cover_special_states(b["cover"])), 0),
     ),
 }
 CERTIFICATES = tuple(name for stage in STAGES.values() for name in stage.emits)
 
 
-def run_stages(params: PipelineParams, names) -> dict[str, Certificate]:
-    """Run the stages ``names`` and the stages they need, in chain order;
-    return the certificates the named stages emit, by name."""
+def required_stages(names) -> dict[str, Stage]:
+    """The stages ``names`` and every stage they need, in chain order."""
     wanted = set(names)
     for name in reversed(STAGES):
         if name in wanted:
             wanted.update(STAGES[name].needs)
+    return {name: stage for name, stage in STAGES.items() if name in wanted}
+
+
+def run_stages(params: PipelineParams, names) -> dict[str, Certificate]:
+    """Run the stages ``names`` and those they need, in chain order, each on
+    the fields it ``reads``; return the named stages' certificates by name."""
     built: dict = {}
     certs: dict[str, Certificate] = {}
-    for name, stage in STAGES.items():
-        if name in wanted:
-            try:
-                built[name], *emitted = stage.build(params, built)
-            except ShiftDimError as exc:
-                exc.stage = name
-                raise
-            if name in names:
-                certs.update(zip(stage.emits, emitted))
+    for name, stage in required_stages(names).items():
+        fields = SimpleNamespace(**{field: getattr(params, field) for field in stage.reads})
+        try:
+            built[name], *emitted = stage.build(fields, built)
+        except ShiftDimError as exc:
+            exc.stage = name
+            raise
+        if name in names:
+            certs.update(zip(stage.emits, emitted))
     return certs
 
 
@@ -385,12 +393,7 @@ def run_certify(params: PipelineParams) -> tuple[dict[str, Certificate], str]:
         master = _chain_certificate({
             "stages": {name: cert.verdict for name, cert in certs.items()},
             "config": params.config_text,
-            "depth": params.depth,
-            "past_len": params.past_len,
-            "height": params.height,
-            "window_set": list(params.window_set),
-            "big_n": params.big_n,
-            "epsilon": Fraction(params.epsilon),
+            **{key: getattr(params, key) for key in CHAIN_ECHOES},
         })
         write_file(params.out_dir, "chain.json", master.canonical_json())
         certs["chain"] = master
@@ -401,6 +404,8 @@ def run_certify(params: PipelineParams) -> tuple[dict[str, Certificate], str]:
 
 # The arena echo: a graph-based certificate's cover graph is rebuilt from these.
 ARENA = ("spec", "k", "l", "graph_horizon")
+# The keys under which cover.json echoes the same values.
+COVER_ARENA = ("spec", "k", "l", "horizon")
 
 
 class Mismatch(Exception):
@@ -450,7 +455,10 @@ def _config_from_echo(spec_echo: dict) -> str:
 
 
 def _echoed_spec(params: dict) -> SubshiftSpec:
-    spec, _ = spec_from_config(_config_from_echo(params["spec"]))
+    try:
+        spec, _ = spec_from_config(_config_from_echo(params["spec"]))
+    except ConfigError as exc:
+        raise ValueError(f"spec echo: {exc}")
     return spec
 
 
@@ -516,9 +524,10 @@ CHAIN_ECHOES = {
 def _recheck_chain(params: dict, directory: str | None) -> Certificate:
     """Re-check every stage file the chain lists, from ``directory``: each
     must record the chain's verdict for it, echo the presentation of the
-    chain's configuration and re-check, and the stages in
-    ``CHAIN_ECHOES`` must echo the chain's parameters.  Returns the chain
-    certificate recomputed from its ``stages``."""
+    chain's configuration and re-check, every graph-based one must echo
+    the arena of ``cover.json``, and the stages in ``CHAIN_ECHOES`` must
+    echo the chain's parameters.  Returns the chain certificate
+    recomputed from its ``stages``."""
     if directory is None:
         raise Mismatch("a certify-chain certificate is re-checked from its directory")
     stages = params["stages"]
@@ -541,6 +550,17 @@ def _recheck_chain(params: dict, directory: str | None) -> Certificate:
             )
         if "spec" in cert.params and cert.params["spec"] != spec:
             raise Mismatch(f"stage {name}: presentation differs from the chain's config")
+    # every graph-based stage file makes its claim on the graph of cover.json
+    cover = certs["cover"].params
+    for name, cert in certs.items():
+        if isinstance(KINDS.get(cert.kind), GraphKind):
+            for key, cover_key in zip(ARENA, COVER_ARENA):
+                echoed, value = cert.params.get(key), cover.get(cover_key)
+                if echoed != value:
+                    raise Mismatch(
+                        f"stage {name}: {name}.json echoes {key} = {echoed!r}, "
+                        f"cover.json {cover_key} = {value!r}"
+                    )
     for key, (name, echo) in CHAIN_ECHOES.items():
         value = params[key]
         if key == "window_set":

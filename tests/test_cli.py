@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 
 import pytest
@@ -105,11 +106,65 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+def exit_code(argv) -> int:
+    """``main``'s exit code, also where argparse exits on a usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.mark.parametrize("epsilon", ["abc", "1/0", "0", "-1/2"])
 def test_bad_epsilon_exit_code(fib_cfg, epsilon, capsys):
-    code = main(["cover", "--config", fib_cfg, "--depth", "20", f"--epsilon={epsilon}"])
+    code = exit_code(["amen", "--config", fib_cfg, "--depth", "20", f"--epsilon={epsilon}"])
     assert code == 3
     assert f"bad --epsilon {epsilon!r}" in capsys.readouterr().err
+
+
+COVER_FLAGS = {"--depth", "--past-len", "--cover-horizon"}
+AMEN_FLAGS = COVER_FLAGS | {"--height", "--window", "--big-n", "--epsilon"}
+
+# subcommand -> the chain flags it takes besides --config and --out: the
+# flags of the fields its stages read
+CHAIN_FLAG_SETS = {
+    "lang": {"--horizon"},
+    "special": {"--depth"},
+    "cover": COVER_FLAGS,
+    "rokhlin": COVER_FLAGS | {"--height"},
+    "towerdim": COVER_FLAGS | {"--height", "--window"},
+    "amen": AMEN_FLAGS,
+    "dad": AMEN_FLAGS | {"--exponent-bound"},
+    "certify": AMEN_FLAGS | {"--exponent-bound", "--horizon"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(CHAIN_FLAG_SETS))
+def test_subcommand_takes_the_flags_its_stages_read(command, capsys):
+    assert exit_code([command, "--help"]) == 0
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert flags - {"--help", "--config", "--out"} == CHAIN_FLAG_SETS[command]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["lang", "--height", "7", "--big-n", "3"], "unrecognized arguments: --height 7 --big-n 3"),
+    (["special", "--horizon", "2"], "unrecognized arguments: --horizon 2"),
+    (["cover", "--epsilon", "2"], "unrecognized arguments: --epsilon 2"),
+    (["cover", "--depth", "abc"], "argument --depth: invalid int value: 'abc'"),
+    (["towerdim", "--window", "1,x"], "argument --window: bad window set '1,x'"),
+], ids=["lang-height", "special-horizon", "cover-epsilon", "depth-abc", "window-1x"])
+def test_usage_error_exits_3(fib_cfg, capsys, argv, error):
+    command, *flags = argv
+    assert exit_code([command, "--config", fib_cfg, *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.rstrip().endswith(f"error: {error}")
+
+
+def test_missing_config_exits_3(capsys):
+    assert exit_code(["cover", "--depth", "20"]) == 3
+    assert capsys.readouterr().err.rstrip().endswith(
+        "error: the following arguments are required: --config"
+    )
 
 
 def test_special_command(fib_cfg, capsys):
@@ -234,6 +289,43 @@ def test_verify_chain_rejects_missing_stage_file(chain_dir, tmp_path, capsys):
     code, out = verify_copy(chain_dir, tmp_path, capsys, remove="amen.json")
     assert code == 1
     assert "stage amen: cannot read amen.json" in out
+
+
+@pytest.mark.parametrize("stage, flags", [
+    ("towerdim", []),
+    ("dad", ["--big-n", "30", "--epsilon", "5/2"]),
+])
+def test_verify_chain_rejects_stage_file_of_another_depth(
+    chain_dir, tmp_path, capsys, stage, flags
+):
+    # the stage file of a depth-300 run, in the depth-250 chain
+    cfg = tmp_path / "fib.cfg"
+    cfg.write_text(FIB_CFG)
+    other = tmp_path / "depth300"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([stage, "--config", str(cfg), "--depth", "300", *flags, "--out", str(other)])
+    assert code == 0
+    out = tmp_path / "chain"
+    shutil.copytree(chain_dir, out)
+    shutil.copy(other / f"{stage}.json", out / f"{stage}.json")
+    capsys.readouterr()
+    assert main(["verify", str(out / "chain.json")]) == 1
+    assert capsys.readouterr().out == (
+        f"verification failed: stage {stage}: {stage}.json echoes k = 300, cover.json k = 250\n"
+    )
+
+
+@pytest.mark.parametrize("target, key, value", [
+    ("rokhlin.json", "variant", "bogus"),
+    ("lang.json", "rules", {"0": "0 1"}),
+], ids=["rokhlin-variant-bogus", "lang-rule-missing"])
+def test_verify_rejects_malformed_spec_echo(chain_dir, tmp_path, capsys, target, key, value):
+    def edit(params):
+        params["spec"][key] = value
+
+    code, out = verify_copy(chain_dir, tmp_path, capsys, edit=edit, target=target)
+    assert code == 1
+    assert out.startswith("verification failed: missing or malformed witness: spec echo: ")
 
 
 @pytest.mark.parametrize("key, value, message", [

@@ -56,20 +56,22 @@ PINS = {
     "words_0016.txt": "454dfd473cbf38773d7cfecf61689527bd63af4c0e70cbdc5dd0ad52d5550891",
 }
 
+# in the order in which the chain's stages first read them
 CHAIN_FLAGS = [
-    "--depth", "250", "--past-len", "6", "--height", "5", "--window=-1,0,1",
-    "--big-n", "30", "--epsilon", "5/2", "--exponent-bound", "2",
+    "--depth=250", "--past-len=6", "--height=5", "--window=-1,0,1",
+    "--big-n=30", "--epsilon=5/2", "--exponent-bound=2",
 ]
 
-# subcommand -> (its flags besides --config and --out, the files it writes)
+# subcommand -> (its flags besides --config and --out, the files it writes);
+# each subcommand takes only the flags of the stages it runs
 SUBCOMMANDS = {
     "lang": (["--horizon", "16"], ["lang.json", "language.csv"]
              + [f"words_{n:04d}.txt" for n in range(1, 17)]),
     "special": (["--depth", "16"], ["special.json"]),
-    "cover": (CHAIN_FLAGS, ["cover.json"]),
-    "rokhlin": (CHAIN_FLAGS, ["rokhlin.json"]),
-    "towerdim": (CHAIN_FLAGS, ["towerdim.json"]),
-    "amen": (CHAIN_FLAGS, ["amen_pairs.json", "amen.json"]),
+    "cover": (CHAIN_FLAGS[:2], ["cover.json"]),
+    "rokhlin": (CHAIN_FLAGS[:3], ["rokhlin.json"]),
+    "towerdim": (CHAIN_FLAGS[:4], ["towerdim.json"]),
+    "amen": (CHAIN_FLAGS[:6], ["amen_pairs.json", "amen.json"]),
     "dad": (CHAIN_FLAGS, ["dad.json", "window_elements.txt"]),
 }
 
