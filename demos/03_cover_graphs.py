@@ -40,10 +40,10 @@ print(" intertwining of word shifts and class edges:", check_intertwining(g))
 special = match.special_states[0]
 print("\n== isolation across refinements ==")
 print(" special state keeps its marked singleton class:",
-      isolated_state_check(fib, g, special, [(10, 10), (14, 14)]))
+      isolated_state_check(g, special, [(10, 10), (14, 14)]))
 other = (special + 1) % g.num_states
 print(" a perfect-part state does not:",
-      not isolated_state_check(fib, g, other, [(10, 10), (14, 14)]))
+      not isolated_state_check(g, other, [(10, 10), (14, 14)]))
 
 deep = build_cover_graph(fib, 60, 6)
 window = isolated_orbit_window(deep)

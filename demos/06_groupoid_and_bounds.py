@@ -17,7 +17,6 @@ from shiftdim import (
     build_rokhlin_cover,
     build_window,
     check_equivariance,
-    cover_special_states,
     difference_set,
     fibonacci_spec,
     isolated_orbit_window,
@@ -30,7 +29,6 @@ print(" S = {0..4}  ->  F =", difference_set(range(5)))
 
 graph = build_cover_graph(fibonacci_spec(), 981, 6)
 sys = graph.system
-specials = cover_special_states(graph)
 cover = build_rokhlin_cover(sys, 5)
 d, N = 2 * len(cover.towers) - 1, 37
 orbit = isolated_orbit_window(graph)
@@ -45,7 +43,7 @@ print(f"\n== groupoid window ==\n elements: {len(window)}, "
       f"units included: {window.check_unit_inclusion()}, "
       f"inversion-closed: {window.check_inversion_closure()}")
 
-dad = build_dad_cover(window, emap, specials, orbit | set(specials), ecert)
+dad = build_dad_cover(window, emap, orbit, ecert)
 cert = verify_dad_cover(window, dad)
 print("\n== cover certificate ==")
 for clause in cert.clauses:

@@ -28,13 +28,7 @@ from fractions import Fraction
 from math import gcd
 
 from .certificates import Certificate, Clause
-from .errors import (
-    NotSurjective,
-    NTooSmall,
-    TailMassTooLarge,
-    TowerPairsInsufficient,
-    WindowTooSmall,
-)
+from .errors import NotSurjective, NTooSmall, TailMassTooLarge, TowerPairsInsufficient
 from .simplex import SimplexPoint
 from .systems import FiniteSymbolicSystem
 from .towers import TowerPairSystem, normalize_window
@@ -69,11 +63,12 @@ class PartitionB:
         return table
 
 
-def build_B_partition(S, E, N: int, window: int) -> PartitionB:
+def build_B_partition(S, E, N: int) -> PartitionB:
     """Blocks by erosion depth, with the partition and shift-containment
     properties checked exhaustively on the window.
 
-    Block k (1 <= k < N) of the sumset definition is D_k - D_{k+1} with
+    The window is N max|E| + max(S), the least the sumset definition
+    allows.  Block k (1 <= k < N) of that definition is D_k - D_{k+1} with
     D_k = {x in [-window, window] : x - Sigma_k E inside S}, and block N
     is D_N.  Because the normalized window is symmetric and holds 0, x lies
     in D_k exactly when every point within k nonzero window steps of x
@@ -86,9 +81,7 @@ def build_B_partition(S, E, N: int, window: int) -> PartitionB:
     E = normalize_window(E)
     if N < 1:
         raise ValueError("N must be >= 1")
-    max_e = max(abs(e) for e in E)
-    if window < N * max_e + max(S):
-        raise WindowTooSmall(f"window {window} < N*max|E| + max(S) = {N * max_e + max(S)}")
+    window = N * E[-1] + S[-1]
     universe = range(-window, window + 1)
     s_set = frozenset(S)
     steps = [e for e in E if e]
@@ -143,8 +136,6 @@ class EquivariantMap:
     d: int
     epsilon_achieved: Fraction
     support_window: tuple[int, ...]
-    # per pair, the tent level of each exponent; kept for invariant tests
-    tents: tuple[dict, ...] = ()
 
     def point(self, state: int) -> SimplexPoint:
         return self.assignment[state]
@@ -210,13 +201,11 @@ def build_equivariant_map(
         )
     if not sys.surjective_flag:
         raise NotSurjective("fiber maxima need every state to have a predecessor")
-    if tps.certificate is None or not tps.certificate.passed:
-        raise TowerPairsInsufficient("tower pairs must carry a passing certificate")
-    max_e = max(abs(e) for e in E)
-    tents = []
-    for pair in tps.pairs:
-        part = build_B_partition(pair.exponents, E, N, N * max_e + pair.exponents[-1])
-        tents.append(part.level_table())
+    pair_cert = tps.certificate
+    if pair_cert is None or not pair_cert.passed:
+        why = f"; failing clause {pair_cert.first_failure()}" if pair_cert else ""
+        raise TowerPairsInsufficient(f"tower pairs must carry a passing certificate{why}")
+    tents = [build_B_partition(pair.exponents, E, N).level_table() for pair in tps.pairs]
     points = []
     for x in range(sys.num_states):
         # tent levels k of the pairs through x; the weights are k / N over
@@ -245,7 +234,6 @@ def build_equivariant_map(
         d=d,
         epsilon_achieved=Fraction(0),
         support_window=tuple(support),
-        tents=tuple(tents),
     )
     cert = check_equivariance(sys, emap, E, eps, orbit_window)
     achieved = Fraction(str(cert.params["max_regular_deviation"]))

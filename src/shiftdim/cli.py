@@ -71,7 +71,6 @@ FLAGS = {
     "horizon": ("--horizon", int, "language horizon and report depth"),
     "depth": ("--depth", int, "prefix length k"),
     "past_len": ("--past-len", int, "past length l"),
-    "cover_horizon": ("--cover-horizon", int, "cover horizon (default k + l)"),
     "height": ("--height", int, "tower height N"),
     "window_set": ("--window", _window, "window set E, comma-separated"),
     "big_n": ("--big-n", int, "map resolution N"),
@@ -119,14 +118,18 @@ def main(argv=None) -> int:
             if field in reads:
                 # special takes its report depth, the horizon its stage reads, as --depth
                 flag = "--depth" if (command, field) == ("special", "horizon") else flag
-                p.add_argument(flag, dest=field, type=parse, help=text)
+                metavar = flag[2:].upper().replace("-", "_")
+                p.add_argument(flag, dest=field, type=parse, metavar=metavar, help=text)
     bounds_p = sub.add_parser("bounds")
     bounds_p.add_argument("--q", type=int, required=True)
     bounds_p.add_argument("--dim-x", type=int, default=0)
     bounds_p.add_argument("--out", default=None)
     verify_p = sub.add_parser("verify")
     verify_p.add_argument("certificate", help="certificate file to re-check")
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        # reported by the subcommand's parser, so its usage lists the flags it takes
+        sub.choices[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
 
     try:
         if args.command == "bounds":

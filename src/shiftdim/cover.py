@@ -432,12 +432,7 @@ def check_intertwining(graph: CoverGraph) -> bool:
     return True
 
 
-def isolated_state_check(
-    spec: SubshiftSpec,
-    graph: CoverGraph,
-    state: int,
-    refinements,
-) -> bool:
+def isolated_state_check(graph: CoverGraph, state: int, refinements) -> bool:
     """Finite witness of isolation across (k, l[, horizon]) refinements.
 
     One-sided past data at finite depth cannot exclude the minimal points
@@ -450,10 +445,7 @@ def isolated_state_check(
     splits)."""
     base_key = graph._keys[state]
     for ref in refinements:
-        if len(ref) == 2:
-            fine = build_cover_graph(spec, ref[0], ref[1])
-        else:
-            fine = build_cover_graph(spec, ref[0], ref[1], ref[2])
+        fine = build_cover_graph(graph.spec, *ref)
         if fine.depth < graph.k + graph.lookahead:
             raise InvalidSpec("refinement too shallow to classify at the base level")
         specials = set(fine.system.special_states())

@@ -63,10 +63,6 @@ class NTooSmall(ShiftDimError):
     parameter, whose message names the least value that works."""
 
 
-class WindowTooSmall(ShiftDimError):
-    """An integer window would truncate a set it must contain."""
-
-
 class TailMassTooLarge(ShiftDimError):
     """Finite-support projection would move a point farther than allowed."""
 

@@ -106,39 +106,33 @@ def difference_set(S) -> tuple[int, ...]:
 class DadCover:
     pieces: tuple[frozenset, ...]  # U_0 .. U_d (state sets)
     F: tuple[int, ...]
-    support: tuple[int, ...]
     orbit_states: frozenset
-    d: int
 
 
 def build_dad_cover(
     window: GroupoidWindow,
     map_prime: EquivariantMap,
-    special_states,
     orbit_states,
     equivariance_certificate: Certificate,
 ) -> DadCover:
     """Pieces U_i (i = 0..d, with d the map's) = (states sent into the
-    i-th skeleton ring) united with the special-orbit window; F is the
-    difference set of the support."""
-    if equivariance_certificate is None or not equivariance_certificate.passed:
+    i-th skeleton ring) united with the special-orbit window and the
+    merge states of the window's system; F is the difference set of the
+    support."""
+    cert = equivariance_certificate
+    if cert is None or not cert.passed:
+        why = f"; failing clause {cert.first_failure()}" if cert else ""
         raise MissingEquivarianceCertificate(
-            "dad cover needs a passing equivariance certificate for the map"
+            f"dad cover needs a passing equivariance certificate for the map{why}"
         )
     d = map_prime.d
-    orbit = frozenset(orbit_states) | frozenset(special_states)
+    orbit = frozenset(orbit_states) | frozenset(window.sys.special_states())
     pieces = [set() for _ in range(d + 1)]
     for x in range(window.sys.num_states):
         ring, _cell = cover_index(map_prime.point(x), d)
         pieces[ring].add(x)
     out = tuple(frozenset(p | orbit) for p in pieces)
-    return DadCover(
-        pieces=out,
-        F=difference_set(map_prime.support_window),
-        support=tuple(map_prime.support_window),
-        orbit_states=orbit,
-        d=d,
-    )
+    return DadCover(pieces=out, F=difference_set(map_prime.support_window), orbit_states=orbit)
 
 
 def verify_dad_cover(window: GroupoidWindow, cover: DadCover) -> Certificate:

@@ -42,7 +42,14 @@ from .cover import (
     isolated_orbit_window,
     special_match_report,
 )
-from .errors import ConfigError, DepthInsufficient, InvalidSpec, PeriodicWitness, ShiftDimError
+from .errors import (
+    ConfigError,
+    DepthInsufficient,
+    InvalidSpec,
+    PeriodicWitness,
+    ShiftDimError,
+    TailMassTooLarge,
+)
 from .groupoid import DadCover, bound_chain, build_dad_cover, build_window, verify_dad_cover
 from .rokhlin import RokhlinCover, RokhlinTower, build_rokhlin_cover, verify_rokhlin_cover
 from .special import sp_estimate
@@ -69,7 +76,6 @@ class PipelineParams:
     horizon: int = 20
     depth: int = 24  # special-report depth and cover prefix length default
     past_len: int = 6
-    cover_horizon: int | None = None
     height: int = 5  # tower-cover height
     window_set: tuple[int, ...] = (-1, 0, 1)
     big_n: int = 37
@@ -231,6 +237,10 @@ def run_amen(graph: CoverGraph, cover: RokhlinCover, window_set, big_n: int, eps
     return emap, tps, orbit, pair_cert, eq_cert
 
 
+# The dad stage's projection may move no point by this much or more.
+PROJECTION_DELTA = Fraction(1, 2)
+
+
 def run_dad(
     graph: CoverGraph,
     emap: EquivariantMap,
@@ -241,16 +251,15 @@ def run_dad(
     out_dir: str | None = None,
 ):
     sys = graph.system
-    specials = cover_special_states(graph)
     window = build_window(sys, window_set, exponent_bound)
     if out_dir:
         write_file(out_dir, "window_elements.txt", window.to_text())
-    projected, moved = project_finite_support(emap, emap.support_window, Fraction(1, 2))
+    projected, moved = project_finite_support(emap, emap.support_window, PROJECTION_DELTA)
     # build_dad_cover needs the certificate of the map it covers, the
     # projected one, not the map run_amen checked (onto its own support
     # window the projection moves no point, onto a smaller one it would)
     eq_cert = check_equivariance(sys, projected, window_set, epsilon, orbit)
-    cover = build_dad_cover(window, projected, specials, orbit, eq_cert)
+    cover = build_dad_cover(window, projected, orbit, eq_cert)
     cert = _stamp(
         verify_dad_cover(window, cover), graph,
         cover=cover, projected=projected, moved=moved, epsilon=epsilon,
@@ -315,8 +324,8 @@ STAGES = {
         ("spec",), ("horizon",), ("special",), lambda p, b: run_special(b["spec"], p.horizon)
     ),
     "cover": Stage(
-        ("spec",), ("depth", "past_len", "cover_horizon"), ("cover",),
-        lambda p, b: run_cover(b["spec"], p.depth, p.past_len, p.cover_horizon),
+        ("spec",), ("depth", "past_len"), ("cover",),
+        lambda p, b: run_cover(b["spec"], p.depth, p.past_len, None),
     ),
     "rokhlin": Stage(
         ("cover",), ("height",), ("rokhlin",), lambda p, b: run_rokhlin(b["cover"], p.height)
@@ -487,7 +496,7 @@ def _rebuild_pairs(graph: CoverGraph, p: dict) -> Certificate:
             p["pair_bases"], p["pair_exponent_ranges"], p["pair_kinds"], p["pair_origins"]
         )
     )
-    tps = TowerPairSystem(pairs, p["E"], p["d_claimed"], p["M"])
+    tps = TowerPairSystem(pairs, p["E"], p["d_claimed"])
     return verify_tower_pairs(sys, tps)
 
 
@@ -498,26 +507,39 @@ def _rebuild_equivariance(graph: CoverGraph, p: dict) -> Certificate:
 
 
 def _rebuild_dad(graph: CoverGraph, p: dict) -> Certificate:
+    """The verifier's certificate on the echoed pieces.  ``epsilon`` must be
+    a fraction (a chain compares it with its own), and ``projection_moved``
+    must be the displacement of projecting the echoed map onto the echoed
+    ``support``."""
     window = build_window(graph.system, tuple(p["E"]), p["exponent_bound"])
-    projected = EquivariantMap.from_jsonable(p["map"])
+    Fraction(p["epsilon"])
+    try:
+        _, moved = project_finite_support(
+            EquivariantMap.from_jsonable(p["map"]), p["support"], PROJECTION_DELTA
+        )
+    except TailMassTooLarge as exc:
+        raise Mismatch(f"projecting the map onto its support: {exc}")
+    if moved != Fraction(p["projection_moved"]):
+        raise Mismatch(
+            f"projection_moved echoes {p['projection_moved']!r}, "
+            f"projecting the map onto its support moves it {moved}"
+        )
     cover = DadCover(
         pieces=tuple(frozenset(piece) for piece in p["pieces"]),
         F=tuple(p["F"]),
-        support=tuple(projected.support_window),
         orbit_states=frozenset(p["orbit_states"]),
-        d=len(p["pieces"]) - 1,
     )
     return verify_dad_cover(window, cover)
 
 
-# chain parameter -> (the stage whose certificate echoes it, under which key)
+# chain parameter -> the (stage, key) under which each stage certificate echoes it
 CHAIN_ECHOES = {
-    "depth": ("cover", "k"),
-    "past_len": ("cover", "l"),
-    "height": ("rokhlin", "height"),
-    "window_set": ("amen", "E"),
-    "big_n": ("amen", "resolution"),
-    "epsilon": ("amen", "epsilon"),
+    "depth": (("cover", "k"),),
+    "past_len": (("cover", "l"),),
+    "height": (("rokhlin", "height"),),
+    "window_set": (("amen", "E"), ("dad", "E")),
+    "big_n": (("amen", "resolution"),),
+    "epsilon": (("amen", "epsilon"), ("dad", "epsilon")),
 }
 
 
@@ -561,16 +583,17 @@ def _recheck_chain(params: dict, directory: str | None) -> Certificate:
                         f"stage {name}: {name}.json echoes {key} = {echoed!r}, "
                         f"cover.json {cover_key} = {value!r}"
                     )
-    for key, (name, echo) in CHAIN_ECHOES.items():
+    for key, echoes in CHAIN_ECHOES.items():
         value = params[key]
         if key == "window_set":
             value = list(normalize_window(value))
-        echoed = certs[name].params.get(echo)
-        if echoed != value:
-            raise Mismatch(
-                f"stage {name}: {name}.json echoes {echo} = {echoed!r}, "
-                f"the chain's {key} is {params[key]!r}"
-            )
+        for name, echo in echoes:
+            echoed = certs[name].params.get(echo)
+            if echoed != value:
+                raise Mismatch(
+                    f"stage {name}: {name}.json echoes {echo} = {echoed!r}, "
+                    f"the chain's {key} is {params[key]!r}"
+                )
     for name, cert in certs.items():
         ok, why = recheck_certificate(cert)
         if not ok:

@@ -36,11 +36,12 @@ class TowerPair:
 
 
 class TowerPairSystem:
-    def __init__(self, pairs, E, d_claimed: int, M: int):
+    def __init__(self, pairs, E, d_claimed: int):
         self.pairs: tuple[TowerPair, ...] = tuple(pairs)
         self.E = normalize_window(E)
         self.d_claimed = d_claimed
-        self.M = M
+        # the pull-back shift 1 + 2 max|E|; E is sorted and symmetric
+        self.M = 1 + 2 * self.E[-1]
         # per pair, the exponent at which each state first occurs; set by
         # verify_tower_pairs on the system it checks
         self.level_of: list[dict[int, int]] | None = None
@@ -57,9 +58,7 @@ def pairs_from_rokhlin(cover: RokhlinCover, E) -> TowerPairSystem:
     """Tower pairs for the window E from a verified tower cover of height
     exactly 2 + 3 max|E|; the claimed color count is 2 (tower count)."""
     E = normalize_window(E)
-    max_e = max(abs(n) for n in E)
-    M = 1 + 2 * max_e
-    required = 2 + 3 * max_e
+    required = 2 + 3 * E[-1]
     if cover.height != required:
         raise HeightMismatch(
             f"cover height {cover.height} != 2 + 3*max|E| = {required}"
@@ -68,8 +67,7 @@ def pairs_from_rokhlin(cover: RokhlinCover, E) -> TowerPairSystem:
     pairs = []
     for t_idx, tower in enumerate(cover.towers):
         pairs.append(TowerPair(tower.base, S, "base", t_idx))
-    d_claimed = 2 * len(cover.towers) - 1
-    return TowerPairSystem(pairs, E, d_claimed, M)
+    return TowerPairSystem(pairs, E, 2 * len(cover.towers) - 1)
 
 
 def attach_shifted_pairs(tps: TowerPairSystem, sys: FiniteSymbolicSystem) -> None:
@@ -138,7 +136,7 @@ def build_phase_pairs(
         )
     S = range(span + 1)
     pairs = [TowerPair(frozenset({b}), S, "phase", j) for j, b in enumerate(bases)]
-    return TowerPairSystem(pairs, margin_window, pair_count - 1, M=2 * rise + 1)
+    return TowerPairSystem(pairs, margin_window, pair_count - 1)
 
 
 # Most nonempty sets chromatic_number colours by exhaustive search.

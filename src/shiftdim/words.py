@@ -568,7 +568,6 @@ class LanguageTable:
     """The sorted length-``n_max`` factors with the complexity column; every
     shorter length is read off them."""
 
-    spec_echo: dict
     n_max: int
     top: tuple[str, ...]  # sorted length-n_max factors
     p: tuple[int, ...]  # index n-1 -> p(n)
@@ -576,9 +575,9 @@ class LanguageTable:
     @classmethod
     def build(cls, spec: SubshiftSpec, n_max: int) -> "LanguageTable":
         if n_max < 1:
-            return cls(spec.describe(), n_max, (), ())
+            return cls(n_max, (), ())
         top = spec.sorted_language(n_max)
-        return cls(spec.describe(), n_max, top, spec.factor_counts(n_max)[1 : n_max + 1])
+        return cls(n_max, top, spec.factor_counts(n_max)[1 : n_max + 1])
 
     def words(self, n: int) -> tuple[str, ...]:
         """Sorted length-``n`` factors, 1 <= n <= n_max."""

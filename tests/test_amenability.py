@@ -11,7 +11,7 @@ from shiftdim.amenability import (
     check_equivariance,
     project_finite_support,
 )
-from shiftdim.errors import NTooSmall, TailMassTooLarge, WindowTooSmall
+from shiftdim.errors import NTooSmall, TailMassTooLarge
 from shiftdim.simplex import SimplexPoint
 from shiftdim.systems import FiniteSymbolicSystem
 from shiftdim.towers import TowerPair, TowerPairSystem, normalize_window, verify_tower_pairs
@@ -37,22 +37,17 @@ def cycle_system(n):
 
 def test_partition_degenerate_window():
     # E = {0}: the top block is S itself, every middle block empty
-    part = build_B_partition(range(10), [0], 3, 12)
+    part = build_B_partition(range(10), [0], 3)
     assert part.blocks[-1] == frozenset(range(10))
     assert all(not b for b in part.blocks[:-1])
 
 
 def test_partition_worked_example():
     # E = {-1,0,1}, S = {0..9}, N = 2
-    part = build_B_partition(range(10), [-1, 0, 1], 2, 12)
+    part = build_B_partition(range(10), [-1, 0, 1], 2)
     assert part.blocks[1] == frozenset(range(2, 8))  # B_2
     assert part.blocks[0] == frozenset({1, 8})  # B_1
     assert part.level(0) == 0 and part.level(5) == 2 and part.level(8) == 1
-
-
-def test_partition_window_guard():
-    with pytest.raises(WindowTooSmall):
-        build_B_partition(range(10), [-1, 0, 1], 3, 10)
 
 
 def test_partition_fuzz_thousand():
@@ -63,8 +58,7 @@ def test_partition_fuzz_thousand():
         E = sorted(rng.sample(range(-e_max, e_max + 1), rng.randint(1, 2 * e_max)))
         S = sorted(rng.sample(range(0, 14), rng.randint(1, 9)))
         N = rng.randint(1, 5)
-        window = N * max(max(map(abs, E), default=1), 1) + max(S) + rng.randint(0, 3)
-        part = build_B_partition(S, E, N, window)  # checks run inside
+        part = build_B_partition(S, E, N)  # checks run inside
         table = part.level_table()
         assert all(0 <= v <= N for v in table.values())
         # blocks with level >= 1 always sit inside S
@@ -86,15 +80,16 @@ def test_partition_matches_sumset_oracle():
         S = rng.sample(range(-8, 20), rng.randint(1, 20))
         N = rng.randint(1, 6)
         max_e = max(abs(e) for e in normalize_window(E))
-        window = N * max_e + max(S) + rng.randint(0, 4)
-        part = build_B_partition(S, E, N, window)
+        part = build_B_partition(S, E, N)
+        window = N * max_e + max(S)
+        assert part.window == window
         assert part.blocks == sumset_partition_oracle(S, normalize_window(E), N, window)
 
 
 def test_partition_deep_interval():
     # the acceptance fixture's shape: D_k = [k, 6799 - k] in closed form
     N = 721
-    part = build_B_partition(range(6800), [-1, 0, 1], N, N + 6799)
+    part = build_B_partition(range(6800), [-1, 0, 1], N)
     closed = [frozenset({k, 6799 - k}) for k in range(1, N)]
     assert part.blocks == (*closed, frozenset(range(N, 6800 - N)))
 
@@ -103,7 +98,7 @@ def _constant_pair_system(sys):
     # one pair covering everything at the single exponent 0: the level
     # disjointness clause is vacuous and the margin for E = {0} is exact
     pair = TowerPair(sys.all_states(), range(1), "phase", 0)
-    tps = TowerPairSystem((pair,), [0], 0, M=1)
+    tps = TowerPairSystem((pair,), [0], 0)
     return tps
 
 
@@ -134,20 +129,21 @@ def test_lipschitz_step_on_cycle():
         TowerPair(frozenset({(j * n) // 3}), range(17), "phase", j)
         for j in range(3)
     )
-    tps = TowerPairSystem(pairs, list(range(-N, N + 1)), 2, M=2 * N + 1)
+    tps = TowerPairSystem(pairs, list(range(-N, N + 1)), 2)
     cert = verify_tower_pairs(sys, tps)
     assert cert.passed, cert.first_failure()
     emap = build_equivariant_map(sys, tps, [-1, 0, 1], N, Fraction(4))
     bound = Fraction((emap.d + 1) * (emap.d + 2), N)
     assert emap.epsilon_achieved <= bound
     # the per-pair tent moves by at most 1/N along every edge
+    tents = [build_B_partition(p.exponents, [-1, 0, 1], N).level_table() for p in pairs]
     for x in range(n):
         y = (x + 1) % n
         for idx in range(len(pairs)):
             mx = tps.level_of[idx].get(x)
             my = tps.level_of[idx].get(y)
-            tx = emap.tents[idx].get(mx, 0) if mx is not None else 0
-            ty = emap.tents[idx].get(my, 0) if my is not None else 0
+            tx = tents[idx].get(mx, 0) if mx is not None else 0
+            ty = tents[idx].get(my, 0) if my is not None else 0
             assert abs(tx - ty) <= 1
 
 
@@ -191,7 +187,7 @@ def test_projection_preserves_equivariance_at_adjusted_bound():
         TowerPair(frozenset({(j * n) // 3}), range(17), "phase", j)
         for j in range(3)
     )
-    tps = TowerPairSystem(pairs, list(range(-N, N + 1)), 2, M=2 * N + 1)
+    tps = TowerPairSystem(pairs, list(range(-N, N + 1)), 2)
     verify_tower_pairs(sys, tps)
     emap = build_equivariant_map(sys, tps, [-1, 0, 1], N, Fraction(4))
     support = set(a for a in emap.support_window if a % 5 != 0)

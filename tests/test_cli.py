@@ -121,7 +121,7 @@ def test_bad_epsilon_exit_code(fib_cfg, epsilon, capsys):
     assert f"bad --epsilon {epsilon!r}" in capsys.readouterr().err
 
 
-COVER_FLAGS = {"--depth", "--past-len", "--cover-horizon"}
+COVER_FLAGS = {"--depth", "--past-len"}
 AMEN_FLAGS = COVER_FLAGS | {"--height", "--window", "--big-n", "--epsilon"}
 
 # subcommand -> the chain flags it takes besides --config and --out: the
@@ -157,7 +157,18 @@ def test_usage_error_exits_3(fib_cfg, capsys, argv, error):
     assert exit_code([command, "--config", fib_cfg, *flags]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.rstrip().endswith(f"error: {error}")
+    # the subcommand's own parser reports it, with the flags it does take
+    usage = f"usage: shiftdim {command} [-h] --config CONFIG [--out OUT]"
+    assert captured.err.startswith(usage)
+    assert captured.err.rstrip().endswith(f"shiftdim {command}: error: {error}")
+
+
+def test_flag_metavars_are_the_flag_names(capsys):
+    assert exit_code(["special", "--help"]) == 0
+    assert "--depth DEPTH " in capsys.readouterr().out
+    assert exit_code(["amen", "--help"]) == 0
+    help_text = capsys.readouterr().out
+    assert "--window WINDOW " in help_text and "--big-n BIG_N " in help_text
 
 
 def test_missing_config_exits_3(capsys):
@@ -349,9 +360,12 @@ def test_verify_chain_rejects_other_parameter(chain_dir, tmp_path, capsys, key, 
     ("amen.json", "map", "1/0"),
     ("dad.json", "map", "1/0"),
     ("amen.json", "epsilon", "1/0"),
+    ("dad.json", "epsilon", "1/0"),
+    ("dad.json", "projection_moved", "abc"),
 ], ids=["special-count", "range-negative-start", "range-start-1", "range-reversed",
         "amen-weight-zero-denominator", "dad-weight-zero-denominator",
-        "amen-epsilon-zero-denominator"])
+        "amen-epsilon-zero-denominator", "dad-epsilon-zero-denominator",
+        "dad-projection-moved-not-a-fraction"])
 def test_verify_rejects_tampered_echo(chain_dir, tmp_path, capsys, target, key, value):
     def edit(params):
         if key == "pair_exponent_ranges":
@@ -367,7 +381,7 @@ def test_verify_rejects_tampered_echo(chain_dir, tmp_path, capsys, target, key, 
     assert out.startswith("verification failed")
     if key == "pair_exponent_ranges":
         assert f"missing or malformed witness: exponent range {value}" in out
-    if value == "1/0":
+    if value in ("1/0", "abc"):
         assert out.startswith("verification failed: missing or malformed witness")
 
 
@@ -384,6 +398,70 @@ def test_verify_rejects_height_not_read_off_pairs(chain_dir, tmp_path, capsys, t
     code, out = verify_copy(chain_dir, tmp_path, capsys, edit=edit, target=target)
     assert code == 1
     assert out.startswith("verification failed: recomputation differs from stored certificate")
+
+
+@pytest.mark.parametrize("target, old, new", [
+    ("amen_pairs.json", 61, 63),
+    ("towerdim.json", 3, 5),
+], ids=["amen-pairs", "towerdim"])
+def test_verify_recomputes_pull_back_shift(chain_dir, tmp_path, capsys, target, old, new):
+    # M is not read back: the re-check recomputes it as 1 + 2 max|E|
+    def edit(params):
+        assert params["M"] == old
+        params["M"] = new
+
+    code, out = verify_copy(chain_dir, tmp_path, capsys, edit=edit, target=target)
+    assert code == 1
+    assert out == "verification failed: recomputation differs from stored certificate\n"
+
+
+def test_verify_applies_the_cover_horizon_bound(chain_dir, tmp_path, capsys):
+    def edit(params):
+        params["horizon"] = 3
+
+    code, out = verify_copy(chain_dir, tmp_path, capsys, edit=edit, target="cover.json")
+    assert code == 1
+    assert out == "verification failed: bad parameter: horizon 3 must be >= k + l = 256\n"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("projection_moved", "1/3",
+     "projection_moved echoes '1/3', projecting the map onto its support moves it 0"),
+    ("support", [0], "projecting the map onto its support: state 0: tail mass "),
+], ids=["moved-1/3", "support-0"])
+def test_verify_measures_the_dad_projection(chain_dir, tmp_path, capsys, key, value, message):
+    def edit(params):
+        params[key] = value
+
+    code, out = verify_copy(chain_dir, tmp_path, capsys, edit=edit, target="dad.json")
+    assert code == 1
+    assert out.startswith(f"verification failed: {message}")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("epsilon", "7/2", "dad.json echoes epsilon = '7/2', the chain's epsilon is '5/2'"),
+    ("E", [-2, 0, 2], "dad.json echoes E = [-2, 0, 2], the chain's window_set is [-1, 0, 1]"),
+], ids=["epsilon-7/2", "E"])
+def test_verify_chain_compares_dad_echoes(chain_dir, tmp_path, capsys, key, value, message):
+    out = tmp_path / "chain"
+    shutil.copytree(chain_dir, out)
+    data = json.loads((out / "dad.json").read_text())
+    data["params"][key] = value
+    (out / "dad.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(out / "chain.json")]) == 1
+    assert capsys.readouterr().out == f"verification failed: stage dad: {message}\n"
+
+
+def test_failing_tower_pairs_name_their_clause(tmp_path, capsys):
+    # Thue-Morse at depth 250: no margin witness for some state at N = 97
+    path = tmp_path / "tm.cfg"
+    path.write_text(TM_CFG)
+    assert main(["amen", "--config", str(path), "--depth", "250", "--big-n", "97"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "failed in stage amen: tower pairs must carry a passing certificate; "
+        "failing clause (5)-margin-witness: state "
+    )
 
 
 def test_cover_names_unwitnessed_special_states(tmp_path, capsys):
@@ -490,7 +568,10 @@ def test_real_periodic_cycle_fails(tmp_path, capsys):
     ),
     ("cover", ["--depth", "0"], "cover: k = 0 and l = 6 must be >= 1"),
     ("cover", ["--past-len", "0"], "cover: k = 24 and l = 0 must be >= 1"),
-    ("cover", ["--cover-horizon", "3"], "cover: horizon 3 must be >= k + l = 30"),
+    (
+        "amen", ["--depth", "250", "--big-n", "-5"],
+        "amen: (d+1)(d+2)/N = 72/-5 not below 2; N must be at least 37",
+    ),
     (
         "towerdim", ["--depth", "60", "--height", "4"],
         "towerdim: cover height 4 != 2 + 3*max|E| = 5",

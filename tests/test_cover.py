@@ -128,15 +128,24 @@ def test_isolated_state_check_fibonacci(fib):
     graph = build_cover_graph(fib, 6, 6)
     special = cover_special_states(graph)[0]
     refinements = [(10, 10), (14, 14)]
-    assert isolated_state_check(fib, graph, special, refinements)
+    assert isolated_state_check(graph, special, refinements)
     for s in range(graph.num_states):
         if s != special:
-            assert not isolated_state_check(fib, graph, s, refinements)
+            assert not isolated_state_check(graph, s, refinements)
 
 
 def test_isolated_state_check_full_shift(full2):
     graph = build_cover_graph(full2, 3, 3)
-    assert not isolated_state_check(full2, graph, 0, [(5, 5), (7, 7)])
+    assert not isolated_state_check(graph, 0, [(5, 5), (7, 7)])
+
+
+def test_isolated_state_check_takes_refinement_horizons(fib):
+    # (k, l, horizon) with the canonical horizon k + l refines as (k, l) does
+    graph = build_cover_graph(fib, 6, 6)
+    for s in range(graph.num_states):
+        assert isolated_state_check(graph, s, [(10, 10, 20), (14, 14, 28)]) == (
+            isolated_state_check(graph, s, [(10, 10), (14, 14)])
+        )
 
 
 def test_orbit_window(fib):

@@ -91,7 +91,7 @@ def test_dad_micro_genuine_epsilon():
     # the window holds non-unit merge pairs (a,0,b) with a common image
     assert (0, 0, 1) in win.triples()
     orbit = {0, 1, 2}
-    cover = build_dad_cover(win, emap, [2], orbit, cert)
+    cover = build_dad_cover(win, emap, orbit, cert)
     dcert = verify_dad_cover(win, cover)
     assert dcert.passed, dcert.first_failure()
     counts = next(
@@ -113,7 +113,26 @@ def test_dad_requires_certificate():
     emap = _constant_map(sys)
     win = build_window(sys, [0], 1)
     with pytest.raises(MissingEquivarianceCertificate):
-        build_dad_cover(win, emap, [2], {0, 1, 2}, None)
+        build_dad_cover(win, emap, {0, 1, 2}, None)
+
+
+def test_dad_requires_passing_certificate_and_names_its_failing_clause():
+    sys = cycle_system(3)
+    emap = _constant_map(sys)
+    cert = check_equivariance(sys, emap, [-1, 0, 1], Fraction(1, 3))
+    win = build_window(sys, [0], 1)
+    with pytest.raises(MissingEquivarianceCertificate, match="regular-deviation-below-epsilon"):
+        build_dad_cover(win, emap, set(), cert)
+
+
+def test_dad_cover_adjoins_the_merge_states_of_the_window_system():
+    # merge_system's state 2 has two preimages; it joins every piece
+    sys = merge_system()
+    emap = _constant_map(sys)
+    cert = check_equivariance(sys, emap, [0], Fraction(1, 3))
+    cover = build_dad_cover(build_window(sys, [0], 1), emap, {0}, cert)
+    assert cover.orbit_states == {0, 2}
+    assert all(2 in piece for piece in cover.pieces)
 
 
 def test_dad_cover_coverage_failure_detected():
@@ -121,14 +140,8 @@ def test_dad_cover_coverage_failure_detected():
     emap = _constant_map(sys)
     cert = check_equivariance(sys, emap, [0], Fraction(1, 3))
     win = build_window(sys, [0], 1)
-    cover = build_dad_cover(win, emap, [2], {0, 1, 2}, cert)
-    broken = DadCover(
-        pieces=(cover.pieces[0] - {1},),
-        F=cover.F,
-        support=cover.support,
-        orbit_states=cover.orbit_states,
-        d=0,
-    )
+    cover = build_dad_cover(win, emap, {0, 1, 2}, cert)
+    broken = DadCover(pieces=(cover.pieces[0] - {1},), F=cover.F, orbit_states=cover.orbit_states)
     dcert = verify_dad_cover(win, broken)
     assert not dcert.passed
     assert any(c.name == "unit-space-covering" and not c.passed for c in dcert.clauses)
@@ -139,7 +152,7 @@ def test_dad_f_symmetry_checked():
     emap = _constant_map(sys)
     cert = check_equivariance(sys, emap, [0], Fraction(1, 3))
     win = build_window(sys, [0], 1)
-    cover = build_dad_cover(win, emap, [2], {0, 1, 2}, cert)
+    cover = build_dad_cover(win, emap, {0, 1, 2}, cert)
     assert set(cover.F) == {-n for n in cover.F}
 
 
@@ -172,9 +185,7 @@ def test_closure_sizes_match_closure_walk():
         cover = DadCover(
             pieces=pieces,
             F=difference_set(range(rng.randint(0, 3))),
-            support=(),
             orbit_states=frozenset(rng.sample(states, rng.randint(0, sys.num_states))),
-            d=len(pieces) - 1,
         )
         sizes = _oracle_closure_sizes(window, pieces)
         cert = verify_dad_cover(window, cover)

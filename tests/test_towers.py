@@ -74,7 +74,7 @@ def test_clause5_breaks_when_exponents_shrink(fib_pipeline):
     shrunk = tuple(
         type(p)(p.base, p.exponents[:-1], p.kind, p.origin) for p in tps.pairs
     )
-    broken = TowerPairSystem(shrunk, tps.E, tps.d_claimed, tps.M)
+    broken = TowerPairSystem(shrunk, tps.E, tps.d_claimed)
     cert = verify_tower_pairs(sys, broken)
     clause5 = next(c for c in cert.clauses if c.name == "(5)-margin-witness")
     assert not clause5.passed
