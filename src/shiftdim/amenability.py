@@ -161,17 +161,25 @@ class EquivariantMap:
     @classmethod
     def from_jsonable(cls, data: dict) -> "EquivariantMap":
         """Inverse of ``to_jsonable``; a point with a weight that is not
-        positive, weights not summing to exactly 1, or a repeated atom
-        raises ValueError."""
+        positive, weights not summing to exactly 1, or a repeated atom, and
+        a ``support_window`` other than the sorted union of the points'
+        atoms, raise ValueError."""
         points = tuple(SimplexPoint.from_entries(entry.items()) for entry in data["points"])
+        support = _atom_union(points)
+        if tuple(data["support_window"]) != support:
+            raise ValueError("support_window is not the sorted union of the points' atoms")
         return cls(
             assignment=points,
             window_set=tuple(data["window_set"]),
             resolution=data["resolution"],
             d=data["d"],
             epsilon_achieved=Fraction(data["epsilon_achieved"]),
-            support_window=tuple(data["support_window"]),
+            support_window=support,
         )
+
+
+def _atom_union(points) -> tuple[int, ...]:
+    return tuple(sorted({a for p in points for a in p.atoms}))
 
 
 def build_equivariant_map(
@@ -226,14 +234,13 @@ def build_equivariant_map(
                 f"not cover the {N}-fold sumset of the window"
             )
         points.append(SimplexPoint.from_masses(mass))
-    support = sorted({a for p in points for a in p.support})
     emap = EquivariantMap(
         assignment=tuple(points),
         window_set=E,
         resolution=N,
         d=d,
         epsilon_achieved=Fraction(0),
-        support_window=tuple(support),
+        support_window=_atom_union(points),
     )
     cert = check_equivariance(sys, emap, E, eps, orbit_window)
     achieved = Fraction(str(cert.params["max_regular_deviation"]))

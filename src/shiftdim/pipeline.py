@@ -9,6 +9,11 @@ reconstitutes the claimed objects from witnesses and runs the verifier
 again; a certificate is accepted when the recomputation reproduces it
 byte for byte.
 
+The dad stage covers the map the amen stage built and checked, as it is.
+Its ``support`` and ``projection_moved`` echoes are derived from that map
+(its support window, and 0), and in a chain ``dad.json`` must echo
+``amen.json``'s map.
+
 Two registries define the chain once.  ``KINDS`` says, for every
 certificate kind, which witnesses it echoes and how it is re-checked; the
 ``run_*`` functions stamp their certificates from it and
@@ -26,12 +31,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import Callable
 
-from .amenability import (
-    EquivariantMap,
-    build_equivariant_map,
-    check_equivariance,
-    project_finite_support,
-)
+from .amenability import EquivariantMap, build_equivariant_map, check_equivariance
 from .certificates import Certificate, Clause
 from .config import spec_from_config
 from .cover import (
@@ -48,7 +48,6 @@ from .errors import (
     InvalidSpec,
     PeriodicWitness,
     ShiftDimError,
-    TailMassTooLarge,
 )
 from .groupoid import DadCover, bound_chain, build_dad_cover, build_window, verify_dad_cover
 from .rokhlin import RokhlinCover, RokhlinTower, build_rokhlin_cover, verify_rokhlin_cover
@@ -237,10 +236,6 @@ def run_amen(graph: CoverGraph, cover: RokhlinCover, window_set, big_n: int, eps
     return emap, tps, orbit, pair_cert, eq_cert
 
 
-# The dad stage's projection may move no point by this much or more.
-PROJECTION_DELTA = Fraction(1, 2)
-
-
 def run_dad(
     graph: CoverGraph,
     emap: EquivariantMap,
@@ -254,16 +249,10 @@ def run_dad(
     window = build_window(sys, window_set, exponent_bound)
     if out_dir:
         write_file(out_dir, "window_elements.txt", window.to_text())
-    projected, moved = project_finite_support(emap, emap.support_window, PROJECTION_DELTA)
-    # build_dad_cover needs the certificate of the map it covers, the
-    # projected one, not the map run_amen checked (onto its own support
-    # window the projection moves no point, onto a smaller one it would)
-    eq_cert = check_equivariance(sys, projected, window_set, epsilon, orbit)
-    cover = build_dad_cover(window, projected, orbit, eq_cert)
-    cert = _stamp(
-        verify_dad_cover(window, cover), graph,
-        cover=cover, projected=projected, moved=moved, epsilon=epsilon,
-    )
+    # build_dad_cover takes a passing equivariance certificate of the map it covers
+    eq_cert = check_equivariance(sys, emap, window_set, epsilon, orbit)
+    cover = build_dad_cover(window, emap, orbit, eq_cert)
+    cert = _stamp(verify_dad_cover(window, cover), graph, cover=cover, emap=emap, epsilon=epsilon)
     return cover, cert
 
 
@@ -508,22 +497,17 @@ def _rebuild_equivariance(graph: CoverGraph, p: dict) -> Certificate:
 
 def _rebuild_dad(graph: CoverGraph, p: dict) -> Certificate:
     """The verifier's certificate on the echoed pieces.  ``epsilon`` must be
-    a fraction (a chain compares it with its own), and ``projection_moved``
-    must be the displacement of projecting the echoed map onto the echoed
-    ``support``."""
+    positive (a chain compares it with its own); ``support`` must be the
+    echoed map's support window and ``projection_moved`` 0, the values
+    construction derives."""
+    if Fraction(p["epsilon"]) <= 0:
+        raise InvalidSpec(f"epsilon {p['epsilon']} must be positive")
+    support = list(EquivariantMap.from_jsonable(p["map"]).support_window)
+    if p["support"] != support:
+        raise Mismatch(f"support echoes {p['support']!r}, not the map's support window")
+    if Fraction(p["projection_moved"]) != 0:
+        raise Mismatch(f"projection_moved echoes {p['projection_moved']!r}, not 0")
     window = build_window(graph.system, tuple(p["E"]), p["exponent_bound"])
-    Fraction(p["epsilon"])
-    try:
-        _, moved = project_finite_support(
-            EquivariantMap.from_jsonable(p["map"]), p["support"], PROJECTION_DELTA
-        )
-    except TailMassTooLarge as exc:
-        raise Mismatch(f"projecting the map onto its support: {exc}")
-    if moved != Fraction(p["projection_moved"]):
-        raise Mismatch(
-            f"projection_moved echoes {p['projection_moved']!r}, "
-            f"projecting the map onto its support moves it {moved}"
-        )
     cover = DadCover(
         pieces=tuple(frozenset(piece) for piece in p["pieces"]),
         F=tuple(p["F"]),
@@ -547,9 +531,9 @@ def _recheck_chain(params: dict, directory: str | None) -> Certificate:
     """Re-check every stage file the chain lists, from ``directory``: each
     must record the chain's verdict for it, echo the presentation of the
     chain's configuration and re-check, every graph-based one must echo
-    the arena of ``cover.json``, and the stages in ``CHAIN_ECHOES`` must
-    echo the chain's parameters.  Returns the chain certificate
-    recomputed from its ``stages``."""
+    the arena of ``cover.json``, the stages in ``CHAIN_ECHOES`` must echo
+    the chain's parameters, and ``dad.json`` must echo ``amen.json``'s
+    map.  Returns the chain certificate recomputed from its ``stages``."""
     if directory is None:
         raise Mismatch("a certify-chain certificate is re-checked from its directory")
     stages = params["stages"]
@@ -594,6 +578,9 @@ def _recheck_chain(params: dict, directory: str | None) -> Certificate:
                     f"stage {name}: {name}.json echoes {echo} = {echoed!r}, "
                     f"the chain's {key} is {params[key]!r}"
                 )
+    # the dad cover is a cover of the map the amen stage checked
+    if certs["dad"].params.get("map") != certs["amen"].params.get("map"):
+        raise Mismatch("stage dad: dad.json echoes a map other than amen.json's")
     for name, cert in certs.items():
         ok, why = recheck_certificate(cert)
         if not ok:
@@ -632,12 +619,12 @@ KINDS: dict[str, Callable[[dict, str | None], Certificate]] = {
     ),
     "dad-cover": GraphKind(
         {
-            "projection_moved": lambda o: o.moved,
-            "support": lambda o: list(o.projected.support_window),
+            "projection_moved": lambda o: Fraction(0),
+            "support": lambda o: list(o.emap.support_window),
             "F": lambda o: list(o.cover.F),
             "pieces": lambda o: [sorted(piece) for piece in o.cover.pieces],
             "orbit_states": lambda o: sorted(o.cover.orbit_states),
-            "map": lambda o: o.projected.to_jsonable(),
+            "map": lambda o: o.emap.to_jsonable(),
             "epsilon": lambda o: Fraction(o.epsilon),
         },
         _rebuild_dad,

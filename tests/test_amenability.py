@@ -302,6 +302,15 @@ def test_from_jsonable_rejects_invalid_points(entry, reason):
         EquivariantMap.from_jsonable(data)
 
 
+@pytest.mark.parametrize("support", [[0, 1], [], [2, 0]], ids=["extra", "empty", "unsorted"])
+def test_from_jsonable_rejects_support_window_off_the_atoms(support):
+    data = _single_point_map(SimplexPoint((0, 2), (1, 1))).to_jsonable()
+    assert EquivariantMap.from_jsonable(data).support_window == (0, 2)
+    data["support_window"] = support
+    with pytest.raises(ValueError, match="support_window is not the sorted union"):
+        EquivariantMap.from_jsonable(data)
+
+
 def test_equivariance_witness_on_ties_matches_oracle():
     # a few points whose distances tie, some over different denominators
     # (1/2 as 2/4 and as 3/6): the witness is the first worst edge in the

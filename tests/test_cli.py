@@ -253,17 +253,19 @@ def chain_dir(tmp_path_factory):
     return out
 
 
-def verify_copy(chain_dir, tmp_path, capsys, edit=None, remove=None, target="chain.json"):
-    """Copy the chain, change the params of its ``target`` file by ``edit``
-    and delete the stage file ``remove``, then verify ``target``; (exit
-    code, stdout)."""
+def verify_copy(
+    chain_dir, tmp_path, capsys, edit=None, remove=None, target="chain.json", edited=None
+):
+    """Copy the chain, change the params of the files ``edited`` (by
+    default ``target``) by ``edit`` and delete the stage file ``remove``,
+    then verify ``target``; (exit code, stdout)."""
     out = tmp_path / "chain"
     shutil.copytree(chain_dir, out)
     path = out / target
-    if edit:
-        data = json.loads(path.read_text())
+    for name in (edited or [target]) if edit else []:
+        data = json.loads((out / name).read_text())
         edit(data["params"])
-        path.write_text(json.dumps(data))
+        (out / name).write_text(json.dumps(data))
     if remove:
         (out / remove).unlink()
     capsys.readouterr()
@@ -425,17 +427,97 @@ def test_verify_applies_the_cover_horizon_bound(chain_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("projection_moved", "1/3",
-     "projection_moved echoes '1/3', projecting the map onto its support moves it 0"),
-    ("support", [0], "projecting the map onto its support: state 0: tail mass "),
-], ids=["moved-1/3", "support-0"])
+    ("projection_moved", "1/3", "projection_moved echoes '1/3', not 0"),
+    ("support", [0], "support echoes [0], not the map's support window"),
+    ("epsilon", "-1/2", "bad parameter: epsilon -1/2 must be positive"),
+    ("epsilon", "0", "bad parameter: epsilon 0 must be positive"),
+], ids=["moved-1/3", "support-0", "epsilon--1/2", "epsilon-0"])
 def test_verify_measures_the_dad_projection(chain_dir, tmp_path, capsys, key, value, message):
+    # support and projection_moved are derived from the echoed map: its
+    # support window, and 0; epsilon must be positive, as --epsilon must
     def edit(params):
         params[key] = value
 
     code, out = verify_copy(chain_dir, tmp_path, capsys, edit=edit, target="dad.json")
     assert code == 1
-    assert out.startswith(f"verification failed: {message}")
+    assert out == f"verification failed: {message}\n"
+
+
+def swap_two_weights(params):
+    """Swap the weights of two atoms of the first map point whose weights differ."""
+    point = next(p for p in params["map"]["points"] if len(set(p.values())) > 1)
+    (a, wa), (b, wb) = next((x, y) for x in point.items() for y in point.items() if x[1] != y[1])
+    point[a], point[b] = wb, wa
+
+
+def test_verify_chain_ties_the_dad_map_to_amen(chain_dir, tmp_path, capsys):
+    # the amen re-check measures amen.json's map, so dad.json must echo it
+    code, out = verify_copy(chain_dir, tmp_path, capsys, edit=swap_two_weights, edited=["dad.json"])
+    assert code == 1
+    assert out == "verification failed: stage dad: dad.json echoes a map other than amen.json's\n"
+
+
+def test_dad_stage_covers_the_amen_map_without_projecting(tmp_path, capsys, monkeypatch):
+    import shiftdim
+    from shiftdim import amenability, pipeline
+
+    projected, built, checked = [], [], []
+    for module in (shiftdim, amenability):
+        monkeypatch.setattr(module, "project_finite_support", lambda *a: projected.append(a))
+    run_amen, check = pipeline.run_amen, pipeline.check_equivariance
+
+    def amen(*args):
+        result = run_amen(*args)
+        built.append(result[0])
+        return result
+
+    def checking(sys, emap, *args):
+        checked.append(emap)
+        return check(sys, emap, *args)
+
+    monkeypatch.setattr(pipeline, "run_amen", amen)
+    monkeypatch.setattr(pipeline, "check_equivariance", checking)
+    cfg = tmp_path / "fib.cfg"
+    cfg.write_text(FIB_CFG)
+    out = tmp_path / "out"
+    assert main([
+        "certify", "--config", str(cfg), "--horizon", "16", "--depth", "250",
+        "--big-n", "30", "--epsilon", "5/2", "--out", str(out),
+    ]) == 0
+    # run_amen's own check, then run_dad's, both on the map run_amen returned
+    assert len(built) == 1 and len(checked) == 2
+    assert all(emap is built[0] for emap in checked)
+    assert main(["verify", str(out / "chain.json")]) == 0
+    assert projected == []
+
+
+def test_verify_dad_builds_graph_and_window_once_and_measures_no_map(chain_dir, monkeypatch):
+    from shiftdim import pipeline
+
+    calls = []
+    for name in ("build_cover_graph", "build_window", "check_equivariance"):
+        fn = getattr(pipeline, name)
+        monkeypatch.setattr(
+            pipeline, name, lambda *a, name=name, fn=fn: calls.append(name) or fn(*a)
+        )
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", str(chain_dir / "dad.json")]) == 0
+    assert sorted(calls) == ["build_cover_graph", "build_window"]
+
+
+@pytest.mark.parametrize("target", ["amen.json", "dad.json", "chain.json"])
+def test_verify_rejects_a_support_window_off_the_atoms(chain_dir, tmp_path, capsys, target):
+    def edit(params):
+        params["map"]["support_window"] = [0, 1]
+
+    code, out = verify_copy(
+        chain_dir, tmp_path, capsys, edit=edit, target=target, edited=["amen.json", "dad.json"]
+    )
+    assert code == 1
+    assert out.endswith(
+        "missing or malformed witness: "
+        "support_window is not the sorted union of the points' atoms\n"
+    )
 
 
 @pytest.mark.parametrize("key, value, message", [
