@@ -9,6 +9,13 @@ reconstitutes the claimed objects from witnesses and runs the verifier
 again; a certificate is accepted when the recomputation reproduces it
 byte for byte.
 
+Every graph-based certificate, ``cover.json`` included, makes its claim
+on one arena: the cover graph its echo of the presentation, k, l and
+horizon names.  The re-checker builds that graph once per arena and
+stamps the arena echo of the graph it built, not the file's, so a
+non-canonical echo fails; a chain builds ``cover.json``'s graph once and
+re-checks every graph-based stage file on it.
+
 The dad stage covers the map the amen stage built and checked, as it is.
 Its ``support`` and ``projection_moved`` echoes are derived from that map
 (its support window, and 0), and in a chain ``dad.json`` must echo
@@ -25,6 +32,7 @@ emits; ``run_certify`` and the CLI subcommands run them through
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -151,6 +159,11 @@ def run_special(spec: SubshiftSpec, depth: int):
 
 def run_cover(spec: SubshiftSpec, k: int, l: int, horizon: int | None):
     graph = build_cover_graph(spec, k, l, horizon)
+    return graph, _stamp(_cover_certificate(graph), graph)
+
+
+def _cover_certificate(graph: CoverGraph) -> Certificate:
+    """The verifier's certificate on ``graph``, without the arena echo."""
     match = special_match_report(graph)
     unwitnessed = [s for s, w in zip(match.special_states, match.witnesses) if not w]
     clauses = [
@@ -167,13 +180,9 @@ def run_cover(spec: SubshiftSpec, k: int, l: int, horizon: int | None):
         ),
         Clause("shift-onto-states", graph.surjective, ""),
     ]
-    cert = Certificate.build(
+    return Certificate.build(
         kind="cover-graph",
         params={
-            "spec": spec.describe(),
-            "k": k,
-            "l": l,
-            "horizon": graph.horizon,
             "states": graph.num_states,
             "edges": sum(len(s) for s in graph.succ),
             "special_states": list(match.special_states),
@@ -183,7 +192,6 @@ def run_cover(spec: SubshiftSpec, k: int, l: int, horizon: int | None):
         },
         clauses=clauses,
     )
-    return graph, cert
 
 
 def run_rokhlin(graph: CoverGraph, height: int):
@@ -423,22 +431,30 @@ class GraphKind:
 
     witnesses: dict[str, Callable[[SimpleNamespace], object]]
     rebuild: Callable[[CoverGraph, dict], Certificate]
+    arena: tuple[str, ...] = ARENA
 
-    def __call__(self, params: dict, directory: str | None) -> Certificate:
-        graph = build_cover_graph(
-            _echoed_spec(params), params["k"], params["l"], params["graph_horizon"]
-        )
-        echo = {key: params[key] for key in (*ARENA, *self.witnesses)}
-        return self.rebuild(graph, params).with_params(echo)
+    def echo(self, graph: CoverGraph) -> dict:
+        """The arena echo of ``graph``, under this kind's keys."""
+        return dict(zip(self.arena, (graph.spec.describe(), graph.k, graph.l, graph.horizon)))
+
+    def __call__(self, params: dict, directory: str | None, arenas: dict) -> Certificate:
+        """Rebuild on the echoed arena's graph, built once in ``arenas``."""
+        echo = [params[key] for key in self.arena]
+        arena = json.dumps(echo, sort_keys=True)
+        if arena not in arenas:
+            arenas[arena] = build_cover_graph(_echoed_spec(params), *echo[1:])
+        graph = arenas[arena]
+        witnesses = {key: params[key] for key in self.witnesses}
+        return self.rebuild(graph, params).with_params({**self.echo(graph), **witnesses})
 
 
 def _stamp(cert: Certificate, graph: CoverGraph, **built) -> Certificate:
     """The verifier's ``cert`` with the arena echo of ``graph`` and the
     witnesses its kind reads off ``built``."""
+    kind = KINDS[cert.kind]
     objects = SimpleNamespace(**built)
-    arena = dict(zip(ARENA, (graph.spec.describe(), graph.k, graph.l, graph.horizon)))
-    witnesses = {key: read(objects) for key, read in KINDS[cert.kind].witnesses.items()}
-    return cert.with_params({**arena, **witnesses})
+    witnesses = {key: read(objects) for key, read in kind.witnesses.items()}
+    return cert.with_params({**kind.echo(graph), **witnesses})
 
 
 def _config_from_echo(spec_echo: dict) -> str:
@@ -479,6 +495,8 @@ def _rebuild_pairs(graph: CoverGraph, p: dict) -> Certificate:
     sys = graph.system
     if p["carrier"] == "entry-free":
         sys = sys.without_entries_into(isolated_orbit_window(graph))
+    elif p["carrier"] != "full":
+        raise ValueError(f"carrier {p['carrier']!r} is neither full nor entry-free")
     pairs = tuple(
         TowerPair(frozenset(base), _exponent_range(rng), kind, origin)
         for base, rng, kind, origin in zip(
@@ -498,8 +516,9 @@ def _rebuild_equivariance(graph: CoverGraph, p: dict) -> Certificate:
 def _rebuild_dad(graph: CoverGraph, p: dict) -> Certificate:
     """The verifier's certificate on the echoed pieces.  ``epsilon`` must be
     positive (a chain compares it with its own); ``support`` must be the
-    echoed map's support window and ``projection_moved`` 0, the values
-    construction derives."""
+    echoed map's support window, ``projection_moved`` 0 and
+    ``orbit_states`` the graph's isolated orbit window with its special
+    states, the values construction derives."""
     if Fraction(p["epsilon"]) <= 0:
         raise InvalidSpec(f"epsilon {p['epsilon']} must be positive")
     support = list(EquivariantMap.from_jsonable(p["map"]).support_window)
@@ -507,11 +526,14 @@ def _rebuild_dad(graph: CoverGraph, p: dict) -> Certificate:
         raise Mismatch(f"support echoes {p['support']!r}, not the map's support window")
     if Fraction(p["projection_moved"]) != 0:
         raise Mismatch(f"projection_moved echoes {p['projection_moved']!r}, not 0")
+    orbit = isolated_orbit_window(graph) | frozenset(graph.system.special_states())
+    if p["orbit_states"] != sorted(orbit):
+        raise Mismatch("orbit_states echoes other states than the orbit window and special states")
     window = build_window(graph.system, tuple(p["E"]), p["exponent_bound"])
     cover = DadCover(
         pieces=tuple(frozenset(piece) for piece in p["pieces"]),
         F=tuple(p["F"]),
-        orbit_states=frozenset(p["orbit_states"]),
+        orbit_states=orbit,
     )
     return verify_dad_cover(window, cover)
 
@@ -527,13 +549,16 @@ CHAIN_ECHOES = {
 }
 
 
-def _recheck_chain(params: dict, directory: str | None) -> Certificate:
+def _recheck_chain(params: dict, directory: str | None, arenas: dict) -> Certificate:
     """Re-check every stage file the chain lists, from ``directory``: each
     must record the chain's verdict for it, echo the presentation of the
     chain's configuration and re-check, every graph-based one must echo
     the arena of ``cover.json``, the stages in ``CHAIN_ECHOES`` must echo
-    the chain's parameters, and ``dad.json`` must echo ``amen.json``'s
-    map.  Returns the chain certificate recomputed from its ``stages``."""
+    the chain's parameters, ``dad.json`` must echo ``amen.json``'s map,
+    ``amen.json`` the phase pairs of ``amen_pairs.json`` and ``bounds.json``
+    the q and dim_x the bounds stage reads.  The graph-based files are
+    re-checked on one arena, ``cover.json``'s graph, built once.  Returns
+    the chain certificate recomputed from its ``stages``."""
     if directory is None:
         raise Mismatch("a certify-chain certificate is re-checked from its directory")
     stages = params["stages"]
@@ -559,8 +584,9 @@ def _recheck_chain(params: dict, directory: str | None) -> Certificate:
     # every graph-based stage file makes its claim on the graph of cover.json
     cover = certs["cover"].params
     for name, cert in certs.items():
-        if isinstance(KINDS.get(cert.kind), GraphKind):
-            for key, cover_key in zip(ARENA, COVER_ARENA):
+        kind = KINDS.get(cert.kind)
+        if isinstance(kind, GraphKind):
+            for key, cover_key in zip(kind.arena, COVER_ARENA):
                 echoed, value = cert.params.get(key), cover.get(cover_key)
                 if echoed != value:
                     raise Mismatch(
@@ -581,18 +607,33 @@ def _recheck_chain(params: dict, directory: str | None) -> Certificate:
     # the dad cover is a cover of the map the amen stage checked
     if certs["dad"].params.get("map") != certs["amen"].params.get("map"):
         raise Mismatch("stage dad: dad.json echoes a map other than amen.json's")
+    # the amen map is built on the pairs amen_pairs.json lists
+    amen, pairs = certs["amen"].params, certs["amen_pairs"].params
+    if amen.get("phase_pair_bases") != pairs.get("pair_bases"):
+        raise Mismatch("stage amen: amen.json echoes phase_pair_bases other than "
+                       "amen_pairs.json's pair_bases")
+    span = amen.get("phase_span")
+    if any(rng != [0, span] for rng in pairs.get("pair_exponent_ranges", ())):
+        raise Mismatch(f"stage amen: amen.json echoes phase_span = {span!r}, not h-1 of "
+                       "amen_pairs.json's pair_exponent_ranges [0, h-1]")
+    # the bounds stage reads q, the number of cover special states, and dim_x 0
+    q = len(cover["special_states"])
+    bounds = certs["bounds"].params
+    if (bounds.get("q"), bounds.get("dim_x")) != (q, 0):
+        raise Mismatch(f"stage bounds: bounds.json echoes q = {bounds.get('q')!r} and "
+                       f"dim_x = {bounds.get('dim_x')!r}, the chain reads q = {q} and dim_x = 0")
     for name, cert in certs.items():
-        ok, why = recheck_certificate(cert)
+        ok, why = recheck_certificate(cert, arenas=arenas)
         if not ok:
             raise Mismatch(f"stage {name}: {why}")
     return _chain_certificate(params)
 
 
-# kind -> recheck(params, directory), returning the recomputed certificate.
-KINDS: dict[str, Callable[[dict, str | None], Certificate]] = {
-    "language-table": lambda p, _: run_lang(_echoed_spec(p), p["n_max"], None)[1],
-    "special-report": lambda p, _: run_special(_echoed_spec(p), p["depth"])[1],
-    "cover-graph": lambda p, _: run_cover(_echoed_spec(p), p["k"], p["l"], p["horizon"])[1],
+# kind -> recheck(params, directory, arenas), returning the recomputed certificate.
+KINDS: dict[str, Callable[[dict, str | None, dict], Certificate]] = {
+    "language-table": lambda p, *_: run_lang(_echoed_spec(p), p["n_max"], None)[1],
+    "special-report": lambda p, *_: run_special(_echoed_spec(p), p["depth"])[1],
+    "cover-graph": GraphKind({}, lambda graph, _: _cover_certificate(graph), COVER_ARENA),
     "rokhlin-cover": GraphKind(
         {"tower_bases": lambda o: [sorted(t.base) for t in o.cover.towers]}, _rebuild_rokhlin
     ),
@@ -629,23 +670,24 @@ KINDS: dict[str, Callable[[dict, str | None], Certificate]] = {
         },
         _rebuild_dad,
     ),
-    "bounds": lambda p, _: run_bounds(p["q"], p["dim_x"])[1],
+    "bounds": lambda p, *_: run_bounds(p["q"], p["dim_x"])[1],
     "certify-chain": _recheck_chain,
 }
 
 
-def recheck_certificate(cert: Certificate, directory: str | None = None) -> tuple[bool, str]:
+def recheck_certificate(cert: Certificate, directory=None, arenas=None) -> tuple[bool, str]:
     """Recompute ``cert`` as its kind says and compare byte for byte.
     ``directory`` holds the stage files of a ``certify-chain``
-    certificate.  A certificate lacking an echo the re-check reads, or
-    holding one of the wrong type, fails as a missing or malformed
-    witness; one whose parameter breaks a bound of its stage fails as a
-    bad parameter, naming the bound."""
+    certificate, ``arenas`` the cover graphs built so far by arena echo.
+    A certificate lacking an echo the re-check reads, or holding one of
+    the wrong type, fails as a missing or malformed witness; one whose
+    parameter breaks a bound of its stage fails as a bad parameter,
+    naming the bound."""
     recheck = KINDS.get(cert.kind)
     if recheck is None:
         return False, f"unknown certificate kind {cert.kind!r}"
     try:
-        fresh = recheck(cert.params, directory)
+        fresh = recheck(cert.params, directory, {} if arenas is None else arenas)
     except Mismatch as exc:
         return False, str(exc)
     except KeyError as exc:

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+from fractions import Fraction
 
 import pytest
 
@@ -364,10 +365,11 @@ def test_verify_chain_rejects_other_parameter(chain_dir, tmp_path, capsys, key, 
     ("amen.json", "epsilon", "1/0"),
     ("dad.json", "epsilon", "1/0"),
     ("dad.json", "projection_moved", "abc"),
+    ("towerdim.json", "carrier", "fullx"),
 ], ids=["special-count", "range-negative-start", "range-start-1", "range-reversed",
         "amen-weight-zero-denominator", "dad-weight-zero-denominator",
         "amen-epsilon-zero-denominator", "dad-epsilon-zero-denominator",
-        "dad-projection-moved-not-a-fraction"])
+        "dad-projection-moved-not-a-fraction", "carrier-fullx"])
 def test_verify_rejects_tampered_echo(chain_dir, tmp_path, capsys, target, key, value):
     def edit(params):
         if key == "pair_exponent_ranges":
@@ -383,7 +385,7 @@ def test_verify_rejects_tampered_echo(chain_dir, tmp_path, capsys, target, key, 
     assert out.startswith("verification failed")
     if key == "pair_exponent_ranges":
         assert f"missing or malformed witness: exponent range {value}" in out
-    if value in ("1/0", "abc"):
+    if value in ("1/0", "abc", "fullx"):
         assert out.startswith("verification failed: missing or malformed witness")
 
 
@@ -431,10 +433,16 @@ def test_verify_applies_the_cover_horizon_bound(chain_dir, tmp_path, capsys):
     ("support", [0], "support echoes [0], not the map's support window"),
     ("epsilon", "-1/2", "bad parameter: epsilon -1/2 must be positive"),
     ("epsilon", "0", "bad parameter: epsilon 0 must be positive"),
-], ids=["moved-1/3", "support-0", "epsilon--1/2", "epsilon-0"])
+    (
+        "orbit_states", list(range(1000)),
+        "orbit_states echoes other states than the orbit window and special states",
+    ),
+], ids=["moved-1/3", "support-0", "epsilon--1/2", "epsilon-0", "orbit-states-all"])
 def test_verify_measures_the_dad_projection(chain_dir, tmp_path, capsys, key, value, message):
     # support and projection_moved are derived from the echoed map: its
-    # support window, and 0; epsilon must be positive, as --epsilon must
+    # support window, and 0; epsilon must be positive, as --epsilon must;
+    # orbit_states is read off the graph, since an orbit bucket of every
+    # state would excuse every restricted element by case 2
     def edit(params):
         params[key] = value
 
@@ -533,6 +541,140 @@ def test_verify_chain_compares_dad_echoes(chain_dir, tmp_path, capsys, key, valu
     capsys.readouterr()
     assert main(["verify", str(out / "chain.json")]) == 1
     assert capsys.readouterr().out == f"verification failed: stage dad: {message}\n"
+
+
+GRAPH_FILES = (
+    "cover.json", "rokhlin.json", "towerdim.json", "amen_pairs.json", "amen.json", "dad.json"
+)
+
+
+@pytest.mark.parametrize("target, builds", [
+    ("chain.json", 1),
+    *((name, 1) for name in GRAPH_FILES),
+    ("lang.json", 0),
+    ("special.json", 0),
+    ("bounds.json", 0),
+])
+def test_verify_builds_one_arena(chain_dir, monkeypatch, target, builds):
+    # a chain re-checks every graph-based file on cover.json's graph
+    from shiftdim import pipeline
+
+    calls = []
+    build = pipeline.build_cover_graph
+    monkeypatch.setattr(pipeline, "build_cover_graph", lambda *a: calls.append(a) or build(*a))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", str(chain_dir / target)]) == 0
+    assert len(calls) == builds
+
+
+def test_verify_chain_names_the_cover_stage_for_a_bad_arena(chain_dir, tmp_path, capsys):
+    # the one arena is built while cover.json is re-checked
+    def edit(params):
+        params["graph_horizon" if "graph_horizon" in params else "horizon"] = 3
+
+    code, out = verify_copy(chain_dir, tmp_path, capsys, edit=edit, edited=GRAPH_FILES)
+    assert code == 1
+    assert out == (
+        "verification failed: stage cover: bad parameter: horizon 3 must be >= k + l = 256\n"
+    )
+
+
+@pytest.mark.parametrize("target", ["cover.json", "rokhlin.json"])
+def test_verify_rejects_a_non_canonical_arena_echo(chain_dir, tmp_path, capsys, target):
+    # "0 1" reads as the rule 01, but the re-check stamps the rebuilt graph's arena
+    def edit(params):
+        params["spec"]["rules"]["0"] = "0 1"
+
+    code, out = verify_copy(
+        chain_dir, tmp_path, capsys, edit=edit, target=target, edited=["cover.json", "rokhlin.json"]
+    )
+    assert code == 1
+    assert out == "verification failed: recomputation differs from stored certificate\n"
+
+
+@pytest.mark.parametrize("flags, echoed", [
+    (["--q", "3"], "q = 3 and dim_x = 0"),
+    (["--q", "1", "--dim-x", "5"], "q = 1 and dim_x = 5"),
+], ids=["q-3", "dim-x-5"])
+def test_verify_chain_ties_bounds_to_the_cover(chain_dir, tmp_path, capsys, flags, echoed):
+    # a genuine bounds certificate, but not for the q the chain's cover has
+    out = tmp_path / "chain"
+    shutil.copytree(chain_dir, out)
+    assert main(["bounds", *flags, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out / "chain.json")]) == 1
+    assert capsys.readouterr().out == (
+        f"verification failed: stage bounds: bounds.json echoes {echoed}, "
+        "the chain reads q = 1 and dim_x = 0\n"
+    )
+
+
+def cut_one_base(params):
+    params["phase_pair_bases"].pop()
+
+
+def raise_span(params):
+    params["phase_span"] += 7
+
+
+@pytest.mark.parametrize("edit, message", [
+    (cut_one_base, "phase_pair_bases other than amen_pairs.json's pair_bases"),
+    (raise_span, "phase_span = 239, not h-1 of amen_pairs.json's pair_exponent_ranges [0, h-1]"),
+], ids=["cut-base", "span-plus-7"])
+def test_verify_chain_ties_amen_to_its_pairs(chain_dir, tmp_path, capsys, edit, message):
+    code, out = verify_copy(chain_dir, tmp_path, capsys, edit=edit, edited=["amen.json"])
+    assert code == 1
+    assert out == f"verification failed: stage amen: amen.json echoes {message}\n"
+
+
+def tamper(value):
+    """One fixed edit by the value's type: a boolean negated, an integer
+    plus 1, a "p/q" string plus 1 and any other string with "x" appended,
+    a list without its last member (or [0] for an empty one) and an object
+    without its last key."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        try:
+            plus_one = Fraction(value) + 1
+        except (ValueError, ZeroDivisionError):
+            return value + "x"
+        return f"{plus_one.numerator}/{plus_one.denominator}"
+    if isinstance(value, list):
+        return value[:-1] if value else [0]
+    return {key: value[key] for key in sorted(value)[:-1]}
+
+
+# (file, key) pairs whose tampered chain still verifies, each because the
+# edited chain is still true
+TAMPER_ALLOWED = {
+    # normalize_window adjoins 0 and -E, so [-1, 0] names the window
+    # [-1, 0, 1]: the chain `certify --window -1,0` writes is this one
+    ("chain.json", "window_set"),
+}
+
+
+def test_tamper_sweep(chain_dir, tmp_path):
+    """Every stage file's every parameter, and the chain's, edited one at a
+    time: ``verify chain.json`` fails unless the pair is allowed."""
+    out = tmp_path / "chain"
+    shutil.copytree(chain_dir, out)
+    verified = set()
+    for path in sorted(out.glob("*.json")):
+        text = path.read_text()
+        for key in sorted(json.loads(text)["params"]):
+            data = json.loads(text)
+            data["params"][key] = tamper(data["params"][key])
+            path.write_text(json.dumps(data))
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["verify", str(out / "chain.json")])
+            assert code in (0, 1), (path.name, key)
+            if code == 0:
+                verified.add((path.name, key))
+        path.write_text(text)
+    assert verified == TAMPER_ALLOWED
 
 
 def test_failing_tower_pairs_name_their_clause(tmp_path, capsys):
