@@ -4,10 +4,10 @@ Each stage echoes the subshift presentation and every parameter into its
 certificate together with the witnesses needed to re-verify the claim
 without re-running the construction search: tower bases, pair bases and
 exponent ranges, the full equivariant map, the cover pieces.  The
-re-checker rebuilds the (deterministic) arena from the echoed parameters,
-reconstitutes the claimed objects from witnesses and runs the verifier
-again; a certificate is accepted when the recomputation reproduces it
-byte for byte.
+re-checker rebuilds the (deterministic) arena and the claimed objects
+from the echo, reruns the verifier and stamps the witnesses read off
+what it rebuilt through ``_stamp``, as construction does; a certificate
+is accepted when the recomputation reproduces it byte for byte.
 
 Every graph-based certificate, ``cover.json`` included, makes its claim
 on one arena: the cover graph its echo of the presentation, k, l and
@@ -17,9 +17,9 @@ non-canonical echo fails; a chain builds ``cover.json``'s graph once and
 re-checks every graph-based stage file on it.
 
 The dad stage covers the map the amen stage built and checked, as it is.
-Its ``support`` and ``projection_moved`` echoes are derived from that map
-(its support window, and 0), and in a chain ``dad.json`` must echo
-``amen.json``'s map.
+Its ``support``, ``F`` and ``projection_moved`` echoes derive from that
+map and its ``orbit_states`` from the graph; in a chain ``dad.json`` must
+echo ``amen.json``'s map.
 
 Two registries define the chain once.  ``KINDS`` says, for every
 certificate kind, which witnesses it echoes and how it is re-checked; the
@@ -57,7 +57,9 @@ from .errors import (
     PeriodicWitness,
     ShiftDimError,
 )
-from .groupoid import DadCover, bound_chain, build_dad_cover, build_window, verify_dad_cover
+from .groupoid import (
+    DadCover, bound_chain, build_dad_cover, build_window, difference_set, verify_dad_cover,
+)
 from .rokhlin import RokhlinCover, RokhlinTower, build_rokhlin_cover, verify_rokhlin_cover
 from .special import sp_estimate
 from .systems import aperiodicity_window_check
@@ -100,7 +102,10 @@ def write_file(out_dir: str, name: str, text: str) -> None:
 
 
 def _at_least(value: int, bound: int, name: str) -> int:
-    """``value``, refused as a bad parameter when it is below ``bound``."""
+    """``value``, refused as a bad parameter when it is not an ``int`` or
+    is below ``bound``."""
+    if type(value) is not int:
+        raise InvalidSpec(f"{name} {value!r} is not an integer")
     if value < bound:
         raise InvalidSpec(f"{name} {value} must be >= {bound}")
     return value
@@ -265,7 +270,7 @@ def run_dad(
 
 
 def run_bounds(q: int, dim_x: int):
-    report = bound_chain(q, dim_x)
+    report = bound_chain(_at_least(q, 0, "q"), _at_least(dim_x, 0, "dim_x"))
     cert = Certificate.build(
         kind="bounds",
         params={
@@ -422,15 +427,14 @@ class Mismatch(Exception):
 class GraphKind:
     """A certificate kind whose claim lives on a cover graph.
 
-    ``witnesses`` maps each witness key the certificate echoes to how
-    construction reads its value off the objects the stage built;
-    ``rebuild(graph, params)`` rebuilds those objects from the echoed
-    values and returns the verifier's certificate.  Construction
-    (``_stamp``) and re-check both add the arena echo and exactly these
-    keys."""
+    ``witnesses`` maps each witness key the certificate echoes to how it
+    is read off the objects the stage built; ``rebuild(graph, params)``
+    rebuilds those objects from the echoed values and returns the
+    verifier's certificate with them, named as construction names them.
+    Construction and re-check both stamp through ``_stamp``."""
 
     witnesses: dict[str, Callable[[SimpleNamespace], object]]
-    rebuild: Callable[[CoverGraph, dict], Certificate]
+    rebuild: Callable[[CoverGraph, dict], tuple[Certificate, dict]]
     arena: tuple[str, ...] = ARENA
 
     def echo(self, graph: CoverGraph) -> dict:
@@ -444,8 +448,8 @@ class GraphKind:
         if arena not in arenas:
             arenas[arena] = build_cover_graph(_echoed_spec(params), *echo[1:])
         graph = arenas[arena]
-        witnesses = {key: params[key] for key in self.witnesses}
-        return self.rebuild(graph, params).with_params({**self.echo(graph), **witnesses})
+        cert, built = self.rebuild(graph, params)
+        return _stamp(cert, graph, **built)
 
 
 def _stamp(cert: Certificate, graph: CoverGraph, **built) -> Certificate:
@@ -476,12 +480,21 @@ def _echoed_spec(params: dict) -> SubshiftSpec:
     return spec
 
 
-def _rebuild_rokhlin(graph: CoverGraph, p: dict) -> Certificate:
-    sys = graph.system
-    towers = tuple(
-        RokhlinTower.from_base(sys, frozenset(base), p["height"]) for base in p["tower_bases"]
-    )
-    return verify_rokhlin_cover(sys, RokhlinCover(p["height"], towers))
+def _states(graph: CoverGraph, listed) -> frozenset:
+    """The state set a witness lists; a member that is not an ``int`` in
+    ``0..num_states-1`` makes it a malformed witness."""
+    n = graph.num_states
+    bad = [s for s in listed if type(s) is not int or not 0 <= s < n]
+    if bad:
+        raise ValueError(f"state {bad[0]!r} is not an integer in 0..{n - 1}")
+    return frozenset(listed)
+
+
+def _rebuild_rokhlin(graph: CoverGraph, p: dict):
+    sys, height = graph.system, p["height"]
+    towers = (RokhlinTower.from_base(sys, _states(graph, b), height) for b in p["tower_bases"])
+    cover = RokhlinCover(height, tuple(towers))
+    return verify_rokhlin_cover(sys, cover), {"cover": cover}
 
 
 def _exponent_range(rng) -> range:
@@ -491,51 +504,52 @@ def _exponent_range(rng) -> range:
     return range(rng[1] + 1)
 
 
-def _rebuild_pairs(graph: CoverGraph, p: dict) -> Certificate:
+def _rebuild_pairs(graph: CoverGraph, p: dict):
     sys = graph.system
     if p["carrier"] == "entry-free":
         sys = sys.without_entries_into(isolated_orbit_window(graph))
     elif p["carrier"] != "full":
         raise ValueError(f"carrier {p['carrier']!r} is neither full nor entry-free")
-    pairs = tuple(
-        TowerPair(frozenset(base), _exponent_range(rng), kind, origin)
-        for base, rng, kind, origin in zip(
-            p["pair_bases"], p["pair_exponent_ranges"], p["pair_kinds"], p["pair_origins"]
-        )
-    )
+    pairs = []
+    for base, rng, kind, origin in zip(
+        p["pair_bases"], p["pair_exponent_ranges"], p["pair_kinds"], p["pair_origins"]
+    ):
+        if kind not in ("base", "shifted", "phase"):
+            raise ValueError(f"pair kind {kind!r} is none of base, shifted and phase")
+        if type(origin) is not int or origin < 0:
+            raise ValueError(f"pair origin {origin!r} is not a nonnegative integer")
+        pairs.append(TowerPair(_states(graph, base), _exponent_range(rng), kind, origin))
     tps = TowerPairSystem(pairs, p["E"], p["d_claimed"])
-    return verify_tower_pairs(sys, tps)
+    return verify_tower_pairs(sys, tps), {"tps": tps, "carrier": p["carrier"]}
 
 
-def _rebuild_equivariance(graph: CoverGraph, p: dict) -> Certificate:
+def _rebuild_equivariance(graph: CoverGraph, p: dict):
     emap = EquivariantMap.from_jsonable(p["map"])
-    orbit = frozenset(p["orbit_window"])
-    return check_equivariance(graph.system, emap, tuple(p["E"]), Fraction(p["epsilon"]), orbit)
+    orbit = _states(graph, p["orbit_window"])
+    # the phase pairs the map was built on: one per base, over [0, phase_span]
+    span = _exponent_range([0, p["phase_span"]])
+    bases = p["phase_pair_bases"]
+    pairs = [TowerPair(_states(graph, b), span, "phase", j) for j, b in enumerate(bases)]
+    tps = TowerPairSystem(pairs, p["E"], len(pairs) - 1)
+    cert = check_equivariance(graph.system, emap, tuple(p["E"]), Fraction(p["epsilon"]), orbit)
+    return cert, {"emap": emap, "tps": tps, "orbit": orbit}
 
 
-def _rebuild_dad(graph: CoverGraph, p: dict) -> Certificate:
-    """The verifier's certificate on the echoed pieces.  ``epsilon`` must be
-    positive (a chain compares it with its own); ``support`` must be the
-    echoed map's support window, ``projection_moved`` 0 and
-    ``orbit_states`` the graph's isolated orbit window with its special
-    states, the values construction derives."""
-    if Fraction(p["epsilon"]) <= 0:
+def _rebuild_dad(graph: CoverGraph, p: dict):
+    """The verifier's certificate on the echoed pieces, with ``F`` and the
+    orbit states derived as ``build_dad_cover`` derives them.  ``epsilon``
+    must be positive (a chain compares it with its own)."""
+    epsilon = Fraction(p["epsilon"])
+    if epsilon <= 0:
         raise InvalidSpec(f"epsilon {p['epsilon']} must be positive")
-    support = list(EquivariantMap.from_jsonable(p["map"]).support_window)
-    if p["support"] != support:
-        raise Mismatch(f"support echoes {p['support']!r}, not the map's support window")
-    if Fraction(p["projection_moved"]) != 0:
-        raise Mismatch(f"projection_moved echoes {p['projection_moved']!r}, not 0")
-    orbit = isolated_orbit_window(graph) | frozenset(graph.system.special_states())
-    if p["orbit_states"] != sorted(orbit):
-        raise Mismatch("orbit_states echoes other states than the orbit window and special states")
     window = build_window(graph.system, tuple(p["E"]), p["exponent_bound"])
+    emap = EquivariantMap.from_jsonable(p["map"])
     cover = DadCover(
-        pieces=tuple(frozenset(piece) for piece in p["pieces"]),
-        F=tuple(p["F"]),
-        orbit_states=orbit,
+        pieces=tuple(_states(graph, piece) for piece in p["pieces"]),
+        F=difference_set(emap.support_window),
+        orbit_states=isolated_orbit_window(graph) | frozenset(graph.system.special_states()),
     )
-    return verify_dad_cover(window, cover)
+    return verify_dad_cover(window, cover), {"cover": cover, "emap": emap, "epsilon": epsilon}
 
 
 # chain parameter -> the (stage, key) under which each stage certificate echoes it
@@ -596,6 +610,8 @@ def _recheck_chain(params: dict, directory: str | None, arenas: dict) -> Certifi
     for key, echoes in CHAIN_ECHOES.items():
         value = params[key]
         if key == "window_set":
+            if any(type(n) is not int for n in value):
+                raise ValueError(f"chain window_set {value!r} holds a non-integer")
             value = list(normalize_window(value))
         for name, echo in echoes:
             echoed = certs[name].params.get(echo)
@@ -633,7 +649,7 @@ def _recheck_chain(params: dict, directory: str | None, arenas: dict) -> Certifi
 KINDS: dict[str, Callable[[dict, str | None, dict], Certificate]] = {
     "language-table": lambda p, *_: run_lang(_echoed_spec(p), p["n_max"], None)[1],
     "special-report": lambda p, *_: run_special(_echoed_spec(p), p["depth"])[1],
-    "cover-graph": GraphKind({}, lambda graph, _: _cover_certificate(graph), COVER_ARENA),
+    "cover-graph": GraphKind({}, lambda graph, _: (_cover_certificate(graph), {}), COVER_ARENA),
     "rokhlin-cover": GraphKind(
         {"tower_bases": lambda o: [sorted(t.base) for t in o.cover.towers]}, _rebuild_rokhlin
     ),
@@ -675,6 +691,16 @@ KINDS: dict[str, Callable[[dict, str | None, dict], Certificate]] = {
 }
 
 
+def _first_differing_key(fresh: dict, stored: dict) -> str | None:
+    """The first key, in sorted order, that only one of the params has or
+    whose values have other JSON encodings there (so ``true`` is not ``1``)."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    for key in sorted({*fresh, *stored}):
+        if key not in fresh or key not in stored or encode(fresh[key]) != encode(stored[key]):
+            return key
+    return None
+
+
 def recheck_certificate(cert: Certificate, directory=None, arenas=None) -> tuple[bool, str]:
     """Recompute ``cert`` as its kind says and compare byte for byte.
     ``directory`` holds the stage files of a ``certify-chain``
@@ -698,8 +724,10 @@ def recheck_certificate(cert: Certificate, directory=None, arenas=None) -> tuple
         return False, f"bad parameter: {exc}"
     if fresh.canonical_json() == cert.canonical_json():
         return True, ""
+    key = _first_differing_key(fresh.params, cert.params)
     detail = fresh.first_failure()
     return False, (
         "recomputation differs from stored certificate"
+        + (f" at params key {key!r}" if key is not None else "")
         + (f"; failing clause: {detail}" if detail else "")
     )

@@ -79,6 +79,15 @@ def test_bounds_command(capsys):
     assert "(rokhlin <= 3, tower <= 7, amenability <= 7, dad <= 7, nuclear <= 6)" in out
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--q", "-1"], "q -1 must be >= 0"),
+    (["--q", "1", "--dim-x", "-2"], "dim_x -2 must be >= 0"),
+])
+def test_bounds_below_0_exit_3(capsys, flags, message):
+    assert main(["bounds", *flags]) == 3
+    assert capsys.readouterr().err == f"bad parameter: {message}\n"
+
+
 def test_lang_command_writes_csv(fib_cfg, tmp_path, capsys):
     out_dir = str(tmp_path / "out")
     code = main(["lang", "--config", fib_cfg, "--horizon", "10", "--out", out_dir])
@@ -274,6 +283,10 @@ def verify_copy(
     return code, capsys.readouterr().out
 
 
+# a recomputation that differs names the first params key that differs
+DIFFERS_AT = "recomputation differs from stored certificate at params key"
+
+
 def test_verify_chain(chain_dir, tmp_path, capsys):
     code, out = verify_copy(chain_dir, tmp_path, capsys)
     assert code == 0
@@ -385,8 +398,11 @@ def test_verify_rejects_tampered_echo(chain_dir, tmp_path, capsys, target, key, 
     assert out.startswith("verification failed")
     if key == "pair_exponent_ranges":
         assert f"missing or malformed witness: exponent range {value}" in out
-    if value in ("1/0", "abc", "fullx"):
+    if value in ("1/0", "fullx"):
         assert out.startswith("verification failed: missing or malformed witness")
+    if key == "projection_moved":
+        # derived, not read back: the re-check stamps 0
+        assert out == f"verification failed: {DIFFERS_AT} 'projection_moved'\n"
 
 
 @pytest.mark.parametrize("target, old, new", [
@@ -416,7 +432,7 @@ def test_verify_recomputes_pull_back_shift(chain_dir, tmp_path, capsys, target, 
 
     code, out = verify_copy(chain_dir, tmp_path, capsys, edit=edit, target=target)
     assert code == 1
-    assert out == "verification failed: recomputation differs from stored certificate\n"
+    assert out == f"verification failed: {DIFFERS_AT} 'M'\n"
 
 
 def test_verify_applies_the_cover_horizon_bound(chain_dir, tmp_path, capsys):
@@ -429,20 +445,18 @@ def test_verify_applies_the_cover_horizon_bound(chain_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("projection_moved", "1/3", "projection_moved echoes '1/3', not 0"),
-    ("support", [0], "support echoes [0], not the map's support window"),
+    ("projection_moved", "1/3", f"{DIFFERS_AT} 'projection_moved'"),
+    ("support", [0], f"{DIFFERS_AT} 'support'"),
     ("epsilon", "-1/2", "bad parameter: epsilon -1/2 must be positive"),
     ("epsilon", "0", "bad parameter: epsilon 0 must be positive"),
-    (
-        "orbit_states", list(range(1000)),
-        "orbit_states echoes other states than the orbit window and special states",
-    ),
+    ("orbit_states", list(range(1000)), f"{DIFFERS_AT} 'orbit_states'"),
 ], ids=["moved-1/3", "support-0", "epsilon--1/2", "epsilon-0", "orbit-states-all"])
 def test_verify_measures_the_dad_projection(chain_dir, tmp_path, capsys, key, value, message):
     # support and projection_moved are derived from the echoed map: its
     # support window, and 0; epsilon must be positive, as --epsilon must;
     # orbit_states is read off the graph, since an orbit bucket of every
-    # state would excuse every restricted element by case 2
+    # state would excuse every restricted element by case 2; the re-check
+    # stamps the values it derives, and the stored ones differ
     def edit(params):
         params[key] = value
 
@@ -589,7 +603,7 @@ def test_verify_rejects_a_non_canonical_arena_echo(chain_dir, tmp_path, capsys, 
         chain_dir, tmp_path, capsys, edit=edit, target=target, edited=["cover.json", "rokhlin.json"]
     )
     assert code == 1
-    assert out == "verification failed: recomputation differs from stored certificate\n"
+    assert out == f"verification failed: {DIFFERS_AT} 'spec'\n"
 
 
 @pytest.mark.parametrize("flags, echoed", [
@@ -675,6 +689,160 @@ def test_tamper_sweep(chain_dir, tmp_path):
                 verified.add((path.name, key))
         path.write_text(text)
     assert verified == TAMPER_ALLOWED
+
+
+# the witnesses that list integers: states, except dad.json's difference set F
+INTEGER_LISTS = {
+    "rokhlin.json": ("tower_bases",),
+    "towerdim.json": ("pair_bases",),
+    "amen_pairs.json": ("pair_bases",),
+    "amen.json": ("orbit_window", "phase_pair_bases"),
+    "dad.json": ("pieces", "orbit_states", "F"),
+}
+
+
+ALIAS_EDITS = ("duplicate", "plus-num-states", "minus-num-states", "swap", "bool")
+# (file, key, edit) whose witness has no members for the edit: phase pair
+# bases are single states
+ALIAS_NOT_APPLICABLE = {
+    ("amen_pairs.json", "pair_bases", "swap"),
+    ("amen.json", "phase_pair_bases", "swap"),
+}
+
+
+def alias_edits(members, num_states):
+    """Each of ``ALIAS_EDITS`` that names the same integers as a list of
+    integers, or the same states of a ``num_states``-state graph to
+    Python's indexing: a member listed twice, a member plus or minus
+    ``num_states``, two members swapped, a 0 or 1 written as a boolean.
+    Only the edits the list has members for."""
+    edits = {}
+    if members:
+        edits["duplicate"] = [members[0], *members]
+        edits["plus-num-states"] = [members[0] + num_states, *members[1:]]
+        edits["minus-num-states"] = [members[0] - num_states, *members[1:]]
+    if len(members) > 1:
+        edits["swap"] = [members[1], members[0], *members[2:]]
+    flag = next((i for i, m in enumerate(members) if m in (0, 1)), None)
+    if flag is not None:
+        edits["bool"] = [*members[:flag], bool(members[flag]), *members[flag + 1:]]
+    return edits
+
+
+def aliased(value, num_states):
+    """``alias_edits`` of a list of integers, or of a list of lists, each
+    edit made in the first member list it applies to."""
+    if not (value and isinstance(value[0], list)):
+        return alias_edits(value, num_states)
+    out = {}
+    for i, members in enumerate(value):
+        for name, edited in alias_edits(members, num_states).items():
+            out.setdefault(name, [*value[:i], edited, *value[i + 1:]])
+    return out
+
+
+def unreduce_a_weight(params):
+    point = params["map"]["points"][0]
+    atom = next(iter(point))
+    num, den = point[atom].split("/")
+    point[atom] = f"{2 * int(num)}/{2 * int(den)}"
+
+
+def zero_pad_an_atom(params):
+    point = params["map"]["points"][0]
+    atom = next(iter(point))
+    assert atom.isdigit()
+    point["0" + atom] = point.pop(atom)
+
+
+# (file verified, edit) pairs that still verify, each with the reason the
+# edited certificate is still true; there are none
+ALIAS_ALLOWED: set = set()
+
+
+def test_alias_sweep(chain_dir, tmp_path):
+    """Every integer-list witness edited to another spelling of the same
+    integers, and a map weight and atom in amen.json and dad.json: each
+    edit fails ``verify`` on every edited file and on ``chain.json``, as
+    a failed verification, unless the pair is allowed."""
+    out = tmp_path / "chain"
+    shutil.copytree(chain_dir, out)
+    num_states = json.loads((out / "cover.json").read_text())["params"]["states"]
+    edits = [
+        (["amen.json", "dad.json"], "map-unreduced-weight", unreduce_a_weight),
+        (["amen.json", "dad.json"], "map-zero-padded-atom", zero_pad_an_atom),
+    ]
+    not_applicable = set()
+    for name, keys in INTEGER_LISTS.items():
+        params = json.loads((out / name).read_text())["params"]
+        for key in keys:
+            found = aliased(params[key], num_states)
+            not_applicable |= {(name, key, label) for label in ALIAS_EDITS if label not in found}
+            for label, value in found.items():
+                edits.append(([name], f"{key}-{label}", lambda p, k=key, v=value: p.update({k: v})))
+    assert not_applicable == ALIAS_NOT_APPLICABLE
+    verified = set()
+    for names, label, edit in edits:
+        texts = {name: (out / name).read_text() for name in names}
+        for name, text in texts.items():
+            data = json.loads(text)
+            edit(data["params"])
+            (out / name).write_text(json.dumps(data))
+        for target in (*names, "chain.json"):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main(["verify", str(out / target)])
+            if code == 0:
+                verified.add((target, label))
+            else:
+                assert code == 1 and stdout.getvalue().startswith("verification failed: "), (
+                    target, label, stdout.getvalue()
+                )
+        for name, text in texts.items():
+            (out / name).write_text(text)
+    assert verified == ALIAS_ALLOWED
+
+
+@pytest.mark.parametrize("key, value, why", [
+    ("pair_kinds", "bogus", "pair kind 'bogus' is none of base, shifted and phase"),
+    ("pair_origins", False, "pair origin False is not a nonnegative integer"),
+], ids=["kind-bogus", "origin-false"])
+@pytest.mark.parametrize("target", ["amen_pairs.json", "chain.json"])
+def test_verify_refuses_pair_labels(chain_dir, tmp_path, capsys, key, value, why, target):
+    # a pair kind is base, shifted or phase, and an origin a tower index
+    def edit(params):
+        params[key][0] = value
+
+    code, out = verify_copy(
+        chain_dir, tmp_path, capsys, edit=edit, target=target, edited=["amen_pairs.json"]
+    )
+    assert code == 1
+    assert out.endswith(f"missing or malformed witness: {why}\n")
+
+
+@pytest.mark.parametrize("target", ["bounds.json", "chain.json"])
+def test_verify_refuses_booleans_for_bounds(chain_dir, tmp_path, capsys, target):
+    # true and false equal 1 and 0 in Python, but q and dim_x are integers
+    def edit(params):
+        params["q"], params["dim_x"] = True, False
+
+    code, out = verify_copy(
+        chain_dir, tmp_path, capsys, edit=edit, target=target, edited=["bounds.json"]
+    )
+    assert code == 1
+    assert out.endswith("bad parameter: q True is not an integer\n")
+
+
+def test_verify_chain_refuses_a_boolean_window_member(chain_dir, tmp_path, capsys):
+    def edit(params):
+        params["window_set"] = [-1, False, 1]
+
+    code, out = verify_copy(chain_dir, tmp_path, capsys, edit=edit)
+    assert code == 1
+    assert out == (
+        "verification failed: missing or malformed witness: "
+        "chain window_set [-1, False, 1] holds a non-integer\n"
+    )
 
 
 def test_failing_tower_pairs_name_their_clause(tmp_path, capsys):
