@@ -144,10 +144,11 @@ class EquivariantMap:
         """Exact serialization: weights as reduced 'p/q' strings keyed by atom."""
         points = []
         for p in self.assignment:
+            den = p.den
             entry = {}
             for a, x in zip(p.atoms, p.nums):
-                g = gcd(x, p.den)
-                entry[str(a)] = f"{x // g}/{p.den // g}"
+                g = gcd(x, den)
+                entry[str(a)] = f"{x // g}/{den // g}"
             points.append(entry)
         return {
             "window_set": list(self.window_set),
@@ -163,8 +164,12 @@ class EquivariantMap:
         """Inverse of ``to_jsonable``; a point with a weight that is not
         positive, weights not summing to exactly 1, or a repeated atom, and
         a ``support_window`` other than the sorted union of the points'
-        atoms, raise ValueError."""
-        points = tuple(SimplexPoint.from_entries(entry.items()) for entry in data["points"])
+        atoms, and ``points`` other than a list of objects, raise
+        ValueError."""
+        listed = data["points"]
+        if type(listed) is not list or any(type(entry) is not dict for entry in listed):
+            raise ValueError("map points are not a list of objects")
+        points = tuple(SimplexPoint.from_entries(entry.items()) for entry in listed)
         support = _atom_union(points)
         if tuple(data["support_window"]) != support:
             raise ValueError("support_window is not the sorted union of the points' atoms")
@@ -213,7 +218,12 @@ def build_equivariant_map(
     if pair_cert is None or not pair_cert.passed:
         why = f"; failing clause {pair_cert.first_failure()}" if pair_cert else ""
         raise TowerPairsInsufficient(f"tower pairs must carry a passing certificate{why}")
-    tents = [build_B_partition(pair.exponents, E, N).level_table() for pair in tps.pairs]
+    # pairs over one exponent range share its tent
+    tent_of = {}
+    for pair in tps.pairs:
+        if pair.exponents not in tent_of:
+            tent_of[pair.exponents] = build_B_partition(pair.exponents, E, N).level_table()
+    tents = [tent_of[pair.exponents] for pair in tps.pairs]
     points = []
     for x in range(sys.num_states):
         # tent levels k of the pairs through x; the weights are k / N over
@@ -280,6 +290,11 @@ def check_equivariance(
     orbit_window = frozenset(orbit_window)
     points = emap.assignment
     succ = sys.succ
+    # the successors an edge reaches without entering the orbit window from outside
+    free_succ = [
+        ts if s in orbit_window else tuple(t for t in ts if t not in orbit_window)
+        for s, ts in enumerate(succ)
+    ]
     steps = frozenset(E)
     # deviations as (numerator, denominator) pairs, ordered by
     # cross-multiplication; the forward edges tied at the worst regular
@@ -288,10 +303,20 @@ def check_equivariance(
     forward = exceptional = 0
     confined = True
     for x in range(sys.num_states):
-        px, image, free = points[x], {x}, {x}
+        px, image, free = points[x], (x,), (x,)
         for n in range(1, E[-1] + 1):
-            image = {t for s in image for t in succ[s]}
-            free = {t for s in free for t in succ[s] if s in orbit_window or t not in orbit_window}
+            # a one-state set steps to its successor tuple, which is sorted
+            # and holds each state once
+            if len(image) == 1:
+                (s,) = image
+                image = succ[s]
+            else:
+                image = {t for s in image for t in succ[s]}
+            if len(free) == 1:
+                (s,) = free
+                free = free_succ[s]
+            else:
+                free = {t for s in free for t in free_succ[s]}
             if n not in steps:
                 continue
             forward += len(image)

@@ -35,30 +35,42 @@ class GroupoidWindow:
         self.sys = sys
         self.E = E
         self.exponent_bound = exponent_bound
-        images = [{x: frozenset({x}) for x in range(sys.num_states)}]
+        # images[a][x]: the states at the end of the a-step paths from x,
+        # each a frozenset built as ``sys.image`` builds it, so that it
+        # iterates alike; a one-state set steps to its state's shared image
+        succ = sys.succ
+        step = [frozenset(set(targets)) for targets in succ]
+        images = [[frozenset((x,)) for x in range(sys.num_states)]]
         for _ in range(exponent_bound):
-            prev = images[-1]
-            images.append({x: sys.image(prev[x], 1) for x in range(sys.num_states)})
+            level = []
+            for prev in images[-1]:
+                if len(prev) == 1:
+                    (s,) = prev
+                    level.append(step[s])
+                else:
+                    level.append(frozenset({t for s in prev for t in succ[s]}))
+            images.append(level)
         inverse: list[dict[int, list[int]]] = []
-        for a in range(exponent_bound + 1):
+        for level in images:
             inv: dict[int, list[int]] = {}
-            for x in range(sys.num_states):
-                for z in images[a][x]:
+            for x, image in enumerate(level):
+                for z in image:
                     inv.setdefault(z, []).append(x)
             inverse.append(inv)
+        # For one n the witness pairs (a, a - n) rise with a, so the first
+        # pair that reaches a triple is its least.
         elements: dict[tuple[int, int, int], tuple[int, int]] = {}
+        add = elements.setdefault
         for n in E:
-            for a in range(exponent_bound + 1):
-                b = a - n
-                if not (0 <= b <= exponent_bound):
-                    continue
+            for a in range(max(0, n), min(exponent_bound, exponent_bound + n) + 1):
+                ab, inverse_b = (a, a - n), inverse[a - n]
                 for z, xs in inverse[a].items():
-                    ys = inverse[b].get(z, ())
+                    ys = inverse_b.get(z)
+                    if ys is None:
+                        continue
                     for x in xs:
                         for y in ys:
-                            key = (x, n, y)
-                            if key not in elements or (a, b) < elements[key]:
-                                elements[key] = (a, b)
+                            add((x, n, y), ab)
         self.elements = elements
 
     def __len__(self) -> int:
@@ -151,26 +163,45 @@ def verify_dad_cover(window: GroupoidWindow, cover: DadCover) -> Certificate:
     fset = set(cover.F)
     sym_ok = all(-n in fset for n in fset)
     clauses.append(Clause("difference-set-symmetric", sym_ok, f"|F| = {len(fset)}"))
-    case_counts = []
-    bad = None
     # The closure of a piece's restricted elements under inversion and
     # composition inside the window is those elements themselves: an
     # inverse or composite has the same endpoints, so if it lies in the
     # window it is restricted too.
-    closure_sizes = []
-    for i, piece in enumerate(cover.pieces):
-        case1 = case2 = restricted = 0
-        for (x, n, y) in window.triples():
-            if x in piece and y in piece:
-                restricted += 1
-                if n in fset:
-                    case1 += 1
-                elif x in cover.orbit_states and y in cover.orbit_states:
-                    case2 += 1
-                elif bad is None:
-                    bad = (i, x, n, y)
-        case_counts.append((case1, case2))
-        closure_sizes.append(restricted)
+    #
+    # One walk of the window: bit i of masks[x] says that piece i holds x,
+    # so an element is restricted to the pieces of masks[x] & masks[y].
+    # The walk tallies elements by that mask and their case (0 difference
+    # set, 1 orbit bucket, 2 neither); the witness is the first element in
+    # window order of the lowest piece with an element of case 2.
+    pieces, orbit = cover.pieces, cover.orbit_states
+    states = window.sys.all_states()
+    masks = [0] * len(states)
+    for i, piece in enumerate(pieces):
+        for x in states.intersection(piece):
+            masks[x] |= 1 << i
+    tally: dict[tuple[int, int], int] = {}
+    bad = None
+    for x, n, y in window.triples():
+        held = masks[x] & masks[y]
+        if not held:
+            continue
+        if n in fset:
+            case = 0
+        elif x in orbit and y in orbit:
+            case = 1
+        else:
+            case = 2
+            low = (held & -held).bit_length() - 1
+            if bad is None or low < bad[0]:
+                bad = (low, x, n, y)
+        tally[held, case] = tally.get((held, case), 0) + 1
+    counts = [[0, 0, 0] for _ in pieces]
+    for (held, case), count in tally.items():
+        for i, piece_counts in enumerate(counts):
+            if held >> i & 1:
+                piece_counts[case] += count
+    case_counts = [(case1, case2) for case1, case2, _ in counts]
+    closure_sizes = [sum(piece_counts) for piece_counts in counts]
     clauses.append(
         Clause(
             "restricted-elements-two-cases",

@@ -467,6 +467,8 @@ def _config_from_echo(spec_echo: dict) -> str:
     if spec_echo["variant"] == "sft":
         lines.append("forbidden = " + ", ".join(spec_echo.get("forbidden", [])))
     if spec_echo["variant"] == "substitution":
+        if type(spec_echo["rules"]) is not dict:
+            raise ValueError(f"spec rules {spec_echo['rules']!r} are not an object")
         for sym, image in spec_echo["rules"].items():
             lines.append(f"rule.{sym} = {image}")
     return "\n".join(lines) + "\n"

@@ -19,21 +19,6 @@ from fractions import Fraction
 from math import gcd, inf, lcm
 
 
-def _ratio(weight) -> tuple[int, int]:
-    """(numerator, positive denominator) of a weight, not reduced: ``"p/q"``
-    in ASCII digits is read in integers (q = 0 raises ValueError), the rest
-    by ``Fraction``."""
-    if isinstance(weight, str):
-        p, _, q = weight.partition("/")
-        if p.isascii() and p.isdigit() and q.isascii() and q.isdigit():
-            num, den = int(p), int(q)
-            if den == 0:
-                raise ValueError(f"weight {weight!r} has a zero denominator")
-            return num, den
-    weight = Fraction(weight)
-    return weight.numerator, weight.denominator
-
-
 @dataclass(frozen=True)
 class SimplexPoint:
     """Finitely supported rational probability vector on the integers: the
@@ -68,17 +53,33 @@ class SimplexPoint:
     def from_entries(cls, entries) -> "SimplexPoint":
         """The point with the given ``(atom, weight)`` pairs, in any order;
         the atoms must be distinct and the weights positive rationals
-        summing to exactly 1."""
-        pairs = [(int(a), *_ratio(w)) for a, w in entries]
-        if len({a for a, _, _ in pairs}) != len(pairs):
+        summing to exactly 1.  A ``"p/q"`` weight in ASCII digits is read in
+        integers (q = 0 raises ValueError), any other weight by
+        ``Fraction``."""
+        rows = []
+        for atom, weight in entries:
+            atom = int(atom)
+            if isinstance(weight, str):
+                p, _, q = weight.partition("/")
+                if p.isascii() and p.isdigit() and q.isascii() and q.isdigit():
+                    num, den = int(p), int(q)
+                    if den == 0:
+                        raise ValueError(f"weight {weight!r} has a zero denominator")
+                    rows.append((atom, num, den))
+                    continue
+            weight = Fraction(weight)
+            rows.append((atom, weight.numerator, weight.denominator))
+        rows.sort()
+        if any(a == b for (a, _, _), (b, _, _) in zip(rows, rows[1:])):
             raise ValueError("atoms must be distinct")
-        if any(p <= 0 for _, p, _ in pairs):
+        if any(p <= 0 for _, p, _ in rows):
             raise ValueError("weights must be positive")
-        den = lcm(*(q for _, _, q in pairs))
-        masses = {a: p * (den // q) for a, p, q in pairs}
-        if sum(masses.values()) != den:
+        den = lcm(*(q for _, _, q in rows))
+        nums = [p * (den // q) for _, p, q in rows]
+        if sum(nums) != den:
             raise ValueError("weights must sum to exactly 1")
-        return cls.from_masses(masses)
+        g = gcd(*nums)
+        return cls(tuple(a for a, _, _ in rows), tuple(x // g for x in nums))
 
     @classmethod
     def from_dict(cls, weights: dict) -> "SimplexPoint":

@@ -94,10 +94,11 @@ class FiniteSymbolicSystem:
         each one-step preimage of the level before it, so level i equals
         ``preimage(base, i)``.  Lazy: a level is computed only when asked
         for, and a caller that stops early pays for no deeper one."""
+        pred = self.pred
         level = frozenset(base)
         for i in range(count):
             if i:
-                level = self.preimage(level, 1)
+                level = frozenset({s for t in level for s in pred[t]})
             yield level
 
     def image(self, clopen, n: int = 1) -> ClopenSet:

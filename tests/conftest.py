@@ -54,8 +54,8 @@ def fib_skew_dad():
     E = (-2, 0, 3)
     graph = run_cover(fibonacci_spec(), 1700, 6, None)[0]
     towers = run_rokhlin(graph, 11)[0]
-    emap, _, orbit, _, amen = run_amen(graph, towers, E, 37, Fraction(2))
+    emap, tps, orbit, _, amen = run_amen(graph, towers, E, 37, Fraction(2))
     cover, dad = run_dad(graph, emap, orbit, E, 3, Fraction(2))
     return SimpleNamespace(
-        graph=graph, E=E, emap=emap, orbit=orbit, amen=amen, cover=cover, dad=dad
+        graph=graph, E=E, emap=emap, tps=tps, orbit=orbit, amen=amen, cover=cover, dad=dad
     )

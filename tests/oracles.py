@@ -13,8 +13,10 @@ import json
 from collections import Counter
 from fractions import Fraction
 
+from shiftdim.amenability import build_B_partition
 from shiftdim.certificates import Certificate, Clause
 from shiftdim.simplex import SimplexPoint
+from shiftdim.towers import normalize_window
 
 
 def substitution_image(rules: dict[str, str], seed: str, power: int) -> str:
@@ -252,6 +254,26 @@ def projection_oracle(mu: dict, S) -> tuple[dict, Fraction]:
     return projected, moved
 
 
+# -- tower-pair maps ---------------------------------------------------------------
+
+
+def tower_pair_map_oracle(sys, tps, E, N: int) -> tuple[SimplexPoint, ...]:
+    """The points of ``build_equivariant_map(sys, tps, E, N, ...)`` with one
+    margin partition per pair, shared by none."""
+    from shiftdim.amenability import build_B_partition
+
+    tents = [build_B_partition(pair.exponents, E, N).level_table() for pair in tps.pairs]
+    points = []
+    for x in range(sys.num_states):
+        mass: Counter = Counter()
+        for levels, tent in zip(tps.level_of, tents):
+            m = levels.get(x)
+            if m is not None and tent.get(m, 0):
+                mass[m] += tent[m]
+        points.append(SimplexPoint.from_masses(dict(mass)))
+    return tuple(points)
+
+
 # -- equivariance, one window edge at a time -------------------------------------
 
 
@@ -369,6 +391,95 @@ def closure_size_oracle(window, restricted) -> int:
                 by_source.setdefault(g2[2], set()).add(composed)
                 frontier.append(composed)
     return len(have)
+
+
+def window_elements_oracle(sys, E, exponent_bound: int) -> dict:
+    """The elements of ``build_window(sys, E, exponent_bound)`` in its
+    order, each with its least witness pair (a, b): one dict of image sets
+    per level through ``sys.image``, and a witness replaced whenever a
+    smaller one turns up."""
+    E = normalize_window(E)
+    states = range(sys.num_states)
+    images = [{x: frozenset({x}) for x in states}]
+    for _ in range(exponent_bound):
+        prev = images[-1]
+        images.append({x: sys.image(prev[x], 1) for x in states})
+    inverse = []
+    for level in images:
+        inv: dict[int, list[int]] = {}
+        for x in states:
+            for z in level[x]:
+                inv.setdefault(z, []).append(x)
+        inverse.append(inv)
+    elements: dict[tuple[int, int, int], tuple[int, int]] = {}
+    for n in E:
+        for a in range(exponent_bound + 1):
+            b = a - n
+            if not (0 <= b <= exponent_bound):
+                continue
+            for z, xs in inverse[a].items():
+                for x in xs:
+                    for y in inverse[b].get(z, ()):
+                        key = (x, n, y)
+                        if key not in elements or (a, b) < elements[key]:
+                            elements[key] = (a, b)
+    return elements
+
+
+def dad_cover_oracle(window, cover) -> Certificate:
+    """``verify_dad_cover(window, cover)`` with one walk of the window per
+    piece."""
+    union = frozenset().union(*cover.pieces) if cover.pieces else frozenset()
+    missing = window.sys.all_states() - union
+    fset = set(cover.F)
+    case_counts, closure_sizes, bad = [], [], None
+    for i, piece in enumerate(cover.pieces):
+        case1 = case2 = restricted = 0
+        for (x, n, y) in window.triples():
+            if x in piece and y in piece:
+                restricted += 1
+                if n in fset:
+                    case1 += 1
+                elif x in cover.orbit_states and y in cover.orbit_states:
+                    case2 += 1
+                elif bad is None:
+                    bad = (i, x, n, y)
+        case_counts.append((case1, case2))
+        closure_sizes.append(restricted)
+    clauses = [
+        Clause(
+            "unit-space-covering",
+            not missing,
+            "" if not missing else f"uncovered units {sorted(missing)[:5]}",
+        ),
+        Clause("difference-set-symmetric", all(-n in fset for n in fset), f"|F| = {len(fset)}"),
+        Clause(
+            "restricted-elements-two-cases",
+            bad is None,
+            (
+                f"per-piece (difference-set, orbit-bucket) counts {case_counts}"
+                if bad is None
+                else f"piece {bad[0]}: element {bad[1:]} fits neither case"
+            ),
+        ),
+        Clause(
+            "generated-subgroupoid-finite-witness",
+            True,
+            f"closure sizes within window: {closure_sizes}",
+        ),
+    ]
+    return Certificate.build(
+        kind="dad-cover",
+        params={
+            "pieces": len(cover.pieces),
+            "window_elements": len(window),
+            "exponent_bound": window.exponent_bound,
+            "E": list(window.E),
+            "F_range": [min(fset), max(fset)] if fset else [],
+            "orbit_states": len(cover.orbit_states),
+        },
+        clauses=clauses,
+    )
 
 
 # -- certificates --------------------------------------------------------------------

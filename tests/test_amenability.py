@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from shiftdim import amenability
 from shiftdim.amenability import (
     EquivariantMap,
     build_B_partition,
@@ -23,6 +24,7 @@ from .oracles import (
     l1_oracle,
     projection_oracle,
     sumset_partition_oracle,
+    tower_pair_map_oracle,
     window_edges_oracle,
 )
 from .test_simplex import oracle_points, random_point
@@ -145,6 +147,62 @@ def test_lipschitz_step_on_cycle():
             tx = tents[idx].get(mx, 0) if mx is not None else 0
             ty = tents[idx].get(my, 0) if my is not None else 0
             assert abs(tx - ty) <= 1
+
+
+def _count_partitions(monkeypatch) -> list:
+    """The exponent sets ``build_B_partition`` is called on from now on."""
+    calls = []
+    build = amenability.build_B_partition
+
+    def counting(S, E, N):
+        calls.append(tuple(S))
+        return build(S, E, N)
+
+    monkeypatch.setattr(amenability, "build_B_partition", counting)
+    return calls
+
+
+def _same_map_as_one_partition_per_pair(sys, tps, E, N, emap, orbit=frozenset()):
+    points = tower_pair_map_oracle(sys, tps, E, N)
+    assert emap.assignment == points
+    oracle = EquivariantMap(
+        assignment=points,
+        window_set=emap.window_set,
+        resolution=N,
+        d=emap.d,
+        epsilon_achieved=Fraction(0),
+        support_window=emap.support_window,
+    )
+    cert = check_equivariance(sys, emap, E, Fraction(2), orbit)
+    expected = check_equivariance(sys, oracle, E, Fraction(2), orbit)
+    assert cert.canonical_json() == expected.canonical_json()
+
+
+def test_one_tent_per_exponent_range_on_the_skew_benchmark(fib_skew_dad, monkeypatch):
+    # the 8 phase pairs share one exponent range, so one partition
+    sys, tps, E = fib_skew_dad.graph.system, fib_skew_dad.tps, fib_skew_dad.E
+    orbit = fib_skew_dad.orbit
+    assert len(tps.pairs) == 8
+    calls = _count_partitions(monkeypatch)
+    emap = build_equivariant_map(sys, tps, E, 37, Fraction(2), orbit)
+    assert calls == [tuple(tps.pairs[0].exponents)]
+    _same_map_as_one_partition_per_pair(sys, tps, E, 37, emap, orbit)
+
+
+def test_one_tent_per_exponent_range_on_two_ranges(monkeypatch):
+    n, N = 24, 4
+    sys = cycle_system(n)
+    spans = (17, 19, 17)
+    pairs = tuple(
+        TowerPair(frozenset({(j * n) // 3}), range(span), "phase", j)
+        for j, span in enumerate(spans)
+    )
+    tps = TowerPairSystem(pairs, list(range(-N, N + 1)), 2)
+    assert verify_tower_pairs(sys, tps).passed
+    calls = _count_partitions(monkeypatch)
+    emap = build_equivariant_map(sys, tps, [-1, 0, 1], N, Fraction(4))
+    assert calls == [tuple(range(17)), tuple(range(19))]
+    _same_map_as_one_partition_per_pair(sys, tps, [-1, 0, 1], N, emap)
 
 
 def test_projection_formula_and_oracle():

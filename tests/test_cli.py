@@ -8,9 +8,11 @@ from fractions import Fraction
 
 import pytest
 
+from shiftdim.certificates import Certificate
 from shiftdim.cli import main
 from shiftdim.config import parse_config_text, spec_from_config
 from shiftdim.errors import ConfigError
+from shiftdim.pipeline import recheck_certificate
 
 FIB_CFG = """\
 variant = substitution
@@ -689,6 +691,51 @@ def test_tamper_sweep(chain_dir, tmp_path):
                 verified.add((path.name, key))
         path.write_text(text)
     assert verified == TAMPER_ALLOWED
+
+
+def container_edits(value, path):
+    """The container-type edits of ``value`` at ``path`` as (path,
+    replacement): a JSON object or array replaced by the other container
+    type, a string and an integer, then the same for every container it
+    holds as an object value or as an array's first member."""
+    if not isinstance(value, (dict, list)):
+        return []
+    edits = [(path, [] if isinstance(value, dict) else {}), (path, "x"), (path, 7)]
+    members = value.items() if isinstance(value, dict) else enumerate(value[:1])
+    for key, member in members:
+        edits += container_edits(member, (*path, key))
+    return edits
+
+
+# (file, path, replacement) whose edited certificate still re-checks, each
+# with the reason it is still true; there are none
+CONTAINER_ALLOWED: set = set()
+
+
+def test_container_type_sweep(chain_dir):
+    """Every container in every file's params, down to the first member of
+    each array, retyped one at a time: the in-process re-check fails each
+    edit without an exception escaping, unless the edit is allowed."""
+    arenas: dict = {}
+    verified = set()
+    edits = 0
+    for path in sorted(chain_dir.glob("*.json")):
+        text = path.read_text()
+        for key, value in sorted(json.loads(text)["params"].items()):
+            for where, replacement in container_edits(value, (key,)):
+                data = json.loads(text)
+                parent = data["params"]
+                for step in where[:-1]:
+                    parent = parent[step]
+                parent[where[-1]] = replacement
+                ok, why = recheck_certificate(Certificate.from_dict(data), str(chain_dir), arenas)
+                edits += 1
+                if ok:
+                    verified.add((path.name, where, json.dumps(replacement)))
+                else:
+                    assert why, (path.name, where, replacement)
+    assert edits > 200
+    assert verified == CONTAINER_ALLOWED
 
 
 # the witnesses that list integers: states, except dad.json's difference set F

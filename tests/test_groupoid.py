@@ -15,7 +15,7 @@ from shiftdim.groupoid import (
 )
 from shiftdim.systems import FiniteSymbolicSystem
 
-from .oracles import closure_size_oracle, dirac
+from .oracles import closure_size_oracle, dad_cover_oracle, dirac, window_elements_oracle
 from .test_amenability import random_branching_system
 
 
@@ -170,24 +170,32 @@ def _oracle_closure_sizes(window, pieces) -> list[int]:
     return sizes
 
 
+def random_window_and_cover(rng):
+    """The window of a random branching system for one of four window
+    sets, and 1-4 random pieces with a random difference set and orbit
+    states."""
+    sys = random_branching_system(rng)
+    E = rng.choice(((0,), (-1, 0, 1), (-2, 0, 3), (-3, 0, 5)))
+    window = build_window(sys, E, max(map(abs, E)) + rng.randint(0, 2))
+    states = range(sys.num_states)
+    pieces = tuple(
+        frozenset(rng.sample(states, rng.randint(0, sys.num_states)))
+        for _ in range(rng.randint(1, 4))
+    )
+    cover = DadCover(
+        pieces=pieces,
+        F=difference_set(range(rng.randint(0, 3))),
+        orbit_states=frozenset(rng.sample(states, rng.randint(0, sys.num_states))),
+    )
+    return window, cover
+
+
 def test_closure_sizes_match_closure_walk():
     # the restricted elements of a piece are already closed in the window
     rng = random.Random(31)
     for _ in range(150):
-        sys = random_branching_system(rng)
-        E = rng.choice(((0,), (-1, 0, 1), (-2, 0, 3), (-3, 0, 5)))
-        window = build_window(sys, E, max(map(abs, E)) + rng.randint(0, 2))
-        states = range(sys.num_states)
-        pieces = tuple(
-            frozenset(rng.sample(states, rng.randint(0, sys.num_states)))
-            for _ in range(rng.randint(1, 4))
-        )
-        cover = DadCover(
-            pieces=pieces,
-            F=difference_set(range(rng.randint(0, 3))),
-            orbit_states=frozenset(rng.sample(states, rng.randint(0, sys.num_states))),
-        )
-        sizes = _oracle_closure_sizes(window, pieces)
+        window, cover = random_window_and_cover(rng)
+        sizes = _oracle_closure_sizes(window, cover.pieces)
         cert = verify_dad_cover(window, cover)
         assert _closure_witness(cert) == f"closure sizes within window: {sizes}"
 
@@ -197,6 +205,26 @@ def test_closure_sizes_match_closure_walk_on_skew_benchmark(fib_skew_dad):
     window = build_window(graph.system, fib_skew_dad.E, 3)
     sizes = _oracle_closure_sizes(window, cover.pieces)
     assert _closure_witness(fib_skew_dad.dad) == f"closure sizes within window: {sizes}"
+
+
+def test_window_and_dad_check_match_their_oracles():
+    # the window's order and witnesses, and whole dad-cover certificates on
+    # random pieces, against one image dict per level and one walk per piece
+    rng = random.Random(47)
+    failing = 0
+    for _ in range(400):
+        window, cover = random_window_and_cover(rng)
+        elements = window_elements_oracle(window.sys, window.E, window.exponent_bound)
+        assert list(window.triples()) == list(elements)
+        rows = sorted((x, n, y, a, b) for (x, n, y), (a, b) in elements.items())
+        assert window.element_rows() == rows
+        text = window.to_text().splitlines()
+        assert text[1:] == ["\t".join(map(str, row)) for row in rows]
+        cert = verify_dad_cover(window, cover)
+        assert cert.canonical_json() == dad_cover_oracle(window, cover).canonical_json()
+        (two_cases,) = [c for c in cert.clauses if c.name == "restricted-elements-two-cases"]
+        failing += not two_cases.passed
+    assert failing >= 50, failing
 
 
 def test_bound_chain_examples():
