@@ -12,9 +12,12 @@ The stored words are never copied.  Each is the first ``depth`` symbols
 of a row of the presentation's top, the sorted tuple of its longest
 factors, and the graph names it by that row number; a class is named by
 the rank of its prefix among the distinct length-``k`` prefixes of the
-top and its past set.  Strings are sliced off the top only for the state
-labels and when the read-only views ``stored``, ``class_words`` and
-``states`` are read.
+top and its past set.  Strings are sliced off the top only when the
+read-only views ``stored``, ``class_words`` and ``states`` are read, and
+a state's label is built only when the system's ``labels`` view is read.
+Many stored words share a tail, so the past of each distinct tail, at
+the lookahead and at one less for the stabilization flag, is found once
+per build.
 
 The top reaches one symbol past the stored words, so the shift
 ``u[1:depth+1]`` of every top row ``u`` is a stored word.  Rows that
@@ -148,6 +151,19 @@ def _words(top: tuple[str, ...], rows, n: int) -> _View:
     return _View(len(rows), lambda j: top[rows[j]][:n])
 
 
+def _labels(top: tuple[str, ...], rank_rows, keys, k: int, alphabet) -> _View:
+    """The descriptor of each state, keyed ``(prefix rank, past)``, as a
+    view.  It holds the top and the keys, not the graph, so the graph and
+    its system form no reference cycle and are freed as soon as they are
+    dropped."""
+
+    def label(s: int) -> str:
+        rank, past = keys[s]
+        return _descriptor(top[rank_rows[rank]], k, _past_text(past, alphabet), alphabet)
+
+    return _View(len(keys), label)
+
+
 class CoverGraph:
     """Classes of depth-(k+horizon) words with the induced shift edges.
 
@@ -203,6 +219,12 @@ class CoverGraph:
         rows: list[int] = []  # the row of each stored word
         keys = []  # the (rank, past) of each stored word
         rank_rows = self._rank_rows = []  # the first row of each prefix rank
+        # Stabilization: the same partition of stored words at lookahead-1,
+        # so no coarse key (rank, past at lookahead-1) meets two fine keys,
+        # which are in bijection with the states, and there are as many.
+        coarse: dict = {}  # coarse key -> the fine key of its first stored word
+        split = False
+        pasts: dict[str, tuple] = {}  # tail -> its past and its past at lookahead-1
         word = prefix = None
         for row, u in enumerate(top):
             if word is not None and u.startswith(word):
@@ -211,8 +233,15 @@ class CoverGraph:
             if prefix is None or not u.startswith(prefix):
                 prefix = u[:k]
                 rank_rows.append(row)
+            tail = u[k : k + lam]
+            both = pasts.get(tail)
+            if both is None:
+                both = pasts[tail] = (self._past(tail), self._past(tail[:-1]) if lam > 1 else None)
+            rank = len(rank_rows) - 1
+            key = (rank, both[0])
+            split |= coarse.setdefault((rank, both[1]), key) != key
             rows.append(row)
-            keys.append((len(rank_rows) - 1, self._past(u[k : k + lam])))
+            keys.append(key)
         if not rows:
             raise EmptyLanguage("no stored words at this depth")
         self._rows = rows
@@ -231,25 +260,10 @@ class CoverGraph:
             edges[state].add(classes[shift[row]])
         self._class_rows = tuple(map(tuple, class_rows))
         self.succ = tuple(tuple(sorted(e)) for e in edges)
-        # stabilization: same partition of stored words at lookahead-1,
-        # so no coarse key holds two states and there are as many keys
-        if lam - 1 >= 1:
-            coarse: dict = {}  # coarse key -> the state of its first stored word
-            split = False
-            for row, (rank, _), state in zip(rows, keys, classes):
-                tail = top[row][k : k + lam - 1]
-                split |= coarse.setdefault((rank, self._past(tail)), state) != state
-            self.past_stabilized = not split and len(coarse) == len(order)
-        else:
-            self.past_stabilized = False
+        self.past_stabilized = lam > 1 and not split and len(coarse) == len(order)
         self.past_sound = isinstance(spec, SFTSpec) and lam >= spec.max_forbidden_len
-        alphabet = spec.alphabet
-        past_texts = {past: _past_text(past, alphabet) for past in sorted_pasts}
         self._system = FiniteSymbolicSystem(
-            labels=tuple(
-                _descriptor(top[rank_rows[rank]], k, past_texts[past], alphabet)
-                for rank, past in order
-            ),
+            labels=_labels(top, rank_rows, self._keys, k, spec.alphabet),
             succ=self.succ,
             depth_meta=(
                 f"cover graph k={self.k} l={self.l} horizon={self.horizon} "

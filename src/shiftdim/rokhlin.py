@@ -111,13 +111,15 @@ def _check_extension_post(sys, U, V, W, N) -> None:
         raise DepthInsufficient("deep preimages of W are not pairwise disjoint")
 
 
-def _chain_extend(sys, W, x, N: int, swept: set) -> frozenset:
+def _chain_extend(sys, W: set, x, N: int, swept: set) -> None:
     """Fast path of the extension chain for a singleton V = {x} outside the
     special cone: the hypothesis collapse conditions hold by construction
     (no merge state is reachable from x within 2N - 1 steps), so only the
-    incremental updates and the level-local idempotence check remain."""
+    incremental updates and the level-local idempotence check remain.
+    Grows the base ``W`` and its swept set ``swept`` in place, by nothing
+    when ``x`` is swept already."""
     if x in swept:
-        return W
+        return
     new = sys.image({x}, N)
     # level-local idempotence of the new block: preimage(image(.)) returns
     # exactly the block at every level below N
@@ -128,7 +130,7 @@ def _chain_extend(sys, W, x, N: int, swept: set) -> frozenset:
             raise DepthInsufficient("new tower block is not level-collapsing")
         block = nxt
     swept |= _swept(sys, new, N)
-    return W | new
+    W |= new
 
 
 def build_rokhlin_cover(sys: FiniteSymbolicSystem, N: int) -> RokhlinCover:
@@ -167,9 +169,10 @@ def build_rokhlin_cover(sys: FiniteSymbolicSystem, N: int) -> RokhlinCover:
     if rest:
         first = frozenset(rest[:1])
         check_extension_hypotheses(sys, first, first, N)
-        W, swept = first, _swept(sys, first, N)
+        W, swept = set(first), _swept(sys, first, N)
         for x in rest[1:]:
-            W = _chain_extend(sys, W, x, N, swept)
+            _chain_extend(sys, W, x, N, swept)
+        W = frozenset(W)
         _check_extension_post(sys, first, frozenset(rest), W, N)
         towers[:0] = _split_towers(tuple(sys.preimage_levels(W, 2 * N)), N)
     cover = RokhlinCover(height=N, towers=tuple(towers))

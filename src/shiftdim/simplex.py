@@ -78,8 +78,17 @@ class SimplexPoint:
         nums = [p * (den // q) for _, p, q in rows]
         if sum(nums) != den:
             raise ValueError("weights must sum to exactly 1")
+        # sorted distinct atoms, positive numerators with gcd 1: the point
+        # is valid, so the constructor's checks are not run again
         g = gcd(*nums)
-        return cls(tuple(a for a, _, _ in rows), tuple(x // g for x in nums))
+        point = object.__new__(cls)
+        nums = tuple(x // g for x in nums)
+        atoms = tuple(a for a, _, _ in rows)
+        object.__setattr__(point, "atoms", atoms)
+        object.__setattr__(point, "nums", nums)
+        object.__setattr__(point, "den", den // g)
+        object.__setattr__(point, "_by_atom", dict(zip(atoms, nums)))
+        return point
 
     @classmethod
     def from_dict(cls, weights: dict) -> "SimplexPoint":

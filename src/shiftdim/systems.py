@@ -20,6 +20,7 @@ is which.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .words import SubshiftSpec
@@ -31,7 +32,7 @@ ClopenSet = frozenset  # of state indices
 class FiniteSymbolicSystem:
     """Finite directed-graph approximation of a zero-dimensional system."""
 
-    labels: tuple[str, ...]
+    labels: Sequence[str]  # read-only; a cover graph builds each label when it is read
     succ: tuple[tuple[int, ...], ...]  # sorted successor lists
     depth_meta: str = ""
     pred: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
@@ -48,7 +49,8 @@ class FiniteSymbolicSystem:
                 if not (0 <= t < n):
                     raise ValueError(f"edge target out of range: {s} -> {t}")
                 preds[t].append(s)
-        object.__setattr__(self, "pred", tuple(tuple(sorted(set(p))) for p in preds))
+        # s runs upwards, so each list is sorted already; only repeats go
+        object.__setattr__(self, "pred", tuple(tuple(dict.fromkeys(p)) for p in preds))
 
     # -- basic structure -----------------------------------------------------
 

@@ -378,6 +378,10 @@ class SubstitutionSpec(SubshiftSpec):
       so it lies inside one block or across the seam ``σʲ(x)|σʲ(y)`` of a
       2-factor ``xy`` of ``σᵏ⁻ʲ(a)``.  The factors are the windows of the blocks and of
       the ``2(n-1)``-symbol seams, and every such window is a factor.
+      Only the distinct texts that lie inside no longer one are windowed
+      (:meth:`_texts`): a window of a text is a window of every text that
+      contains it.  For Tribonacci the three seams ``0|·`` are one string
+      and ``σʲ(2)`` is a prefix of ``σʲ(0)``, so 3 of the 8 texts remain.
 
     The 2-factors are found once, at construction.  The blocks of the
     largest power built so far are kept, so a longer length continues from
@@ -438,6 +442,14 @@ class SubstitutionSpec(SubshiftSpec):
             return set(self.alphabet.chars)
         if n == 2:
             return set(self._pairs)
+        return {t[i : i + n] for t in self._texts(n) for i in range(len(t) - n + 1)}
+
+    def _texts(self, n: int) -> list[str]:
+        """The texts whose length-``n`` windows are the factors, ``n >= 3``:
+        the letter blocks ``σʲ(c)`` and the ``2(n-1)``-symbol seams of the
+        2-factors, without repeats and without any text that lies inside a
+        longer kept one, whose windows are all windows of that one.  Longest
+        first."""
         blocks = self._blocks
         while min(map(len, blocks)) < n - 1:
             # σʲ⁺¹(c) = σʲ(σ(c)), a join of the current blocks
@@ -445,11 +457,13 @@ class SubstitutionSpec(SubshiftSpec):
                 "".join(blocks[ord(x) - _BASE] for x in self.rules[c]) for c in self.alphabet.chars
             ]
         self._blocks = blocks
-        out = {b[i : i + n] for b in blocks for i in range(len(b) - n + 1)}
-        for ab in self._pairs:
-            seam = blocks[ord(ab[0]) - _BASE][1 - n :] + blocks[ord(ab[1]) - _BASE][: n - 1]
-            out.update(seam[i : i + n] for i in range(n - 1))
-        return out
+        ends = [(b[1 - n :], b[: n - 1]) for b in blocks]  # last and first n-1 symbols
+        seams = (ends[ord(a) - _BASE][0] + ends[ord(b) - _BASE][1] for a, b in self._pairs)
+        kept: list[str] = []
+        for text in sorted({*blocks, *seams}, key=len, reverse=True):
+            if not any(text in longer for longer in kept):
+                kept.append(text)
+        return kept
 
     def describe(self) -> dict:
         return {

@@ -183,6 +183,79 @@ def cover_class(graph, word: str) -> int:
     return graph._keys.index(graph._rank_key(word))
 
 
+def past_stabilized_oracle(graph) -> bool:
+    """The graph's stabilization flag by two walks over its stored words,
+    each key spelled out with its past filtered from ``language(l)``.  The
+    first walk groups the words by their key at the lookahead, the second
+    by their key at one less.  The flag holds when no group of the second
+    walk meets two groups of the first and there are as many of each.  A
+    lookahead of 1 has no shorter one, so its flag is False."""
+    spec, k, l, lam = graph.spec, graph.k, graph.l, graph.lookahead
+    if lam < 2:
+        return False
+
+    def key(word: str, m: int) -> tuple:
+        tail = word[k : k + m]
+        return word[:k], frozenset(mu for mu in spec.language(l) if spec.is_factor(mu + tail))
+
+    fine = {w: key(w, lam) for w in graph.stored}
+    coarse: dict = {}
+    for w in graph.stored:
+        coarse.setdefault(key(w, lam - 1), set()).add(fine[w])
+    states = set(fine.values())
+    return len(coarse) == len(states) and all(len(keys) == 1 for keys in coarse.values())
+
+
+def predecessors_oracle(succ) -> tuple[tuple[int, ...], ...]:
+    """Each state's predecessors, sorted and without repeats, from the
+    successor lists as given (in any order, with repeats)."""
+    preds = [set() for _ in succ]
+    for s, targets in enumerate(succ):
+        for t in targets:
+            preds[t].add(s)
+    return tuple(tuple(sorted(p)) for p in preds)
+
+
+class SweepFailed(Exception):
+    """A block of the oracle's sweep does not collapse level by level."""
+
+
+def rokhlin_sweep_oracle(sys, rest, N: int) -> frozenset:
+    """The base that sweeps the states ``rest``, one frozen union at a
+    time: W starts as the first state, and each later state that lies in
+    none of the first 2N preimage levels of W adds its N-step image.  It
+    is checked first: for each of its first N - 1 levels (the image, then
+    its one-step image, and so on), the one-step preimage of the level's
+    image must be the level.  Raises ``SweepFailed`` at the first block
+    where one is not."""
+    rest = list(rest)
+    W = frozenset(rest[:1])
+    swept = frozenset().union(*(sys.preimage(W, i) for i in range(2 * N)))
+    for x in rest[1:]:
+        if x in swept:
+            continue
+        new = sys.image({x}, N)
+        block = new
+        for _ in range(N - 1):
+            nxt = sys.image(block, 1)
+            if sys.preimage(nxt, 1) != block:
+                raise SweepFailed(x)
+            block = nxt
+        W = W | new
+        swept = swept.union(*(sys.preimage(new, i) for i in range(2 * N)))
+    return W
+
+
+def special_cone_rest(sys, N: int) -> list[int]:
+    """The states outside the first 2N preimage levels of every state with
+    two or more predecessors, in increasing order."""
+    cone = set()
+    for w, ws in enumerate(predecessors_oracle(sys.succ)):
+        if len(ws) >= 2:
+            cone.update(*(sys.preimage({w}, i) for i in range(2 * N)))
+    return [s for s in range(sys.num_states) if s not in cone]
+
+
 # -- the simplex in Fractions ---------------------------------------------------
 # A point is a dict atom -> Fraction weight, read off ``SimplexPoint.entries``.
 

@@ -18,9 +18,17 @@ from shiftdim.cover import (
 from shiftdim.errors import InvalidSpec
 from shiftdim.pipeline import run_cover
 from shiftdim.special import left_special_words
-from shiftdim.words import Alphabet, SubstitutionSpec, fibonacci_spec, thue_morse_spec
+from shiftdim.words import (
+    Alphabet,
+    SFTSpec,
+    SubstitutionSpec,
+    fibonacci_spec,
+    full_shift_spec,
+    golden_mean_spec,
+    thue_morse_spec,
+)
 
-from .oracles import cover_class, cover_key, descriptor_oracle
+from .oracles import cover_class, cover_key, descriptor_oracle, past_stabilized_oracle
 from .test_words import RANDOM_RULES, TRIB_RULES
 
 
@@ -214,6 +222,22 @@ def test_adjacency_text_labels_match_oracle(trib):
         assert graph.to_adjacency_text().splitlines()[1:] == expected
 
 
+def test_labels_built_on_read(trib, monkeypatch):
+    # the cover stage reads no label; the adjacency text reads each once
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return descriptor(*args)
+
+    descriptor = cover._descriptor
+    monkeypatch.setattr(cover, "_descriptor", counting)
+    graph = run_cover(trib, 200, 6, None)[0]
+    assert calls == []
+    graph.to_adjacency_text()
+    assert len(calls) == graph.num_states
+
+
 @pytest.mark.parametrize("name", ["fib", "tm", "trib"])
 def test_cached_keys_match_uncached_past_words(name, request):
     spec = request.getfixturevalue(name)
@@ -347,3 +371,32 @@ def test_cover_retains_less_than_half_the_top():
     assert cert.passed and len(graph.stored) == spec.complexity(graph.depth)
     assert retained < 0.5 * top_bytes
     assert peak < 1.0 * top_bytes
+
+
+# (k, l, horizon): lookahead 1 (no shorter one), 2, 3 and 5
+STABILIZATION_ARENAS = [(1, 1, 2), (2, 1, 3), (3, 2, None), (3, 1, 6)]
+SMALL_SHIFTS = {
+    "golden": golden_mean_spec,
+    "sft": lambda: SFTSpec(Alphabet(("0", "1")), ["11", "000"]),
+    "full2": lambda: full_shift_spec(2),
+    "full3": lambda: full_shift_spec(3),
+}
+
+
+def test_past_stabilized_matches_two_walk_oracle():
+    census = {
+        "fib": fibonacci_spec,
+        "tm": thue_morse_spec,
+        "trib": _substitution(TRIB_RULES),
+        **{f"random{i}": _substitution(rules) for i, rules in enumerate(RANDOM_RULES)},
+    }
+    deeper = [(2, 2, 7), (8, 3, None), (20, 6, None)]
+    runs = [(census, arena) for arena in STABILIZATION_ARENAS + deeper]
+    runs += [(SMALL_SHIFTS, arena) for arena in STABILIZATION_ARENAS]
+    flags = set()
+    for presentations, (k, l, horizon) in runs:
+        for name, make in presentations.items():
+            graph = build_cover_graph(make(), k, l, horizon)
+            assert graph.past_stabilized == past_stabilized_oracle(graph), (name, k, l, horizon)
+            flags.add((graph.lookahead == 1, graph.past_stabilized))
+    assert flags == {(True, False), (False, False), (False, True)}

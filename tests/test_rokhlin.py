@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
+from shiftdim import rokhlin
 from shiftdim.cover import build_cover_graph, cover_special_states
-from shiftdim.errors import HypothesisViolated, PeriodicWitness
+from shiftdim.errors import DepthInsufficient, HypothesisViolated, NotSurjective, PeriodicWitness
 from shiftdim.rokhlin import (
     RokhlinCover,
     RokhlinTower,
@@ -9,7 +12,11 @@ from shiftdim.rokhlin import (
     extend_tower_base,
     verify_rokhlin_cover,
 )
-from shiftdim.words import fibonacci_spec
+from shiftdim.words import Alphabet, SubstitutionSpec, fibonacci_spec, thue_morse_spec
+
+from .oracles import SweepFailed, rokhlin_sweep_oracle, special_cone_rest
+from .test_amenability import random_branching_system
+from .test_words import TRIB_RULES
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +144,49 @@ def test_shifted_disjointness_inherits(fib60):
     for level in shallow:
         assert not (level & seen)
         seen |= level
+
+
+def _library_sweep(sys, rest, N):
+    """The base that ``build_rokhlin_cover`` grows over ``rest``."""
+    W, swept = set(rest[:1]), rokhlin._swept(sys, rest[:1], N)
+    for x in rest[1:]:
+        rokhlin._chain_extend(sys, W, x, N, swept)
+    return frozenset(W)
+
+
+def test_sweep_matches_frozen_union_oracle_on_random_systems():
+    rng = random.Random(20)
+    grown = 0
+    for _ in range(400):
+        sys = random_branching_system(rng)
+        for N in (2, 3):
+            rest = special_cone_rest(sys, N)
+            if not rest:
+                continue
+            try:
+                expected = rokhlin_sweep_oracle(sys, rest, N)
+            except SweepFailed:
+                with pytest.raises(DepthInsufficient):
+                    _library_sweep(sys, rest, N)
+                continue
+            assert _library_sweep(sys, rest, N) == expected
+            grown += len(expected) > 1
+            try:
+                cover = build_rokhlin_cover(sys, N)
+            except (NotSurjective, PeriodicWitness):
+                continue
+            assert cover.towers[0].base == expected
+    assert grown >= 5
+
+
+@pytest.mark.parametrize("make, grown", [
+    pytest.param(thue_morse_spec, 881, id="tm"),
+    pytest.param(lambda: SubstitutionSpec(Alphabet(("0", "1", "2")), TRIB_RULES), 642, id="trib"),
+])
+def test_sweep_matches_frozen_union_oracle_on_front_covers(make, grown):
+    # the benchmark's front covers, whose sweep extends its base hundreds
+    # of times
+    sys = build_cover_graph(make(), 2000, 6).system
+    expected = rokhlin_sweep_oracle(sys, special_cone_rest(sys, 5), 5)
+    assert build_rokhlin_cover(sys, 5).towers[0].base == expected
+    assert len(expected) == grown

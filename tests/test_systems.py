@@ -12,6 +12,8 @@ from shiftdim.systems import (
 )
 from shiftdim.words import fibonacci_spec, full_shift_spec, golden_mean_spec
 
+from .oracles import predecessors_oracle
+
 
 def det_system(successors):
     return FiniteSymbolicSystem(
@@ -50,6 +52,18 @@ def test_preimage_levels_match_preimage():
         for count in (0, 1, rng.randint(2, 15)):
             levels = list(sys.preimage_levels(base, count))
             assert levels == [sys.preimage(base, i) for i in range(count)]
+
+
+def test_predecessors_sorted_and_unique_with_repeated_targets():
+    succ = ((2, 2, 1), (0, 0), (1, 2, 1, 0), (3, 3))
+    sys = FiniteSymbolicSystem(labels=("a", "b", "c", "d"), succ=succ)
+    assert sys.pred == ((1, 2), (0, 2), (0, 2), (3,))
+    rng = random.Random(13)
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        succ = tuple(tuple(rng.choices(range(n), k=rng.randint(1, 4))) for _ in range(n))
+        sys = FiniteSymbolicSystem(labels=tuple(f"s{i}" for i in range(n)), succ=succ)
+        assert sys.pred == predecessors_oracle(succ)
 
 
 def test_preimage_trivial_cases(full2_graph):

@@ -216,14 +216,32 @@ HAND_RULES = [
     {"0": "2", "1": "20", "2": "1"},
 ]
 RANDOM_RULES = [_random_primitive_rules(random.Random(seed)) for seed in range(16)]
+# Fibonacci, Thue-Morse and Tribonacci, and their squares, whose letter
+# blocks and seams repeat and contain one another in other ways.
+NAMED_RULES = [FIB_RULES, TM_RULES, TRIB_RULES]
+SQUARED_RULES = [{c: substitution_image(r, c, 2) for c in r} for r in NAMED_RULES]
 
 
-@pytest.mark.parametrize("rules", HAND_RULES + RANDOM_RULES, ids=str)
+@pytest.mark.parametrize(
+    "rules", HAND_RULES + RANDOM_RULES + NAMED_RULES + SQUARED_RULES, ids=str
+)
 def test_substitution_language_matches_window_oracle(rules):
-    # internal words of the symbols "0".."3" are those very strings
+    # internal words of the symbols "0".."3" are those very strings; each
+    # length is longer than the last, so each is built from the blocks,
+    # across several jumps of the block level
     spec = SubstitutionSpec(Alphabet(tuple(sorted(rules))), rules)
-    for n in list(range(1, 31)) + [64]:
+    for n in [*range(1, 65), 250, 1001]:
         assert spec.language(n) == substitution_factors_oracle(rules, "0", n), n
+
+
+def test_tribonacci_windows_three_of_eight_texts():
+    # three blocks and five seams; the seams 0|0, 0|1 and 0|2 are one
+    # string, and the block of 2 is a prefix of the block of 0
+    spec = SubstitutionSpec(Alphabet(("0", "1", "2")), TRIB_RULES)
+    assert len(spec._pairs) == 5
+    texts = spec._texts(4007)
+    assert len(texts) == 3
+    assert sum(len(t) - 4006 for t in texts) == 14615  # windows, of 33 293 in all 8
 
 
 @pytest.mark.parametrize(
