@@ -9,10 +9,13 @@ available so the one-step shift of every stored word can be classified at
 the same lookahead, which makes the edge set well defined.
 
 The stored words are never copied.  Each is the first ``depth`` symbols
-of a row of the presentation's top, the sorted tuple of its longest
-factors, and the graph names it by that row number; a class is named by
-the rank of its prefix among the distinct length-``k`` prefixes of the
-top and its past set.  Strings are sliced off the top only when the
+of a row of the presentation's top, its longest factors as sorted starts
+in one corpus string (:class:`~shiftdim.words.Top`), and the graph names
+it by that row number; a class is named by the rank of its prefix among
+the distinct length-``k`` prefixes of the top and its past set.  The
+build, the shift map and the intertwining check read the rows in place,
+comparing against the corpus at a row's start, which is small enough to
+stay in cache.  Strings are sliced off the corpus only when the
 read-only views ``stored``, ``class_words`` and ``states`` are read, and
 a state's label is built only when the system's ``labels`` view is read.
 Many stored words share a tail, so the past of each distinct tail, at
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 
 from .errors import EmptyLanguage, InvalidSpec
 from .systems import FiniteSymbolicSystem
-from .words import SFTSpec, SubshiftSpec
+from .words import SFTSpec, SubshiftSpec, Top
 
 
 @dataclass(frozen=True)
@@ -146,12 +149,12 @@ class _View(Sequence):
         return self._item(i % self._n)
 
 
-def _words(top: tuple[str, ...], rows, n: int) -> _View:
+def _words(top: Top, rows, n: int) -> _View:
     """The first ``n`` symbols of the ``rows`` of ``top``, as a view."""
-    return _View(len(rows), lambda j: top[rows[j]][:n])
+    return _View(len(rows), lambda j: top.prefix(rows[j], n))
 
 
-def _labels(top: tuple[str, ...], rank_rows, keys, k: int, alphabet) -> _View:
+def _labels(top: Top, rank_rows, keys, k: int, alphabet) -> _View:
     """The descriptor of each state, keyed ``(prefix rank, past)``, as a
     view.  It holds the top and the keys, not the graph, so the graph and
     its system form no reference cycle and are freed as soon as they are
@@ -159,7 +162,7 @@ def _labels(top: tuple[str, ...], rank_rows, keys, k: int, alphabet) -> _View:
 
     def label(s: int) -> str:
         rank, past = keys[s]
-        return _descriptor(top[rank_rows[rank]], k, _past_text(past, alphabet), alphabet)
+        return _descriptor(top.prefix(rank_rows[rank], k), k, _past_text(past, alphabet), alphabet)
 
     return _View(len(keys), label)
 
@@ -171,8 +174,8 @@ class CoverGraph:
     and the state of each stored word, the first row of each prefix rank,
     per state its rank and past set, and the shift map.  ``stored`` (the
     length-``depth`` factors in sorted order), ``class_words`` (the stored
-    words of each state) and ``states`` are views that slice the top when
-    read; ``pi`` does too."""
+    words of each state) and ``states`` are views that slice the top's
+    corpus when read; ``pi`` does too."""
 
     def __init__(self, spec: SubshiftSpec, k: int, l: int, horizon: int):
         if k < 1 or l < 1:
@@ -200,10 +203,9 @@ class CoverGraph:
         """``(prefix rank, past)`` of ``word``, or None when its
         length-``k`` prefix is not a factor.  The rank is read off the
         first top row that starts with the prefix."""
-        k, top = self.k, self._top
-        prefix = word[:k]
-        row = bisect_left(top, prefix)
-        if row == len(top) or not top[row].startswith(prefix):
+        k = self.k
+        row = self._top.find(word[:k])
+        if row is None:
             return None
         rank = bisect_left(self._rank_rows, row)
         return rank, self._past(word[k : k + self.lookahead])
@@ -213,6 +215,7 @@ class CoverGraph:
         # One symbol past the stored words, so every row's shift is a
         # stored word.
         top = self._top = spec.top(depth + 1)
+        corpus = top.corpus
         # One pass over neighbouring rows: a row starts a stored word when
         # it does not start with the current one, and a prefix rank when
         # it does not start with the current prefix.
@@ -226,14 +229,14 @@ class CoverGraph:
         split = False
         pasts: dict[str, tuple] = {}  # tail -> its past and its past at lookahead-1
         word = prefix = None
-        for row, u in enumerate(top):
-            if word is not None and u.startswith(word):
+        for row, s in enumerate(top.starts):
+            if word is not None and corpus.startswith(word, s):
                 continue
-            word = u[:depth]
-            if prefix is None or not u.startswith(prefix):
-                prefix = u[:k]
+            word = corpus[s : s + depth]
+            if prefix is None or not corpus.startswith(prefix, s):
+                prefix = corpus[s : s + k]
                 rank_rows.append(row)
-            tail = u[k : k + lam]
+            tail = corpus[s + k : s + k + lam]
             both = pasts.get(tail)
             if both is None:
                 both = pasts[tail] = (self._past(tail), self._past(tail[:-1]) if lam > 1 else None)
@@ -273,24 +276,26 @@ class CoverGraph:
 
     def _shift_map(self) -> list[int]:
         """The stored word ``top[row][1:depth+1]`` of every row of the top,
-        by its index.  A letter's rows are sorted by their shifts, so one
-        pointer walks the stored words forward once per first letter; it
-        runs off the end only if a shift is not a stored word, which a
-        factorial top rules out.  The shift is cut to ``depth`` symbols
+        by its index, read in place.  A letter's rows are sorted by their
+        shifts, so one pointer walks the stored words forward once per
+        first letter; it runs off the end only if a shift is not a stored
+        word, which a factorial top rules out.  The shift is cut to ``depth`` symbols
         because the top may be longer than ``depth + 1``, when a deeper
         graph or a longer language built it first."""
-        top, rows, depth = self._top, self._rows, self.depth
+        top, depth = self._top, self.depth
+        corpus, starts = top.corpus, top.starts
+        stored_starts = [starts[row] for row in self._rows]
         # the first row of each first letter's block, then the end
         letter_rows = self._letter_rows = (
-            *(bisect_left(top, c) for c in self.spec.alphabet.chars),
+            *(top.rank(c) for c in self.spec.alphabet.chars),
             len(top),
         )
         shift: list[int] = []
         for start, end in zip(letter_rows, letter_rows[1:]):
             stored = 0
-            for row in range(start, end):
-                shifted = top[row][1 : depth + 1]
-                while not top[rows[stored]].startswith(shifted):
+            for s in starts[start:end]:
+                shifted = corpus[s + 1 : s + 1 + depth]
+                while not corpus.startswith(shifted, stored_starts[stored]):
                     stored += 1
                 shift.append(stored)
         return shift
@@ -333,7 +338,7 @@ class CoverGraph:
 
     def pi(self, state: int) -> str:
         """Length-k prefix of the class."""
-        return self._top[self._rank_rows[self._keys[state][0]]][: self.k]
+        return self._top.prefix(self._rank_rows[self._keys[state][0]], self.k)
 
     def to_adjacency_text(self) -> str:
         return self._system.to_adjacency_text()
@@ -428,18 +433,20 @@ def isolated_orbit_window(graph: CoverGraph) -> frozenset:
 
 def check_intertwining(graph: CoverGraph) -> bool:
     """For every row of the top, the stored word its shift-map entry names
-    is the row's shift (one comparison against the top), and the class of
-    that word is among the successors of the class of the row's own stored
-    word; with a single-valued shift this is the exact equality of
-    states."""
+    is the row's shift (one comparison against the top's corpus, in place),
+    and the class of that word is among the successors of the class of the
+    row's own stored word; with a single-valued shift this is the exact
+    equality of states."""
     top, depth, rows, shift = graph._top, graph.depth, graph._rows, graph._shift
+    corpus, starts = top.corpus, top.starts
     classes, succ = graph._classes, graph.succ
     ends = (*rows[1:], len(top))
     for own, (first, end) in enumerate(zip(rows, ends)):
         successors = succ[classes[own]]
         for row in range(first, end):
             target = shift[row]
-            if not top[rows[target]].startswith(top[row][1 : depth + 1]):
+            s = starts[row]
+            if not corpus.startswith(corpus[s + 1 : s + 1 + depth], starts[rows[target]]):
                 return False
             if classes[target] not in successors:
                 return False

@@ -63,7 +63,7 @@ def left_special_count(spec: SubshiftSpec, n: int) -> int:
     counts when two letters extend it to a prefix of a top word."""
     if isinstance(spec, SFTSpec) and n >= spec.order:
         return spec.left_special_count(n)
-    factors = (w for w, _ in itertools.groupby(u[:n] for u in spec.top(n + 1)))
+    factors = spec.top(n + 1).prefixes(n)
     return sum(1 for w in factors if spec.left_extension_count(w) >= 2)
 
 

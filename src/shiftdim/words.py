@@ -11,11 +11,15 @@ symbol order and slicing/hashing stay cheap at depth in the thousands.
 Every factor of a subshift extends to the right, so the length-``n``
 factors are exactly the length-``n`` prefixes of the length-``m`` factors
 for any ``m > n``.  A presentation keeps the longest language it has built
-as one sorted list and builds from the presentation itself only when asked
-for a longer length.  A shorter length is the distinct length-``n``
-prefixes of that list, which come out already sorted, and p(n) for every
-``n`` up to its length is read off one histogram of the common-prefix
-lengths of neighbouring words.
+as one :class:`Top` and builds from the presentation itself only when asked
+for a longer length.  The top copies no factor: the presentation hands
+over texts whose length-``n`` windows are exactly the factors, the texts
+are joined into one corpus string, and each factor is the start of its
+first occurrence there.  The windows are sorted by growing prefix groups,
+not hashed whole (see :func:`_sorted_starts`).  A shorter length is the
+distinct length-``n`` prefixes of the top, which come out already sorted,
+and p(n) for every ``n`` up to its length is read off one histogram of the
+common-prefix lengths of neighbouring rows.
 
 Substitution languages are characterised exactly from letter blocks and
 length-2 factors (see :class:`SubstitutionSpec`).  Forbidden-word languages
@@ -31,6 +35,7 @@ import bisect
 import csv
 import itertools
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -116,24 +121,150 @@ def common_prefix_length(a: str, b: str) -> int:
     return lo
 
 
+# Joins the texts of a corpus; never an internal symbol character.
+_SEP = "\n"
+# Symbols of the first key the window sort groups by.
+_KEY = 48
+# Symbols of whole windows the window sort slices for one group at most.
+_BUDGET = 1 << 22
+
+
+def _sorted_starts(corpus: str, starts, n: int, shared: int, out: list[int]) -> None:
+    """Append to ``out`` the first of ``starts`` for each distinct
+    length-``n`` window of ``corpus`` at them, in window order.  The
+    windows agree on their first ``shared`` symbols, and ``starts``
+    ascend, so the first start of a window is its first occurrence.
+
+    The starts are grouped by their next symbols, first ``_KEY`` of them
+    and then twice as many as the group already shares, and the groups
+    are taken in key order.  A group is split again while its windows
+    hold more than ``_BUDGET`` symbols; only then are its windows sliced
+    whole and sorted, so no more than a group's windows are ever held."""
+    if shared == 0 or (shared < n and len(starts) * (n - shared) > _BUDGET):
+        end = min(max(2 * shared, _KEY), n)
+        groups: dict[str, list[int]] = {}
+        for s in starts:
+            groups.setdefault(corpus[s + shared : s + end], []).append(s)
+        for key in sorted(groups):
+            _sorted_starts(corpus, groups[key], n, end, out)
+    elif shared == n or len(starts) == 1:
+        out.append(starts[0])
+    else:
+        # the sort is stable, so equal windows stay in start order
+        windows = [corpus[s + shared : s + n] for s in starts]
+        prev = None
+        for i in sorted(range(len(windows)), key=windows.__getitem__):
+            if windows[i] != prev:
+                out.append(starts[i])
+                prev = windows[i]
+
+
+class Top(Sequence):
+    """The sorted distinct length-``n`` factors, read-only.  Each factor
+    is the start of its first occurrence in ``corpus``, the texts it was
+    cut from joined by a separator; ``starts`` lists them in factor order.
+    A row is sliced off the corpus only when it is read."""
+
+    __slots__ = ("corpus", "starts", "n")
+
+    def __init__(self, corpus: str, starts: Sequence[int], n: int):
+        self.corpus, self.starts, self.n = corpus, starts, n
+
+    @classmethod
+    def of_texts(cls, texts, n: int) -> "Top":
+        """The distinct length-``n`` windows of ``texts``.  When every text
+        is exactly one window, the words are sorted directly."""
+        texts = [t for t in texts if len(t) >= n]
+        if all(len(t) == n for t in texts):
+            words = [w for w, _ in itertools.groupby(sorted(texts))]
+            return cls(_SEP.join(words), range(0, len(words) * (n + 1), n + 1), n)
+        starts: list[int] = []
+        at = 0
+        for t in texts:
+            starts.extend(range(at, at + len(t) - n + 1))
+            at += len(t) + 1
+        corpus = _SEP.join(texts)
+        out: list[int] = []
+        _sorted_starts(corpus, starts, n, 0, out)
+        return cls(corpus, out, n)
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, row: int) -> str:
+        s = self.starts[row]
+        return self.corpus[s : s + self.n]
+
+    def __iter__(self):
+        corpus, n = self.corpus, self.n
+        return (corpus[s : s + n] for s in self.starts)
+
+    def prefix(self, row: int, m: int) -> str:
+        """The first ``m`` symbols of ``row``, ``m <= n``."""
+        s = self.starts[row]
+        return self.corpus[s : s + m]
+
+    def prefixes(self, m: int) -> tuple[str, ...]:
+        """The distinct length-``m`` prefixes, sorted, ``m <= n``.  The
+        rows that share a prefix are neighbours, so from the first row of
+        each prefix the search gallops to the end of its run: one probe
+        for a row of its own, a few for a long run."""
+        if m == self.n:
+            return tuple(self)
+        corpus, starts = self.corpus, self.starts
+        out = []
+        row, end = 0, len(starts)
+        while row < end:
+            s = starts[row]
+            prefix = corpus[s : s + m]
+            out.append(prefix)
+            # row lo starts with the prefix; row hi does not, or is the end
+            lo, hi, step = row, row + 1, 1
+            while hi < end and corpus.startswith(prefix, starts[hi]):
+                lo, hi, step = hi, hi + step, 2 * step
+            hi = min(hi, end)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if corpus.startswith(prefix, starts[mid]):
+                    lo = mid
+                else:
+                    hi = mid
+            row = hi
+        return tuple(out)
+
+    def rank(self, word: str) -> int:
+        """The number of rows below ``word``: a row is below it exactly
+        when its first ``len(word)`` symbols are."""
+        corpus, m = self.corpus, min(len(word), self.n)
+        return bisect.bisect_left(self.starts, word, key=lambda s: corpus[s : s + m])
+
+    def find(self, word: str) -> int | None:
+        """The first row that starts with ``word``, or None."""
+        row = self.rank(word)
+        if row < len(self) and len(word) <= self.n and self.corpus.startswith(word, self.starts[row]):
+            return row
+        return None
+
+
 class SubshiftSpec:
     """Base class: a finite presentation acting as an exact language oracle.
 
-    Subclasses implement :meth:`_compute_language`.  All values are
-    immutable after construction.  The longest language built so far is
-    kept as one sorted tuple (the *top*), the only sorted store: every
+    Subclasses implement :meth:`_compute_language`, which hands over texts
+    whose length-``n`` windows are exactly the length-``n`` factors.  All
+    values are immutable after construction.  The longest language built
+    so far is kept as one :class:`Top`, the only sorted store: starts in
+    the corpus of those texts, sorted by growing prefix groups.  Every
     shorter length is read off it as distinct prefixes, already sorted,
     and handed out without being kept.  The frozensets that serve
-    :meth:`is_factor` are cached per length.  Only :meth:`language` builds
-    from the presentation, and only for a length beyond the top.
+    :meth:`is_factor` are cached per length.  Only :meth:`top` builds from
+    the presentation, and only for a length beyond the top.
     """
 
     variant = "abstract"
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
-        self._top_len = 0
-        self._top: tuple[str, ...] = ("",)  # the sorted length-_top_len factors
+        self._top = Top("", (0,), 0)  # the sorted factors of the longest length built
         self._lang_cache: dict[int, frozenset[str]] = {}
         self._counts: tuple[int, ...] | None = None  # p(0..top length), read off the top
 
@@ -147,43 +278,35 @@ class SubshiftSpec:
             return frozenset({""})
         lang = self._lang_cache.get(n)
         if lang is None:
-            if n > self._top_len:
-                built = self._compute_language(n)
-                self._top_len, self._counts = n, None
-                self._top = tuple(sorted(built))
-                lang = frozenset(built)
-            else:
-                lang = frozenset(self.sorted_language(n))
-            self._lang_cache[n] = lang
+            lang = self._lang_cache[n] = frozenset(self.sorted_language(n))
         return lang
 
-    def top(self, n: int) -> tuple[str, ...]:
+    def top(self, n: int) -> Top:
         """The top, built to length at least ``n`` first: every factor of
-        length at most ``n`` is a prefix of one of its words."""
-        if n > self._top_len:
-            self.language(n)
+        length at most ``n`` is a prefix of one of its rows."""
+        if n > self._top.n:
+            self._top, self._counts = Top.of_texts(self._compute_language(n), n), None
         return self._top
 
     def sorted_language(self, n: int) -> tuple[str, ...]:
-        """The length-``n`` factors in canonical order: the top itself, or
-        its length-``n`` prefixes, which are not kept."""
+        """The length-``n`` factors in canonical order, the top's
+        length-``n`` prefixes, which are not kept."""
         if n < 0:
             raise ValueError("length must be nonnegative")
-        top = self.top(n)
-        return top if n == self._top_len else _prefixes(top, n)
+        return self.top(n).prefixes(n)
 
-    def _compute_language(self, n: int) -> set[str]:
+    def _compute_language(self, n: int) -> list[str]:
         raise NotImplementedError
 
     def factor_counts(self, n: int) -> tuple[int, ...]:
         """p(0), ..., p(m) for some m >= ``n``, from the top: the
-        length-``j`` prefixes of neighbouring top words differ exactly when
+        length-``j`` prefixes of neighbouring top rows differ exactly when
         their common prefix is shorter than ``j``, so p(j) is one plus the
         number of neighbours whose common prefix is shorter than ``j``."""
         top = self.top(n)
         if self._counts is None:
-            hist = [0] * (self._top_len + 1)
-            for a, b in zip(top, top[1:]):
+            hist = [0] * (top.n + 1)
+            for a, b in itertools.pairwise(top):
                 hist[common_prefix_length(a, b)] += 1
             self._counts = tuple(itertools.accumulate(hist[:-1], initial=1))
         return self._counts
@@ -197,15 +320,9 @@ class SubshiftSpec:
 
     def left_extension_count(self, word: str) -> int:
         """Number of symbols ``a`` with ``a + word`` in the language: those
-        for which ``a + word`` is a prefix of a top word, the first top
-        word not below it."""
+        for which ``a + word`` is a prefix of a top row."""
         top = self.top(len(word) + 1)
-        count = 0
-        for a in self.alphabet.chars:
-            extended = a + word
-            row = bisect.bisect_left(top, extended)
-            count += row < len(top) and top[row].startswith(extended)
-        return count
+        return sum(top.find(a + word) is not None for a in self.alphabet.chars)
 
     def describe(self) -> dict:
         """Serializable echo of the presentation (for certificates)."""
@@ -217,8 +334,8 @@ class FullShiftSpec(SubshiftSpec):
 
     variant = "full_shift"
 
-    def _compute_language(self, n: int) -> set[str]:
-        return {"".join(w) for w in itertools.product(self.alphabet.chars, repeat=n)}
+    def _compute_language(self, n: int) -> list[str]:
+        return ["".join(w) for w in itertools.product(self.alphabet.chars, repeat=n)]
 
     def complexity(self, n: int) -> int:
         return len(self.alphabet) ** n
@@ -290,18 +407,17 @@ class SFTSpec(SubshiftSpec):
 
     # -- language -----------------------------------------------------------
 
-    def _compute_language(self, n: int) -> set[str]:
+    def _compute_language(self, n: int) -> list[str]:
         self._build_graph()
         if not self._vertices:
             raise EmptyLanguage(f"SFT language empty at length {n}")
         if n <= self.order:
-            out = {v[:n] for v in self._vertices}
+            out = [v[:n] for v in self._vertices]
         else:
-            out = set()
             frontier: list[tuple[str, str]] = [(v, v) for v in self._vertices]
             for _ in range(n - self.order):
                 frontier = [(w + t[-1], t) for (w, v) in frontier for t in self._edges[v]]
-            out = {w for (w, _) in frontier}
+            out = [w for (w, _) in frontier]
         if not out:
             raise EmptyLanguage(f"SFT language empty at length {n}")
         return out
@@ -435,14 +551,14 @@ class SubstitutionSpec(SubshiftSpec):
                     todo.append(self.rules[ab[0]] + self.rules[ab[1]])
         return found
 
-    def _compute_language(self, n: int) -> set[str]:
+    def _compute_language(self, n: int) -> list[str]:
         if len(self.alphabet) == 1:
-            return {_chr(0) * n}
+            return [_chr(0) * n]
         if n == 1:
-            return set(self.alphabet.chars)
+            return list(self.alphabet.chars)
         if n == 2:
-            return set(self._pairs)
-        return {t[i : i + n] for t in self._texts(n) for i in range(len(t) - n + 1)}
+            return list(self._pairs)
+        return self._texts(n)
 
     def _texts(self, n: int) -> list[str]:
         """The texts whose length-``n`` windows are the factors, ``n >= 3``:

@@ -30,26 +30,27 @@ def sliding_factors(text: str, n: int) -> set[str]:
     return {text[i : i + n] for i in range(len(text) - n + 1)}
 
 
-def substitution_factors_oracle(rules: dict[str, str], seed: str, n: int) -> set[str]:
-    """Factors of length n, by sliding a window over ever longer images
-    until the window set stops changing twice in a row."""
-    power = 1
-    prev: set[str] | None = None
-    stable = 0
-    while True:
-        text = substitution_image(rules, seed, power)
-        if len(text) >= n:
-            cur = sliding_factors(text, n)
-            if prev is not None and cur == prev:
-                stable += 1
-                if stable >= 2:
-                    return cur
-            else:
-                stable = 0
-            prev = cur
+def substitution_factors_oracle(rules: dict[str, str], n: int) -> set[str]:
+    """Factors of length n of a primitive substitution on at least two
+    letters, by sliding a window over σʲ(ab) for every 2-factor ab.  The
+    2-factors are those of the images σ(c), closed under adding those of
+    σ(ab).  j is the least power with every |σʲ(c)| >= n: a factor lies in
+    some σᵏ(c) = σʲ(σᵏ⁻ʲ(c)), a join of blocks σʲ(x) of at least n
+    symbols each, so its n symbols meet at most two neighbouring blocks,
+    the images of a 2-factor."""
+    pairs: set[str] = set()
+    todo = list(rules.values())
+    while todo:
+        word = todo.pop()
+        for ab in sliding_factors(word, 2) - pairs:
+            pairs.add(ab)
+            todo.append(rules[ab[0]] + rules[ab[1]])
+    power = 0
+    while min(len(substitution_image(rules, c, power)) for c in rules) < n:
         power += 1
         if power > 64:
-            raise RuntimeError("oracle failed to stabilize")
+            raise RuntimeError("letter images do not grow")
+    return set().union(*(sliding_factors(substitution_image(rules, ab, power), n) for ab in pairs))
 
 
 def sft_factors_oracle(alphabet: str, forbidden: set[str], n: int) -> set[str]:

@@ -109,7 +109,7 @@ def test_criterion_01_fibonacci_complexity_exact():
 def test_criterion_02_thue_morse_against_naive_oracle():
     spec = thue_morse_spec()
     for n in range(1, 31):
-        oracle = substitution_factors_oracle(TM_RULES, "0", n)
+        oracle = substitution_factors_oracle(TM_RULES, n)
         assert complexity(spec, n) == len(oracle)
         assert set(spec.language(n)) == oracle
     report(2, "factor counts equal the naive enumeration for n <= 30")

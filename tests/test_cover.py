@@ -348,29 +348,30 @@ def test_intertwining_fails_on_a_wrong_shift_entry(fib, row):
 
 
 def test_cover_retains_less_than_half_the_top():
-    """The graph refers to the presentation's top by row number: building
-    it keeps less than half the top's bytes again and never allocates a
-    whole top's worth above it."""
+    """The graph and its top refer to the presentation's texts by
+    position: building both keeps less than half a byte per symbol of the
+    top's p(n)·n, and never allocates as many bytes as that at once.  The
+    count p(n)·n is computed on another presentation, outside the trace."""
     import tracemalloc
 
     from shiftdim.pipeline import run_cover
     from shiftdim.words import thue_morse_spec
 
-    spec, k = thue_morse_spec(), 400
+    k = 400
+    n = 2 * k + 7  # the top of the k = 400, l = 6 cover
+    top_symbols = thue_morse_spec().complexity(n) * n
+    spec = thue_morse_spec()
     tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
-        spec.language(2 * k + 7)  # the top of the k = 400, l = 6 cover
-        top_bytes = tracemalloc.get_traced_memory()[0] - before
-        tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         graph, cert = run_cover(spec, k, 6, None)
         retained, peak = (m - base for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     assert cert.passed and len(graph.stored) == spec.complexity(graph.depth)
-    assert retained < 0.5 * top_bytes
-    assert peak < 1.0 * top_bytes
+    assert len(spec.top(0)) == spec.complexity(n)  # the graph built the top
+    assert retained < 0.5 * top_symbols
+    assert peak < 1.0 * top_symbols
 
 
 # (k, l, horizon): lookahead 1 (no shorter one), 2, 3 and 5

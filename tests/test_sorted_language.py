@@ -40,7 +40,7 @@ from .test_words import FIB_RULES, RANDOM_RULES, TM_RULES, TRIB_RULES
 
 def _substitution(rules, horizon):
     spec = lambda: SubstitutionSpec(Alphabet(tuple(sorted(rules))), rules)
-    return spec, lambda: substitution_factors_oracle(rules, "0", horizon + 1)
+    return spec, lambda: substitution_factors_oracle(rules, horizon + 1)
 
 
 def _sft(forbidden, horizon):

@@ -1,16 +1,20 @@
+import bisect
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftdim import words
 from shiftdim.errors import EmptyLanguage, InvalidSpec
 from shiftdim.words import (
     Alphabet,
     LanguageTable,
     SFTSpec,
     SubstitutionSpec,
+    Top,
     check_extendability,
     complexity,
     enumerate_language,
@@ -52,12 +56,12 @@ def test_full_shift_complexity(full2):
 def test_fibonacci_complexity_small(fib):
     # Sturmian pattern p(n) = n + 1, frozen from the window oracle
     for n in range(1, 12):
-        oracle = substitution_factors_oracle(FIB_RULES, "0", n)
+        oracle = substitution_factors_oracle(FIB_RULES, n)
         assert complexity(fib, n) == len(oracle) == n + 1
 
 
 def test_thue_morse_complexity_n4(tm):
-    oracle = substitution_factors_oracle(TM_RULES, "0", 4)
+    oracle = substitution_factors_oracle(TM_RULES, 4)
     assert complexity(tm, 4) == len(oracle) == 10
 
 
@@ -231,7 +235,7 @@ def test_substitution_language_matches_window_oracle(rules):
     # across several jumps of the block level
     spec = SubstitutionSpec(Alphabet(tuple(sorted(rules))), rules)
     for n in [*range(1, 65), 250, 1001]:
-        assert spec.language(n) == substitution_factors_oracle(rules, "0", n), n
+        assert spec.language(n) == substitution_factors_oracle(rules, n), n
 
 
 def test_tribonacci_windows_three_of_eight_texts():
@@ -242,6 +246,45 @@ def test_tribonacci_windows_three_of_eight_texts():
     texts = spec._texts(4007)
     assert len(texts) == 3
     assert sum(len(t) - 4006 for t in texts) == 14615  # windows, of 33 293 in all 8
+
+
+@st.composite
+def window_texts(draw):
+    """Texts over 1-4 letters and a window length below, at or above the
+    sort's first key.  Either every text is one word of length n, or the
+    texts are joins of a few shared pieces, so windows repeat within a
+    text and across texts, and some texts are shorter than n."""
+    letters = "0123"[: draw(st.integers(1, 4))]
+    n = draw(st.sampled_from([1, 2, 3, 7, words._KEY - 1, words._KEY, words._KEY + 1, 100, 150]))
+    if draw(st.booleans()):
+        texts = draw(st.lists(st.text(letters, min_size=n, max_size=n), min_size=1, max_size=12))
+    else:
+        pieces = draw(st.lists(st.text(letters, min_size=1, max_size=n + 20), min_size=1, max_size=4))
+        joins = st.lists(st.sampled_from(pieces), max_size=8).map("".join)
+        texts = draw(st.lists(joins, min_size=1, max_size=5))
+    return texts, n
+
+
+@given(window_texts(), st.sampled_from([0, 1, 100, words._BUDGET]))
+@settings(max_examples=300, deadline=None)
+def test_window_sort_matches_sorted_distinct_windows(case, budget):
+    """The top of some texts is their distinct windows, sorted, each at
+    its first occurrence in the corpus.  A budget of 0 splits every group
+    until it shares whole windows; 1 and 100 split some groups."""
+    texts, n = case
+    with mock.patch.object(words, "_BUDGET", budget):
+        top = Top.of_texts(texts, n)
+    expected = sorted({t[i : i + n] for t in texts for i in range(len(t) - n + 1)})
+    assert list(top) == expected
+    assert [top[row] for row in range(len(top))] == expected
+    assert [top.corpus.find(w) for w in top] == list(top.starts)
+    for m in {0, 1, n // 2, n - 1, n}:
+        assert list(top.prefixes(m)) == sorted({w[:m] for w in expected})
+    for word in {w[: n // 2] + "1" for w in expected} | {"0", "4", "0" * (n + 1)}:
+        row = bisect.bisect_left(expected, word)
+        assert top.rank(word) == row
+        found = row < len(expected) and expected[row].startswith(word)
+        assert top.find(word) == (row if found else None)
 
 
 @pytest.mark.parametrize(
