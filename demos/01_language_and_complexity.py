@@ -7,10 +7,8 @@ rationals, never floats.
 
 from fractions import Fraction
 
-from shiftdim import (
+from shiftdim.words import (
     check_extendability,
-    complexity,
-    enumerate_language,
     fibonacci_spec,
     full_shift_spec,
     golden_mean_spec,
@@ -25,14 +23,14 @@ full2 = full_shift_spec(2)
 
 print("== small languages ==")
 for name, spec in [("fibonacci", fib), ("thue-morse", tm), ("golden-mean", golden)]:
-    words = enumerate_language(spec, 4)
+    words = spec.sorted_language(4)
     rendered = ", ".join(spec.alphabet.decode(w) for w in words)
     print(f"{name:12s} length-4 factors ({len(words)}): {rendered}")
 
 print("\n== complexity columns ==")
 print("n    fibonacci  thue-morse  golden-mean  full-shift")
 for n in (1, 2, 3, 5, 8, 13, 21):
-    row = [complexity(spec, n) for spec in (fib, tm, golden, full2)]
+    row = [spec.complexity(n) for spec in (fib, tm, golden, full2)]
     print(f"{n:<4d} {row[0]:>9d}  {row[1]:>10d}  {row[2]:>11d}  {row[3]:>10d}")
 
 # The golden-mean counts satisfy the familiar two-term recurrence, and the

@@ -8,16 +8,13 @@ inequality from the complexity differences are all checked exactly.
 
 from fractions import Fraction
 
-from shiftdim import (
-    LeftSpecialTree,
+from shiftdim.special import (
     check_useful_inequality,
-    complexity,
-    fibonacci_spec,
-    full_shift_spec,
+    left_special_levels,
     left_special_words,
     sp_estimate,
-    thue_morse_spec,
 )
+from shiftdim.words import fibonacci_spec, full_shift_spec, thue_morse_spec
 
 fib = fibonacci_spec()
 tm = thue_morse_spec()
@@ -27,10 +24,10 @@ for n in (1, 2, 3, 5, 8):
     words = left_special_words(fib, n)
     print(f" length {n}: {[fib.alphabet.decode(w) for w in words]}")
 
-tree = LeftSpecialTree.build(tm, 12)
+levels = left_special_levels(tm, 12)
 print("\n== thue-morse left special counts by length ==")
-print(" counts:", tree.counts())
-closed = all(w[:-1] in tree.levels[n - 1] for n in range(1, tree.depth) for w in tree.levels[n])
+print(" counts:", tuple(len(level) for level in levels))
+closed = all(w[:-1] in levels[n - 1] for n in range(1, len(levels)) for w in levels[n])
 print(" prefix closure holds:", closed)
 
 print("\n== branch estimates ==")
@@ -50,5 +47,5 @@ print("\n== the counting inequality ==")
 qualifying = check_useful_inequality(fib, 30, Fraction(1, 4))
 print(f" fibonacci: every m up to 30 qualifies -> {qualifying == list(range(1, 31))}")
 for m in (5, 13, 21):
-    diff = complexity(fib, m + 1) - complexity(fib, m)
+    diff = fib.complexity(m + 1) - fib.complexity(m)
     print(f"   m={m:>2d}: |LS(m)| = 1 <= p(m+1) - p(m) = {diff}")

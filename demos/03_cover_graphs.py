@@ -6,23 +6,21 @@ preimages) whose class traces the unique left special point, plus a short
 handle of single-word classes approximating its discrete orbit.
 """
 
-from shiftdim import (
+from shiftdim.cover import (
     build_cover_graph,
     check_intertwining,
-    cover_special_states,
-    fibonacci_spec,
-    full_shift_spec,
     isolated_orbit_window,
     isolated_state_check,
     past_set,
     special_match_report,
 )
+from shiftdim.words import fibonacci_spec, full_shift_spec
 
 full2 = full_shift_spec(2)
 gf = build_cover_graph(full2, 3, 3)
 print("== full shift at (k, l) = (3, 3) ==")
 print(f" states: {gf.num_states}, edges: {sum(len(s) for s in gf.succ)}")
-print(" every state is a merge state:", len(cover_special_states(gf)) == gf.num_states)
+print(" every state is a merge state:", len(gf.system.special_states()) == gf.num_states)
 
 fib = fibonacci_spec()
 print("\n== pasts at finite lookahead ==")

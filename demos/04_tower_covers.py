@@ -8,18 +8,13 @@ scratch.  Construct-then-verify is mandatory, so the returned cover is
 already certified.
 """
 
-from shiftdim import (
-    build_cover_graph,
-    build_rokhlin_cover,
-    cover_special_states,
-    extend_tower_base,
-    fibonacci_spec,
-    verify_rokhlin_cover,
-)
+from shiftdim.cover import build_cover_graph
+from shiftdim.rokhlin import build_rokhlin_cover, extend_tower_base, verify_rokhlin_cover
+from shiftdim.words import fibonacci_spec
 
 graph = build_cover_graph(fibonacci_spec(), 60, 6)
 sys = graph.system
-specials = cover_special_states(graph)
+specials = sys.special_states()
 print(f"arena: {graph.num_states} states, merge states {specials}, "
       f"shortest cycle {sys.min_cycle_length(100)}")
 

@@ -10,18 +10,16 @@ the (d+1)(d+2)/N bound.
 
 from fractions import Fraction
 
-from shiftdim import (
+from shiftdim.amenability import build_equivariant_map, check_equivariance
+from shiftdim.cover import build_cover_graph, isolated_orbit_window
+from shiftdim.rokhlin import build_rokhlin_cover
+from shiftdim.towers import (
     attach_shifted_pairs,
-    build_cover_graph,
-    build_equivariant_map,
     build_phase_pairs,
-    build_rokhlin_cover,
-    check_equivariance,
-    fibonacci_spec,
-    isolated_orbit_window,
     pairs_from_rokhlin,
     verify_tower_pairs,
 )
+from shiftdim.words import fibonacci_spec
 
 graph = build_cover_graph(fibonacci_spec(), 981, 6)
 sys = graph.system

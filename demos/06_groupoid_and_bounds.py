@@ -9,20 +9,18 @@ difference set or both endpoints in the finite orbit bucket.
 
 from fractions import Fraction
 
-from shiftdim import (
+from shiftdim.amenability import build_equivariant_map, check_equivariance
+from shiftdim.cover import build_cover_graph, isolated_orbit_window
+from shiftdim.groupoid import (
     bound_chain,
-    build_cover_graph,
-    build_equivariant_map,
-    build_phase_pairs,
-    build_rokhlin_cover,
+    build_dad_cover,
     build_window,
-    check_equivariance,
     difference_set,
-    fibonacci_spec,
-    isolated_orbit_window,
-    verify_tower_pairs,
+    verify_dad_cover,
 )
-from shiftdim.groupoid import build_dad_cover, verify_dad_cover
+from shiftdim.rokhlin import build_rokhlin_cover
+from shiftdim.towers import build_phase_pairs, verify_tower_pairs
+from shiftdim.words import fibonacci_spec
 
 print("== difference sets ==")
 print(" S = {0..4}  ->  F =", difference_set(range(5)))

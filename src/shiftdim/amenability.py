@@ -49,12 +49,6 @@ class PartitionB:
     window: int  # integers checked in [-window, window]
     blocks: tuple[frozenset, ...]  # blocks 1..N (block 0 implicit)
 
-    def level(self, m: int) -> int:
-        for k in range(len(self.blocks), 0, -1):
-            if m in self.blocks[k - 1]:
-                return k
-        return 0
-
     def level_table(self) -> dict[int, int]:
         table: dict[int, int] = {}
         for k, block in enumerate(self.blocks, start=1):

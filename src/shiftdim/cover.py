@@ -358,11 +358,6 @@ def build_cover_graph(spec: SubshiftSpec, k: int, l: int, horizon: int | None = 
     return CoverGraph(spec, k, l, horizon)
 
 
-def cover_special_states(graph: CoverGraph) -> list[int]:
-    """States with >= 2 distinct shift preimages."""
-    return graph.system.special_states()
-
-
 @dataclass(frozen=True)
 class SpecialMatchReport:
     special_states: tuple[int, ...]
@@ -398,7 +393,7 @@ def special_match_report(graph: CoverGraph) -> SpecialMatchReport:
                     rank = prefix_rank
                     rank_letters[rank] += 1
     ls_k = sum(1 for count in rank_letters if count >= 2)
-    specials = tuple(cover_special_states(graph))
+    specials = tuple(graph.system.special_states())
     first: dict[int, int] = {}  # state -> its first left special stored word
     for stored, count in enumerate(letters):
         if count >= 2:

@@ -249,8 +249,8 @@ class BoundReport:
 
 
 def bound_chain(q: int, dim_x: int = 0) -> BoundReport:
-    """Closed-form bound calculator: tower-cover count bound 2q+1, tower
-    and amenability and groupoid bounds 4q+3, nuclear bound 6(dim+1)^2."""
+    """Closed-form bound calculator: Rokhlin dimension 2q+1 (2q+2 towers),
+    tower, amenability and groupoid bounds 4q+3, nuclear bound 6(dim+1)^2."""
     if q < 0 or dim_x < 0:
         raise ValueError("arguments must be nonnegative")
     return BoundReport(

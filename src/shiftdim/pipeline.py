@@ -46,7 +46,6 @@ from .cover import (
     CoverGraph,
     build_cover_graph,
     check_intertwining,
-    cover_special_states,
     isolated_orbit_window,
     special_match_report,
 )
@@ -349,7 +348,7 @@ STAGES = {
     ),
     "bounds": Stage(
         ("cover",), (), ("bounds",),
-        lambda p, b: run_bounds(len(cover_special_states(b["cover"])), 0),
+        lambda p, b: run_bounds(len(b["cover"].system.special_states()), 0),
     ),
 }
 CERTIFICATES = tuple(name for stage in STAGES.values() for name in stage.emits)
@@ -442,8 +441,11 @@ class GraphKind:
         return dict(zip(self.arena, (graph.spec.describe(), graph.k, graph.l, graph.horizon)))
 
     def __call__(self, params: dict, directory: str | None, arenas: dict) -> Certificate:
-        """Rebuild on the echoed arena's graph, built once in ``arenas``."""
+        """Rebuild on the echoed arena's graph, built once in ``arenas``;
+        its sizes must be ``int``s, as JSON ``true`` equals 1 in Python."""
         echo = [params[key] for key in self.arena]
+        for key, size in zip(self.arena[1:], echo[1:]):
+            _at_least(size, 1, key)
         arena = json.dumps(echo, sort_keys=True)
         if arena not in arenas:
             arenas[arena] = build_cover_graph(_echoed_spec(params), *echo[1:])

@@ -100,13 +100,6 @@ class SimplexPoint:
         """Read-only view: ``(atom, weight)`` pairs in atom order."""
         return tuple((a, Fraction(x, self.den)) for a, x in zip(self.atoms, self.nums))
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return self.atoms
-
-    def weight(self, atom: int) -> Fraction:
-        return Fraction(self._by_atom.get(atom, 0), self.den)
-
     def shift(self, n: int) -> "SimplexPoint":
         """Translation by the shift: mass at atom a moves to a - n, so the
         image of a point under n forward steps matches the shifted map."""
@@ -170,29 +163,16 @@ def _in_ring(den: int, kept: list[int], i: int) -> bool:
     return i == 0 or 4 * scale * (den - kept[i]) > 5 * den
 
 
-def simplicial_cover_membership(mu: SimplexPoint, i: int, d: int):
-    """Membership of mu in the i-th ring of the skeleton-neighborhood
-    cover: within 1/(3*10^i) of the i-skeleton and strictly farther than
-    5/(2*10^i) from the (i-1)-skeleton (the closure of the inner ball is
-    excluded by the non-strict comparison).  When the answer is positive
-    the heaviest i+1 atoms name the cell, with ties broken by atom order.
-    Returns (member, cell)."""
-    if not (0 <= i <= d):
-        raise ValueError("need 0 <= i <= d")
-    if not in_simplex(mu, d):
-        raise ValueError("point lies outside the ambient simplex")
-    ranked = mu.ranked()
-    if not _in_ring(mu.den, _prefix_masses(ranked, i + 1), i):
-        return False, None
-    return True, tuple(sorted(a for _, a in ranked[: i + 1]))
-
-
 def cover_index(mu: SimplexPoint, d: int):
-    """The first ring containing mu, with its cell; the rings cover the
-    whole ambient simplex, so this never fails on valid input.
+    """The first ring of the skeleton-neighborhood cover containing mu,
+    with its cell; the rings cover the whole ambient simplex, so this
+    never fails on valid input.
 
-    Decides ring i exactly as ``simplicial_cover_membership(mu, i, d)``
-    does, from one ranking of the atoms."""
+    Ring i holds the points within 1/(3*10^i) of the i-skeleton and
+    strictly farther than 5/(2*10^i) from the (i-1)-skeleton (the closure
+    of the inner ball is excluded by the non-strict comparison).  The
+    heaviest i+1 atoms name the cell, with ties broken by atom order.
+    Every ring is decided from one ranking of the atoms."""
     if not in_simplex(mu, d):
         raise ValueError("point lies outside the ambient simplex")
     ranked = mu.ranked()

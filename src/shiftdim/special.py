@@ -58,30 +58,10 @@ def left_special_words(spec: SubshiftSpec, n: int) -> list[str]:
 
 def left_special_count(spec: SubshiftSpec, n: int) -> int:
     """|LS(n)|, by path counting on the graph of a forbidden-word
-    presentation from its order on, and otherwise off the top: a
-    length-``n`` factor, the prefix of a run of neighbouring top words,
-    counts when two letters extend it to a prefix of a top word."""
+    presentation from its order on, and otherwise by listing the words."""
     if isinstance(spec, SFTSpec) and n >= spec.order:
         return spec.left_special_count(n)
-    factors = spec.top(n + 1).prefixes(n)
-    return sum(1 for w in factors if spec.left_extension_count(w) >= 2)
-
-
-@dataclass(frozen=True)
-class LeftSpecialTree:
-    """Per-length left special sets.  The length-n prefix of every word at
-    level n+1 is at level n (see :func:`left_special_levels`), so every
-    deepest-level word has its whole prefix chain in the tree."""
-
-    depth: int
-    levels: tuple[tuple[str, ...], ...]  # index n-1 -> sorted LS words
-
-    @classmethod
-    def build(cls, spec: SubshiftSpec, depth: int) -> "LeftSpecialTree":
-        return cls(depth, tuple(left_special_levels(spec, depth)))
-
-    def counts(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self.levels)
+    return len(left_special_words(spec, n))
 
 
 @dataclass(frozen=True)
@@ -115,7 +95,7 @@ def sp_estimate(spec: SubshiftSpec, depth: int) -> SpecialReport:
     """
     if depth < 4:
         raise ValueError("depth must be >= 4")
-    counts = LeftSpecialTree.build(spec, depth).counts()
+    counts = tuple(len(level) for level in left_special_levels(spec, depth))
     lower = counts[-1]
     quarter = counts[depth - max(depth // 4, 2) :]
     stabilized = len(set(quarter)) == 1

@@ -318,12 +318,6 @@ class SubshiftSpec:
     def is_factor(self, word: str) -> bool:
         return word in self.language(len(word))
 
-    def left_extension_count(self, word: str) -> int:
-        """Number of symbols ``a`` with ``a + word`` in the language: those
-        for which ``a + word`` is a prefix of a top row."""
-        top = self.top(len(word) + 1)
-        return sum(top.find(a + word) is not None for a in self.alphabet.chars)
-
     def describe(self) -> dict:
         """Serializable echo of the presentation (for certificates)."""
         raise NotImplementedError
@@ -620,19 +614,6 @@ def single_orbit_spec() -> SFTSpec:
 
 
 # -- operations --------------------------------------------------------------
-
-
-def enumerate_language(spec: SubshiftSpec, n: int) -> list[str]:
-    """Sorted list of the length-``n`` factors (canonical order)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return list(spec.sorted_language(n))
-
-
-def complexity(spec: SubshiftSpec, n: int) -> int:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return spec.complexity(n)
 
 
 @dataclass(frozen=True)

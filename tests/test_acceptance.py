@@ -21,7 +21,6 @@ from shiftdim.certificates import Certificate
 from shiftdim.cover import (
     build_cover_graph,
     check_intertwining,
-    cover_special_states,
     isolated_orbit_window,
     isolated_state_check,
     special_match_report,
@@ -39,7 +38,6 @@ from shiftdim.towers import (
 )
 from shiftdim.words import (
     check_extendability,
-    complexity,
     fibonacci_spec,
     full_shift_spec,
     golden_mean_spec,
@@ -64,7 +62,7 @@ def big():
     spec = fibonacci_spec()
     graph = build_cover_graph(spec, 6800, 6)
     sys = graph.system
-    specials = cover_special_states(graph)
+    specials = sys.special_states()
     cover = build_rokhlin_cover(sys, 5)
     d = 2 * len(cover.towers) - 1
     N = 721
@@ -93,7 +91,7 @@ def big():
 def test_criterion_01_fibonacci_complexity_exact():
     spec = fibonacci_spec()
     start = time.monotonic()
-    values = [complexity(spec, n) for n in range(1, 201)]
+    values = [spec.complexity(n) for n in range(1, 201)]
     # independent oracle: slide windows over an explicit iterate
     text = substitution_image(FIB_RULES, "0", 17)
     next_text = substitution_image(FIB_RULES, "0", 18)
@@ -110,7 +108,7 @@ def test_criterion_02_thue_morse_against_naive_oracle():
     spec = thue_morse_spec()
     for n in range(1, 31):
         oracle = substitution_factors_oracle(TM_RULES, n)
-        assert complexity(spec, n) == len(oracle)
+        assert spec.complexity(n) == len(oracle)
         assert set(spec.language(n)) == oracle
     report(2, "factor counts equal the naive enumeration for n <= 30")
 
@@ -134,7 +132,7 @@ def test_criterion_04_counting_step():
     for spec in specs:
         assert check_extendability(spec, 12)
         for m in range(1, 101):
-            assert left_special_count(spec, m) <= complexity(spec, m + 1) - complexity(spec, m)
+            assert left_special_count(spec, m) <= spec.complexity(m + 1) - spec.complexity(m)
     report(4, "|LS(m)| <= p(m+1) - p(m) for m <= 100 on all three presentations")
 
 
@@ -160,7 +158,7 @@ def test_criterion_05_cover_correctness():
 def test_criterion_06_isolation_across_refinements():
     fib = fibonacci_spec()
     g = build_cover_graph(fib, 6, 6)
-    special = cover_special_states(g)[0]
+    special = g.system.special_states()[0]
     refinements = [(10, 10), (14, 14)]
     assert isolated_state_check(g, special, refinements)
     non_special = [s for s in range(g.num_states) if s != special]
@@ -173,7 +171,7 @@ def test_criterion_07_tower_cover_construction():
     fib = fibonacci_spec()
     graph = build_cover_graph(fib, 60, 6)
     sys = graph.system
-    specials = cover_special_states(graph)
+    specials = sys.special_states()
     q = len(specials)
     start = time.monotonic()
     cover = build_rokhlin_cover(sys, 5)
@@ -288,8 +286,8 @@ def test_criterion_12_simplex_geometry():
         mu = random_point(rng, max_atoms=d + 1)
         ring, cell = cover_index(mu, d)
         assert 0 <= ring <= d and len(cell) == ring + 1
-    from shiftdim.simplex import simplicial_cover_membership
-
+    # the sampled points have no atom heavier than 0.54, so none is in
+    # ring 0 and ring 1 is the first ring containing them
     members = []
     while len(members) < 1000:
         cell = tuple(sorted(rng.sample(range(-9, 10), 2)))
@@ -299,8 +297,8 @@ def test_criterion_12_simplex_geometry():
         mu = SimplexPoint.from_dict(
             {cell[0]: main, cell[1]: 1 - main - spill, extra: spill}
         )
-        ok, got = simplicial_cover_membership(mu, 1, 5)
-        if ok:
+        ring, got = cover_index(mu, 5)
+        if ring == 1:
             members.append((got, mu))
     separated = 0
     for (ca, mu), (cb, nu) in zip(members, members[1:]):

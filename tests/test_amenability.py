@@ -49,7 +49,9 @@ def test_partition_worked_example():
     part = build_B_partition(range(10), [-1, 0, 1], 2)
     assert part.blocks[1] == frozenset(range(2, 8))  # B_2
     assert part.blocks[0] == frozenset({1, 8})  # B_1
-    assert part.level(0) == 0 and part.level(5) == 2 and part.level(8) == 1
+    table = part.level_table()
+    assert table[5] == 2 and table[8] == 1
+    assert 0 not in table  # block 0, the implicit remainder
 
 
 def test_partition_fuzz_thousand():

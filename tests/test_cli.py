@@ -482,12 +482,10 @@ def test_verify_chain_ties_the_dad_map_to_amen(chain_dir, tmp_path, capsys):
 
 
 def test_dad_stage_covers_the_amen_map_without_projecting(tmp_path, capsys, monkeypatch):
-    import shiftdim
     from shiftdim import amenability, pipeline
 
     projected, built, checked = [], [], []
-    for module in (shiftdim, amenability):
-        monkeypatch.setattr(module, "project_finite_support", lambda *a: projected.append(a))
+    monkeypatch.setattr(amenability, "project_finite_support", lambda *a: projected.append(a))
     run_amen, check = pipeline.run_amen, pipeline.check_equivariance
 
     def amen(*args):
@@ -890,6 +888,55 @@ def test_verify_chain_refuses_a_boolean_window_member(chain_dir, tmp_path, capsy
         "verification failed: missing or malformed witness: "
         "chain window_set [-1, False, 1] holds a non-integer\n"
     )
+
+
+def _cover_dir(cfg, out_dir, depth, past_len):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([
+            "cover", "--config", cfg, "--depth", str(depth), "--past-len", str(past_len),
+            "--out", str(out_dir),
+        ]) == 0
+    return out_dir
+
+
+@pytest.mark.parametrize("depth, past_len, key", [(1, 3, "k"), (40, 1, "l")])
+def test_verify_refuses_a_boolean_arena_size(fib_cfg, tmp_path, capsys, depth, past_len, key):
+    # true equals 1 in Python, but the arena is rebuilt from integers only
+    path = _cover_dir(fib_cfg, tmp_path / "out", depth, past_len) / "cover.json"
+    data = json.loads(path.read_text())
+    assert data["params"][key] == 1
+    data["params"][key] = True
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        f"verification failed: bad parameter: {key} True is not an integer\n"
+    )
+
+
+def test_verify_refuses_a_boolean_for_every_integer_zero_or_one(
+    chain_dir, fib_cfg, tmp_path, capsys
+):
+    # every params value 0 or 1 of the chain's files and of the depth-1
+    # cover, made false or true, fails the file's re-check
+    edits = []
+    for source in (chain_dir, _cover_dir(fib_cfg, tmp_path / "cover", 1, 3)):
+        for path in sorted(source.glob("*.json")):
+            params = json.loads(path.read_text())["params"]
+            edits += [
+                (source, path.name, key)
+                for key, value in params.items() if type(value) is int and value in (0, 1)
+            ]
+    edited = {(name, key) for _, name, key in edits}
+    assert {("bounds.json", "q"), ("bounds.json", "dim_x"), ("cover.json", "k")} <= edited
+    for j, (source, name, key) in enumerate(edits):
+        work = tmp_path / f"edit{j}"
+        shutil.copytree(source, work)
+        data = json.loads((work / name).read_text())
+        data["params"][key] = bool(data["params"][key])
+        (work / name).write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", str(work / name)]) == 1, (name, key)
+        assert capsys.readouterr().out.startswith("verification failed: "), (name, key)
 
 
 def test_failing_tower_pairs_name_their_clause(tmp_path, capsys):

@@ -9,7 +9,6 @@ from shiftdim.cover import (
     _past_words,
     build_cover_graph,
     check_intertwining,
-    cover_special_states,
     isolated_orbit_window,
     isolated_state_check,
     past_set,
@@ -78,12 +77,12 @@ def test_single_orbit_cover(single):
     graph = build_cover_graph(single, 2, 2)
     assert graph.num_states == 1
     assert graph.succ == ((0,),)
-    assert cover_special_states(graph) == []
+    assert graph.system.special_states() == []
 
 
 def test_fibonacci_cover_special_states(fib):
     graph = build_cover_graph(fib, 6, 6)
-    assert len(cover_special_states(graph)) == 1
+    assert len(graph.system.special_states()) == 1
     report = special_match_report(graph)
     assert report.counts_match and report.all_witnessed
 
@@ -91,7 +90,7 @@ def test_fibonacci_cover_special_states(fib):
 def test_full_shift_all_states_special(full2):
     graph = build_cover_graph(full2, 1, 1)
     assert graph.num_states == 2
-    assert cover_special_states(graph) == [0, 1]
+    assert graph.system.special_states() == [0, 1]
 
 
 def test_intertwining(fib, full2, single):
@@ -134,7 +133,7 @@ def test_fibonacci_class_count_cross_check(fib):
 
 def test_isolated_state_check_fibonacci(fib):
     graph = build_cover_graph(fib, 6, 6)
-    special = cover_special_states(graph)[0]
+    special = graph.system.special_states()[0]
     refinements = [(10, 10), (14, 14)]
     assert isolated_state_check(graph, special, refinements)
     for s in range(graph.num_states):
@@ -160,7 +159,7 @@ def test_orbit_window(fib):
     graph = build_cover_graph(fib, 60, 6)
     window = isolated_orbit_window(graph)
     assert window
-    special = cover_special_states(graph)[0]
+    special = graph.system.special_states()[0]
     # singleton classes only, and connected to the merge state
     for s in window:
         assert len(graph.class_words[s]) == 1
@@ -174,7 +173,7 @@ def test_horizon_precondition(fib):
 
 def test_thue_morse_special_states(tm):
     graph = build_cover_graph(tm, 6, 6)
-    specials = cover_special_states(graph)
+    specials = graph.system.special_states()
     # the count follows the word-level left special count at this depth
     # (it oscillates between 2 and 4 for this substitution)
     assert len(specials) == len(left_special_words(tm, 6))
@@ -327,8 +326,12 @@ def test_row_number_cover_matches_spelled_classification(name, k, before):
     assert report.branch_count_at_k == len(left_special_words(spec, k))
     # each witness is the first stored word of its state with two left
     # extensions, and only a state with none has no witness
+    longer = spec.language(graph.depth + 1)
     for s, witness in zip(report.special_states, report.witnesses):
-        special = [w for w in graph.class_words[s] if spec.left_extension_count(w) >= 2]
+        special = [
+            w for w in graph.class_words[s]
+            if sum(a + w in longer for a in spec.alphabet.chars) >= 2
+        ]
         assert witness == (special[0] if special else "")
     if before == "graph":
         fresh_graph, fresh_cert = run_cover(PRESENTATIONS[name](), k, 6, None)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from shiftdim import rokhlin
-from shiftdim.cover import build_cover_graph, cover_special_states
+from shiftdim.cover import build_cover_graph
 from shiftdim.errors import DepthInsufficient, HypothesisViolated, NotSurjective, PeriodicWitness
 from shiftdim.rokhlin import (
     RokhlinCover,
@@ -22,7 +22,7 @@ from .test_words import TRIB_RULES
 @pytest.fixture(scope="module")
 def fib60():
     graph = build_cover_graph(fibonacci_spec(), 60, 6)
-    return graph, graph.system, cover_special_states(graph)
+    return graph, graph.system, graph.system.special_states()
 
 
 def test_trivial_height_one(fib60):

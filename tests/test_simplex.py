@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftdim.simplex import (
-    SimplexPoint,
-    cover_index,
-    simplicial_cover_membership,
-    skeleton_distance,
-)
+from shiftdim.simplex import SimplexPoint, cover_index, skeleton_distance
 
 from .oracles import cell_distance, dirac, entries_oracle, l1_oracle, ring_membership_oracle
 
@@ -37,9 +32,9 @@ def skeleton_distance_oracle(mu: SimplexPoint, size: int):
     if size == 0:
         return inf
     best = None
-    support = mu.support
-    for cell in itertools.combinations(support, min(size, len(support))):
-        kept = sum((mu.weight(a) for a in cell), Fraction(0))
+    weights = dict(mu.entries)
+    for cell in itertools.combinations(mu.atoms, min(size, len(mu.atoms))):
+        kept = sum((weights[a] for a in cell), Fraction(0))
         cost = 2 * (1 - kept)
         if best is None or cost < best:
             best = cost
@@ -125,17 +120,9 @@ def test_l1_with_shift_matches_shifted_point():
         assert mu.l1(nu, n) == mu.l1(nu.shift(n))
 
 
-def _first_member_ring(mu, d):
-    for i in range(d + 1):
-        member, cell = simplicial_cover_membership(mu, i, d)
-        if member:
-            return i, cell
-    return None
-
-
 def test_cover_index_matches_membership():
-    # the first ring simplicial_cover_membership accepts, with its cell;
-    # tied weights and points with fewer than d+1 atoms included
+    # the first ring the Fraction oracle accepts, with its cell; tied
+    # weights and points with fewer than d+1 atoms included
     rng = random.Random(29)
     points = [random_point(rng, max_atoms=6, denom=rng.choice([6, 12, 60, 3000]))
               for _ in range(1500)]
@@ -148,20 +135,20 @@ def test_cover_index_matches_membership():
         rest = (1 - heavy) / 2
         points.append(SimplexPoint.from_dict({atoms[0]: heavy, atoms[1]: rest, atoms[2]: rest}))
     for mu in points:
+        # ring i does not depend on the ambient dimension d >= i
+        rings = [ring_membership_oracle(dict(mu.entries), i) for i in range(6)]
         for d in range(len(mu.entries) - 1, 6):
-            assert cover_index(mu, d) == _first_member_ring(mu, d), (mu, d)
+            first = next(i for i in range(d + 1) if rings[i][0])
+            assert cover_index(mu, d) == (first, rings[first][1]), (mu, d)
     with pytest.raises(ValueError):
         cover_index(SimplexPoint.from_dict({0: Fraction(1, 2), 1: Fraction(1, 2)}), 0)
 
 
 def test_membership_examples():
-    member, cell = simplicial_cover_membership(dirac(0), 0, 2)
-    assert member and cell == (0,)
+    assert cover_index(dirac(0), 2) == (0, (0,))
+    # too far from either vertex for ring 0: ring 1, on the edge {0, 1}
     uniform2 = SimplexPoint.from_dict({0: Fraction(1, 2), 1: Fraction(1, 2)})
-    member, _ = simplicial_cover_membership(uniform2, 0, 2)
-    assert not member
-    member, cell = simplicial_cover_membership(uniform2, 1, 2)
-    assert member and cell == (0, 1)
+    assert cover_index(uniform2, 2) == (1, (0, 1))
 
 
 def test_cover_property_fuzz():
@@ -187,8 +174,8 @@ def test_ring_one_cells_are_separated():
         extra = rng.choice([a for a in range(-8, 9) if a not in cell])
         weights[extra] = spill
         mu = SimplexPoint.from_dict(weights)
-        member, got_cell = simplicial_cover_membership(mu, 1, 4)
-        if member:
+        ring, got_cell = cover_index(mu, 4)
+        if ring == 1:
             pairs.append((got_cell, mu))
             produced += 1
     for (cell_a, mu), (cell_b, nu) in zip(pairs, pairs[1:]):
@@ -261,7 +248,5 @@ def test_ring_membership_matches_fraction_oracle():
         weights = dict(mu.entries)
         for d in range(len(mu.atoms) - 1, 6):
             rings = [ring_membership_oracle(weights, i) for i in range(d + 1)]
-            for i, expected in enumerate(rings):
-                assert simplicial_cover_membership(mu, i, d) == expected, (mu, i, d)
             first = next(i for i, (member, _) in enumerate(rings) if member)
             assert cover_index(mu, d) == (first, rings[first][1])

@@ -17,7 +17,7 @@ import pytest
 
 from shiftdim.errors import EmptyLanguage
 from shiftdim.pipeline import run_cover
-from shiftdim.special import LeftSpecialTree, left_special_levels, left_special_words
+from shiftdim.special import left_special_levels, left_special_words
 from shiftdim.words import (
     Alphabet,
     LanguageTable,
@@ -120,7 +120,6 @@ def test_left_special_levels_match_counter_oracle(case):
     assert [list(level) for level in left_special_levels(spec, horizon)] == expected
     for n in (1, horizon // 2, horizon):
         assert left_special_words(spec, n) == expected[n - 1], n
-    assert LeftSpecialTree.build(spec, horizon).levels == tuple(map(tuple, expected))
     # prefix closed, so every deepest-level word is a full chain
     assert prefix_closure_oracle(expected)
     assert full_chain_count_oracle(expected) == len(expected[-1])
@@ -171,15 +170,15 @@ def test_check_factorial_matches_oracle_on_random_word_lists():
 
 @pytest.mark.parametrize("name", ["tm", "trib"])
 def test_each_consumer_builds_one_language(name, monkeypatch):
-    # the table, the tree and the cover stage each build once from the
-    # presentation, and read every other length off what they built
+    # the table, the special levels and the cover stage each build once
+    # from the presentation, and read every other length off what they built
     spec = CASES[name][0]()
     built = []
     compute = spec._compute_language
     monkeypatch.setattr(spec, "_compute_language", lambda n: built.append(n) or compute(n))
     LanguageTable.build(spec, 60)
     assert built == [60]
-    LeftSpecialTree.build(spec, 60)
+    left_special_levels(spec, 60)
     assert built == [60, 61]
     run_cover(spec, 30, 6, None)  # stored words of length 30 + 36
     assert built == [60, 61, 67]

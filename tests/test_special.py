@@ -3,13 +3,13 @@ from fractions import Fraction
 import pytest
 
 from shiftdim.special import (
-    LeftSpecialTree,
     check_useful_inequality,
     left_special_count,
+    left_special_levels,
     left_special_words,
     sp_estimate,
 )
-from shiftdim.words import Alphabet, SFTSpec, check_extendability, complexity
+from shiftdim.words import Alphabet, SFTSpec, check_extendability
 
 from .oracles import full_chain_count_oracle, left_special_oracle, prefix_closure_oracle
 
@@ -32,10 +32,10 @@ def test_sft_no11_left_special_n1(golden):
 
 def test_prefix_closure(fib, tm, golden):
     for spec in (fib, tm, golden):
-        tree = LeftSpecialTree.build(spec, 12)
-        assert prefix_closure_oracle(tree.levels)
+        levels = left_special_levels(spec, 12)
+        assert prefix_closure_oracle(levels)
         # so every deepest word counts toward the branch lower bound
-        assert full_chain_count_oracle(tree.levels) == len(tree.levels[-1])
+        assert full_chain_count_oracle(levels) == len(levels[-1])
 
 
 def test_counting_bound(fib, tm, golden):
@@ -43,7 +43,7 @@ def test_counting_bound(fib, tm, golden):
     for spec in (fib, tm, golden):
         assert check_extendability(spec, 13)
         for m in range(1, 12):
-            assert left_special_count(spec, m) <= complexity(spec, m + 1) - complexity(spec, m)
+            assert left_special_count(spec, m) <= spec.complexity(m + 1) - spec.complexity(m)
 
 
 def test_sft_left_special_count_matches_enumeration(golden):
@@ -85,7 +85,7 @@ def test_sp_estimate_thue_morse(tm):
     rep = sp_estimate(tm, 40)
     # the tool reports whatever stabilizes; sanity: counts bounded by p(n+1)-p(n)
     for n, c in enumerate(rep.counts, start=1):
-        assert c <= complexity(tm, n + 1) - complexity(tm, n)
+        assert c <= tm.complexity(n + 1) - tm.complexity(n)
     assert not rep.superlinear_warning
 
 

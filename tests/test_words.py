@@ -16,8 +16,6 @@ from shiftdim.words import (
     SubstitutionSpec,
     Top,
     check_extendability,
-    complexity,
-    enumerate_language,
     fibonacci_spec,
     full_shift_spec,
     golden_mean_spec,
@@ -33,36 +31,36 @@ TRIB_RULES = {"0": "01", "1": "02", "2": "0"}
 
 
 def test_full_shift_words_n2(full2):
-    assert enumerate_language(full2, 2) == ["00", "01", "10", "11"]
+    assert full2.sorted_language(2) == ("00", "01", "10", "11")
 
 
 def test_fibonacci_n2_matches_window_oracle(fib):
     # oracle: slide a window over the 10th substitution image of 0
     expected = sliding_factors(substitution_image(FIB_RULES, "0", 10), 2)
     assert expected == {"00", "01", "10"}
-    assert set(enumerate_language(fib, 2)) == expected
+    assert set(fib.sorted_language(2)) == expected
 
 
 def test_sft_no11_n2_matches_brute_force(golden):
     expected = sft_factors_oracle("01", {"11"}, 2)
     assert expected == {"00", "01", "10"}
-    assert set(enumerate_language(golden, 2)) == expected
+    assert set(golden.sorted_language(2)) == expected
 
 
 def test_full_shift_complexity(full2):
-    assert complexity(full2, 3) == 8
+    assert full2.complexity(3) == 8
 
 
 def test_fibonacci_complexity_small(fib):
     # Sturmian pattern p(n) = n + 1, frozen from the window oracle
     for n in range(1, 12):
         oracle = substitution_factors_oracle(FIB_RULES, n)
-        assert complexity(fib, n) == len(oracle) == n + 1
+        assert fib.complexity(n) == len(oracle) == n + 1
 
 
 def test_thue_morse_complexity_n4(tm):
     oracle = substitution_factors_oracle(TM_RULES, 4)
-    assert complexity(tm, 4) == len(oracle) == 10
+    assert tm.complexity(4) == len(oracle) == 10
 
 
 def test_substitution_language_stability(fib, tm):
@@ -92,13 +90,13 @@ def test_non_primitive_substitution_rejected():
 def test_empty_sft_language_raises():
     spec = SFTSpec(Alphabet(("0", "1")), ["00", "01", "10", "11"])
     with pytest.raises(EmptyLanguage):
-        enumerate_language(spec, 2)
+        spec.sorted_language(2)
 
 
 def test_sft_language_requires_right_extendability():
     # forbidding 00 and 01 kills every word containing 0
     spec = SFTSpec(Alphabet(("0", "1")), ["00", "01"])
-    assert enumerate_language(spec, 3) == ["111"]
+    assert spec.sorted_language(3) == ("111",)
 
 
 def test_growth_report_fibonacci(fib):
@@ -134,18 +132,25 @@ def test_language_table_factorial_and_monotone(fib):
 
 
 def test_left_extension_identity(fib, tm, golden):
-    # p(m+1) - p(m) == sum over length-m words of (extensions - 1)
-    for spec in (fib, tm, golden):
+    # p(m+1) - p(m) == sum over length-m words of (extensions - 1), the
+    # words and their left extensions read off the oracles' factor sets
+    oracles = [
+        (fib, lambda n: substitution_factors_oracle(FIB_RULES, n)),
+        (tm, lambda n: substitution_factors_oracle(TM_RULES, n)),
+        (golden, lambda n: sft_factors_oracle("01", {"11"}, n)),
+    ]
+    for spec, factors in oracles:
         assert check_extendability(spec, 9)
         for m in range(1, 8):
-            diff = complexity(spec, m + 1) - complexity(spec, m)
-            total = sum(spec.left_extension_count(w) - 1 for w in spec.language(m))
+            diff = spec.complexity(m + 1) - spec.complexity(m)
+            longer = factors(m + 1)
+            total = sum(sum(a + w in longer for a in "01") - 1 for w in factors(m))
             assert diff == total
 
 
 def test_sft_counting_matches_enumeration(golden):
     for n in range(1, 14):
-        assert golden.complexity(n) == len(set(enumerate_language(golden, n)))
+        assert golden.complexity(n) == len(set(golden.sorted_language(n)))
 
 
 def test_sft_complexity_large_exact_integers(golden):
@@ -159,7 +164,7 @@ def test_alphabet_declared_order_not_character_order():
     # declared order ("b", "a") makes "b" the smaller symbol
     alpha = Alphabet(("b", "a"))
     spec = SFTSpec(alpha, [("a", "a")])
-    words = enumerate_language(spec, 2)
+    words = spec.sorted_language(2)
     decoded = [alpha.decode(w) for w in words]
     assert decoded == ["bb", "ba", "ab"]
 
@@ -178,7 +183,7 @@ def test_sft_agrees_with_bruteforce_oracle(spec, n):
     forb = {spec.alphabet.decode(w) for w in spec.forbidden}
     expected = sft_factors_oracle("01", forb, n)
     try:
-        got = set(enumerate_language(spec, n))
+        got = set(spec.sorted_language(n))
     except EmptyLanguage:
         got = set()
     assert got == expected
