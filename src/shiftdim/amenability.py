@@ -135,15 +135,15 @@ class EquivariantMap:
         return self.assignment[state]
 
     def to_jsonable(self) -> dict:
-        """Exact serialization: weights as reduced 'p/q' strings keyed by atom."""
+        """Exact serialization: weights as reduced 'p/q' strings keyed by
+        atom, made once per numerator tuple (points repeat few)."""
+        weights: dict[tuple[int, ...], list[str]] = {}
         points = []
         for p in self.assignment:
-            den = p.den
-            entry = {}
-            for a, x in zip(p.atoms, p.nums):
-                g = gcd(x, den)
-                entry[str(a)] = f"{x // g}/{den // g}"
-            points.append(entry)
+            if p.nums not in weights:
+                gs = [gcd(x, p.den) for x in p.nums]
+                weights[p.nums] = [f"{x // g}/{p.den // g}" for x, g in zip(p.nums, gs)]
+            points.append(dict(zip(map(str, p.atoms), weights[p.nums])))
         return {
             "window_set": list(self.window_set),
             "resolution": self.resolution,
@@ -159,16 +159,28 @@ class EquivariantMap:
         positive, weights not summing to exactly 1, or a repeated atom, and
         a ``support_window`` other than the sorted union of the points'
         atoms, and ``points`` other than a list of objects, raise
-        ValueError."""
+        ValueError.  Every point's atoms are checked, and each distinct tuple
+        of weights in atom order once, by ``SimplexPoint.from_entries``."""
         listed = data["points"]
         if type(listed) is not list or any(type(entry) is not dict for entry in listed):
             raise ValueError("map points are not a list of objects")
-        points = tuple(SimplexPoint.from_entries(entry.items()) for entry in listed)
+        shapes: dict[tuple, SimplexPoint] = {}  # weights -> their point on atoms 0, 1, ...
+        points = []
+        for entry in listed:
+            by_atom = {int(a): w for a, w in entry.items()}
+            if len(by_atom) != len(entry):
+                raise ValueError("atoms must be distinct")
+            atoms = tuple(sorted(by_atom))
+            weights = tuple(map(by_atom.__getitem__, atoms))
+            if weights not in shapes:
+                shapes[weights] = SimplexPoint.from_entries(enumerate(weights))
+            shape = shapes[weights]
+            points.append(SimplexPoint._unchecked(atoms, shape.nums, shape.den))
         support = _atom_union(points)
         if tuple(data["support_window"]) != support:
             raise ValueError("support_window is not the sorted union of the points' atoms")
         return cls(
-            assignment=points,
+            assignment=tuple(points),
             window_set=tuple(data["window_set"]),
             resolution=data["resolution"],
             d=data["d"],

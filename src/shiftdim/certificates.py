@@ -83,13 +83,18 @@ def _write(value, depth: int = 0) -> str:
     else:
         return enc.encode(value)
     pad = " " * depth
+    key = json.encoder.encode_basestring_ascii
+    strings = isinstance(value, dict) and value and _STR.issuperset(map(type, value))
+    if strings and _STR.issuperset(map(type, members)):
+        # strings keyed by strings, such as a map point: one join, no encoder call
+        body = enc.item_separator.join([f"{key(k)}: {key(v)}" for k, v in sorted(value.items())])
+        return f"{{\n {pad}{body}\n{pad}}}"
     if _SCALARS.issuperset(map(type, members)):
         text = enc.encode(value)
         if len(text) == 2:  # empty
             return text
         return f"{text[0]}\n {pad}{text[1:-1]}\n{pad}{text[-1]}"
     if isinstance(value, dict):
-        key = json.encoder.encode_basestring_ascii
         body = enc.item_separator.join(
             f"{key(k)}: {_write(v, depth + 1)}" for k, v in sorted(value.items())
         )

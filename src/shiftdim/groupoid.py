@@ -140,9 +140,12 @@ def build_dad_cover(
     d = map_prime.d
     orbit = frozenset(orbit_states) | frozenset(window.sys.special_states())
     pieces = [set() for _ in range(d + 1)]
+    ring_of: dict[tuple[int, ...], int] = {}  # the ring depends on the numerators alone
     for x in range(window.sys.num_states):
-        ring, _cell = cover_index(map_prime.point(x), d)
-        pieces[ring].add(x)
+        point = map_prime.point(x)
+        if point.nums not in ring_of:
+            ring_of[point.nums] = cover_index(point, d)[0]
+        pieces[ring_of[point.nums]].add(x)
     out = tuple(frozenset(p | orbit) for p in pieces)
     return DadCover(pieces=out, F=difference_set(map_prime.support_window), orbit_states=orbit)
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Callable
@@ -535,7 +535,11 @@ def _rebuild_equivariance(graph: CoverGraph, p: dict):
     bases = p["phase_pair_bases"]
     pairs = [TowerPair(_states(graph, b), span, "phase", j) for j, b in enumerate(bases)]
     tps = TowerPairSystem(pairs, p["E"], len(pairs) - 1)
-    cert = check_equivariance(graph.system, emap, tuple(p["E"]), Fraction(p["epsilon"]), orbit)
+    E = normalize_window(p["E"])
+    cert = check_equivariance(graph.system, emap, E, Fraction(p["epsilon"]), orbit)
+    # the map echoes the window and the deviation measured, as construction stamps them
+    achieved = Fraction(cert.params["max_regular_deviation"])
+    emap = replace(emap, window_set=E, epsilon_achieved=achieved)
     return cert, {"emap": emap, "tps": tps, "orbit": orbit}
 
 
@@ -547,9 +551,11 @@ def _rebuild_dad(graph: CoverGraph, p: dict):
     if epsilon <= 0:
         raise InvalidSpec(f"epsilon {p['epsilon']} must be positive")
     window = build_window(graph.system, tuple(p["E"]), p["exponent_bound"])
-    emap = EquivariantMap.from_jsonable(p["map"])
+    pieces = tuple(_states(graph, piece) for piece in p["pieces"])
+    # a map covered by d + 1 pieces over the window E echoes that d and E
+    emap = replace(EquivariantMap.from_jsonable(p["map"]), d=len(pieces) - 1, window_set=window.E)
     cover = DadCover(
-        pieces=tuple(_states(graph, piece) for piece in p["pieces"]),
+        pieces=pieces,
         F=difference_set(emap.support_window),
         orbit_states=isolated_orbit_window(graph) | frozenset(graph.system.special_states()),
     )

@@ -78,22 +78,20 @@ class SimplexPoint:
         nums = [p * (den // q) for _, p, q in rows]
         if sum(nums) != den:
             raise ValueError("weights must sum to exactly 1")
-        # sorted distinct atoms, positive numerators with gcd 1: the point
-        # is valid, so the constructor's checks are not run again
         g = gcd(*nums)
-        point = object.__new__(cls)
-        nums = tuple(x // g for x in nums)
         atoms = tuple(a for a, _, _ in rows)
-        object.__setattr__(point, "atoms", atoms)
-        object.__setattr__(point, "nums", nums)
-        object.__setattr__(point, "den", den // g)
-        object.__setattr__(point, "_by_atom", dict(zip(atoms, nums)))
-        return point
+        return cls._unchecked(atoms, tuple(x // g for x in nums), den // g)
 
     @classmethod
-    def from_dict(cls, weights: dict) -> "SimplexPoint":
-        """``from_entries`` on the nonzero weights of an atom -> weight map."""
-        return cls.from_entries((a, w) for a, w in weights.items() if w != 0)
+    def _unchecked(cls, atoms: tuple, nums: tuple, den: int) -> "SimplexPoint":
+        """The point of sorted distinct ``atoms`` and positive ``nums`` with
+        gcd 1 and sum ``den``, as the caller has checked; nothing is checked."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "atoms", atoms)
+        object.__setattr__(point, "nums", nums)
+        object.__setattr__(point, "den", den)
+        object.__setattr__(point, "_by_atom", dict(zip(atoms, nums)))
+        return point
 
     @property
     def entries(self) -> tuple[tuple[int, Fraction], ...]:

@@ -52,7 +52,6 @@ KEPT = {
     "cover:CoverGraph.states": "test test_cover.py checks the states against their words",
     "cover:CoverState.descriptor": "test test_cover.py checks it against an oracle",
     "cover:CoverState.key": "test test_cover.py checks the state order",
-    "simplex:SimplexPoint.from_dict": "test test_simplex.py builds its points by weight",
     "simplex:SimplexPoint.shift": "test test_simplex.py: the reference for l1(other, n)",
     "simplex:skeleton_distance": "acceptance criterion 12 checks its closed form",
     "towers:chromatic_number":

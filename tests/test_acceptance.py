@@ -246,7 +246,7 @@ def test_criterion_11_projection_formula(big):
         atoms = rng.sample(range(-9, 10), 5)
         cuts = sorted(rng.sample(range(1, denom), 4))
         weights = [Fraction(b - a, denom) for a, b in zip([0] + cuts, cuts + [denom])]
-        point = SimplexPoint.from_dict(dict(zip(atoms, weights)))
+        point = SimplexPoint.from_entries(zip(atoms, weights))
         emap = EquivariantMap(
             assignment=(point,),
             window_set=(0,),
@@ -294,8 +294,8 @@ def test_criterion_12_simplex_geometry():
         main = Fraction(rng.randint(46, 54), 100)
         spill = Fraction(1, rng.choice([80, 100, 140]))
         extra = rng.choice([a for a in range(-9, 10) if a not in cell])
-        mu = SimplexPoint.from_dict(
-            {cell[0]: main, cell[1]: 1 - main - spill, extra: spill}
+        mu = SimplexPoint.from_entries(
+            {cell[0]: main, cell[1]: 1 - main - spill, extra: spill}.items()
         )
         ring, got = cover_index(mu, 5)
         if ring == 1:

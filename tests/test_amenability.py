@@ -218,7 +218,7 @@ def test_projection_formula_and_oracle():
         points = []
         for _ in range(4):
             rng.shuffle(atoms)
-            points.append(SimplexPoint.from_dict(dict(zip(atoms, weights))))
+            points.append(SimplexPoint.from_entries(zip(atoms, weights)))
         emap = EquivariantMap(
             assignment=tuple(points),
             window_set=(0,),
@@ -266,7 +266,7 @@ def test_projection_preserves_equivariance_at_adjusted_bound():
 
 
 def test_projection_tail_guard():
-    point = SimplexPoint.from_dict({0: Fraction(1, 2), 5: Fraction(1, 2)})
+    point = SimplexPoint.from_entries({0: Fraction(1, 2), 5: Fraction(1, 2)}.items())
     emap = EquivariantMap(
         assignment=(point,),
         window_set=(0,),
@@ -280,7 +280,7 @@ def test_projection_tail_guard():
 
 
 def test_projection_identity_on_full_support():
-    point = SimplexPoint.from_dict({0: Fraction(1, 3), 2: Fraction(2, 3)})
+    point = SimplexPoint.from_entries({0: Fraction(1, 3), 2: Fraction(2, 3)}.items())
     emap = EquivariantMap(
         assignment=(point,),
         window_set=(0,),
@@ -362,6 +362,38 @@ def test_from_jsonable_rejects_invalid_points(entry, reason):
         EquivariantMap.from_jsonable(data)
 
 
+@pytest.mark.parametrize("later", [
+    {"3": "1/3", "03": "2/3"},
+    {"x": "1/3", "5": "2/3"},
+    {"1.5": "1/3", "5": "2/3"},
+], ids=["atom-written-twice", "non-integer-atom", "fractional-atom"])
+def test_from_jsonable_checks_the_atoms_of_every_point(later):
+    # the later point repeats the first point's weights, which are read
+    # once; its atoms are still read and refused
+    data = _single_point_map(SimplexPoint((0, 5), (1, 2))).to_jsonable()
+    data["points"].append(later)
+    with pytest.raises(ValueError):
+        EquivariantMap.from_jsonable(data)
+
+
+def test_from_jsonable_points_sharing_weights_keep_their_atoms():
+    entries = [
+        {"0": "1/4", "2": "3/4"},
+        {"-1": "1/4", "7": "3/4"},
+        {"10": "1/4", "9": "3/4"},  # atoms sort as integers: 9, then 10
+        {"2": "1/4", "0": "3/4"},
+    ]
+    data = _single_point_map(dirac(0)).to_jsonable()
+    data["points"] = entries
+    data["support_window"] = [-1, 0, 2, 7, 9, 10]
+    emap = EquivariantMap.from_jsonable(data)
+    assert [(p.atoms, p.nums, p.den) for p in emap.assignment] == [
+        ((0, 2), (1, 3), 4), ((-1, 7), (1, 3), 4), ((9, 10), (3, 1), 4), ((0, 2), (3, 1), 4),
+    ]
+    assert emap.assignment == tuple(SimplexPoint.from_entries(e.items()) for e in entries)
+    assert emap.to_jsonable() == data
+
+
 @pytest.mark.parametrize("support", [[0, 1], [], [2, 0]], ids=["extra", "empty", "unsorted"])
 def test_from_jsonable_rejects_support_window_off_the_atoms(support):
     data = _single_point_map(SimplexPoint((0, 2), (1, 1))).to_jsonable()
@@ -376,10 +408,10 @@ def test_equivariance_witness_on_ties_matches_oracle():
     # (1/2 as 2/4 and as 3/6): the witness is the first worst edge in the
     # order x, then n
     pool = [
-        SimplexPoint.from_dict({0: Fraction(1, 2), 1: Fraction(1, 2)}),
-        SimplexPoint.from_dict({0: Fraction(1, 4), 1: Fraction(3, 4)}),
-        SimplexPoint.from_dict({0: Fraction(3, 4), 1: Fraction(1, 4)}),
-        SimplexPoint.from_dict({0: Fraction(1, 2), 1: Fraction(1, 3), 2: Fraction(1, 6)}),
+        SimplexPoint.from_entries({0: Fraction(1, 2), 1: Fraction(1, 2)}.items()),
+        SimplexPoint.from_entries({0: Fraction(1, 4), 1: Fraction(3, 4)}.items()),
+        SimplexPoint.from_entries({0: Fraction(3, 4), 1: Fraction(1, 4)}.items()),
+        SimplexPoint.from_entries(zip((0, 1, 2), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))),
         dirac(1),
     ]
     rng = random.Random(67)
@@ -414,10 +446,10 @@ def test_equivariance_witness_on_ties_matches_oracle():
 
 
 TIE_POOL = (
-    SimplexPoint.from_dict({0: Fraction(1, 2), 1: Fraction(1, 2)}),
-    SimplexPoint.from_dict({0: Fraction(1, 4), 1: Fraction(3, 4)}),
-    SimplexPoint.from_dict({0: Fraction(3, 4), 1: Fraction(1, 4)}),
-    SimplexPoint.from_dict({-1: Fraction(1, 2), 1: Fraction(1, 3), 2: Fraction(1, 6)}),
+    SimplexPoint.from_entries({0: Fraction(1, 2), 1: Fraction(1, 2)}.items()),
+    SimplexPoint.from_entries({0: Fraction(1, 4), 1: Fraction(3, 4)}.items()),
+    SimplexPoint.from_entries({0: Fraction(3, 4), 1: Fraction(1, 4)}.items()),
+    SimplexPoint.from_entries({-1: Fraction(1, 2), 1: Fraction(1, 3), 2: Fraction(1, 6)}.items()),
     dirac(1),
     dirac(3),
 )

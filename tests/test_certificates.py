@@ -37,6 +37,11 @@ def _certificate(params, witness=""):
 @given(st.dictionaries(KEYS, TREES, max_size=5), st.text())
 @example({"a": [True, 1, 1.0, [], {}, [[]], [{}], {"b": {}}]}, "")
 @example({"10": 10**30, "9": -(10**31), "": [float("nan"), float("-inf"), 0.0, -0.0]}, "\x7f")
+# flat objects of strings, three lists deep, as map points are written
+@example({"points": [[[
+    {"": "", "\n\t\"\\": "\x00\x7f", "é": "\u2028😀"},
+    {"10": "1/2", "9": "é"},
+]], [[{"": "1/1"}]]]}, "")
 @settings(max_examples=400, deadline=None)
 def test_canonical_json_matches_stdlib(params, witness):
     cert = _certificate(params, witness)

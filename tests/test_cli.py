@@ -557,6 +557,36 @@ def test_verify_chain_compares_dad_echoes(chain_dir, tmp_path, capsys, key, valu
     assert capsys.readouterr().out == f"verification failed: stage dad: {message}\n"
 
 
+# The map's scalar echoes a standalone dad.json does not re-derive: the
+# resolution and the deviation are the amen stage's, and dad.json holds no
+# pairs to rebuild the map from (ROADMAP item 9).  A chain ties dad.json's
+# map to amen.json's, whose re-check measures both.
+DAD_MAP_ECHOES_NOT_RECHECKED = {"resolution", "epsilon_achieved"}
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("d", lambda d: d + 1),
+    ("resolution", lambda n: n + 1),
+    ("window_set", lambda E: [-2, 0, 2]),
+    ("window_set", lambda E: [-1, 0]),
+    ("epsilon_achieved", lambda eps: "1/1000000"),
+], ids=["d", "resolution", "window-set", "window-set-not-normalised", "epsilon-achieved"])
+@pytest.mark.parametrize("target", ["amen.json", "dad.json", "chain.json"])
+def test_verify_re_derives_the_map_scalar_echoes(chain_dir, tmp_path, capsys, target, key, edit):
+    def tamper_map(params):
+        params["map"][key] = edit(params["map"][key])
+
+    edited = ["amen.json", "dad.json"] if target == "chain.json" else [target]
+    code, out = verify_copy(
+        chain_dir, tmp_path, capsys, edit=tamper_map, target=target, edited=edited
+    )
+    if target == "dad.json" and key in DAD_MAP_ECHOES_NOT_RECHECKED:
+        assert (code, out) == (0, "verified: dad-cover (pass)\n")
+    else:
+        assert code == 1
+        assert DIFFERS_AT in out
+
+
 GRAPH_FILES = (
     "cover.json", "rokhlin.json", "towerdim.json", "amen_pairs.json", "amen.json", "dad.json"
 )

@@ -13,6 +13,7 @@ from shiftdim.groupoid import (
     difference_set,
     verify_dad_cover,
 )
+from shiftdim.simplex import SimplexPoint, cover_index
 from shiftdim.systems import FiniteSymbolicSystem
 
 from .oracles import closure_size_oracle, dad_cover_oracle, dirac, window_elements_oracle
@@ -225,6 +226,46 @@ def test_window_and_dad_check_match_their_oracles():
         (two_cases,) = [c for c in cert.clauses if c.name == "restricted-elements-two-cases"]
         failing += not two_cases.passed
     assert failing >= 50, failing
+
+
+def _pieces_by_point(emap, orbit):
+    """``build_dad_cover``'s pieces with one ``cover_index`` per state."""
+    rings = [cover_index(point, emap.d)[0] for point in emap.assignment]
+    return tuple(
+        frozenset(x for x, ring in enumerate(rings) if ring == i) | orbit
+        for i in range(emap.d + 1)
+    )
+
+
+def test_dad_cover_pieces_match_cover_index_per_point(fib_skew_dad):
+    emap, cover = fib_skew_dad.emap, fib_skew_dad.cover
+    # the benchmark's map repeats few numerator tuples over many atoms
+    assert len({p.nums for p in emap.assignment}) * 10 < len(emap.assignment)
+    assert cover.pieces == _pieces_by_point(emap, cover.orbit_states)
+
+
+def test_dad_cover_pieces_match_cover_index_on_shared_numerators():
+    # points drawn from five numerator tuples, each over random atoms
+    rng = random.Random(59)
+    pool = [(1,), (1, 1), (5, 1), (1, 2, 3), (98, 1, 1)]
+    for _ in range(50):
+        sys = random_branching_system(rng)
+        points = []
+        for _ in range(sys.num_states):
+            nums = rng.choice(pool)
+            atoms = tuple(sorted(rng.sample(range(-9, 10), len(nums))))
+            points.append(SimplexPoint(atoms, nums))
+        emap = EquivariantMap(
+            assignment=tuple(points),
+            window_set=(0,),
+            resolution=1,
+            d=2,
+            epsilon_achieved=Fraction(0),
+            support_window=tuple(sorted({a for p in points for a in p.atoms})),
+        )
+        cert = check_equivariance(sys, emap, [0], Fraction(1))
+        cover = build_dad_cover(build_window(sys, [0], 1), emap, set(), cert)
+        assert cover.pieces == _pieces_by_point(emap, cover.orbit_states)
 
 
 def test_bound_chain_examples():

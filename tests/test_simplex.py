@@ -23,7 +23,7 @@ def random_point(rng, max_atoms=6, atom_range=10, denom=60):
         prev = c
     weights = [w for w in weights if w > 0]
     atoms = atoms[: len(weights)]
-    return SimplexPoint.from_dict(dict(zip(atoms, weights)))
+    return SimplexPoint.from_entries(zip(atoms, weights))
 
 
 def skeleton_distance_oracle(mu: SimplexPoint, size: int):
@@ -43,7 +43,7 @@ def skeleton_distance_oracle(mu: SimplexPoint, size: int):
 
 def test_point_validation():
     with pytest.raises(ValueError):
-        SimplexPoint.from_dict({0: Fraction(1, 2)})
+        SimplexPoint.from_entries({0: Fraction(1, 2)}.items())
     with pytest.raises(ValueError):
         SimplexPoint.from_entries(((0, Fraction(1, 2)), (1, Fraction(1, 2)), (1, Fraction(0))))
 
@@ -90,9 +90,9 @@ def test_from_entries_refuses_zero_denominator():
 
 def test_skeleton_distance_examples():
     assert skeleton_distance(dirac(0), 1) == 0
-    uniform2 = SimplexPoint.from_dict({0: Fraction(1, 2), 1: Fraction(1, 2)})
+    uniform2 = SimplexPoint.from_entries({0: Fraction(1, 2), 1: Fraction(1, 2)}.items())
     assert skeleton_distance(uniform2, 1) == 1
-    uniform3 = SimplexPoint.from_dict({i: Fraction(1, 3) for i in range(3)})
+    uniform3 = SimplexPoint.from_entries({i: Fraction(1, 3) for i in range(3)}.items())
     assert skeleton_distance(uniform3, 2) == Fraction(2, 3)
     assert skeleton_distance(uniform3, 0) == inf
 
@@ -128,12 +128,12 @@ def test_cover_index_matches_membership():
               for _ in range(1500)]
     for count in range(1, 6):
         tied = {a: Fraction(1, count) for a in rng.sample(range(-9, 10), count)}
-        points.append(SimplexPoint.from_dict(tied))
+        points.append(SimplexPoint.from_entries(tied.items()))
     for _ in range(300):
         heavy = Fraction(rng.randint(1, 99), 100)
         atoms = rng.sample(range(-9, 10), 3)
         rest = (1 - heavy) / 2
-        points.append(SimplexPoint.from_dict({atoms[0]: heavy, atoms[1]: rest, atoms[2]: rest}))
+        points.append(SimplexPoint.from_entries(zip(atoms, (heavy, rest, rest))))
     for mu in points:
         # ring i does not depend on the ambient dimension d >= i
         rings = [ring_membership_oracle(dict(mu.entries), i) for i in range(6)]
@@ -141,13 +141,13 @@ def test_cover_index_matches_membership():
             first = next(i for i in range(d + 1) if rings[i][0])
             assert cover_index(mu, d) == (first, rings[first][1]), (mu, d)
     with pytest.raises(ValueError):
-        cover_index(SimplexPoint.from_dict({0: Fraction(1, 2), 1: Fraction(1, 2)}), 0)
+        cover_index(SimplexPoint.from_entries({0: Fraction(1, 2), 1: Fraction(1, 2)}.items()), 0)
 
 
 def test_membership_examples():
     assert cover_index(dirac(0), 2) == (0, (0,))
     # too far from either vertex for ring 0: ring 1, on the edge {0, 1}
-    uniform2 = SimplexPoint.from_dict({0: Fraction(1, 2), 1: Fraction(1, 2)})
+    uniform2 = SimplexPoint.from_entries({0: Fraction(1, 2), 1: Fraction(1, 2)}.items())
     assert cover_index(uniform2, 2) == (1, (0, 1))
 
 
@@ -173,7 +173,7 @@ def test_ring_one_cells_are_separated():
         weights = {cell[0]: main, cell[1]: 1 - main - spill}
         extra = rng.choice([a for a in range(-8, 9) if a not in cell])
         weights[extra] = spill
-        mu = SimplexPoint.from_dict(weights)
+        mu = SimplexPoint.from_entries(weights.items())
         ring, got_cell = cover_index(mu, 4)
         if ring == 1:
             pairs.append((got_cell, mu))
@@ -184,7 +184,9 @@ def test_ring_one_cells_are_separated():
 
 
 def test_cell_distance_matches_formula():
-    mu = SimplexPoint.from_dict({0: Fraction(2, 5), 1: Fraction(2, 5), 7: Fraction(1, 5)})
+    mu = SimplexPoint.from_entries(
+        {0: Fraction(2, 5), 1: Fraction(2, 5), 7: Fraction(1, 5)}.items()
+    )
     assert cell_distance(mu, (0, 1)) == 2 * Fraction(1, 5)
 
 
@@ -207,7 +209,7 @@ def _on_radius(rng, top, rest, kept, wobble):
     lighter atoms holding the remainder."""
     atoms = rng.sample(range(-9, 10), top + rest)
     weights = [(kept + wobble) / top] * top + _split(1 - kept - wobble, rest, rng, 97)
-    return SimplexPoint.from_dict(dict(zip(atoms, weights)))
+    return SimplexPoint.from_entries(zip(atoms, weights))
 
 
 def oracle_points(seed):
@@ -218,8 +220,8 @@ def oracle_points(seed):
     points = [random_point(rng, denom=rng.randint(2, 3000)) for _ in range(200)]
     points += [random_point(rng, denom=2**64 + rng.randint(1, 10**9)) for _ in range(100)]
     for count in range(1, 7):
-        points.append(SimplexPoint.from_dict(
-            {a: Fraction(1, count) for a in rng.sample(range(-9, 10), count)}
+        points.append(SimplexPoint.from_entries(
+            {a: Fraction(1, count) for a in rng.sample(range(-9, 10), count)}.items()
         ))
     tiny = Fraction(1, 2**64 + 13)
     for i in range(4):
