@@ -103,6 +103,38 @@ def _write(value, depth: int = 0) -> str:
     return f"[\n {pad}{body}\n{pad}]"
 
 
+# Scalar types whose equal values have one JSON text: not bool (True == 1)
+# nor float (0.0 == -0.0, and NaN is not equal to itself).
+_EXACT = frozenset({str, int, type(None)})
+
+
+def same_json(a, b) -> bool:
+    """Whether ``a`` and ``b`` are the same JSON value: equal, with the same
+    type at every node (``true`` is not ``1``, ``1.0`` is not ``1``), and
+    floats compared by ``repr`` (``0.0`` is not ``-0.0``, NaN is NaN).  On
+    the values ``json.loads`` returns and ``Certificate.build`` makes, that
+    is ``json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)``,
+    with no text written."""
+    kind = type(a)
+    if kind is not type(b):
+        return False
+    if kind is dict:
+        if a.keys() != b.keys():
+            return False
+        if _EXACT.issuperset(map(type, a.values())) and _EXACT.issuperset(map(type, b.values())):
+            return a == b
+        return all(same_json(v, b[k]) for k, v in a.items())
+    if kind is list:
+        if len(a) != len(b):
+            return False
+        if _EXACT.issuperset(map(type, a)) and _EXACT.issuperset(map(type, b)):
+            return a == b
+        return all(map(same_json, a, b))
+    if kind is float:
+        return repr(a) == repr(b)
+    return a == b
+
+
 # Top-level keys every certificate has, with their JSON types.
 _SHAPE = {
     "kind": (str, "a string"),

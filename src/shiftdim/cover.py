@@ -413,7 +413,7 @@ def isolated_orbit_window(graph: CoverGraph) -> frozenset:
     holding exactly one stored word, connected to a merge state through
     such classes.  This is the exception set the downstream certificates
     carry for orbit-related clauses."""
-    singles = {i for i, ws in enumerate(graph.class_words) if len(ws) == 1}
+    singles = {i for i, rows in enumerate(graph._class_rows) if len(rows) == 1}
     sys = graph.system
     window: set[int] = set()
     frontier = list(sys.special_states())

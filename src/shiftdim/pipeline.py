@@ -7,7 +7,8 @@ exponent ranges, the full equivariant map, the cover pieces.  The
 re-checker rebuilds the (deterministic) arena and the claimed objects
 from the echo, reruns the verifier and stamps the witnesses read off
 what it rebuilt through ``_stamp``, as construction does; a certificate
-is accepted when the recomputation reproduces it byte for byte.
+is accepted when the recomputation reproduces it: the same JSON value,
+type for type, which is the same canonical text.
 
 Every graph-based certificate, ``cover.json`` included, makes its claim
 on one arena: the cover graph its echo of the presentation, k, l and
@@ -40,7 +41,7 @@ from types import SimpleNamespace
 from typing import Callable
 
 from .amenability import EquivariantMap, build_equivariant_map, check_equivariance
-from .certificates import Certificate, Clause
+from .certificates import Certificate, Clause, same_json
 from .config import spec_from_config
 from .cover import (
     CoverGraph,
@@ -703,20 +704,22 @@ KINDS: dict[str, Callable[[dict, str | None, dict], Certificate]] = {
 
 def _first_differing_key(fresh: dict, stored: dict) -> str | None:
     """The first key, in sorted order, that only one of the params has or
-    whose values have other JSON encodings there (so ``true`` is not ``1``)."""
-    encode = json.JSONEncoder(sort_keys=True).encode
+    whose values are not the same JSON value there (so ``true`` is not ``1``)."""
     for key in sorted({*fresh, *stored}):
-        if key not in fresh or key not in stored or encode(fresh[key]) != encode(stored[key]):
+        if key not in fresh or key not in stored or not same_json(fresh[key], stored[key]):
             return key
     return None
 
 
 def recheck_certificate(cert: Certificate, directory=None, arenas=None) -> tuple[bool, str]:
-    """Recompute ``cert`` as its kind says and compare byte for byte.
+    """Recompute ``cert`` as its kind says and accept it when the two are
+    the same JSON value (``same_json`` of their ``to_dict()``), which is
+    the verdict of comparing their canonical texts, without writing them.
     ``directory`` holds the stage files of a ``certify-chain``
     certificate, ``arenas`` the cover graphs built so far by arena echo.
     A certificate lacking an echo the re-check reads, or holding one of
-    the wrong type, fails as a missing or malformed witness; one whose
+    the wrong type or out of range (such as a JSON ``Infinity`` where a
+    rational is read), fails as a missing or malformed witness; one whose
     parameter breaks a bound of its stage fails as a bad parameter,
     naming the bound."""
     recheck = KINDS.get(cert.kind)
@@ -728,11 +731,11 @@ def recheck_certificate(cert: Certificate, directory=None, arenas=None) -> tuple
         return False, str(exc)
     except KeyError as exc:
         return False, f"missing or malformed witness {exc.args[0]!r}"
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         return False, f"missing or malformed witness: {exc}"
     except InvalidSpec as exc:
         return False, f"bad parameter: {exc}"
-    if fresh.canonical_json() == cert.canonical_json():
+    if same_json(fresh.to_dict(), cert.to_dict()):
         return True, ""
     key = _first_differing_key(fresh.params, cert.params)
     detail = fresh.first_failure()

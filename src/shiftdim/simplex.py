@@ -43,11 +43,19 @@ class SimplexPoint:
 
     @classmethod
     def from_masses(cls, masses: dict[int, int]) -> "SimplexPoint":
-        """The point proportional to positive integer masses keyed by atom."""
-        atoms = sorted(masses)
+        """The point proportional to positive integer masses keyed by atom.
+        The sorted keys are distinct and the reduced masses have gcd 1, so
+        only emptiness and positivity are checked, as ``__post_init__``
+        would check them."""
+        atoms = tuple(sorted(masses))
         nums = [masses[a] for a in atoms]
-        g = gcd(*nums) or 1
-        return cls(tuple(atoms), tuple(x // g for x in nums))
+        g = gcd(*nums)  # first, so a mass that is not an integer raises TypeError
+        if not atoms:
+            raise ValueError("a point needs one numerator per atom, and at least one atom")
+        if min(nums) <= 0:
+            raise ValueError("weights must be positive")
+        nums = tuple(x // g for x in nums)
+        return cls._unchecked(atoms, nums, sum(nums))
 
     @classmethod
     def from_entries(cls, entries) -> "SimplexPoint":

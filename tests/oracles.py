@@ -207,6 +207,21 @@ def past_stabilized_oracle(graph) -> bool:
     return len(coarse) == len(states) and all(len(keys) == 1 for keys in coarse.values())
 
 
+def orbit_window_oracle(graph) -> frozenset:
+    """The isolated orbit window by its definition, read through the
+    ``class_words`` view: the classes holding exactly one stored word that
+    a path of such classes, along edges either way, joins to a merge
+    state, found breadth first."""
+    sys = graph.system
+    single = {s for s in range(graph.num_states) if len(graph.class_words[s]) == 1}
+    reached: set[int] = set()
+    layer = set(sys.special_states())
+    while layer:
+        layer = {t for s in layer for t in (*sys.succ[s], *sys.pred[s]) if t in single} - reached
+        reached |= layer
+    return frozenset(reached)
+
+
 def predecessors_oracle(succ) -> tuple[tuple[int, ...], ...]:
     """Each state's predecessors, sorted and without repeats, from the
     successor lists as given (in any order, with repeats)."""

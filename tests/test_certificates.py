@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shiftdim.certificates import Certificate, Clause
+from shiftdim.certificates import Certificate, Clause, same_json
 from shiftdim.pipeline import PipelineParams, run_certify
 
 from .oracles import canonical_json_oracle
@@ -46,6 +46,60 @@ def _certificate(params, witness=""):
 def test_canonical_json_matches_stdlib(params, witness):
     cert = _certificate(params, witness)
     assert cert.canonical_json() == canonical_json_oracle(cert.to_dict())
+
+
+# Scalars that Python compares equal across JSON types (True, 1 and 1.0;
+# False, 0, 0.0 and -0.0), NaN, which Python does not compare equal to
+# itself, and strings that spell the others.
+CONFUSABLE = st.sampled_from(
+    [True, 1, 1.0, False, 0, 0.0, -0.0, None, float("nan"), "1", "true", "", "a"]
+)
+JSON_TREES = st.recursive(
+    CONFUSABLE | st.integers(-3, 3) | st.text(max_size=2),
+    lambda children: (
+        st.lists(children, max_size=3)
+        | st.dictionaries(st.sampled_from(["", "a", "1", "10", "9"]), children, max_size=3)
+    ),
+    max_leaves=12,
+)
+
+
+def _lookalike(value, data):
+    """``value`` with every scalar replaced by one that Python compares
+    equal to it, or by an equal but distinct string or NaN, and every
+    object's keys in a drawn order."""
+    if isinstance(value, dict):
+        items = list(value.items())
+        if data.draw(st.booleans()):
+            items.reverse()
+        return {key: _lookalike(member, data) for key, member in items}
+    if isinstance(value, list):
+        return [_lookalike(member, data) for member in value]
+    if isinstance(value, str):
+        return "".join(list(value))
+    if isinstance(value, float) and value != value:
+        return float("nan")
+    if value is not None and value in (0, 1):
+        return data.draw(st.sampled_from([bool(value), int(value), float(value), -float(value)]))
+    return value
+
+
+@given(JSON_TREES, st.data())
+@settings(max_examples=500, deadline=None)
+def test_same_json_is_equal_canonical_text(a, data):
+    b = _lookalike(a, data) if data.draw(st.booleans()) else data.draw(JSON_TREES)
+    same_text = canonical_json_oracle(a) == canonical_json_oracle(b)
+    assert same_json(a, b) == same_json(b, a) == same_text
+
+
+@pytest.mark.parametrize("a, b, same", [
+    (True, 1, False), (1, 1.0, False), (False, 0, False), (0.0, -0.0, False),
+    (None, 0, False), ([1], [True], False), ({"a": 1}, {"a": 1.0}, False), ([], {}, False),
+    (float("nan"), float("nan"), True), ({"a": [None, "x"]}, {"a": [None, "x"]}, True),
+])
+def test_same_json_examples(a, b, same):
+    assert same_json(a, b) is same
+    assert (canonical_json_oracle(a) == canonical_json_oracle(b)) is same
 
 
 def test_canonical_json_of_parsed_certificate_with_floats():

@@ -969,6 +969,46 @@ def test_verify_refuses_a_boolean_for_every_integer_zero_or_one(
         assert capsys.readouterr().out.startswith("verification failed: "), (name, key)
 
 
+def test_verify_refuses_a_float_for_every_integer(chain_dir, tmp_path, capsys):
+    # 1.0 equals 1 in Python, but not as a JSON value: every integer params
+    # value of the chain's files, written as the equal float, fails the
+    # file's re-check without an exception escaping
+    edits = []
+    for path in sorted(chain_dir.glob("*.json")):
+        params = json.loads(path.read_text())["params"]
+        edits += [(path.name, key) for key, value in params.items() if type(value) is int]
+    assert {("bounds.json", "q"), ("cover.json", "k"), ("amen.json", "d")} <= set(edits)
+    for j, (name, key) in enumerate(edits):
+        work = tmp_path / f"edit{j}"
+        shutil.copytree(chain_dir, work)
+        data = json.loads((work / name).read_text())
+        data["params"][key] = float(data["params"][key])
+        (work / name).write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", str(work / name)]) == 1, (name, key)
+        out, err = capsys.readouterr()
+        assert out.startswith("verification failed: ") and not err, (name, key)
+
+
+def infinite_first_weight(params):
+    point = params["map"]["points"][0]
+    point[min(point)] = float("inf")
+
+
+@pytest.mark.parametrize("target, edit", [
+    ("amen.json", infinite_first_weight),
+    ("dad.json", lambda params: params.update(epsilon=float("inf"))),
+])
+def test_verify_refuses_an_infinite_rational(chain_dir, tmp_path, capsys, target, edit):
+    # json.loads reads Infinity as a float, which no Fraction can hold
+    code, out = verify_copy(chain_dir, tmp_path, capsys, edit, target=target)
+    assert code == 1
+    assert out == (
+        "verification failed: missing or malformed witness: "
+        "cannot convert Infinity to integer ratio\n"
+    )
+
+
 def test_failing_tower_pairs_name_their_clause(tmp_path, capsys):
     # Thue-Morse at depth 250: no margin witness for some state at N = 97
     path = tmp_path / "tm.cfg"

@@ -27,7 +27,13 @@ from shiftdim.words import (
     thue_morse_spec,
 )
 
-from .oracles import cover_class, cover_key, descriptor_oracle, past_stabilized_oracle
+from .oracles import (
+    cover_class,
+    cover_key,
+    descriptor_oracle,
+    orbit_window_oracle,
+    past_stabilized_oracle,
+)
 from .test_words import RANDOM_RULES, TRIB_RULES
 
 
@@ -164,6 +170,14 @@ def test_orbit_window(fib):
     for s in window:
         assert len(graph.class_words[s]) == 1
     assert special not in window
+
+
+def test_orbit_window_matches_class_word_oracle(fib_skew_dad):
+    graphs = [fib_skew_dad.graph]
+    graphs += [build_cover_graph(make(), k, 6) for make in CENSUS.values() for k in (20, 60)]
+    windows = [isolated_orbit_window(graph) for graph in graphs]
+    assert windows == [orbit_window_oracle(graph) for graph in graphs]
+    assert sum(map(bool, windows)) > len(windows) // 2
 
 
 def test_horizon_precondition(fib):
@@ -377,6 +391,14 @@ def test_cover_retains_less_than_half_the_top():
     assert peak < 1.0 * top_symbols
 
 
+# the census presentations: Fibonacci, Thue-Morse, Tribonacci and the
+# seeded primitive substitutions
+CENSUS = {
+    "fib": fibonacci_spec,
+    "tm": thue_morse_spec,
+    "trib": _substitution(TRIB_RULES),
+    **{f"random{i}": _substitution(rules) for i, rules in enumerate(RANDOM_RULES)},
+}
 # (k, l, horizon): lookahead 1 (no shorter one), 2, 3 and 5
 STABILIZATION_ARENAS = [(1, 1, 2), (2, 1, 3), (3, 2, None), (3, 1, 6)]
 SMALL_SHIFTS = {
@@ -388,14 +410,8 @@ SMALL_SHIFTS = {
 
 
 def test_past_stabilized_matches_two_walk_oracle():
-    census = {
-        "fib": fibonacci_spec,
-        "tm": thue_morse_spec,
-        "trib": _substitution(TRIB_RULES),
-        **{f"random{i}": _substitution(rules) for i, rules in enumerate(RANDOM_RULES)},
-    }
     deeper = [(2, 2, 7), (8, 3, None), (20, 6, None)]
-    runs = [(census, arena) for arena in STABILIZATION_ARENAS + deeper]
+    runs = [(CENSUS, arena) for arena in STABILIZATION_ARENAS + deeper]
     runs += [(SMALL_SHIFTS, arena) for arena in STABILIZATION_ARENAS]
     flags = set()
     for presentations, (k, l, horizon) in runs:

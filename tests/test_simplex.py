@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import inf, lcm
+from math import gcd, inf, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +46,38 @@ def test_point_validation():
         SimplexPoint.from_entries({0: Fraction(1, 2)}.items())
     with pytest.raises(ValueError):
         SimplexPoint.from_entries(((0, Fraction(1, 2)), (1, Fraction(1, 2)), (1, Fraction(0))))
+
+
+def from_masses_by_constructor(masses):
+    """``SimplexPoint.from_masses`` as the constructor's checks define it:
+    the masses in atom order over their gcd, then ``__post_init__``."""
+    atoms = sorted(masses)
+    nums = [masses[a] for a in atoms]
+    g = gcd(*nums) or 1
+    return SimplexPoint(tuple(atoms), tuple(x // g for x in nums))
+
+
+@pytest.mark.parametrize("masses, message", [
+    ({}, "a point needs one numerator per atom, and at least one atom"),
+    ({0: 0}, "weights must be positive"),
+    ({3: 4, -1: 0}, "weights must be positive"),
+    ({0: -2, 1: 4}, "weights must be positive"),
+    ({5: -1}, "weights must be positive"),
+])
+def test_from_masses_refuses_as_the_constructor_does(masses, message):
+    for read in (SimplexPoint.from_masses, from_masses_by_constructor):
+        with pytest.raises(ValueError) as exc:
+            read(masses)
+        assert str(exc.value) == message
+
+
+@given(st.dictionaries(st.integers(-40, 40), st.integers(1, 10**6) | st.sampled_from([6, 12]),
+                       min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_from_masses_matches_the_constructor(masses):
+    point, expected = SimplexPoint.from_masses(masses), from_masses_by_constructor(masses)
+    assert (point.atoms, point.nums, point.den) == (expected.atoms, expected.nums, expected.den)
+    assert point._by_atom == expected._by_atom
 
 
 WEIGHT_TEXTS = (
