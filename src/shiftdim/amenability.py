@@ -30,7 +30,7 @@ from math import gcd
 from .certificates import Certificate, Clause
 from .errors import NotSurjective, NTooSmall, TailMassTooLarge, TowerPairsInsufficient
 from .simplex import SimplexPoint
-from .systems import FiniteSymbolicSystem
+from .systems import FiniteSymbolicSystem, overlapping_pair
 from .towers import TowerPairSystem, normalize_window
 
 
@@ -101,11 +101,8 @@ def build_B_partition(S, E, N: int) -> PartitionB:
 
 
 def _check_partition(part: PartitionB, universe) -> None:
-    seen: set = set()
-    for block in part.blocks:
-        if block & seen:
-            raise AssertionError("blocks overlap")
-        seen |= block
+    if overlapping_pair(part.blocks) is not None:
+        raise AssertionError("blocks overlap")
     table = part.level_table()
     max_e = max(abs(e) for e in part.window_set)
     for x in universe:
@@ -136,7 +133,8 @@ class EquivariantMap:
 
     def to_jsonable(self) -> dict:
         """Exact serialization: weights as reduced 'p/q' strings keyed by
-        atom, made once per numerator tuple (points repeat few)."""
+        atom, made once per numerator tuple (points repeat few).  Canonical
+        certificate JSON, every container new, so a certificate takes it."""
         weights: dict[tuple[int, ...], list[str]] = {}
         points = []
         for p in self.assignment:

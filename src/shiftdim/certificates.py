@@ -182,10 +182,12 @@ class Certificate:
             "verdict": self.verdict,
         }
 
-    def with_params(self, extra: dict) -> "Certificate":
-        """This certificate with ``extra`` added to its params.  Only
-        ``extra`` is normalised: ``build`` already normalised the params."""
-        return replace(self, params={**self.params, **_canon(extra)})
+    def with_params(self, extra: dict, canonical: dict | None = None) -> "Certificate":
+        """This certificate with ``extra`` and ``canonical`` added to its
+        params.  Only ``extra`` is normalised: ``build`` already normalised
+        the params, and ``canonical`` holds values already in canonical
+        form that were made for this certificate, which no caller holds."""
+        return replace(self, params={**self.params, **_canon(extra), **(canonical or {})})
 
     def canonical_json(self) -> str:
         """``json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\\n"``,

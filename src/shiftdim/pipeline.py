@@ -431,11 +431,13 @@ class GraphKind:
     is read off the objects the stage built; ``rebuild(graph, params)``
     rebuilds those objects from the echoed values and returns the
     verifier's certificate with them, named as construction names them.
-    Construction and re-check both stamp through ``_stamp``."""
+    Construction and re-check both stamp through ``_stamp``; the readers of
+    the ``canonical`` keys make canonical JSON, taken without a copy."""
 
     witnesses: dict[str, Callable[[SimpleNamespace], object]]
     rebuild: Callable[[CoverGraph, dict], tuple[Certificate, dict]]
     arena: tuple[str, ...] = ARENA
+    canonical: tuple[str, ...] = ()
 
     def echo(self, graph: CoverGraph) -> dict:
         """The arena echo of ``graph``, under this kind's keys."""
@@ -461,7 +463,8 @@ def _stamp(cert: Certificate, graph: CoverGraph, **built) -> Certificate:
     kind = KINDS[cert.kind]
     objects = SimpleNamespace(**built)
     witnesses = {key: read(objects) for key, read in kind.witnesses.items()}
-    return cert.with_params({**kind.echo(graph), **witnesses})
+    canonical = {key: witnesses.pop(key) for key in kind.canonical}
+    return cert.with_params({**kind.echo(graph), **witnesses}, canonical)
 
 
 def _config_from_echo(spec_echo: dict) -> str:
@@ -684,6 +687,7 @@ KINDS: dict[str, Callable[[dict, str | None, dict], Certificate]] = {
             "map": lambda o: o.emap.to_jsonable(),
         },
         _rebuild_equivariance,
+        canonical=("map",),
     ),
     "dad-cover": GraphKind(
         {
@@ -696,6 +700,7 @@ KINDS: dict[str, Callable[[dict, str | None, dict], Certificate]] = {
             "epsilon": lambda o: Fraction(o.epsilon),
         },
         _rebuild_dad,
+        canonical=("map",),
     ),
     "bounds": lambda p, *_: run_bounds(p["q"], p["dim_x"])[1],
     "certify-chain": _recheck_chain,

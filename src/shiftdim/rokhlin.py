@@ -57,8 +57,10 @@ def _deep_levels_overlap(sys: FiniteSymbolicSystem, base, N: int) -> bool:
 
 def _swept(sys: FiniteSymbolicSystem, base, N: int) -> set:
     """The union of the first 2N preimage levels of ``base``."""
-    swept: set = set()
-    for level in sys.preimage_levels(base, 2 * N):
+    pred = sys.pred
+    level, swept = set(base), set(base)
+    for _ in range(2 * N - 1):
+        level = {s for t in level for s in pred[t]}
         swept |= level
     return swept
 
@@ -116,17 +118,18 @@ def _chain_extend(sys, W: set, x, N: int, swept: set) -> None:
     special cone: the hypothesis collapse conditions hold by construction
     (no merge state is reachable from x within 2N - 1 steps), so only the
     incremental updates and the level-local idempotence check remain.
-    Grows the base ``W`` and its swept set ``swept`` in place, by nothing
-    when ``x`` is swept already."""
-    if x in swept:
-        return
-    new = sys.image({x}, N)
+    Grows the base ``W`` and its swept set ``swept`` in place; ``x`` is
+    not swept yet."""
+    succ, pred = sys.succ, sys.pred
+    new = {x}
+    for _ in range(N):
+        new = {t for s in new for t in succ[s]}
     # level-local idempotence of the new block: preimage(image(.)) returns
     # exactly the block at every level below N
     block = new
     for _ in range(N - 1):
-        nxt = sys.image(block, 1)
-        if sys.preimage(nxt, 1) != block:
+        nxt = {t for s in block for t in succ[s]}
+        if {s for t in nxt for s in pred[t]} != block:
             raise DepthInsufficient("new tower block is not level-collapsing")
         block = nxt
     swept |= _swept(sys, new, N)
@@ -161,8 +164,7 @@ def build_rokhlin_cover(sys: FiniteSymbolicSystem, N: int) -> RokhlinCover:
         levels = tuple(sys.preimage_levels({w}, 2 * N))
         if overlapping_pair(levels) is not None:
             raise DepthInsufficient("special cone levels overlap")
-        for lv in levels:
-            cone |= lv
+        cone.update(*levels)
         towers += _split_towers(levels, N)
     # Sweep the remainder with a growing clopen W.
     rest = [s for s in range(sys.num_states) if s not in cone]
@@ -171,7 +173,8 @@ def build_rokhlin_cover(sys: FiniteSymbolicSystem, N: int) -> RokhlinCover:
         check_extension_hypotheses(sys, first, first, N)
         W, swept = set(first), _swept(sys, first, N)
         for x in rest[1:]:
-            _chain_extend(sys, W, x, N, swept)
+            if x not in swept:
+                _chain_extend(sys, W, x, N, swept)
         W = frozenset(W)
         _check_extension_post(sys, first, frozenset(rest), W, N)
         towers[:0] = _split_towers(tuple(sys.preimage_levels(W, 2 * N)), N)
@@ -197,20 +200,14 @@ def verify_rokhlin_cover(sys: FiniteSymbolicSystem, cover: RokhlinCover) -> Cert
             rec_witness = f"tower {t_idx} level {bad}"
             break
     clauses.append(Clause("level-recurrence", not rec_witness, rec_witness))
-    dis_ok = True
     dis_witness = ""
     for t_idx, tower in enumerate(cover.towers):
         pair = overlapping_pair(tower.levels)
         if pair is not None:
-            dis_ok = False
             dis_witness = f"tower {t_idx} levels {pair[0]} and {pair[1]} intersect"
             break
-    clauses.append(Clause("levels-pairwise-disjoint", dis_ok, dis_witness))
-    union: set = set()
-    for tower in cover.towers:
-        for level in tower.levels:
-            union |= level
-    missing = sys.all_states() - union
+    clauses.append(Clause("levels-pairwise-disjoint", not dis_witness, dis_witness))
+    missing = sys.all_states().difference(*(lv for t in cover.towers for lv in t.levels))
     clauses.append(
         Clause(
             "global-covering",

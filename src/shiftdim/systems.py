@@ -50,7 +50,9 @@ class FiniteSymbolicSystem:
                     raise ValueError(f"edge target out of range: {s} -> {t}")
                 preds[t].append(s)
         # s runs upwards, so each list is sorted already; only repeats go
-        object.__setattr__(self, "pred", tuple(tuple(dict.fromkeys(p)) for p in preds))
+        pred = tuple(tuple(dict.fromkeys(p)) for p in preds)
+        object.__setattr__(self, "pred", pred)
+        object.__setattr__(self, "_special", tuple(s for s, p in enumerate(pred) if len(p) >= 2))
 
     # -- basic structure -----------------------------------------------------
 
@@ -64,7 +66,7 @@ class FiniteSymbolicSystem:
     @property
     def surjective_flag(self) -> bool:
         """Every state has at least one predecessor (the relation is onto)."""
-        return all(self.pred[t] for t in range(self.num_states))
+        return all(self.pred)
 
     @property
     def deterministic(self) -> bool:
@@ -72,8 +74,8 @@ class FiniteSymbolicSystem:
         return all(len(t) == 1 for t in self.succ)
 
     def special_states(self) -> list[int]:
-        """States with at least two distinct predecessors."""
-        return [s for s in range(self.num_states) if len(self.pred[s]) >= 2]
+        """States with at least two distinct predecessors, found once."""
+        return list(self._special)
 
     def branch_states(self) -> list[int]:
         """States with at least two distinct successors."""

@@ -21,10 +21,8 @@ from .systems import ClopenSet, FiniteSymbolicSystem, overlapping_pair
 
 def normalize_window(E) -> tuple[int, ...]:
     """Symmetrize and adjoin 0 (the standing normalization for windows)."""
-    s = set(int(n) for n in E)
-    s |= {-n for n in s}
-    s.add(0)
-    return tuple(sorted(s))
+    s = {int(n) for n in E}
+    return tuple(sorted(s | {-n for n in s} | {0}))
 
 
 @dataclass(frozen=True)
@@ -63,21 +61,16 @@ def pairs_from_rokhlin(cover: RokhlinCover, E) -> TowerPairSystem:
         raise HeightMismatch(
             f"cover height {cover.height} != 2 + 3*max|E| = {required}"
         )
-    S = range(required)
-    pairs = []
-    for t_idx, tower in enumerate(cover.towers):
-        pairs.append(TowerPair(tower.base, S, "base", t_idx))
+    pairs = [TowerPair(t.base, range(required), "base", i) for i, t in enumerate(cover.towers)]
     return TowerPairSystem(pairs, E, 2 * len(cover.towers) - 1)
 
 
 def attach_shifted_pairs(tps: TowerPairSystem, sys: FiniteSymbolicSystem) -> None:
     """Add the pulled-back copy (preimage by M) of every base pair."""
-    extra = [
+    tps.pairs += tuple(
         TowerPair(sys.preimage(p.base, tps.M), p.exponents, "shifted", p.origin)
-        for p in tps.pairs
-        if p.kind == "base"
-    ]
-    tps.pairs = tps.pairs + tuple(extra)
+        for p in tps.pairs if p.kind == "base"
+    )
 
 
 def _cycle_through(sys: FiniteSymbolicSystem, start: int) -> list[int]:
@@ -134,8 +127,7 @@ def build_phase_pairs(
         raise DepthInsufficient(
             f"usable span {span} below 2*rise + cycle/pairs = {need}; deepen the graph"
         )
-    S = range(span + 1)
-    pairs = [TowerPair(frozenset({b}), S, "phase", j) for j, b in enumerate(bases)]
+    pairs = [TowerPair(frozenset({b}), range(span + 1), "phase", j) for j, b in enumerate(bases)]
     return TowerPairSystem(pairs, margin_window, pair_count - 1)
 
 
@@ -202,9 +194,10 @@ def verify_tower_pairs(sys: FiniteSymbolicSystem, tps: TowerPairSystem) -> Certi
         walk = islice(sys.preimage_levels(pair.base, exps.stop), exps.start, None)
         for n, level in zip(exps, walk):
             for s in level:
-                if s in seen and not wit2:
+                if s not in seen:
+                    seen[s] = n
+                elif not wit2:
                     wit2 = f"pair {idx}: state {s} at levels {seen[s]} and {n}"
-                seen.setdefault(s, n)
             level_sets.append(level)
         level_of.append(seen)
     tps.level_of = level_of
@@ -219,59 +212,46 @@ def verify_tower_pairs(sys: FiniteSymbolicSystem, tps: TowerPairSystem) -> Certi
         wit3 = f"upper bound only: pair coloring with {chrom} colors"
     ok3 = chrom <= tps.d_claimed + 1
     clauses.append(Clause("(3)-chromatic-bound", ok3, f"{wit3} <= d+1 = {tps.d_claimed + 1}"))
-    union: set = set()
-    for s in level_sets:
-        union |= s
-    missing = sys.all_states() - union
+    missing = sys.all_states().difference(*level_sets)
     clauses.append(
         Clause("(4)-covering", not missing, "" if not missing else f"missing {sorted(missing)[:5]}")
     )
     lo_e, hi_e = min(tps.E), max(tps.E)
-
-    def margin_ok(idx: int, n: int) -> bool:
-        # E + {n} stays inside the pair's contiguous exponent range
-        exps = tps.pairs[idx].exponents
-        return n + lo_e in exps and n + hi_e in exps
-
-    base_kind = 0
-    shifted_kind = 0
-    bad_state = None
-    shifted_partner = {
-        p.origin: i for i, p in enumerate(tps.pairs) if p.kind == "shifted"
-    }
-    for x in range(sys.num_states):
-        found = None
-        # proof-order witness search: original pair below M, else its
-        # pulled-back partner, else any valid pair
-        for idx, pair in enumerate(tps.pairs):
-            if pair.kind != "base":
+    # each pair's plateau: the levels n with E + {n} inside its exponent range
+    plateaus = [range(p.exponents.start - lo_e, p.exponents.stop - hi_e) for p in tps.pairs]
+    shifted_partner = {p.origin: i for i, p in enumerate(tps.pairs) if p.kind == "shifted"}
+    # Proof-order witness search, one pass per pair: a state takes the first
+    # base pair holding it on the plateau below M, or at M or above with the
+    # pulled-back partner holding it on that one's plateau; failing that, the
+    # first pair of any kind holding it on the plateau.  kind_of is 0 for no
+    # witness yet, 1 for an original-kind witness and 2 for a shifted-kind one.
+    kind_of, M = bytearray(sys.num_states), tps.M
+    for idx, pair in enumerate(tps.pairs):
+        if pair.kind != "base":
+            continue
+        plateau = plateaus[idx]
+        partner = shifted_partner.get(pair.origin)
+        far, far_plateau = ({}, ()) if partner is None else (level_of[partner], plateaus[partner])
+        for x, n in level_of[idx].items():
+            if kind_of[x]:
                 continue
-            n = level_of[idx].get(x)
-            if n is None:
-                continue
-            if n < tps.M and margin_ok(idx, n):
-                found = ("original", idx, n)
-                break
-            partner = shifted_partner.get(pair.origin)
-            if n >= tps.M and partner is not None:
-                n2 = level_of[partner].get(x)
-                if n2 is not None and margin_ok(partner, n2):
-                    found = ("shifted", partner, n2)
-                    break
-        if found is None:
-            for idx, pair in enumerate(tps.pairs):
-                n = level_of[idx].get(x)
-                if n is not None and margin_ok(idx, n):
-                    found = ("original" if pair.kind == "base" else "shifted", idx, n)
-                    break
-        if found is None:
-            bad_state = x
-            break
-        if found[0] == "original":
-            base_kind += 1
-        else:
-            shifted_kind += 1
-    ok5 = bad_state is None
+            if n < M:
+                if n in plateau:
+                    kind_of[x] = 1
+            else:
+                n2 = far.get(x)
+                if n2 is not None and n2 in far_plateau:
+                    kind_of[x] = 2
+    for idx, pair in enumerate(tps.pairs):
+        plateau, kind = plateaus[idx], 1 if pair.kind == "base" else 2
+        for x, n in level_of[idx].items():
+            if not kind_of[x] and n in plateau:
+                kind_of[x] = kind
+    # the counts stop at the first state without a witness
+    bad = kind_of.find(0)
+    witnessed = kind_of if bad < 0 else kind_of[:bad]
+    base_kind, shifted_kind = witnessed.count(1), witnessed.count(2)
+    ok5 = bad < 0
     clauses.append(
         Clause(
             "(5)-margin-witness",
@@ -279,7 +259,7 @@ def verify_tower_pairs(sys: FiniteSymbolicSystem, tps: TowerPairSystem) -> Certi
             (
                 f"witnesses: {base_kind} original-kind, {shifted_kind} shifted-kind"
                 if ok5
-                else f"state {bad_state} has no margin witness"
+                else f"state {bad} has no margin witness"
             ),
         )
     )

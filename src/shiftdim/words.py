@@ -19,7 +19,8 @@ first occurrence there.  The windows are sorted by growing prefix groups,
 not hashed whole (see :func:`_sorted_starts`).  A shorter length is the
 distinct length-``n`` prefixes of the top, which come out already sorted,
 and p(n) for every ``n`` up to its length is read off one histogram of the
-common-prefix lengths of neighbouring rows.
+common-prefix lengths of neighbouring rows, each the ``bit_length`` of the
+XOR of two rows read as integers (see :meth:`SubshiftSpec.factor_counts`).
 
 Substitution languages are characterised exactly from letter blocks and
 length-2 factors (see :class:`SubstitutionSpec`).  Forbidden-word languages
@@ -127,6 +128,9 @@ _SEP = "\n"
 _KEY = 48
 # Symbols of whole windows the window sort slices for one group at most.
 _BUDGET = 1 << 22
+# The longest rows factor_counts reads as integers, each in time linear in
+# its length; from about 2500 symbols halving is faster.
+XOR_ROW_LIMIT = 2048
 
 
 def _sorted_starts(corpus: str, starts, n: int, shared: int, out: list[int]) -> None:
@@ -302,12 +306,23 @@ class SubshiftSpec:
         """p(0), ..., p(m) for some m >= ``n``, from the top: the
         length-``j`` prefixes of neighbouring top rows differ exactly when
         their common prefix is shorter than ``j``, so p(j) is one plus the
-        number of neighbours whose common prefix is shorter than ``j``."""
+        number of neighbours whose common prefix is shorter than ``j``.
+        Rows are read two at a time as big-endian integers of their ASCII
+        bytes, and two ``m``-symbol rows share ``(8m - bit_length) // 8``
+        symbols, by the ``bit_length`` of their XOR (by halving above
+        ``XOR_ROW_LIMIT`` symbols)."""
         top = self.top(n)
         if self._counts is None:
-            hist = [0] * (top.n + 1)
-            for a, b in itertools.pairwise(top):
-                hist[common_prefix_length(a, b)] += 1
+            m = top.n
+            hist = [0] * (m + 1)
+            if m <= XOR_ROW_LIMIT:
+                data = top.corpus.encode("ascii")
+                rows = (int.from_bytes(data[s : s + m], "big") for s in top.starts)
+                for a, b in itertools.pairwise(rows):
+                    hist[(8 * m - (a ^ b).bit_length()) >> 3] += 1
+            else:
+                for a, b in itertools.pairwise(top):
+                    hist[common_prefix_length(a, b)] += 1
             self._counts = tuple(itertools.accumulate(hist[:-1], initial=1))
         return self._counts
 
@@ -631,20 +646,21 @@ def growth_report(spec: SubshiftSpec, horizon: int) -> GrowthReport:
     """Finite-horizon growth surrogate.
 
     ``d_hat`` is the minimum of p(n)/n over 1 <= n <= horizon as an exact
-    rational.  The superlinear flag is set when p(n)/n is strictly
-    increasing over the last half of the horizon and ends above
-    ``SUPERLINEAR_RATIO``.
+    rational, at the first n where it occurs.  The superlinear flag is set
+    when p(n)/n is strictly increasing over the last half of the horizon
+    and ends above ``SUPERLINEAR_RATIO``.  Ratios are compared by integer
+    cross-multiplication; only ``d_hat`` is a ``Fraction``.
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
-    counts = [spec.complexity(n) for n in range(horizon, 0, -1)][::-1]  # longest first
-    ratios = [Fraction(p, n) for n, p in enumerate(counts, start=1)]
-    d_hat = min(ratios)
-    d_hat_at = ratios.index(d_hat) + 1
-    half = [ratios[i] for i in range(horizon // 2 - 1, horizon)]
-    increasing = all(a < b for a, b in zip(half, half[1:]))
-    flag = increasing and ratios[-1] > SUPERLINEAR_RATIO
-    return GrowthReport(d_hat, d_hat_at, flag)
+    p = [0] + [spec.complexity(n) for n in range(horizon, 0, -1)][::-1]  # longest first
+    at = 1  # p(n)/n < p(at)/at exactly when p(n) * at < p(at) * n
+    for n in range(2, horizon + 1):
+        if p[n] * at < p[at] * n:
+            at = n
+    increasing = all(p[n] * (n + 1) < p[n + 1] * n for n in range(horizon // 2, horizon))
+    flag = increasing and p[horizon] > SUPERLINEAR_RATIO * horizon
+    return GrowthReport(Fraction(p[at], at), at, flag)
 
 
 def _left_extendable(spec: SubshiftSpec, n: int) -> bool:
@@ -687,8 +703,7 @@ class LanguageTable:
     def build(cls, spec: SubshiftSpec, n_max: int) -> "LanguageTable":
         if n_max < 1:
             return cls(n_max, (), ())
-        top = spec.sorted_language(n_max)
-        return cls(n_max, top, spec.factor_counts(n_max)[1 : n_max + 1])
+        return cls(n_max, spec.sorted_language(n_max), spec.factor_counts(n_max)[1 : n_max + 1])
 
     def words(self, n: int) -> tuple[str, ...]:
         """Sorted length-``n`` factors, 1 <= n <= n_max."""

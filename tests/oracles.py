@@ -272,6 +272,75 @@ def special_cone_rest(sys, N: int) -> list[int]:
     return [s for s in range(sys.num_states) if s not in cone]
 
 
+def margin_witness_oracle(sys, tps) -> tuple[str, dict]:
+    """The ``(5)-margin-witness`` clause's witness text and the
+    ``witness_kinds`` counts, by a per-state search over every pair: a
+    state's level in a pair is the first ``n`` of the pair's exponents
+    with the state in ``sys.preimage(base, n)``.  Each state in turn takes
+    the first base pair that holds it below M with margin, or at M or
+    above with its pulled-back partner holding it with margin, else the
+    first pair of any kind with margin; the counts stop at the first state
+    with no witness."""
+    level_of = []
+    for pair in tps.pairs:
+        seen = {}
+        for n in pair.exponents:
+            for s in sys.preimage(pair.base, n):
+                seen.setdefault(s, n)
+        level_of.append(seen)
+    lo_e, hi_e = min(tps.E), max(tps.E)
+
+    def margin_ok(idx: int, n: int) -> bool:
+        # E + {n} stays inside the pair's contiguous exponent range
+        exps = tps.pairs[idx].exponents
+        return n + lo_e in exps and n + hi_e in exps
+
+    base_kind = 0
+    shifted_kind = 0
+    bad_state = None
+    shifted_partner = {
+        p.origin: i for i, p in enumerate(tps.pairs) if p.kind == "shifted"
+    }
+    for x in range(sys.num_states):
+        found = None
+        # proof-order witness search: original pair below M, else its
+        # pulled-back partner, else any valid pair
+        for idx, pair in enumerate(tps.pairs):
+            if pair.kind != "base":
+                continue
+            n = level_of[idx].get(x)
+            if n is None:
+                continue
+            if n < tps.M and margin_ok(idx, n):
+                found = ("original", idx, n)
+                break
+            partner = shifted_partner.get(pair.origin)
+            if n >= tps.M and partner is not None:
+                n2 = level_of[partner].get(x)
+                if n2 is not None and margin_ok(partner, n2):
+                    found = ("shifted", partner, n2)
+                    break
+        if found is None:
+            for idx, pair in enumerate(tps.pairs):
+                n = level_of[idx].get(x)
+                if n is not None and margin_ok(idx, n):
+                    found = ("original" if pair.kind == "base" else "shifted", idx, n)
+                    break
+        if found is None:
+            bad_state = x
+            break
+        if found[0] == "original":
+            base_kind += 1
+        else:
+            shifted_kind += 1
+    text = (
+        f"witnesses: {base_kind} original-kind, {shifted_kind} shifted-kind"
+        if bad_state is None
+        else f"state {bad_state} has no margin witness"
+    )
+    return text, {"original": base_kind, "shifted": shifted_kind}
+
+
 # -- the simplex in Fractions ---------------------------------------------------
 # A point is a dict atom -> Fraction weight, read off ``SimplexPoint.entries``.
 

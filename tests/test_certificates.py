@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shiftdim.certificates import Certificate, Clause, same_json
+from shiftdim.certificates import Certificate, Clause, _canon, same_json
 from shiftdim.pipeline import PipelineParams, run_certify
 
 from .oracles import canonical_json_oracle
@@ -155,3 +155,25 @@ def test_with_params_normalises_only_the_addition():
     assert echoed.clauses == cert.clauses and echoed.verdict == cert.verdict
     with pytest.raises(TypeError, match="float"):
         cert.with_params({"u": [0.5]})
+
+
+def test_with_params_takes_canonical_values_as_they_are():
+    cert = Certificate.build("kind", {"r": Fraction(1, 3)}, [Clause("c", True)])
+    made = {"points": [{"0": "1/2", "1": "1/2"}], "d": 1}
+    echoed = cert.with_params({"s": (1,)}, {"map": made})
+    assert echoed.params == {"r": "1/3", "s": [1], "map": made}
+    assert echoed.params["map"] is made
+
+
+def test_stamped_maps_are_their_own_canonical_json(fib_skew_dad):
+    # the map is taken without a copy, so it must already be what _canon
+    # makes, and no object of it may be shared with another caller
+    for cert in (fib_skew_dad.amen, fib_skew_dad.dad):
+        stamped = cert.params["map"]
+        assert same_json(stamped, _canon(stamped))
+        assert same_json(stamped, fib_skew_dad.emap.to_jsonable())
+    first, second = fib_skew_dad.amen.params["map"], fib_skew_dad.dad.params["map"]
+    assert first is not second
+    assert first["window_set"] is not second["window_set"]
+    assert first["support_window"] is not second["support_window"]
+    assert not any(a is b for a, b in zip(first["points"], second["points"]))

@@ -150,7 +150,8 @@ def _library_sweep(sys, rest, N):
     """The base that ``build_rokhlin_cover`` grows over ``rest``."""
     W, swept = set(rest[:1]), rokhlin._swept(sys, rest[:1], N)
     for x in rest[1:]:
-        rokhlin._chain_extend(sys, W, x, N, swept)
+        if x not in swept:
+            rokhlin._chain_extend(sys, W, x, N, swept)
     return frozenset(W)
 
 

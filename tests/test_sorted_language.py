@@ -19,10 +19,14 @@ from shiftdim.errors import EmptyLanguage
 from shiftdim.pipeline import run_cover
 from shiftdim.special import left_special_levels, left_special_words
 from shiftdim.words import (
+    MAX_ALPHABET,
+    XOR_ROW_LIMIT,
     Alphabet,
     LanguageTable,
     SFTSpec,
+    SubshiftSpec,
     SubstitutionSpec,
+    common_prefix_length,
     full_shift_spec,
 )
 
@@ -182,3 +186,59 @@ def test_each_consumer_builds_one_language(name, monkeypatch):
     assert built == [60, 61]
     run_cover(spec, 30, 6, None)  # stored words of length 30 + 36
     assert built == [60, 61, 67]
+
+
+class _Texts(SubshiftSpec):
+    """A presentation whose length-``n`` factors are the length-``n``
+    windows of fixed texts, in internal characters."""
+
+    def __init__(self, size: int, texts):
+        super().__init__(Alphabet(tuple(f"s{i}" for i in range(size))))
+        self.texts = list(texts)
+
+    def _compute_language(self, n: int) -> list[str]:
+        return self.texts
+
+
+def _counts_by_halving(top) -> tuple[int, ...]:
+    """p(0..n) of a top from ``common_prefix_length`` of each pair of
+    neighbouring rows."""
+    hist = [0] * (top.n + 1)
+    for a, b in itertools.pairwise(top):
+        hist[common_prefix_length(a, b)] += 1
+    return tuple(itertools.accumulate(hist[:-1], initial=1))
+
+
+def _random_text(rng, size: int, length: int) -> str:
+    return "".join(chr(48 + rng.randrange(size)) for _ in range(length))
+
+
+def _edge_texts():
+    rng = random.Random(25)
+    yield "one-row", 2, ["0101"], 4
+    yield "last-symbol", 2, ["0000000", "0000001"], 7
+    top_char = chr(48 + MAX_ALPHABET - 1)  # the largest byte a symbol has
+    yield "last-symbol-64", MAX_ALPHABET, [top_char * 15 + "0", top_char * 16], 16
+    yield "64-symbols", MAX_ALPHABET, [_random_text(rng, MAX_ALPHABET, 300)], 9
+    texts = [_random_text(rng, MAX_ALPHABET, 400), _random_text(rng, MAX_ALPHABET, 50)]
+    yield "64-symbols-wide", MAX_ALPHABET, texts, 41
+    for n in (1, 3, 5, 7, 8, 9, 15, 17, 63, 65):
+        yield f"width-{n}", 3, [_random_text(rng, 3, 200), _random_text(rng, 2, 90)], n
+    # both sides of the switch to halving, rows differing in their last symbol
+    for n in (XOR_ROW_LIMIT, XOR_ROW_LIMIT + 1):
+        yield f"limit-{n}", 2, ["0" * (n - 1) + "1", "0" * n, _random_text(rng, 2, n + 40)], n
+
+
+@pytest.mark.parametrize("name, size, texts, n", [
+    pytest.param(*case, id=case[0]) for case in _edge_texts()
+])
+def test_factor_counts_match_common_prefix_lengths(name, size, texts, n):
+    spec = _Texts(size, texts)
+    counts = spec.factor_counts(n)
+    top = spec.top(n)
+    assert counts == _counts_by_halving(top)
+    assert counts == tuple(len({w[:j] for w in top}) for j in range(n + 1))
+    if name == "one-row":
+        assert len(top) == 1 and counts == (1,) * (n + 1)
+    if name.startswith("last-symbol"):
+        assert counts == (1,) * n + (2,)

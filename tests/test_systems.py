@@ -64,6 +64,11 @@ def test_predecessors_sorted_and_unique_with_repeated_targets():
         succ = tuple(tuple(rng.choices(range(n), k=rng.randint(1, 4))) for _ in range(n))
         sys = FiniteSymbolicSystem(labels=tuple(f"s{i}" for i in range(n)), succ=succ)
         assert sys.pred == predecessors_oracle(succ)
+        # the merge states, found once, in a fresh list on every call
+        special = sys.special_states()
+        assert special == [t for t, ps in enumerate(predecessors_oracle(succ)) if len(ps) >= 2]
+        special.append(n)
+        assert n not in sys.special_states()
 
 
 def test_preimage_trivial_cases(full2_graph):

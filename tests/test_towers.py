@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from shiftdim.cover import build_cover_graph
@@ -5,6 +7,7 @@ from shiftdim.errors import HeightMismatch
 from shiftdim.rokhlin import build_rokhlin_cover
 from shiftdim.towers import (
     EXACT_COLORING_LIMIT,
+    TowerPair,
     TowerPairSystem,
     attach_shifted_pairs,
     build_phase_pairs,
@@ -13,7 +16,11 @@ from shiftdim.towers import (
     pairs_from_rokhlin,
     verify_tower_pairs,
 )
-from shiftdim.words import fibonacci_spec
+from shiftdim.words import Alphabet, SubstitutionSpec, fibonacci_spec, thue_morse_spec
+
+from .oracles import margin_witness_oracle
+from .test_amenability import random_branching_system
+from .test_words import TRIB_RULES
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +86,60 @@ def test_clause5_breaks_when_exponents_shrink(fib_pipeline):
     clause5 = next(c for c in cert.clauses if c.name == "(5)-margin-witness")
     assert not clause5.passed
     assert "state" in clause5.witness
+    # the counts stop at the first state without a witness
+    assert _margin_echo(cert) == margin_witness_oracle(sys, broken)
+    assert sum(cert.params["witness_kinds"].values()) > 0
+
+
+def _margin_echo(cert) -> tuple[str, dict]:
+    (clause5,) = [c for c in cert.clauses if c.name == "(5)-margin-witness"]
+    return clause5.witness, cert.params["witness_kinds"]
+
+
+def _random_pair_system(rng, sys) -> TowerPairSystem:
+    """1-4 base pairs on random bases with random ranges [0, h-1], the
+    pulled-back partners of some of them, and now and then a phase pair."""
+    states = range(sys.num_states)
+    E = rng.choice(((0,), (-1, 0, 1), (-2, 0, 3), (1,)))
+    pairs = [
+        TowerPair(frozenset(rng.sample(states, rng.randint(1, 3))), range(rng.randint(1, 7)), "base", t)
+        for t in range(rng.randint(1, 4))
+    ]
+    tps = TowerPairSystem(pairs, E, 2 * len(pairs) - 1)
+    for p in list(tps.pairs):
+        if rng.random() < 0.7:
+            shifted = TowerPair(sys.preimage(p.base, tps.M), range(rng.randint(1, 7)), "shifted", p.origin)
+            tps.pairs += (shifted,)
+    if rng.random() < 0.3:
+        tps.pairs += (TowerPair(frozenset({rng.choice(states)}), range(rng.randint(1, 9)), "phase", 0),)
+    return tps
+
+
+def test_margin_witnesses_match_per_state_search_on_random_systems():
+    rng = random.Random(25)
+    outcomes = {"pass": 0, "fail": 0, "shifted": 0}
+    for _ in range(400):
+        sys = random_branching_system(rng)
+        tps = _random_pair_system(rng, sys)
+        cert = verify_tower_pairs(sys, tps)
+        echo = _margin_echo(cert)
+        assert echo == margin_witness_oracle(sys, tps)
+        outcomes["pass" if echo[0].startswith("witnesses") else "fail"] += 1
+        outcomes["shifted"] += echo[1]["shifted"] > 0
+    assert min(outcomes.values()) > 50, outcomes
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(thue_morse_spec, id="tm"),
+    pytest.param(lambda: SubstitutionSpec(Alphabet(("0", "1", "2")), TRIB_RULES), id="trib"),
+])
+def test_margin_witnesses_match_per_state_search_on_front_covers(make):
+    sys = build_cover_graph(make(), 300, 6).system
+    tps = pairs_from_rokhlin(build_rokhlin_cover(sys, 5), (-1, 0, 1))
+    attach_shifted_pairs(tps, sys)
+    cert = verify_tower_pairs(sys, tps)
+    assert cert.passed, cert.first_failure()
+    assert _margin_echo(cert) == margin_witness_oracle(sys, tps)
 
 
 def test_chromatic_exact_examples():

@@ -4,7 +4,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftdim import words
@@ -23,7 +23,13 @@ from shiftdim.words import (
     thue_morse_spec,
 )
 
-from .oracles import sft_factors_oracle, sliding_factors, substitution_factors_oracle, substitution_image
+from .oracles import (
+    min_ratio_oracle,
+    sft_factors_oracle,
+    sliding_factors,
+    substitution_factors_oracle,
+    substitution_image,
+)
 
 FIB_RULES = {"0": "01", "1": "0"}
 TM_RULES = {"0": "01", "1": "10"}
@@ -115,6 +121,49 @@ def test_growth_report_single_orbit(single):
     rep = growth_report(single, 12)
     assert rep.d_hat == Fraction(1, 12)
     assert not rep.superlinear_flag
+
+
+class _StubCounts:
+    """A presentation stub: p(n) is ``counts[n - 1]``."""
+
+    def __init__(self, counts):
+        self.counts = counts
+
+    def complexity(self, n: int) -> int:
+        return self.counts[n - 1]
+
+
+@st.composite
+def _count_lists(draw):
+    """p(1..h) for 2 <= h <= 40: near a line of small integer slope, so
+    ties at the minimum and equal neighbouring ratios are common, or near a
+    parabola, so the ratios rise, or anything."""
+    h = draw(st.integers(2, 40))
+    shape = draw(st.sampled_from(("line", "parabola", "any")))
+    if shape == "any":
+        return draw(st.lists(st.integers(1, 200), min_size=h, max_size=h))
+    slope = draw(st.integers(1, 4))
+    jitter = draw(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2)), min_size=h, max_size=h))
+    base = (slope * n if shape == "line" else n * (n + 1) // slope for n in range(1, h + 1))
+    return [max(1, b + j) for b, j in zip(base, jitter)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_count_lists())
+@example([2, 4, 6, 8])  # every ratio ties at the minimum: the first length wins
+@example([3, 2, 3, 4, 10])  # ratio 1 at n = 2, 3 and 4: n = 2 wins
+@example([1, 2, 4, 8])  # rising ratios ending at p(h) = 2h: no flag
+@example([1, 2, 4, 9])  # one more: the flag
+@example([1, 3, 7, 12, 15])  # rising, then equal ratios 3 and 3 in the last half: no flag
+@example([5, 5])
+def test_growth_report_matches_fraction_ratios(counts):
+    rep = growth_report(_StubCounts(counts), len(counts))
+    ratios = [Fraction(p, n) for n, p in enumerate(counts, start=1)]
+    assert rep.d_hat == min_ratio_oracle(counts)
+    assert rep.d_hat_at == ratios.index(rep.d_hat) + 1
+    half = ratios[len(counts) // 2 - 1 :]
+    rising = all(a < b for a, b in zip(half, half[1:]))
+    assert rep.superlinear_flag == (rising and ratios[-1] > 2)
 
 
 def test_extendability(fib, full2):
