@@ -16,8 +16,8 @@ the distinct length-``k`` prefixes of the top and its past set.  The
 build, the shift map and the intertwining check read the rows in place,
 comparing against the corpus at a row's start, which is small enough to
 stay in cache.  Strings are sliced off the corpus only when the
-read-only views ``stored``, ``class_words`` and ``states`` are read, and
-a state's label is built only when the system's ``labels`` view is read.
+read-only views ``stored`` and ``class_words`` are read, and a state's
+label is built only when the system's ``labels`` view is read.
 Many stored words share a tail, so the past of each distinct tail, at
 the lookahead and at one less for the stabilization flag, is found once
 per build.
@@ -96,21 +96,6 @@ def past_set(spec: SubshiftSpec, w: str, l: int, lookahead: int) -> PastSet:
     return PastSet(l, lookahead, words, words == words1)
 
 
-@dataclass(frozen=True)
-class CoverState:
-    index: int
-    k: int
-    l: int
-    prefix: str
-    past: frozenset
-
-    def key(self):
-        return (self.prefix, self.past)
-
-    def descriptor(self, alphabet) -> str:
-        return _descriptor(self.prefix, len(self.prefix), _past_text(self.past, alphabet), alphabet)
-
-
 def _past_text(past: frozenset, alphabet) -> str:
     """The sorted past words, decoded and joined by ``,``."""
     return ",".join(alphabet.decode(p) for p in sorted(past))
@@ -173,9 +158,9 @@ class CoverGraph:
     The graph holds the presentation's top and integers into it: the row
     and the state of each stored word, the first row of each prefix rank,
     per state its rank and past set, and the shift map.  ``stored`` (the
-    length-``depth`` factors in sorted order), ``class_words`` (the stored
-    words of each state) and ``states`` are views that slice the top's
-    corpus when read; ``pi`` does too."""
+    length-``depth`` factors in sorted order) and ``class_words`` (the
+    stored words of each state) are views that slice the top's corpus
+    when read; ``pi`` does too."""
 
     def __init__(self, spec: SubshiftSpec, k: int, l: int, horizon: int):
         if k < 1 or l < 1:
@@ -312,13 +297,6 @@ class CoverGraph:
         """The stored words of each state, sorted."""
         top, depth, class_rows = self._top, self.depth, self._class_rows
         return _View(len(class_rows), lambda s: _words(top, class_rows[s], depth))
-
-    @property
-    def states(self) -> _View:
-        return _View(len(self._keys), self._state)
-
-    def _state(self, s: int) -> CoverState:
-        return CoverState(s, self.k, self.l, self.pi(s), self._keys[s][1])
 
     @property
     def system(self) -> FiniteSymbolicSystem:

@@ -171,6 +171,7 @@ def _cover_certificate(graph: CoverGraph) -> Certificate:
     """The verifier's certificate on ``graph``, without the arena echo."""
     match = special_match_report(graph)
     unwitnessed = [s for s, w in zip(match.special_states, match.witnesses) if not w]
+    orphans = [s for s, p in enumerate(graph.system.pred) if not p]
     clauses = [
         Clause("intertwining", check_intertwining(graph), ""),
         Clause(
@@ -183,7 +184,11 @@ def _cover_certificate(graph: CoverGraph) -> Certificate:
             match.all_witnessed,
             f"no left special stored word for states {unwitnessed[:5]}" if unwitnessed else "",
         ),
-        Clause("shift-onto-states", graph.surjective, ""),
+        Clause(
+            "shift-onto-states",
+            not orphans,
+            f"no predecessor for states {orphans[:5]}" if orphans else "",
+        ),
     ]
     return Certificate.build(
         kind="cover-graph",

@@ -19,7 +19,6 @@ is which.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -116,61 +115,39 @@ class FiniteSymbolicSystem:
 
     # -- cycles ---------------------------------------------------------------
 
-    def cycle_lengths_report(self, bound: int) -> list[int]:
-        """Sorted lengths (<= bound) of the shortest cycles through each
-        branch state plus all deterministic cycles.
-
-        Every directed cycle either avoids branch states entirely (then all
-        its states have exactly one successor and it is found by following
-        unique successors) or passes through a branch state (found by BFS
-        back to it).  Finite graphs always have cycles; whether a cycle
-        witnesses a genuine periodic point is decided by ``depth_meta``.
-        """
-        lengths: set[int] = set()
-        branch = set(self.branch_states())
-        color = [0] * self.num_states  # 0 unseen, 1 on stack, 2 done
-        pos: dict[int, int] = {}
-        for start in range(self.num_states):
-            if color[start] or start in branch:
-                continue
-            path = []
-            s = start
-            while True:
-                if s in branch or color[s] == 2:
-                    break
-                if color[s] == 1:
-                    lengths.add(len(path) - pos[s])
-                    break
-                color[s] = 1
-                pos[s] = len(path)
-                path.append(s)
-                s = self.succ[s][0]
-            for v in path:
-                color[v] = 2
-                pos.pop(v, None)
-        for b in branch:
-            dist = {t: 1 for t in self.succ[b]}
-            queue = deque(self.succ[b])
-            found = 1 if b in self.succ[b] else None
-            while queue and found is None:
-                v = queue.popleft()
-                if dist[v] >= bound:
-                    continue
-                for t in self.succ[v]:
-                    if t == b:
-                        found = dist[v] + 1
-                        break
-                    if t not in dist:
-                        dist[t] = dist[v] + 1
-                        queue.append(t)
-            if found is not None:
-                lengths.add(found)
-        return sorted(l for l in lengths if l <= bound)
-
     def min_cycle_length(self, bound: int) -> int | None:
-        """Length of the shortest cycle if it is <= bound, else None."""
-        report = self.cycle_lengths_report(bound)
-        return report[0] if report else None
+        """Length of the shortest cycle if it is <= bound, else None.
+
+        A cycle that meets no branch state runs along unique successors,
+        so one walk from each state not yet walked finds it.  A cycle
+        through a branch state is found by a breadth-first search from
+        it, one level set at a time, cut off at the best length so far.
+        A finite graph always has a cycle; the Rokhlin stage decides with
+        ``aperiodicity_window_check`` whether it is a real periodic point.
+        """
+        succ = self.succ
+        best = bound + 1
+        walked = [False] * self.num_states
+        for start in range(self.num_states):
+            path, s = {}, start  # state -> its place on this walk
+            while not walked[s] and len(succ[s]) == 1:
+                walked[s] = True
+                path[s] = len(path)
+                s = succ[s][0]
+            if s in path:
+                best = min(best, len(path) - path[s])
+        for b in self.branch_states():
+            level = seen = {b}
+            for length in range(1, best):
+                level = {t for s in level for t in succ[s]}
+                if b in level:
+                    best = length
+                    break
+                level -= seen
+                if not level:
+                    break
+                seen |= level
+        return best if best <= bound else None
 
     def without_entries_into(self, window) -> "FiniteSymbolicSystem":
         """Copy of the system with every edge from outside ``window`` into

@@ -154,25 +154,26 @@ def sumset_partition_oracle(S, E, N: int, window: int) -> tuple[frozenset, ...]:
     return tuple(D[k - 1] - D[k] for k in range(1, N)) + (D[N - 1],)
 
 
-def descriptor_oracle(state, alphabet) -> str:
-    """A cover state's label the long way: decode the whole prefix with
-    the declared symbol names (space-joined unless every symbol is one
-    character), then cut it to 12 + '..' + 8 characters if it is longer
-    than 24."""
+def descriptor_oracle(prefix: str, past, alphabet) -> str:
+    """The label of a cover state with length-k prefix ``prefix`` and past
+    set ``past``, as ``graph.system.labels[s]`` reads it, the long way:
+    decode the whole prefix with the declared symbol names (space-joined
+    unless every symbol is one character), then cut it to 12 + '..' + 8
+    characters if it is longer than 24."""
     sep = "" if all(len(s) == 1 for s in alphabet.symbols) else " "
     decode = lambda word: sep.join(alphabet.symbols[ord(c) - 48] for c in word)
-    prefix = decode(state.prefix)
+    prefix = decode(prefix)
     if len(prefix) > 24:
         prefix = prefix[:12] + ".." + prefix[-8:]
-    past = ",".join(decode(p) for p in sorted(state.past))
+    past = ",".join(decode(p) for p in sorted(past))
     return f"[{prefix}|{past}]"
 
 
 def cover_key(graph, word: str, lookahead: int) -> tuple:
     """``(prefix, past)`` of ``word`` at ``lookahead``, spelled out as
-    ``CoverState.key`` spells a state's.  The past is read through the
-    graph's per-tail cache, so this is what a test checks against the
-    uncached past, not an oracle itself."""
+    ``(graph.pi(s), graph._keys[s][1])`` spells state ``s``'s.  The past is
+    read through the graph's per-tail cache, so this is what a test checks
+    against the uncached past, not an oracle itself."""
     k = graph.k
     return (word[:k], graph._past(word[k : k + lookahead]))
 
@@ -230,6 +231,46 @@ def predecessors_oracle(succ) -> tuple[tuple[int, ...], ...]:
         for t in targets:
             preds[t].add(s)
     return tuple(tuple(sorted(p)) for p in preds)
+
+
+def shortest_cycle_oracle(succ, bound: int) -> int | None:
+    """The length of the shortest cycle of the graph with successor lists
+    ``succ`` if it is at most ``bound``, else None.  A cycle through v is
+    a path from v to some u with an edge u -> v, so a breadth-first search
+    from every state v gives the shortest one through v."""
+    lengths = []
+    for v in range(len(succ)):
+        dist = {v: 0}
+        queue = [v]
+        for u in queue:
+            for t in succ[u]:
+                if t == v:
+                    lengths.append(dist[u] + 1)
+                if t not in dist:
+                    dist[t] = dist[u] + 1
+                    queue.append(t)
+    shortest = min(lengths)
+    return shortest if shortest <= bound else None
+
+
+def renamed_cover_states(graph, renamed, rename: dict) -> list[int]:
+    """The state of ``renamed`` that each state of ``graph`` becomes when
+    every letter of its stored words is renamed by ``rename`` (internal
+    symbol -> internal symbol).  A state's stored words, renamed, must be
+    exactly one state's stored words; an AssertionError says which state
+    has no image, or that two states share one.  The map is then checked
+    to carry the edges of ``graph`` onto those of ``renamed``."""
+    table = str.maketrans(rename)
+    of_words = {frozenset(words): t for t, words in enumerate(renamed.class_words)}
+    image = []
+    for s, words in enumerate(graph.class_words):
+        renamed_words = frozenset(w.translate(table) for w in words)
+        assert renamed_words in of_words, f"state {s} has no renamed image"
+        image.append(of_words[renamed_words])
+    assert sorted(image) == list(range(renamed.num_states)), "two states share an image"
+    for s, targets in enumerate(graph.succ):
+        assert sorted(image[t] for t in targets) == list(renamed.succ[image[s]]), s
+    return image
 
 
 class SweepFailed(Exception):

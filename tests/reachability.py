@@ -49,9 +49,6 @@ KEPT = {
     "amenability:project_finite_support":
         "tracing.SPANS; acceptance criterion 11 projects the map onto its support",
     "cover:CoverGraph.pi": "acceptance criterion 5 reads the prefix of each state",
-    "cover:CoverGraph.states": "test test_cover.py checks the states against their words",
-    "cover:CoverState.descriptor": "test test_cover.py checks it against an oracle",
-    "cover:CoverState.key": "test test_cover.py checks the state order",
     "simplex:SimplexPoint.shift": "test test_simplex.py: the reference for l1(other, n)",
     "simplex:skeleton_distance": "acceptance criterion 12 checks its closed form",
     "towers:chromatic_number":

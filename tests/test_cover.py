@@ -5,7 +5,8 @@ import pytest
 
 from shiftdim import cover
 from shiftdim.cover import (
-    CoverState,
+    _descriptor,
+    _past_text,
     _past_words,
     build_cover_graph,
     check_intertwining,
@@ -15,7 +16,7 @@ from shiftdim.cover import (
     special_match_report,
 )
 from shiftdim.errors import InvalidSpec
-from shiftdim.pipeline import run_cover
+from shiftdim.pipeline import _cover_certificate, run_cover
 from shiftdim.special import left_special_words
 from shiftdim.words import (
     Alphabet,
@@ -207,10 +208,11 @@ def test_descriptor_matches_oracle_multichar():
         for n in range(8, 41)
         for _ in range(60)
     ]
+    past = frozenset({"01", "20", "1"})
     decoded_lengths = set()
     for prefix in prefixes:
-        state = CoverState(0, len(prefix), 2, prefix, frozenset({"01", "20", "1"}))
-        assert state.descriptor(MULTI) == descriptor_oracle(state, MULTI), prefix
+        label = _descriptor(prefix, len(prefix), _past_text(past, MULTI), MULTI)
+        assert label == descriptor_oracle(prefix, past, MULTI), prefix
         decoded_lengths.add(len(MULTI.decode(prefix)))
     # both sides of the 24-character cut are exercised
     assert {23, 24, 25, 26} <= decoded_lengths
@@ -228,9 +230,9 @@ def test_adjacency_text_labels_match_oracle(trib):
     for spec, k in ((trib, 200), (multi_trib, 40)):
         graph = build_cover_graph(spec, k, 6)
         expected = [
-            f"{s}\t{descriptor_oracle(state, spec.alphabet)}\t-> "
+            f"{s}\t{descriptor_oracle(graph.pi(s), graph._keys[s][1], spec.alphabet)}\t-> "
             + " ".join(str(t) for t in graph.succ[s])
-            for s, state in enumerate(graph.states)
+            for s in range(graph.num_states)
         ]
         assert graph.to_adjacency_text().splitlines()[1:] == expected
 
@@ -325,7 +327,7 @@ def test_row_number_cover_matches_spelled_classification(name, k, before):
     for w in stored:
         groups.setdefault(key(w), []).append(w)
     order = sorted(groups, key=lambda kp: (kp[0], sorted(kp[1])))
-    assert [state.key() for state in graph.states] == order
+    assert [(graph.pi(s), graph._keys[s][1]) for s in range(graph.num_states)] == order
     assert [list(words) for words in graph.class_words] == [groups[kp] for kp in order]
     index = {kp: s for s, kp in enumerate(order)}
     edges = [set() for _ in order]
@@ -334,7 +336,6 @@ def test_row_number_cover_matches_spelled_classification(name, k, before):
         assert cover_class(graph, w[1:]) == index[key(w[1:])]
         edges[index[key(w)]].add(index[key(w[1:])])
     assert graph.succ == tuple(tuple(sorted(e)) for e in edges)
-    assert [graph.pi(s) for s in range(graph.num_states)] == [kp[0] for kp in order]
     assert check_intertwining(graph)
     report = special_match_report(graph)
     assert report.branch_count_at_k == len(left_special_words(spec, k))
@@ -420,3 +421,30 @@ def test_past_stabilized_matches_two_walk_oracle():
             assert graph.past_stabilized == past_stabilized_oracle(graph), (name, k, l, horizon)
             flags.add((graph.lookahead == 1, graph.past_stabilized))
     assert flags == {(True, False), (False, False), (False, True)}
+
+
+def _failing_clauses(graph) -> dict:
+    """The failing clauses of the cover certificate on ``graph``, name to
+    witness."""
+    cert = _cover_certificate(graph)
+    return {clause.name: clause.witness for clause in cert.clauses if not clause.passed}
+
+
+def test_cover_certificate_fails_intertwining_on_a_wrong_shift_entry():
+    graph = build_cover_graph(fibonacci_spec(), 50, 6)
+    assert _failing_clauses(graph) == {}
+    graph._shift[50] += 1
+    assert _failing_clauses(graph) == {"intertwining": ""}
+
+
+def test_cover_certificate_fails_the_special_count():
+    # one special state more than left special words of length k
+    graph = build_cover_graph(CENSUS["random0"](), 250, 6)
+    failing = _failing_clauses(graph)
+    assert failing["special-count-matches-branch-count"] == "cover 7 vs words 6"
+
+
+def test_cover_certificate_names_the_states_without_a_predecessor():
+    sft = SFTSpec(Alphabet(("0", "1", "2")), ["02", "12", "22", "20"])
+    graph = build_cover_graph(sft, 3, 2)
+    assert _failing_clauses(graph) == {"shift-onto-states": "no predecessor for states [8, 9]"}

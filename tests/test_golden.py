@@ -11,11 +11,17 @@ the subcommands and the certificate schema shows up here.
 not an integer interval.  Its pins were taken while the B-partition was
 still built from the k-fold sumsets of the window, before the
 breadth-first erosion pass replaced that construction.
+
+``DEMO_PINS`` is the sha256 of what each demo prints, run in process.
+Demos 04 and 05 print the cover's shortest cycle; the pins were taken
+while every cycle length was still listed to find the shortest one.
 """
 
 import contextlib
 import hashlib
 import io
+import pathlib
+import runpy
 from fractions import Fraction
 
 import pytest
@@ -154,3 +160,26 @@ def test_skew_window_certificates_match_pins():
         for name, cert in certs.items()
     }
     assert written == SKEW_PINS
+
+
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+DEMO_PINS = {
+    "01_language_and_complexity.py":
+        "2507bcc00c609c038807fa2855d0fb45dfa42ada490f2ba0285fc2a1a8438778",
+    "02_left_special_words.py": "10e357f92bdd478d5c3fc1907a2b75df667f47e289360aaeb989c14011e6fe0b",
+    "03_cover_graphs.py": "8922a47f790a89f55e18f4725c99a24cf0ac07264484fbd58651322135751c21",
+    "04_tower_covers.py": "ee4d0fd6f52326ea026588c7fb90287da54047941853daabde28a55666a8c98e",
+    "05_tower_pairs_and_map.py": "e888c122fbf53c73e0581dcb9f79301b9a56450368c13431f711c6497aeea76b",
+    "06_groupoid_and_bounds.py": "cd3ee6c65c7b60957fb9f826f1e68a219e622a2a82a11fa3e9642d409141174f",
+}
+
+
+def test_every_demo_is_pinned():
+    assert sorted(path.name for path in DEMOS.glob("*.py")) == sorted(DEMO_PINS)
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_PINS))
+def test_demo_output_matches_pin(demo):
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        runpy.run_path(str(DEMOS / demo), run_name="__main__")
+    assert hashlib.sha256(stdout.getvalue().encode()).hexdigest() == DEMO_PINS[demo]

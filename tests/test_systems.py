@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftdim.cover import build_cover_graph
@@ -12,7 +12,9 @@ from shiftdim.systems import (
 )
 from shiftdim.words import fibonacci_spec, full_shift_spec, golden_mean_spec
 
-from .oracles import predecessors_oracle
+from .oracles import predecessors_oracle, shortest_cycle_oracle
+from .test_amenability import random_branching_system
+from .test_cover import CENSUS
 
 
 def det_system(successors):
@@ -139,9 +141,13 @@ def test_aperiodicity_full_shift_and_sft():
 
 def test_cycle_lengths_reported():
     sys = det_system([1, 2, 0, 4, 3])  # a 3-cycle and a 2-cycle
-    assert sys.cycle_lengths_report(10) == [2, 3]
     assert sys.min_cycle_length(10) == 2
+    assert sys.min_cycle_length(2) == 2
     assert sys.min_cycle_length(1) is None
+    # a tail into the 3-cycle, walked after the cycle and before it
+    assert det_system([1, 2, 0, 0]).min_cycle_length(10) == 3
+    assert det_system([1, 2, 3, 1]).min_cycle_length(10) == 3
+    assert det_system([1, 2, 0, 0]).min_cycle_length(2) is None
 
 
 def test_cycle_through_branch_state():
@@ -149,9 +155,48 @@ def test_cycle_through_branch_state():
         labels=("a", "b", "c"),
         succ=((1, 2), (0,), (2,)),
     )
-    # shortest cycle through the branch state a: a -> b -> a
     assert sys.min_cycle_length(10) == 1  # c self-loop
-    assert 2 in sys.cycle_lengths_report(10)
+    # with no self-loop, the shortest cycles run through the branch state
+    # a: a -> b -> a and a -> c -> a
+    sys = FiniteSymbolicSystem(labels=("a", "b", "c"), succ=((1, 2), (0,), (0,)))
+    assert sys.min_cycle_length(10) == 2
+    assert sys.min_cycle_length(1) is None
+    # a 2-cycle through the branch state b beside a deterministic 3-cycle
+    sys = FiniteSymbolicSystem(labels=tuple("abcde"), succ=((1,), (0, 2), (3,), (4,), (2,)))
+    assert sys.min_cycle_length(10) == 2
+    assert sys.min_cycle_length(1) is None
+
+
+@st.composite
+def successor_lists(draw):
+    n = draw(st.integers(1, 7))
+    sets = st.sets(st.integers(0, n - 1), min_size=1, max_size=3)
+    return tuple(tuple(sorted(draw(sets))) for _ in range(n))
+
+
+@given(successor_lists(), st.integers(0, 9))
+@settings(max_examples=300, deadline=None)
+@example(((0,),), 0)  # a self-loop at bound 0
+@example(((0,),), 1)
+@example(((1,), (2,), (0,)), 2)  # a pure cycle, bound below its length
+@example(((1,), (2,), (0,)), 3)
+@example(((1, 2), (0,), (0,)), 1)  # cycles only through a branch state
+@example(((1, 2), (0,), (0,)), 2)
+def test_min_cycle_length_matches_oracle(succ, bound):
+    sys = FiniteSymbolicSystem(labels=tuple(map(str, range(len(succ)))), succ=succ)
+    assert sys.min_cycle_length(bound) == shortest_cycle_oracle(succ, bound)
+
+
+def test_min_cycle_length_matches_oracle_on_branching_systems_and_covers():
+    rng = random.Random(26)
+    systems = [random_branching_system(rng) for _ in range(300)]
+    systems += [
+        build_cover_graph(make(), k, 6).system for make in CENSUS.values() for k in (1, 2, 5, 20)
+    ]
+    for sys in systems:
+        girth = shortest_cycle_oracle(sys.succ, sys.num_states)
+        for bound in {0, 1, 2, 3, 5, 20, girth - 1, girth}:
+            assert sys.min_cycle_length(bound) == shortest_cycle_oracle(sys.succ, bound)
 
 
 def test_adjacency_export(full2_graph):
