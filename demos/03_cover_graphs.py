@@ -33,7 +33,7 @@ print(f" states: {g.num_states}, shift onto states: {g.surjective}")
 match = special_match_report(g)
 print(f" merge states: {list(match.special_states)} "
       f"(word-level count {match.branch_count_at_k}, matching: {match.counts_match})")
-print(" intertwining of word shifts and class edges:", check_intertwining(g))
+print(" intertwining of word shifts and class edges:", not check_intertwining(g))
 
 special = match.special_states[0]
 print("\n== isolation across refinements ==")

@@ -23,9 +23,9 @@ over a denominator, compared by cross-multiplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .certificates import Certificate, Clause
 from .errors import NotSurjective, NTooSmall, TailMassTooLarge, TowerPairsInsufficient
@@ -34,8 +34,7 @@ from .systems import FiniteSymbolicSystem, overlapping_pair
 from .towers import TowerPairSystem, normalize_window
 
 
-@dataclass(frozen=True)
-class PartitionB:
+class PartitionB(NamedTuple):
     """Partition of the integers into blocks 0..N by window margin depth.
 
     Block k >= 1 collects exponents whose translates by the k-fold (but
@@ -103,13 +102,13 @@ def build_B_partition(S, E, N: int) -> PartitionB:
 def _check_partition(part: PartitionB, universe) -> None:
     if overlapping_pair(part.blocks) is not None:
         raise AssertionError("blocks overlap")
-    table = part.level_table()
-    max_e = max(abs(e) for e in part.window_set)
+    table, steps = part.level_table(), part.window_set
+    reach = part.window - max(abs(e) for e in steps)
     for x in universe:
-        if abs(x) > part.window - max_e:
+        if abs(x) > reach:
             continue
         kx = table.get(x, 0)
-        for m in part.window_set:
+        for m in steps:
             ky = table.get(x + m, 0)
             if abs(kx - ky) > 1:
                 raise AssertionError(
@@ -117,8 +116,7 @@ def _check_partition(part: PartitionB, universe) -> None:
                 )
 
 
-@dataclass(frozen=True)
-class EquivariantMap:
+class EquivariantMap(NamedTuple):
     """Piecewise-constant assignment of states to simplex points."""
 
     assignment: tuple[SimplexPoint, ...]
@@ -258,7 +256,7 @@ def build_equivariant_map(
     )
     cert = check_equivariance(sys, emap, E, eps, orbit_window)
     achieved = Fraction(str(cert.params["max_regular_deviation"]))
-    return replace(emap, epsilon_achieved=achieved)
+    return emap._replace(epsilon_achieved=achieved)
 
 
 def check_equivariance(
@@ -292,7 +290,7 @@ def check_equivariance(
     E = normalize_window(E)
     eps = Fraction(epsilon)
     orbit_window = frozenset(orbit_window)
-    points = emap.assignment
+    points, support = emap.assignment, emap.d + 1
     succ = sys.succ
     # the successors an edge reaches without entering the orbit window from outside
     free_succ = [
@@ -354,13 +352,13 @@ def check_equivariance(
         Clause(
             "probability-vectors",
             # holds by construction of SimplexPoint; re-read from the numerators
-            all(sum(p.nums) == p.den for p in emap.assignment),
+            all(sum(p.nums) == p.den for p in points),
             "",
         ),
         Clause(
             "support-bound",
-            all(len(p.atoms) <= emap.d + 1 for p in emap.assignment),
-            f"d+1 = {emap.d + 1}",
+            all(len(p.atoms) <= support for p in points),
+            f"d+1 = {support}",
         ),
     ]
     return Certificate.build(
@@ -421,5 +419,5 @@ def project_finite_support(emap: EquivariantMap, S, delta) -> tuple[EquivariantM
         if moved[0] * worst[1] > worst[0] * moved[1]:
             worst = moved
         new_points.append(q)
-    projected = replace(emap, assignment=tuple(new_points), support_window=tuple(sorted(S)))
+    projected = emap._replace(assignment=tuple(new_points), support_window=tuple(sorted(S)))
     return projected, Fraction(*worst)

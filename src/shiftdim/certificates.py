@@ -10,9 +10,9 @@ reviewable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 TOOL_VERSION = "shiftdim-0.1.0"
 SCHEMA_VERSION = 1
@@ -21,8 +21,7 @@ PASS = "pass"
 FAIL = "fail"
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(NamedTuple):
     name: str
     passed: bool
     witness: str = ""
@@ -31,13 +30,14 @@ class Clause:
 # Types ``_canon`` passes through unchanged.
 _PLAIN = frozenset({str, int, bool, type(None)})
 _STR = frozenset({str})
+_SEQUENCES = frozenset({list, tuple})
 
 
 def _canon(value):
     """Make a value JSON-stable: fractions to 'p/q', sets sorted, tuples
     to lists.  A value of any other type than these, strings, integers,
-    booleans, None, dicts and lists raises ``TypeError``, so that no float
-    and no ``repr`` reaches a certificate."""
+    booleans, None, dicts and lists raises ``TypeError``, so that no float,
+    no record and no ``repr`` reaches a certificate."""
     if type(value) in _PLAIN:
         return value
     if isinstance(value, Fraction):
@@ -52,7 +52,7 @@ def _canon(value):
         return {str(k): _canon(v) for k, v in value.items()}
     if isinstance(value, (frozenset, set)):
         return sorted(_canon(v) for v in value)
-    if isinstance(value, (list, tuple)):
+    if type(value) in _SEQUENCES:  # a record is a tuple too, but not one of these
         if _PLAIN.issuperset(map(type, value)):
             return list(value)
         return [_canon(v) for v in value]
@@ -144,8 +144,7 @@ _SHAPE = {
 }
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     kind: str
     params: dict
     clauses: tuple[Clause, ...]
@@ -187,7 +186,7 @@ class Certificate:
         params.  Only ``extra`` is normalised: ``build`` already normalised
         the params, and ``canonical`` holds values already in canonical
         form that were made for this certificate, which no caller holds."""
-        return replace(self, params={**self.params, **_canon(extra), **(canonical or {})})
+        return self._replace(params={**self.params, **_canon(extra), **(canonical or {})})
 
     def canonical_json(self) -> str:
         """``json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\\n"``,

@@ -48,15 +48,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EmptyLanguage, InvalidSpec
 from .systems import FiniteSymbolicSystem
 from .words import SFTSpec, SubshiftSpec, Top
 
 
-@dataclass(frozen=True)
-class PastSet:
+class PastSet(NamedTuple):
     """Length-``l`` words that may precede a given finite word, decided at
     finite lookahead.  Monotone nonincreasing in the lookahead."""
 
@@ -336,8 +335,7 @@ def build_cover_graph(spec: SubshiftSpec, k: int, l: int, horizon: int | None = 
     return CoverGraph(spec, k, l, horizon)
 
 
-@dataclass(frozen=True)
-class SpecialMatchReport:
+class SpecialMatchReport(NamedTuple):
     special_states: tuple[int, ...]
     branch_count_at_k: int
     counts_match: bool
@@ -404,26 +402,28 @@ def isolated_orbit_window(graph: CoverGraph) -> frozenset:
     return frozenset(window)
 
 
-def check_intertwining(graph: CoverGraph) -> bool:
+def check_intertwining(graph: CoverGraph) -> str:
     """For every row of the top, the stored word its shift-map entry names
     is the row's shift (one comparison against the top's corpus, in place),
     and the class of that word is among the successors of the class of the
     row's own stored word; with a single-valued shift this is the exact
-    equality of states."""
+    equality of states.  Returns the first row that breaks either, as a
+    witness, or ``""`` when every row holds."""
     top, depth, rows, shift = graph._top, graph.depth, graph._rows, graph._shift
     corpus, starts = top.corpus, top.starts
     classes, succ = graph._classes, graph.succ
     ends = (*rows[1:], len(top))
     for own, (first, end) in enumerate(zip(rows, ends)):
-        successors = succ[classes[own]]
+        source = classes[own]
+        successors = succ[source]
         for row in range(first, end):
             target = shift[row]
             s = starts[row]
             if not corpus.startswith(corpus[s + 1 : s + 1 + depth], starts[rows[target]]):
-                return False
+                return f"row {row}: the shift map names stored word {target}, not the row's shift"
             if classes[target] not in successors:
-                return False
-    return True
+                return f"row {row}: no edge from state {source} to state {classes[target]}"
+    return ""
 
 
 def isolated_state_check(graph: CoverGraph, state: int, refinements) -> bool:

@@ -12,7 +12,7 @@ finiteness argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .amenability import EquivariantMap
 from .certificates import Certificate, Clause
@@ -114,8 +114,7 @@ def difference_set(S) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class DadCover:
+class DadCover(NamedTuple):
     pieces: tuple[frozenset, ...]  # U_0 .. U_d (state sets)
     F: tuple[int, ...]
     orbit_states: frozenset
@@ -141,8 +140,9 @@ def build_dad_cover(
     orbit = frozenset(orbit_states) | frozenset(window.sys.special_states())
     pieces = [set() for _ in range(d + 1)]
     ring_of: dict[tuple[int, ...], int] = {}  # the ring depends on the numerators alone
+    points = map_prime.assignment
     for x in range(window.sys.num_states):
-        point = map_prime.point(x)
+        point = points[x]
         if point.nums not in ring_of:
             ring_of[point.nums] = cover_index(point, d)[0]
         pieces[ring_of[point.nums]].add(x)
@@ -237,8 +237,7 @@ def verify_dad_cover(window: GroupoidWindow, cover: DadCover) -> Certificate:
     )
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     q: int
     dim_x: int
     rokhlin: int

@@ -35,10 +35,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .amenability import EquivariantMap, build_equivariant_map, check_equivariance
 from .certificates import Certificate, Clause, same_json
@@ -75,8 +74,7 @@ from .towers import (
 from .words import LanguageTable, SubshiftSpec
 
 
-@dataclass
-class PipelineParams:
+class PipelineParams(NamedTuple):
     """Everything a chain run needs.  The chain defaults live here alone:
     the CLI passes only the flags it was given."""
 
@@ -172,8 +170,9 @@ def _cover_certificate(graph: CoverGraph) -> Certificate:
     match = special_match_report(graph)
     unwitnessed = [s for s, w in zip(match.special_states, match.witnesses) if not w]
     orphans = [s for s, p in enumerate(graph.system.pred) if not p]
+    broken = check_intertwining(graph)
     clauses = [
-        Clause("intertwining", check_intertwining(graph), ""),
+        Clause("intertwining", not broken, broken),
         Clause(
             "special-count-matches-branch-count",
             match.counts_match,
@@ -301,8 +300,7 @@ def run_bounds(q: int, dim_x: int):
 # -- the chain -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     """One link of the chain.  ``build(params, built)`` reads the fields
     ``reads`` of the run's parameters and the objects of the stages in
     ``needs``, and returns its own object and the certificates ``emits``."""
@@ -428,8 +426,7 @@ class Mismatch(Exception):
     """A re-check found a certificate that disagrees with what it refers to."""
 
 
-@dataclass(frozen=True)
-class GraphKind:
+class GraphKind(NamedTuple):
     """A certificate kind whose claim lives on a cover graph.
 
     ``witnesses`` maps each witness key the certificate echoes to how it
@@ -548,7 +545,7 @@ def _rebuild_equivariance(graph: CoverGraph, p: dict):
     cert = check_equivariance(graph.system, emap, E, Fraction(p["epsilon"]), orbit)
     # the map echoes the window and the deviation measured, as construction stamps them
     achieved = Fraction(cert.params["max_regular_deviation"])
-    emap = replace(emap, window_set=E, epsilon_achieved=achieved)
+    emap = emap._replace(window_set=E, epsilon_achieved=achieved)
     return cert, {"emap": emap, "tps": tps, "orbit": orbit}
 
 
@@ -562,7 +559,7 @@ def _rebuild_dad(graph: CoverGraph, p: dict):
     window = build_window(graph.system, tuple(p["E"]), p["exponent_bound"])
     pieces = tuple(_states(graph, piece) for piece in p["pieces"])
     # a map covered by d + 1 pieces over the window E echoes that d and E
-    emap = replace(EquivariantMap.from_jsonable(p["map"]), d=len(pieces) - 1, window_set=window.E)
+    emap = EquivariantMap.from_jsonable(p["map"])._replace(d=len(pieces) - 1, window_set=window.E)
     cover = DadCover(
         pieces=pieces,
         F=difference_set(emap.support_window),

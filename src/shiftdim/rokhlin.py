@@ -18,8 +18,8 @@ independent verifier before returning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .certificates import Certificate, Clause
 from .errors import (
@@ -33,8 +33,7 @@ from .errors import (
 from .systems import ClopenSet, FiniteSymbolicSystem, overlapping_pair
 
 
-@dataclass(frozen=True)
-class RokhlinTower:
+class RokhlinTower(NamedTuple):
     base: ClopenSet
     height: int
     levels: tuple[ClopenSet, ...]
@@ -44,8 +43,7 @@ class RokhlinTower:
         return cls(frozenset(base), height, tuple(sys.preimage_levels(base, height)))
 
 
-@dataclass(frozen=True)
-class RokhlinCover:
+class RokhlinCover(NamedTuple):
     height: int
     towers: tuple[RokhlinTower, ...]
 

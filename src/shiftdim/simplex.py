@@ -14,38 +14,40 @@ in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, inf, lcm
 
+from .records import Frozen
 
-@dataclass(frozen=True)
-class SimplexPoint:
+
+class SimplexPoint(Frozen):
     """Finitely supported rational probability vector on the integers: the
-    weight of ``atoms[j]`` is ``nums[j] / den`` with ``den = sum(nums)``."""
+    weight of ``atoms[j]`` is ``nums[j] / den`` with ``den = sum(nums)``.
+    Two points are equal when their atoms and numerators are."""
 
+    __slots__ = ("atoms", "nums", "den", "_by_atom")
+    _fields = ("atoms", "nums")
     atoms: tuple[int, ...]  # strictly increasing
     nums: tuple[int, ...]  # positive, gcd 1
-    den: int = field(init=False, repr=False, compare=False)
-    _by_atom: dict[int, int] = field(init=False, repr=False, compare=False)
+    den: int
+    _by_atom: dict[int, int]
 
-    def __post_init__(self):
-        if not self.atoms or len(self.atoms) != len(self.nums):
+    def __init__(self, atoms: tuple[int, ...], nums: tuple[int, ...]):
+        if not atoms or len(atoms) != len(nums):
             raise ValueError("a point needs one numerator per atom, and at least one atom")
-        if any(a >= b for a, b in zip(self.atoms, self.atoms[1:])):
+        if any(a >= b for a, b in zip(atoms, atoms[1:])):
             raise ValueError("atoms must be sorted and distinct")
-        if min(self.nums) <= 0:
+        if min(nums) <= 0:
             raise ValueError("weights must be positive")
-        if gcd(*self.nums) != 1:
+        if gcd(*nums) != 1:
             raise ValueError("numerators must have gcd 1")
-        object.__setattr__(self, "den", sum(self.nums))
-        object.__setattr__(self, "_by_atom", dict(zip(self.atoms, self.nums)))
+        _fill(self, atoms, nums, sum(nums))
 
     @classmethod
     def from_masses(cls, masses: dict[int, int]) -> "SimplexPoint":
         """The point proportional to positive integer masses keyed by atom.
         The sorted keys are distinct and the reduced masses have gcd 1, so
-        only emptiness and positivity are checked, as ``__post_init__``
+        only emptiness and positivity are checked, as the constructor
         would check them."""
         atoms = tuple(sorted(masses))
         nums = [masses[a] for a in atoms]
@@ -95,10 +97,7 @@ class SimplexPoint:
         """The point of sorted distinct ``atoms`` and positive ``nums`` with
         gcd 1 and sum ``den``, as the caller has checked; nothing is checked."""
         point = object.__new__(cls)
-        object.__setattr__(point, "atoms", atoms)
-        object.__setattr__(point, "nums", nums)
-        object.__setattr__(point, "den", den)
-        object.__setattr__(point, "_by_atom", dict(zip(atoms, nums)))
+        _fill(point, atoms, nums, den)
         return point
 
     @property
@@ -133,6 +132,14 @@ class SimplexPoint:
         """``(numerator, atom)`` pairs, heaviest first; ties broken by
         integer order."""
         return sorted(zip(self.nums, self.atoms), key=lambda e: (-e[0], e[1]))
+
+
+def _fill(point: SimplexPoint, atoms: tuple, nums: tuple, den: int) -> None:
+    """Set the slots of a new point, past its ``__setattr__``."""
+    object.__setattr__(point, "atoms", atoms)
+    object.__setattr__(point, "nums", nums)
+    object.__setattr__(point, "den", den)
+    object.__setattr__(point, "_by_atom", dict(zip(atoms, nums)))
 
 
 def skeleton_distance(mu: SimplexPoint, size: int):

@@ -19,9 +19,9 @@ levels are prefix closed by construction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
+from typing import NamedTuple
 
 from .words import (
     SFTSpec,
@@ -64,8 +64,7 @@ def left_special_count(spec: SubshiftSpec, n: int) -> int:
     return len(left_special_words(spec, n))
 
 
-@dataclass(frozen=True)
-class SpecialReport:
+class SpecialReport(NamedTuple):
     depth: int
     counts: tuple[int, ...]
     branch_lower: int

@@ -20,36 +20,44 @@ is which.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
+from .records import Frozen
 from .words import SubshiftSpec
 
 ClopenSet = frozenset  # of state indices
 
 
-@dataclass(frozen=True)
-class FiniteSymbolicSystem:
-    """Finite directed-graph approximation of a zero-dimensional system."""
+class FiniteSymbolicSystem(Frozen):
+    """Finite directed-graph approximation of a zero-dimensional system.
+    Equal systems have equal labels, edges and meta text."""
 
+    __slots__ = ("labels", "succ", "depth_meta", "pred", "_special")
+    _fields = ("labels", "succ", "depth_meta")
     labels: Sequence[str]  # read-only; a cover graph builds each label when it is read
     succ: tuple[tuple[int, ...], ...]  # sorted successor lists
-    depth_meta: str = ""
-    pred: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    depth_meta: str
+    pred: tuple[tuple[int, ...], ...]
+    _special: tuple[int, ...]
 
-    def __post_init__(self):
-        n = len(self.labels)
-        if len(self.succ) != n:
+    def __init__(
+        self, labels: Sequence[str], succ: tuple[tuple[int, ...], ...], depth_meta: str = ""
+    ):
+        n = len(labels)
+        if len(succ) != n:
             raise ValueError("labels and successor table disagree")
-        if any(not targets for targets in self.succ):
+        if any(not targets for targets in succ):
             raise ValueError("shift relation must be total: a state has no successor")
         preds: list[list[int]] = [[] for _ in range(n)]
-        for s, targets in enumerate(self.succ):
+        for s, targets in enumerate(succ):
             for t in targets:
                 if not (0 <= t < n):
                     raise ValueError(f"edge target out of range: {s} -> {t}")
                 preds[t].append(s)
         # s runs upwards, so each list is sorted already; only repeats go
         pred = tuple(tuple(dict.fromkeys(p)) for p in preds)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "succ", succ)
+        object.__setattr__(self, "depth_meta", depth_meta)
         object.__setattr__(self, "pred", pred)
         object.__setattr__(self, "_special", tuple(s for s, p in enumerate(pred) if len(p) >= 2))
 

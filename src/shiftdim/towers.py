@@ -10,8 +10,8 @@ by M = 1 + 2 max|E|, and claims colorability with 2 (tower count) colors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .certificates import Certificate, Clause
 from .errors import DepthInsufficient, HeightMismatch
@@ -25,8 +25,7 @@ def normalize_window(E) -> tuple[int, ...]:
     return tuple(sorted(s | {-n for n in s} | {0}))
 
 
-@dataclass(frozen=True)
-class TowerPair:
+class TowerPair(NamedTuple):
     base: ClopenSet
     exponents: range  # contiguous, step 1
     kind: str  # "base" or "shifted"

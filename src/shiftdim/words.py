@@ -37,10 +37,11 @@ import csv
 import itertools
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import EmptyLanguage, InvalidSpec
+from .records import Frozen
 
 # Internal word encoding: character for symbol index i.
 _BASE = 48
@@ -58,25 +59,28 @@ def _chr(i: int) -> str:
 _CHARS = "".join(_chr(i) for i in range(MAX_ALPHABET))
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """Ordered finite set of distinct symbol identifiers."""
+class Alphabet(Frozen):
+    """Ordered finite set of distinct symbol identifiers; equal alphabets
+    have the same symbols in the same order."""
 
+    __slots__ = ("symbols", "_decode_table", "_sep_len")
+    _fields = ("symbols",)
     symbols: tuple[str, ...]
 
-    def __post_init__(self):
-        if not self.symbols:
+    def __init__(self, symbols: tuple[str, ...]):
+        if not symbols:
             raise InvalidSpec("alphabet must be nonempty")
-        if len(set(self.symbols)) != len(self.symbols):
+        if len(set(symbols)) != len(symbols):
             raise InvalidSpec("alphabet has duplicate symbols")
-        if len(self.symbols) > MAX_ALPHABET:
+        if len(symbols) > MAX_ALPHABET:
             raise InvalidSpec(f"alphabet larger than {MAX_ALPHABET} symbols")
-        if not all(self.symbols):
+        if not all(symbols):
             raise InvalidSpec("alphabet has an empty symbol")
         # decode() translates each internal character to its symbol plus the
         # separator, then cuts the one trailing separator.
-        sep = "" if all(len(s) == 1 for s in self.symbols) else " "
-        table = str.maketrans({c: s + sep for c, s in zip(self.chars, self.symbols)})
+        sep = "" if all(len(s) == 1 for s in symbols) else " "
+        table = str.maketrans({c: s + sep for c, s in zip(_CHARS, symbols)})
+        object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "_decode_table", table)
         object.__setattr__(self, "_sep_len", len(sep))
 
@@ -631,8 +635,7 @@ def single_orbit_spec() -> SFTSpec:
 # -- operations --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     d_hat: Fraction
     d_hat_at: int
     superlinear_flag: bool
@@ -690,8 +693,7 @@ def check_extendability(spec: SubshiftSpec, horizon: int) -> bool:
     return _left_extendable(spec, horizon)
 
 
-@dataclass(frozen=True)
-class LanguageTable:
+class LanguageTable(NamedTuple):
     """The sorted length-``n_max`` factors with the complexity column; every
     shorter length is read off them."""
 

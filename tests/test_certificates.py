@@ -139,7 +139,14 @@ class Opaque:
 
 @pytest.mark.parametrize(
     "value, name",
-    [(Opaque(), "Opaque"), (b"bytes", "bytes"), (complex(1, 2), "complex"), (1.5, "float")],
+    [
+        (Opaque(), "Opaque"),
+        (b"bytes", "bytes"),
+        (complex(1, 2), "complex"),
+        (1.5, "float"),
+        # a record is a tuple, but its field names would not reach the text
+        (Clause("c", True), "Clause"),
+    ],
 )
 def test_build_refuses_values_without_a_canonical_form(value, name):
     with pytest.raises(TypeError, match=name):

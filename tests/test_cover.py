@@ -103,12 +103,12 @@ def test_full_shift_all_states_special(full2):
 def test_intertwining(fib, full2, single):
     for spec, k, l in [(fib, 2, 2), (full2, 1, 1), (single, 2, 2)]:
         graph = build_cover_graph(spec, k, l)
-        assert check_intertwining(graph)
+        assert check_intertwining(graph) == ""
 
 
 def test_intertwining_exhaustive_medium(fib):
     graph = build_cover_graph(fib, 6, 6)
-    assert check_intertwining(graph)
+    assert check_intertwining(graph) == ""
 
 
 def test_pi_iota_prefix_recovery(fib):
@@ -273,7 +273,7 @@ def test_past_words_computed_once_per_tail(trib, monkeypatch):
 
     monkeypatch.setattr(cover, "_past_words", counting)
     graph = build_cover_graph(trib, 200, 6)
-    assert check_intertwining(graph)
+    assert check_intertwining(graph) == ""
     assert len(calls) == len(set(calls))
     # the stored words' tails at the lookahead and one below it, and the
     # shifted words' tails at the lookahead; nothing else
@@ -336,7 +336,7 @@ def test_row_number_cover_matches_spelled_classification(name, k, before):
         assert cover_class(graph, w[1:]) == index[key(w[1:])]
         edges[index[key(w)]].add(index[key(w[1:])])
     assert graph.succ == tuple(tuple(sorted(e)) for e in edges)
-    assert check_intertwining(graph)
+    assert check_intertwining(graph) == ""
     report = special_match_report(graph)
     assert report.branch_count_at_k == len(left_special_words(spec, k))
     # each witness is the first stored word of its state with two left
@@ -354,15 +354,38 @@ def test_row_number_cover_matches_spelled_classification(name, k, before):
         assert graph.to_adjacency_text() == fresh_graph.to_adjacency_text()
 
 
-@pytest.mark.parametrize("row", [0, 1, 200, -1])
-def test_intertwining_fails_on_a_wrong_shift_entry(fib, row):
+@pytest.mark.parametrize(
+    "row, top_len", [(0, None), (1, None), (200, 250), (-1, None)], ids=["0", "1", "200", "-1"]
+)
+def test_intertwining_fails_on_a_wrong_shift_entry(row, top_len):
     """A shift-map entry pointed at the neighbouring stored word fails the
-    intertwining check."""
-    graph = build_cover_graph(fib, 50, 6)
-    assert check_intertwining(graph)
+    intertwining check, which names the row.  Each cover is built on a
+    presentation of its own, so its top is exactly depth + 1 long (108
+    rows) unless ``top_len`` built a longer one first (251 rows)."""
+    spec = fibonacci_spec()
+    if top_len:
+        spec.top(top_len)
+    graph = build_cover_graph(spec, 50, 6)
+    assert graph._top.n == (top_len or graph.depth + 1)
+    assert check_intertwining(graph) == ""
+    row %= len(graph._shift)
     target = graph._shift[row]
-    graph._shift[row] = target + 1 if target + 1 < len(graph.stored) else target - 1
-    assert not check_intertwining(graph)
+    wrong = graph._shift[row] = target + 1 if target + 1 < len(graph.stored) else target - 1
+    assert check_intertwining(graph) == (
+        f"row {row}: the shift map names stored word {wrong}, not the row's shift"
+    )
+
+
+def test_intertwining_fails_on_a_missing_edge():
+    """An edge the shift map implies but ``succ`` lacks fails the check at
+    the first row that implies it."""
+    graph = build_cover_graph(fibonacci_spec(), 50, 6)
+    source, target = graph._classes[0], graph._classes[graph._shift[0]]
+    graph.succ = tuple(
+        tuple(t for t in ts if t != target) if s == source else ts
+        for s, ts in enumerate(graph.succ)
+    )
+    assert check_intertwining(graph) == f"row 0: no edge from state {source} to state {target}"
 
 
 def test_cover_retains_less_than_half_the_top():
@@ -434,7 +457,9 @@ def test_cover_certificate_fails_intertwining_on_a_wrong_shift_entry():
     graph = build_cover_graph(fibonacci_spec(), 50, 6)
     assert _failing_clauses(graph) == {}
     graph._shift[50] += 1
-    assert _failing_clauses(graph) == {"intertwining": ""}
+    assert _failing_clauses(graph) == {
+        "intertwining": "row 50: the shift map names stored word 91, not the row's shift"
+    }
 
 
 def test_cover_certificate_fails_the_special_count():

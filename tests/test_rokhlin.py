@@ -12,6 +12,7 @@ from shiftdim.rokhlin import (
     extend_tower_base,
     verify_rokhlin_cover,
 )
+from shiftdim.systems import FiniteSymbolicSystem
 from shiftdim.words import Alphabet, SubstitutionSpec, fibonacci_spec, thue_morse_spec
 
 from .oracles import SweepFailed, rokhlin_sweep_oracle, special_cone_rest
@@ -71,6 +72,33 @@ def test_verifier_rejects_non_preimage_level(fib60):
     cert = verify_rokhlin_cover(sys, broken)
     assert not cert.passed
     assert any(c.name == "level-recurrence" and not c.passed for c in cert.clauses)
+
+
+def _cycle(n: int) -> FiniteSymbolicSystem:
+    """The n-cycle 0 -> 1 -> ... -> n-1 -> 0: no special state, so at most
+    two towers."""
+    return FiniteSymbolicSystem(tuple(map(str, range(n))), tuple(((s + 1) % n,) for s in range(n)))
+
+
+# clause -> (states of the cycle, tower bases and heights, cover height, witness)
+ONE_CLAUSE_FAILS = {
+    # a 2-cycle's third preimage level is its base again
+    "levels-pairwise-disjoint": (2, [({0}, 3)], 3, "tower 0 levels 0 and 2 intersect"),
+    "global-covering": (4, [({0}, 2)], 2, "uncovered states [1, 2]"),
+    "tower-count-bound": (3, [({0}, 1), ({1}, 1), ({2}, 1)], 1, "towers=3 bound=2 (q=0)"),
+    "uniform-height": (2, [({0, 1}, 1)], 2, "height=2"),
+}
+
+
+@pytest.mark.parametrize("clause", ONE_CLAUSE_FAILS)
+def test_verifier_fails_one_clause_on_a_hand_built_cover(clause):
+    """The least cover on which one clause fails and every other holds,
+    its towers the true preimage levels of their bases."""
+    states, towers, height, witness = ONE_CLAUSE_FAILS[clause]
+    sys = _cycle(states)
+    cover = RokhlinCover(height, tuple(RokhlinTower.from_base(sys, b, h) for b, h in towers))
+    cert = verify_rokhlin_cover(sys, cover)
+    assert [(c.name, c.witness) for c in cert.clauses if not c.passed] == [(clause, witness)]
 
 
 def test_periodic_witness_blocks_tall_towers(fib60):
