@@ -23,20 +23,27 @@ the lookahead and at one less for the stabilization flag, is found once
 per build.
 
 The top reaches one symbol past the stored words, so the shift
-``u[1:depth+1]`` of every top row ``u`` is a stored word.  Rows that
-share a first letter are sorted by the rest, so one forward walk per
-first letter gives every row the index of its shifted stored word: the
-*shift map*.  Everything about the shift is read off it, so no shifted
-word is classified by a search of the top:
+``u[1:depth+1]`` of every top row ``u`` is a stored word; the index of
+that word for every row is the *shift map*.  A row starting at corpus
+position ``s`` has its shift at ``s + 1``, and almost always a row
+starts there too, so the entry is read off that row's stored word, as
+the suffix-array function Ψ(i) = ISA[SA[i] + 1] is read off positions.
+Only where no row starts at ``s + 1`` (a text's last window, a repeated
+occurrence, or a top whose texts are one window each) is the shift
+found by a forward walk over the stored words.  Everything about the
+shift is read off the map, so no shifted word is classified by a search
+of the top:
 
 - the edges: a stored word's state to the state of its shift's word;
 - :func:`special_match_report`: a stored word's one-symbol left
   extensions are the letter blocks whose shifts land on it, so a special
   state is witnessed by a stored word that two blocks reach, and |LS(k)|
   counts the length-``k`` prefixes that two blocks reach;
-- :func:`check_intertwining`: every entry of the map is compared once
-  against the top (the named stored word must be the row's shift), and
-  then the edge it implies must be in the graph.
+- :func:`check_intertwining`: every entry of the map must name the
+  row's shift, and then the edge it implies must be in the graph.  An
+  entry whose word's first row starts at ``s + 1`` is those very
+  symbols of the corpus, so it holds without a comparison; any other is
+  compared once against the top.
 
 The resulting directed graph is the finite approximation consumed by the
 tower machinery.  The shift on classes is single valued exactly where the
@@ -46,6 +53,7 @@ the stabilization and soundness flags rather than silently assuming them.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
 from typing import NamedTuple
@@ -212,10 +220,13 @@ class CoverGraph:
         coarse: dict = {}  # coarse key -> the fine key of its first stored word
         split = False
         pasts: dict[str, tuple] = {}  # tail -> its past and its past at lookahead-1
+        own: list[int] = []  # the stored word of each row
         word = prefix = None
         for row, s in enumerate(top.starts):
             if word is not None and corpus.startswith(word, s):
+                own.append(len(rows) - 1)
                 continue
+            own.append(len(rows))
             word = corpus[s : s + depth]
             if prefix is None or not corpus.startswith(prefix, s):
                 prefix = corpus[s : s + k]
@@ -232,21 +243,23 @@ class CoverGraph:
         if not rows:
             raise EmptyLanguage("no stored words at this depth")
         self._rows = rows
+        shift = self._shift = self._shift_map(own)
         # Rank order is prefix order, so this is the order of the spelled
-        # keys: by prefix, ties broken by the sorted past.
+        # keys: by prefix, ties broken by the sorted past.  The keys come in
+        # rank order, and deduplicated in that order they are almost
+        # sorted already, which the sort finds in one pass.
         sorted_pasts = {past: tuple(sorted(past)) for past in {past for _, past in keys}}
-        order = sorted(set(keys), key=lambda key: (key[0], sorted_pasts[key[1]]))
+        order = sorted(dict.fromkeys(keys), key=lambda key: (key[0], sorted_pasts[key[1]]))
         self._keys = tuple(order)
         index = {key: i for i, key in enumerate(order)}
         classes = self._classes = [index[key] for key in keys]
-        shift = self._shift = self._shift_map()
         class_rows: list[list[int]] = [[] for _ in order]
         edges: list[set[int]] = [set() for _ in order]
         for row, state in zip(rows, classes):
             class_rows[state].append(row)
             edges[state].add(classes[shift[row]])
         self._class_rows = tuple(map(tuple, class_rows))
-        self.succ = tuple(tuple(sorted(e)) for e in edges)
+        self.succ = tuple(tuple(e) if len(e) == 1 else tuple(sorted(e)) for e in edges)
         self.past_stabilized = lam > 1 and not split and len(coarse) == len(order)
         self.past_sound = isinstance(spec, SFTSpec) and lam >= spec.max_forbidden_len
         self._system = FiniteSymbolicSystem(
@@ -258,30 +271,45 @@ class CoverGraph:
             ),
         )
 
-    def _shift_map(self) -> list[int]:
+    def _shift_map(self, own: list[int]) -> list[int]:
         """The stored word ``top[row][1:depth+1]`` of every row of the top,
-        by its index, read in place.  A letter's rows are sorted by their
-        shifts, so one pointer walks the stored words forward once per
-        first letter; it runs off the end only if a shift is not a stored
-        word, which a factorial top rules out.  The shift is cut to ``depth`` symbols
-        because the top may be longer than ``depth + 1``, when a deeper
-        graph or a longer language built it first."""
-        top, depth = self._top, self.depth
+        by its index, written over ``own``, the stored word of each row.
+        A row starting at corpus position ``s`` has its shift at ``s + 1``,
+        so when a row starts there, that row's stored word is the shift:
+        a table of the stored word at each position, 4 bytes a position and
+        dropped on return, reads it off.  Otherwise (a text's last window,
+        a repeated occurrence, or a top whose texts are one window each)
+        the shift is sliced off the corpus and found among the stored
+        words by a pointer that walks forward from the last entry: a
+        letter's rows are sorted by their shifts, so its entries never
+        decrease.  The pointer runs off the end only if a shift is not a
+        stored word, which a factorial top rules out.  The shift is cut to
+        ``depth`` symbols because the top may be longer than
+        ``depth + 1``, when a deeper graph or a longer language built it
+        first."""
+        top, depth, rows = self._top, self.depth, self._rows
         corpus, starts = top.corpus, top.starts
-        stored_starts = [starts[row] for row in self._rows]
+        at = array("i", (-1,)) * (len(corpus) + 1)  # -1 where no row starts
+        for s, stored in zip(starts, own):
+            at[s] = stored
         # the first row of each first letter's block, then the end
         letter_rows = self._letter_rows = (
             *(top.rank(c) for c in self.spec.alphabet.chars),
             len(top),
         )
-        shift: list[int] = []
+        shift = own  # every row's own stored word is in the table now
         for start, end in zip(letter_rows, letter_rows[1:]):
             stored = 0
-            for s in starts[start:end]:
-                shifted = corpus[s + 1 : s + 1 + depth]
-                while not corpus.startswith(shifted, stored_starts[stored]):
-                    stored += 1
-                shift.append(stored)
+            for row in range(start, end):
+                s = starts[row]
+                found = at[s + 1]
+                if found >= 0:
+                    stored = found
+                else:
+                    shifted = corpus[s + 1 : s + 1 + depth]
+                    while not corpus.startswith(shifted, starts[rows[stored]]):
+                        stored += 1
+                shift[row] = stored
         return shift
 
     # -- interface --------------------------------------------------------------
@@ -404,22 +432,26 @@ def isolated_orbit_window(graph: CoverGraph) -> frozenset:
 
 def check_intertwining(graph: CoverGraph) -> str:
     """For every row of the top, the stored word its shift-map entry names
-    is the row's shift (one comparison against the top's corpus, in place),
-    and the class of that word is among the successors of the class of the
-    row's own stored word; with a single-valued shift this is the exact
-    equality of states.  Returns the first row that breaks either, as a
+    is the row's shift, and the class of that word is among the successors
+    of the class of the row's own stored word; with a single-valued shift
+    this is the exact equality of states.  A row starting at ``s`` has its
+    shift at ``s + 1``: when the named word's first row starts there, the
+    two are the same symbols of the corpus, so the entry holds without a
+    comparison; otherwise the shift is compared against the corpus at the
+    named word's start.  Returns the first row that breaks either, as a
     witness, or ``""`` when every row holds."""
     top, depth, rows, shift = graph._top, graph.depth, graph._rows, graph._shift
     corpus, starts = top.corpus, top.starts
     classes, succ = graph._classes, graph.succ
+    stored_starts = [starts[row] for row in rows]
     ends = (*rows[1:], len(top))
     for own, (first, end) in enumerate(zip(rows, ends)):
         source = classes[own]
         successors = succ[source]
         for row in range(first, end):
             target = shift[row]
-            s = starts[row]
-            if not corpus.startswith(corpus[s + 1 : s + 1 + depth], starts[rows[target]]):
+            shifted, named = starts[row] + 1, stored_starts[target]
+            if named != shifted and not corpus.startswith(corpus[shifted : shifted + depth], named):
                 return f"row {row}: the shift map names stored word {target}, not the row's shift"
             if classes[target] not in successors:
                 return f"row {row}: no edge from state {source} to state {classes[target]}"

@@ -49,6 +49,9 @@ MAX_ALPHABET = 64
 # LanguageTable.write_csv writes a words file for a length with at most
 # this many factors.
 WORDS_CAP = 2000
+# The most symbols p(n)·n an SFT's length-n language may be listed with;
+# a longer listing is refused before it starts.
+SFT_SYMBOL_BUDGET = 10**7
 
 
 def _chr(i: int) -> str:
@@ -421,9 +424,12 @@ class SFTSpec(SubshiftSpec):
     # -- language -----------------------------------------------------------
 
     def _compute_language(self, n: int) -> list[str]:
-        self._build_graph()
-        if not self._vertices:
-            raise EmptyLanguage(f"SFT language empty at length {n}")
+        symbols = self.complexity(n) * n  # counted on the graph, nothing listed
+        if symbols > SFT_SYMBOL_BUDGET:
+            raise InvalidSpec(
+                f"the length-{n} language is p({n})·{n} = {symbols} symbols, "
+                f"above the budget of {SFT_SYMBOL_BUDGET}"
+            )
         if n <= self.order:
             out = [v[:n] for v in self._vertices]
         else:

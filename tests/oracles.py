@@ -185,6 +185,14 @@ def cover_class(graph, word: str) -> int:
     return graph._keys.index(graph._rank_key(word))
 
 
+def shift_map_oracle(graph) -> list[int]:
+    """The index in ``graph.stored`` of each top row's shift, the row's
+    symbols 1 to ``depth``, found by plain search among the stored words;
+    nothing of the top's positions is read."""
+    index = {word: i for i, word in enumerate(graph.stored)}
+    return [index[row[1 : graph.depth + 1]] for row in graph._top]
+
+
 def past_stabilized_oracle(graph) -> bool:
     """The graph's stabilization flag by two walks over its stored words,
     each key spelled out with its past filtered from ``language(l)``.  The

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+import time
 from fractions import Fraction
 
 import pytest
@@ -1111,6 +1112,34 @@ def test_real_periodic_cycle_fails(tmp_path, capsys):
         "the shift has a periodic point of period <= 1, so the cycle is a real periodic point\n"
     )
 
+
+
+@pytest.mark.parametrize("flags, message", [
+    # certify at the default depth 24: the cover's top is 2·24 + 6 + 1 long
+    (
+        ["certify", "--out", "out"],
+        "cover: the length-55 language is p(55)·55 = 20098941288910 symbols, "
+        "above the budget of 10000000",
+    ),
+    (
+        ["lang", "--horizon", "30"],
+        "lang: the length-30 language is p(30)·30 = 65349270 symbols, "
+        "above the budget of 10000000",
+    ),
+], ids=["certify-default-depth", "lang-horizon-30"])
+def test_sft_language_above_the_budget_exits_3_at_once(
+    tmp_path, monkeypatch, capsys, flags, message
+):
+    """The golden mean's p(n) is counted on its graph before any word is
+    listed; without the count, the default depth's listing ran out of
+    memory."""
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "golden.cfg"
+    path.write_text(SFT_CFG)
+    start = time.perf_counter()
+    assert main([flags[0], "--config", str(path), *flags[1:]]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == f"bad parameter in stage {message}\n"
 
 @pytest.mark.parametrize("command, flags, message", [
     ("rokhlin", ["--height", "0"], "rokhlin: tower height N = 0 must be >= 1"),

@@ -34,6 +34,7 @@ from .oracles import (
     descriptor_oracle,
     orbit_window_oracle,
     past_stabilized_oracle,
+    shift_map_oracle,
 )
 from .test_words import RANDOM_RULES, TRIB_RULES
 
@@ -473,3 +474,37 @@ def test_cover_certificate_names_the_states_without_a_predecessor():
     sft = SFTSpec(Alphabet(("0", "1", "2")), ["02", "12", "22", "20"])
     graph = build_cover_graph(sft, 3, 2)
     assert _failing_clauses(graph) == {"shift-onto-states": "no predecessor for states [8, 9]"}
+
+
+def test_shift_map_matches_plain_search():
+    """Every entry of the shift map against the stored word found by plain
+    search, on the census at five depths, each with the top exactly
+    ``depth + 1`` long and with a top 37 symbols longer built first, and
+    on the small shifts.  A row whose shifted window starts a row reads
+    that row's stored word; the others are walked to.  The census has
+    both (a text's last window, a repeated occurrence); the small shifts'
+    texts are one window each, so all their rows are walked to."""
+    runs = [
+        (make, (k, 6, None), longer)
+        for k in (1, 2, 5, 20, 250)
+        for make in CENSUS.values()
+        for longer in (0, 37)
+    ]
+    runs += [(make, arena, 0) for arena in STABILIZATION_ARENAS for make in SMALL_SHIFTS.values()]
+    read = {True: 0, False: 0}  # census or not -> rows read off the next start
+    walked = {True: 0, False: 0}
+    for make, (k, l, horizon), longer in runs:
+        spec = make()
+        depth = k + (horizon or k + l)
+        spec.top(depth + 1 + longer)
+        graph = build_cover_graph(spec, k, l, horizon)
+        assert graph._top.n == depth + 1 + longer
+        assert graph._shift == shift_map_oracle(graph), (spec.describe(), k, l, horizon, longer)
+        starts = graph._top.starts
+        row_starts = set(starts)
+        next_starts = sum(s + 1 in row_starts for s in starts)
+        census = make in CENSUS.values()
+        read[census] += next_starts
+        walked[census] += len(starts) - next_starts
+    assert read[True] > walked[True] > 0
+    assert read[False] == 0 and walked[False] > 0

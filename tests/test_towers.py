@@ -20,6 +20,7 @@ from shiftdim.words import Alphabet, SubstitutionSpec, fibonacci_spec, thue_mors
 
 from .oracles import margin_witness_oracle
 from .test_amenability import random_branching_system
+from .test_rokhlin import _cycle
 from .test_words import TRIB_RULES
 
 
@@ -169,3 +170,43 @@ def test_phase_pairs_margins(fib_pipeline):
     assert len(tps.pairs) == 8
     for pair in tps.pairs:
         assert len(pair.base) == 1
+
+
+# failing clause -> (states of the cycle, pair bases and exponent ranges,
+# claimed dimension, every failing clause with its witness); on the cycle
+# level i of a base is the base moved i states back, and the window is {0},
+# so every level is on its pair's plateau
+ONE_CLAUSE_FAILS = {
+    # a 2-cycle's third preimage level is its base again
+    "(2-as-read)-level-disjointness": (
+        2, [({0}, 3)], 1,
+        [("(2-as-read)-level-disjointness", "pair 0: state 0 at levels 0 and 2")],
+    ),
+    # two pairs over one 2-cycle: their levels meet, so two colors
+    "(3)-chromatic-bound": (
+        2, [({0}, 2), ({1}, 2)], 0,
+        [("(3)-chromatic-bound", "exact chromatic 2 <= d+1 = 1")],
+    ),
+    # an uncovered state has no margin witness either
+    "(4)-covering": (
+        4, [({0}, 2)], 0,
+        [
+            ("(4)-covering", "missing [1, 2]"),
+            ("(5)-margin-witness", "state 1 has no margin witness"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("clause", ONE_CLAUSE_FAILS)
+def test_verifier_fails_one_clause_on_a_hand_built_pair_system(clause):
+    """A pair system over a cycle on which the clause fails, and no
+    clause fails but the ones it forces."""
+    states, pairs, d_claimed, failing = ONE_CLAUSE_FAILS[clause]
+    tps = TowerPairSystem(
+        [TowerPair(frozenset(base), range(top), "base", i) for i, (base, top) in enumerate(pairs)],
+        [0],
+        d_claimed,
+    )
+    cert = verify_tower_pairs(_cycle(states), tps)
+    assert [(c.name, c.witness) for c in cert.clauses if not c.passed] == failing
