@@ -14,6 +14,15 @@ disjointness or idempotence property is checked exactly; when a check
 fails the construction reports the failing clause instead of weakening
 it.  Construct-then-verify is mandatory: build_rokhlin_cover runs the
 independent verifier before returning.
+
+With finitely many left special states the cover is a few merge and
+branch states joined by long arcs (the reduced Rauzy graph), so nearly
+every level the sweep builds holds one state.  Such a level is stepped by
+state number, reading its state's one successor or predecessor; from the
+first state with two, the walk goes on over sets.  A one-state set is the
+same however it is reached, so every set the sweep returns is the set
+walk's, as is the order in which the base takes its states.  The sweep
+still takes the states in state-number order.
 """
 
 from __future__ import annotations
@@ -54,10 +63,20 @@ def _deep_levels_overlap(sys: FiniteSymbolicSystem, base, N: int) -> bool:
 
 
 def _swept(sys: FiniteSymbolicSystem, base, N: int) -> set:
-    """The union of the first 2N preimage levels of ``base``."""
+    """The union of the first 2N preimage levels of ``base``.  From a
+    one-state base the levels step by state number while each state has
+    exactly one predecessor, and go on as sets from the first that has not."""
     pred = sys.pred
     level, swept = set(base), set(base)
-    for _ in range(2 * N - 1):
+    steps = 2 * N - 1
+    if len(level) == 1:
+        (t,) = level
+        while steps and len(pred[t]) == 1:
+            t = pred[t][0]
+            swept.add(t)
+            steps -= 1
+        level = {t}
+    for _ in range(steps):
         level = {s for t in level for s in pred[t]}
         swept |= level
     return swept
@@ -117,15 +136,33 @@ def _chain_extend(sys, W: set, x, N: int, swept: set) -> None:
     (no merge state is reachable from x within 2N - 1 steps), so only the
     incremental updates and the level-local idempotence check remain.
     Grows the base ``W`` and its swept set ``swept`` in place; ``x`` is
-    not swept yet."""
+    not swept yet.
+
+    Each walk steps by state number while the successor (forward) or the
+    predecessor (backward) is unique, and goes on over sets from the
+    first state where it is not, so every set, and the order in which
+    ``W`` takes its states, is the set walk's."""
     succ, pred = sys.succ, sys.pred
-    new = {x}
-    for _ in range(N):
+    y, steps = x, N
+    while steps and len(succ[y]) == 1:
+        y = succ[y][0]
+        steps -= 1
+    new = {y}
+    for _ in range(steps):
         new = {t for s in new for t in succ[s]}
     # level-local idempotence of the new block: preimage(image(.)) returns
-    # exactly the block at every level below N
-    block = new
-    for _ in range(N - 1):
+    # exactly the block at every level below N; for a one-state block with
+    # one successor, exactly when that successor has one predecessor
+    block, steps = new, N - 1
+    if len(block) == 1:
+        (b,) = block
+        while steps and len(succ[b]) == 1:
+            b = succ[b][0]
+            if len(pred[b]) != 1:
+                raise DepthInsufficient("new tower block is not level-collapsing")
+            steps -= 1
+        block = {b}
+    for _ in range(steps):
         nxt = {t for s in block for t in succ[s]}
         if {s for t in nxt for s in pred[t]} != block:
             raise DepthInsufficient("new tower block is not level-collapsing")

@@ -53,8 +53,9 @@ class FiniteSymbolicSystem(Frozen):
                 if not (0 <= t < n):
                     raise ValueError(f"edge target out of range: {s} -> {t}")
                 preds[t].append(s)
-        # s runs upwards, so each list is sorted already; only repeats go
-        pred = tuple(tuple(dict.fromkeys(p)) for p in preds)
+        # s runs upwards, so each list is sorted already; only repeats go,
+        # and a list of one state has none
+        pred = tuple(tuple(p) if len(p) < 2 else tuple(dict.fromkeys(p)) for p in preds)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "succ", succ)
         object.__setattr__(self, "depth_meta", depth_meta)
@@ -104,12 +105,23 @@ class FiniteSymbolicSystem(Frozen):
         """The first ``count`` preimage levels of ``base``: the base, then
         each one-step preimage of the level before it, so level i equals
         ``preimage(base, i)``.  Lazy: a level is computed only when asked
-        for, and a caller that stops early pays for no deeper one."""
+        for, and a caller that stops early pays for no deeper one.
+
+        On a cover with few left special states nearly every level holds
+        one state, so a one-state level steps by state number: its
+        preimage is its state's predecessor tuple.  A tuple of two or more
+        goes through a set first, as the set walk collects its states, so
+        the level is the same set with the same iteration order."""
         pred = self.pred
         level = frozenset(base)
         for i in range(count):
             if i:
-                level = frozenset({s for t in level for s in pred[t]})
+                if len(level) == 1:
+                    (t,) = level
+                    ps = pred[t]
+                    level = frozenset(ps if len(ps) == 1 else set(ps))
+                else:
+                    level = frozenset({s for t in level for s in pred[t]})
             yield level
 
     def image(self, clopen, n: int = 1) -> ClopenSet:
@@ -137,6 +149,8 @@ class FiniteSymbolicSystem(Frozen):
         best = bound + 1
         walked = [False] * self.num_states
         for start in range(self.num_states):
+            if walked[start]:
+                continue
             path, s = {}, start  # state -> its place on this walk
             while not walked[s] and len(succ[s]) == 1:
                 walked[s] = True

@@ -49,13 +49,23 @@ MAX_ALPHABET = 64
 # LanguageTable.write_csv writes a words file for a length with at most
 # this many factors.
 WORDS_CAP = 2000
-# The most symbols p(n)·n an SFT's length-n language may be listed with;
-# a longer listing is refused before it starts.
-SFT_SYMBOL_BUDGET = 10**7
+# The most symbols p(n)·n a full shift's or an SFT's length-n language
+# may be listed with; a longer listing is refused before it starts.
+SYMBOL_BUDGET = 10**7
 
 
 def _chr(i: int) -> str:
     return chr(_BASE + i)
+
+
+def _check_symbol_budget(n: int, count: int) -> None:
+    """Refuse to list ``count`` words of length ``n`` above the budget."""
+    symbols = count * n
+    if symbols > SYMBOL_BUDGET:
+        raise InvalidSpec(
+            f"the length-{n} language is p({n})·{n} = {symbols} symbols, "
+            f"above the budget of {SYMBOL_BUDGET}"
+        )
 
 
 # Internal characters of every symbol index, in order.
@@ -351,6 +361,7 @@ class FullShiftSpec(SubshiftSpec):
     variant = "full_shift"
 
     def _compute_language(self, n: int) -> list[str]:
+        _check_symbol_budget(n, self.complexity(n))  # |A|ⁿ, nothing listed
         return ["".join(w) for w in itertools.product(self.alphabet.chars, repeat=n)]
 
     def complexity(self, n: int) -> int:
@@ -424,12 +435,7 @@ class SFTSpec(SubshiftSpec):
     # -- language -----------------------------------------------------------
 
     def _compute_language(self, n: int) -> list[str]:
-        symbols = self.complexity(n) * n  # counted on the graph, nothing listed
-        if symbols > SFT_SYMBOL_BUDGET:
-            raise InvalidSpec(
-                f"the length-{n} language is p({n})·{n} = {symbols} symbols, "
-                f"above the budget of {SFT_SYMBOL_BUDGET}"
-            )
+        _check_symbol_budget(n, self.complexity(n))  # counted on the graph, nothing listed
         if n <= self.order:
             out = [v[:n] for v in self._vertices]
         else:

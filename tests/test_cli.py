@@ -1141,6 +1141,58 @@ def test_sft_language_above_the_budget_exits_3_at_once(
     assert time.perf_counter() - start < 1
     assert capsys.readouterr().err == f"bad parameter in stage {message}\n"
 
+@pytest.mark.parametrize("command, message", [
+    # certify's first stage lists the language to the default horizon 20
+    ("certify", "lang: the length-20 language is p(20)·20 = 20971520 symbols"),
+    ("cover", "cover: the length-55 language is p(55)·55 = 1981583836043018240 symbols"),
+])
+def test_full_shift_language_above_the_budget_exits_3_at_once(
+    tmp_path, monkeypatch, capsys, command, message
+):
+    """The full shift's p(n) = |A|ⁿ is checked against the budget the SFT
+    uses before any word is listed; without the check, the default depth's
+    listing ran out of memory."""
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "full.cfg"
+    path.write_text("variant = full_shift\nalphabet = 0 1\n")
+    start = time.perf_counter()
+    assert main([command, "--config", str(path)]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        f"bad parameter in stage {message}, above the budget of 10000000\n"
+    )
+
+
+def test_golden_mean_special_fails_with_the_superlinear_witness(tmp_path, capsys):
+    # p(n) of the golden mean shift grows like the Fibonacci numbers, so
+    # the growth surrogate flags it at depth 8 and the branch count has no
+    # upper bound
+    path = tmp_path / "golden.cfg"
+    path.write_text(SFT_CFG)
+    assert main(["special", "--config", str(path), "--depth", "8"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["kind"] == "special-report"
+    assert payload["verdict"] == "fail"
+    assert payload["clauses"] == [
+        {"name": "bound-consistency", "passed": True, "witness": "branch_upper=None bound=3"},
+        {
+            "name": "superlinear-warning-absent",
+            "passed": False,
+            "witness": "growth surrogate exceeded threshold",
+        },
+    ]
+    assert payload["params"] == {
+        "bound": 3,
+        "branch_lower": 34,
+        "branch_upper": None,
+        "counts": [1, 2, 3, 5, 8, 13, 21, 34],
+        "d_hat": "3/2",
+        "depth": 8,
+        "spec": {"alphabet": ["0", "1"], "forbidden": ["11"], "variant": "sft"},
+        "stabilized": False,
+    }
+
+
 @pytest.mark.parametrize("command, flags, message", [
     ("rokhlin", ["--height", "0"], "rokhlin: tower height N = 0 must be >= 1"),
     (

@@ -219,3 +219,64 @@ def test_sweep_matches_frozen_union_oracle_on_front_covers(make, grown):
     expected = rokhlin_sweep_oracle(sys, special_cone_rest(sys, 5), 5)
     assert build_rokhlin_cover(sys, 5).towers[0].base == expected
     assert len(expected) == grown
+
+
+def _ring_with_side_arc() -> FiniteSymbolicSystem:
+    """The ring 0 -> 1 -> ... -> 29 -> 0 with a side arc 10 -> 30 -> 31 ->
+    ... -> 35 -> 4: state 10 is the one branch state and state 4, with the
+    predecessors 3 and 35, the one merge state.  Every other state has one
+    successor and one predecessor, so the sweep's walks step by state
+    number until they meet one of the two."""
+    succ = [((s + 1) % 30,) for s in range(30)] + [(s + 1,) for s in range(30, 35)] + [(4,)]
+    succ[10] = (11, 30)
+    return FiniteSymbolicSystem(tuple(map(str, range(36))), tuple(succ))
+
+
+# Each case sweeps the states [20, x] at N = 3: the 2N preimage levels of
+# state 20 are 20, 19, ..., 15, so x extends the base.
+@pytest.mark.parametrize("x", [
+    # 8 -> 9 -> 10, then the set {11, 30}: the N-step image meets the
+    # branch state before its third step
+    pytest.param(8, id="branch-within-N-forward-steps"),
+    # the image is 10, whose successors 11 and 30 make the checked block a
+    # set from its first step
+    pytest.param(7, id="branch-in-the-block-walk"),
+    # the image is 8; its swept levels 7, 6, 5, 4 step by state number,
+    # and the merge state 4 makes the fifth level the set {3, 35}
+    pytest.param(5, id="merge-within-2N-1-backward-steps"),
+])
+def test_sweep_falls_back_to_sets_as_the_oracle_sweeps(x):
+    sys = _ring_with_side_arc()
+    expected = rokhlin_sweep_oracle(sys, [20, x], 3)
+    assert _library_sweep(sys, [20, x], 3) == expected
+    assert len(expected) > 1
+
+
+@pytest.mark.parametrize("x, N", [
+    # the image of 0 is 3, whose one successor is the merge state 4: the
+    # block {3} is not the preimage {3, 35} of its image
+    pytest.param(0, 3, id="one-state-block"),
+    # the image of 2 is the branch state 10, so the block is a set from its
+    # first step, and its seventh, {16, 35}, is not the preimage of {17, 4}
+    pytest.param(2, 8, id="block-after-a-branch"),
+])
+def test_block_successor_with_two_predecessors_is_depth_insufficient(x, N):
+    # the 2N preimage levels of 20 end at 20 - 2N + 1, above x
+    sys = _ring_with_side_arc()
+    with pytest.raises(SweepFailed):
+        rokhlin_sweep_oracle(sys, [20, x], N)
+    with pytest.raises(DepthInsufficient, match="new tower block is not level-collapsing"):
+        _library_sweep(sys, [20, x], N)
+
+
+def test_swept_levels_match_preimages_from_every_state():
+    # from every state the backward walk meets the merge state 4 at a
+    # different distance, or not at all within 2N - 1 steps
+    sys = _ring_with_side_arc()
+    for N in range(1, 7):
+        for s in range(sys.num_states):
+            expected = set().union(*(sys.preimage({s}, i) for i in range(2 * N)))
+            assert rokhlin._swept(sys, {s}, N) == expected, (s, N)
+        assert rokhlin._swept(sys, {12, 31}, N) == set().union(
+            *(sys.preimage({12, 31}, i) for i in range(2 * N))
+        )

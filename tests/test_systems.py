@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -56,6 +57,37 @@ def test_preimage_levels_match_preimage():
             assert levels == [sys.preimage(base, i) for i in range(count)]
 
 
+def test_preimage_levels_step_one_state_chains_into_a_merge_state():
+    # k arcs from a state m back to m, the states numbered at random: from a
+    # state on an arc the levels are one state each down to m, whose
+    # preimage is the last states of the k arcs, and the levels go on as
+    # sets of up to k states
+    rng = random.Random(29)
+    for _ in range(40):
+        k = rng.randint(2, 7)
+        lengths = [rng.randint(1, 40) for _ in range(k)]
+        n = 1 + sum(lengths)
+        name = rng.sample(range(n), n)  # the arcs run through 1..n-1; m is 0
+        succ: list[list[int]] = [[] for _ in range(n)]
+        first = 1
+        for length in lengths:
+            arc = [0, *range(first, first + length), 0]
+            first += length
+            for a, b in zip(arc, arc[1:]):
+                succ[name[a]].append(name[b])
+        sys = FiniteSymbolicSystem(tuple(map(str, range(n))), tuple(tuple(sorted(t)) for t in succ))
+        m = name[0]
+        assert len(sys.pred[m]) == k
+        base = {rng.randrange(n)}
+        count = rng.randint(40, 120)
+        levels = list(sys.preimage_levels(base, count))
+        assert levels == [sys.preimage(base, i) for i in range(count)]
+        # the one-state level {m} steps to a level with the set walk's
+        # iteration order
+        after_m = next(islice(sys.preimage_levels({m}, 2), 1, None))
+        assert list(after_m) == list(sys.preimage({m}, 1))
+
+
 def test_predecessors_sorted_and_unique_with_repeated_targets():
     succ = ((2, 2, 1), (0, 0), (1, 2, 1, 0), (3, 3))
     sys = FiniteSymbolicSystem(labels=("a", "b", "c", "d"), succ=succ)
@@ -71,6 +103,20 @@ def test_predecessors_sorted_and_unique_with_repeated_targets():
         assert special == [t for t, ps in enumerate(predecessors_oracle(succ)) if len(ps) >= 2]
         special.append(n)
         assert n not in sys.special_states()
+    # rings, mostly one predecessor each as on a cover: a target repeated in
+    # one successor list is still one predecessor, listed once
+    for _ in range(60):
+        n = rng.randint(1, 60)
+        succ = []
+        for s in range(n):
+            targets = [(s + 1) % n] * rng.choice((1, 1, 1, 2, 3))
+            if rng.random() < 0.2:
+                targets.append(rng.randrange(n))
+            rng.shuffle(targets)
+            succ.append(tuple(targets))
+        sys = FiniteSymbolicSystem(labels=tuple(f"s{i}" for i in range(n)), succ=tuple(succ))
+        assert sys.pred == predecessors_oracle(succ)
+        assert all(type(p) is tuple for p in sys.pred)
 
 
 def test_preimage_trivial_cases(full2_graph):
