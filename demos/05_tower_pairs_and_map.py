@@ -39,7 +39,7 @@ d = 2 * len(cover.towers) - 1
 N = 37
 orbit = isolated_orbit_window(graph)
 carrier = sys.without_entries_into(orbit)
-phase = build_phase_pairs(carrier, d + 1, list(range(-N, N + 1)))
+phase = build_phase_pairs(carrier, d + 1, N)
 print(f" {len(phase.pairs)} single-state bases, exponent interval 0..{phase.height - 1}")
 pcert = verify_tower_pairs(carrier, phase)
 print(" pair clauses verdict:", pcert.verdict)

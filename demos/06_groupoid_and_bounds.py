@@ -31,7 +31,7 @@ cover = build_rokhlin_cover(sys, 5)
 d, N = 2 * len(cover.towers) - 1, 37
 orbit = isolated_orbit_window(graph)
 carrier = sys.without_entries_into(orbit)
-phase = build_phase_pairs(carrier, d + 1, list(range(-N, N + 1)))
+phase = build_phase_pairs(carrier, d + 1, N)
 verify_tower_pairs(carrier, phase)
 emap = build_equivariant_map(sys, phase, (-1, 0, 1), N, Fraction(2), orbit)
 ecert = check_equivariance(sys, emap, (-1, 0, 1), Fraction(2), orbit)

@@ -20,6 +20,17 @@ from .errors import InvalidSpec, MissingEquivarianceCertificate
 from .simplex import cover_index
 from .systems import FiniteSymbolicSystem
 from .towers import normalize_window
+from .words import SYMBOL_BUDGET
+
+
+def _check_table_budget(exponent_bound: int, members: int) -> None:
+    """Refuse a window whose image table holds ``members`` or more set
+    members when that is above the budget."""
+    if members > SYMBOL_BUDGET:
+        raise InvalidSpec(
+            f"exponent bound {exponent_bound}: the image table holds at least {members} "
+            f"set members, above the budget of {SYMBOL_BUDGET}"
+        )
 
 
 class GroupoidWindow:
@@ -37,10 +48,15 @@ class GroupoidWindow:
         self.exponent_bound = exponent_bound
         # images[a][x]: the states at the end of the a-step paths from x,
         # each a frozenset built as ``sys.image`` builds it, so that it
-        # iterates alike; a one-state set steps to its state's shared image
+        # iterates alike; a one-state set steps to its state's shared image.
+        # Each is nonempty, so the table holds at least (bound + 1)·states
+        # members, and each level adds those above one per state.
+        n = sys.num_states
+        members = (exponent_bound + 1) * n
+        _check_table_budget(exponent_bound, members)
         succ = sys.succ
         step = [frozenset(set(targets)) for targets in succ]
-        images = [[frozenset((x,)) for x in range(sys.num_states)]]
+        images = [[frozenset((x,)) for x in range(n)]]
         for _ in range(exponent_bound):
             level = []
             for prev in images[-1]:
@@ -50,6 +66,8 @@ class GroupoidWindow:
                 else:
                     level.append(frozenset({t for s in prev for t in succ[s]}))
             images.append(level)
+            members += sum(map(len, level)) - n
+            _check_table_budget(exponent_bound, members)
         inverse: list[dict[int, list[int]]] = []
         for level in images:
             inv: dict[int, list[int]] = {}

@@ -240,8 +240,7 @@ def run_amen(graph: CoverGraph, cover: RokhlinCover, window_set, big_n: int, eps
     orbit = isolated_orbit_window(graph)
     entry_free = sys.without_entries_into(orbit)
     max_e = max(abs(n) for n in normalize_window(window_set))
-    margin = list(range(-big_n * max_e, big_n * max_e + 1))
-    tps = build_phase_pairs(entry_free, d + 1, margin)
+    tps = build_phase_pairs(entry_free, d + 1, big_n * max_e)
     pair_cert = _stamp(
         verify_tower_pairs(entry_free, tps), graph, tps=tps, carrier="entry-free"
     )
@@ -501,7 +500,11 @@ def _states(graph: CoverGraph, listed) -> frozenset:
 
 
 def _rebuild_rokhlin(graph: CoverGraph, p: dict):
-    sys, height = graph.system, p["height"]
+    sys, height = graph.system, _at_least(p["height"], 1, "tower height")
+    # a built cover has height 1, or 3·height below the shortest cycle,
+    # which holds at most every state; a taller one is refused unwalked
+    if height > graph.num_states:
+        raise ValueError(f"tower height {height} is above the {graph.num_states} states")
     towers = (RokhlinTower.from_base(sys, _states(graph, b), height) for b in p["tower_bases"])
     cover = RokhlinCover(height, tuple(towers))
     return verify_rokhlin_cover(sys, cover), {"cover": cover}

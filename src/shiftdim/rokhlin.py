@@ -10,10 +10,19 @@ most 2q + 2 towers for q special states.
 
 Every metric choice of the classical argument is replaced by a cylinder
 choice (single states at current resolution) and every required
-disjointness or idempotence property is checked exactly; when a check
-fails the construction reports the failing clause instead of weakening
-it.  Construct-then-verify is mandatory: build_rokhlin_cover runs the
-independent verifier before returning.
+disjointness or idempotence property is checked exactly, once, where it
+can fail; a failing check reports its clause.  build_rokhlin_cover runs
+the independent verifier before returning.
+
+Of the sweep base W, three properties hold by construction, as ``image``
+and ``preimage`` distribute over unions and every state has a successor:
+W holds its first state (it only grows); every state swept over lies in
+W's first 2N preimage levels (one no earlier block swept lies in level N
+of its own); and ``preimage(image(W, i), i) == W`` for i < N (the first
+state passes the U-idempotence hypothesis, and a block that collapses
+level by level does, by induction on i).  The fourth, that W's levels
+N..2N-1 are pairwise disjoint, can fail; it is checked once, on the
+levels the sweep towers are cut from.
 
 With finitely many left special states the cover is a few merge and
 branch states joined by long arcs (the reduced Rauzy graph), so nearly
@@ -108,35 +117,24 @@ def extend_tower_base(sys: FiniteSymbolicSystem, U, V, N: int) -> ClopenSet:
     """Grow U into a clopen W whose preimage levels absorb V.
 
     W = U united with the N-step image of the residual of V not already
-    swept by the 2N preimage levels of U.  The hypotheses and all four
-    postconditions are checked exactly.
+    swept by the 2N preimage levels of U.  Checked are the hypotheses and,
+    as for the sweep base, the one postcondition that can fail.
     """
     U, V = frozenset(U), frozenset(V)
     check_extension_hypotheses(sys, U, V, N)
-    W = U | sys.image(V - _swept(sys, U, N), N)
-    _check_extension_post(sys, U, V, W, N)
-    return frozenset(W)
-
-
-def _check_extension_post(sys, U, V, W, N) -> None:
-    if not U <= W:
-        raise ConstructionFailed("U not contained in W")
-    if not frozenset(V) <= _swept(sys, W, N):
-        raise ConstructionFailed("V escapes the 2N preimage levels of W")
-    for i in range(1, N):
-        if sys.preimage(sys.image(W, i), i) != W:
-            raise DepthInsufficient(f"W idempotence fails at i={i}")
+    W = frozenset(U | sys.image(V - _swept(sys, U, N), N))
     if _deep_levels_overlap(sys, W, N):
         raise DepthInsufficient("deep preimages of W are not pairwise disjoint")
+    return W
 
 
 def _chain_extend(sys, W: set, x, N: int, swept: set) -> None:
-    """Fast path of the extension chain for a singleton V = {x} outside the
-    special cone: the hypothesis collapse conditions hold by construction
-    (no merge state is reachable from x within 2N - 1 steps), so only the
-    incremental updates and the level-local idempotence check remain.
-    Grows the base ``W`` and its swept set ``swept`` in place; ``x`` is
-    not swept yet.
+    """Grow the base ``W`` and its swept set ``swept``, in place, by the
+    block of a state ``x`` outside the special cone and not yet swept.  The
+    hypothesis collapse conditions hold by construction (no merge state is
+    reachable from x within 2N - 1 steps); the block's level-by-level
+    collapse is checked here and nowhere else, and W's idempotence below N
+    follows from it.
 
     Each walk steps by state number while the successor (forward) or the
     predecessor (backward) is unique, and goes on over sets from the
@@ -171,19 +169,21 @@ def _chain_extend(sys, W: set, x, N: int, swept: set) -> None:
     W |= new
 
 
-def build_rokhlin_cover(sys: FiniteSymbolicSystem, N: int) -> RokhlinCover:
-    """Cover the state space with at most 2q + 2 towers of height N, where
-    the q special states are the merge states of ``sys``."""
-    if N < 1:
-        raise InvalidSpec(f"tower height N = {N} must be >= 1")
-    if not sys.surjective_flag:
-        raise NotSurjective("every state needs a predecessor")
+def _sweep(sys: FiniteSymbolicSystem, rest, N: int) -> ClopenSet:
+    """The base W grown over the states ``rest``: the first of them, then
+    the block of each later one that no block before it has swept."""
+    W, swept = set(rest[:1]), _swept(sys, rest[:1], N)
+    for x in rest[1:]:
+        if x not in swept:
+            _chain_extend(sys, W, x, N, swept)
+    return frozenset(W)
+
+
+def _towers(sys: FiniteSymbolicSystem, N: int) -> list[RokhlinTower]:
+    """One tower of all states at N = 1; above it, two from each special
+    state's first 2N preimage levels and two from W swept over the rest."""
     if N == 1:
-        cover = RokhlinCover(1, (RokhlinTower.from_base(sys, sys.all_states(), 1),))
-        cert = verify_rokhlin_cover(sys, cover)
-        if not cert.passed:
-            raise ConstructionFailed("trivial cover failed verification")
-        return cover
+        return [RokhlinTower.from_base(sys, sys.all_states(), 1)]
     short = sys.min_cycle_length(3 * N)
     if short is not None:
         raise PeriodicWitness(
@@ -192,8 +192,6 @@ def build_rokhlin_cover(sys: FiniteSymbolicSystem, N: int) -> RokhlinCover:
             short,
         )
     towers: list[RokhlinTower] = []
-    # Towers for each special state: its first 2N preimage levels, split
-    # into two height-N blocks.
     cone: set = set()
     for w in sys.special_states():
         levels = tuple(sys.preimage_levels({w}, 2 * N))
@@ -201,19 +199,25 @@ def build_rokhlin_cover(sys: FiniteSymbolicSystem, N: int) -> RokhlinCover:
             raise DepthInsufficient("special cone levels overlap")
         cone.update(*levels)
         towers += _split_towers(levels, N)
-    # Sweep the remainder with a growing clopen W.
     rest = [s for s in range(sys.num_states) if s not in cone]
     if rest:
         first = frozenset(rest[:1])
         check_extension_hypotheses(sys, first, first, N)
-        W, swept = set(first), _swept(sys, first, N)
-        for x in rest[1:]:
-            if x not in swept:
-                _chain_extend(sys, W, x, N, swept)
-        W = frozenset(W)
-        _check_extension_post(sys, first, frozenset(rest), W, N)
-        towers[:0] = _split_towers(tuple(sys.preimage_levels(W, 2 * N)), N)
-    cover = RokhlinCover(height=N, towers=tuple(towers))
+        levels = tuple(sys.preimage_levels(_sweep(sys, rest, N), 2 * N))
+        if overlapping_pair(levels[N:]) is not None:
+            raise DepthInsufficient("deep preimages of W are not pairwise disjoint")
+        towers[:0] = _split_towers(levels, N)
+    return towers
+
+
+def build_rokhlin_cover(sys: FiniteSymbolicSystem, N: int) -> RokhlinCover:
+    """Cover the state space with at most 2q + 2 towers of height N, where
+    the q special states are the merge states of ``sys``."""
+    if N < 1:
+        raise InvalidSpec(f"tower height N = {N} must be >= 1")
+    if not sys.surjective_flag:
+        raise NotSurjective("every state needs a predecessor")
+    cover = RokhlinCover(height=N, towers=tuple(_towers(sys, N)))
     cert = verify_rokhlin_cover(sys, cover)
     if not cert.passed:
         raise ConstructionFailed(f"verifier rejected the cover: {cert.first_failure()}")
@@ -243,13 +247,8 @@ def verify_rokhlin_cover(sys: FiniteSymbolicSystem, cover: RokhlinCover) -> Cert
             break
     clauses.append(Clause("levels-pairwise-disjoint", not dis_witness, dis_witness))
     missing = sys.all_states().difference(*(lv for t in cover.towers for lv in t.levels))
-    clauses.append(
-        Clause(
-            "global-covering",
-            not missing,
-            "" if not missing else f"uncovered states {sorted(missing)[:5]}",
-        )
-    )
+    witness = f"uncovered states {sorted(missing)[:5]}" if missing else ""
+    clauses.append(Clause("global-covering", not missing, witness))
     q = len(sys.special_states())
     bound = 2 * q + 2
     clauses.append(

@@ -93,9 +93,7 @@ def _first_collision_depth(sys: FiniteSymbolicSystem, base, maxdepth: int) -> in
     return maxdepth + 1 if pair is None else pair[1]
 
 
-def build_phase_pairs(
-    sys: FiniteSymbolicSystem, pair_count: int, margin_window
-) -> TowerPairSystem:
+def build_phase_pairs(sys: FiniteSymbolicSystem, pair_count: int, rise: int) -> TowerPairSystem:
     """Pair system for symmetric windows: staggered hitting-time phases.
 
     The two-per-tower conversion gives margins only on the upper side of
@@ -106,11 +104,10 @@ def build_phase_pairs(
     base at an exponent with full symmetric margin, while the interval
     stays below the first self-collision depth of each base (that keeps
     the level sets of a pair pairwise disjoint and hence the pair count
-    an upper bound for the chromatic number).  The claimed dimension is
-    ``pair_count - 1``.
+    an upper bound for the chromatic number).  The margin window is
+    -rise..rise, listed only once the span is found to hold it.  The
+    claimed dimension is ``pair_count - 1``.
     """
-    margin_window = normalize_window(margin_window)
-    rise = max(abs(n) for n in margin_window)
     if pair_count < 1:
         raise ValueError("pair_count must be >= 1")
     cyc = _cycle_through(sys, 0)
@@ -127,7 +124,7 @@ def build_phase_pairs(
             f"usable span {span} below 2*rise + cycle/pairs = {need}; deepen the graph"
         )
     pairs = [TowerPair(frozenset({b}), range(span + 1), "phase", j) for j, b in enumerate(bases)]
-    return TowerPairSystem(pairs, margin_window, pair_count - 1)
+    return TowerPairSystem(pairs, range(-rise, rise + 1), pair_count - 1)
 
 
 # Most nonempty sets chromatic_number colours by exhaustive search.

@@ -68,7 +68,7 @@ def big():
     N = 721
     orbit = isolated_orbit_window(graph)
     carrier = sys.without_entries_into(orbit)
-    tps = build_phase_pairs(carrier, d + 1, list(range(-N, N + 1)))
+    tps = build_phase_pairs(carrier, d + 1, N)
     pair_cert = verify_tower_pairs(carrier, tps)
     emap = build_equivariant_map(sys, tps, (-1, 0, 1), N, Fraction(1, 10), orbit)
     eq_cert = check_equivariance(sys, emap, (-1, 0, 1), Fraction(1, 10), orbit)

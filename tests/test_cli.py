@@ -1163,6 +1163,52 @@ def test_full_shift_language_above_the_budget_exits_3_at_once(
     )
 
 
+@pytest.mark.parametrize("height, message", [
+    # a built cover's 3·height lies below the shortest cycle, so within the
+    # 257 states; the re-check walked every level, and ran out of memory
+    (10**7, "missing or malformed witness: tower height 10000000 is above the 257 states"),
+    (258, "missing or malformed witness: tower height 258 is above the 257 states"),
+    (0, "bad parameter: tower height 0 must be >= 1"),
+], ids=["ten-million", "states-plus-1", "zero"])
+def test_verify_refuses_a_rokhlin_height_it_cannot_walk(
+    chain_dir, tmp_path, capsys, height, message
+):
+    def edit(params):
+        assert params["states"] == 257
+        params["height"] = height
+
+    start = time.perf_counter()
+    code, out = verify_copy(chain_dir, tmp_path, capsys, edit=edit, target="rokhlin.json")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == f"verification failed: {message}\n"
+
+
+def test_amen_span_below_a_large_big_n_exits_2_at_once(fib_cfg, capsys):
+    # the span is compared with the need before the 2·N·max|E| + 1 margin
+    # window is listed; listing it first ran out of memory
+    start = time.perf_counter()
+    assert main(["amen", "--config", fib_cfg, "--depth", "250", "--big-n", "3000000"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "inconclusive at this depth in stage amen: usable span 232 below "
+        "2*rise + cycle/pairs = 6000030; deepen the graph\n"
+    )
+
+
+def test_dad_exponent_bound_above_the_budget_exits_3_at_once(fib_cfg, capsys):
+    # (bound + 1)·states image-set members are above the budget, so the
+    # window is refused before its image table is built
+    start = time.perf_counter()
+    args = ["dad", "--config", fib_cfg, "--depth", "250", "--exponent-bound", "100000"]
+    assert main(args) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "bad parameter in stage dad: exponent bound 100000: the image table holds at "
+        "least 25700257 set members, above the budget of 10000000\n"
+    )
+
+
 def test_golden_mean_special_fails_with_the_superlinear_witness(tmp_path, capsys):
     # p(n) of the golden mean shift grows like the Fibonacci numbers, so
     # the growth surrogate flags it at depth 8 and the branch count has no

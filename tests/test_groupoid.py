@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from shiftdim import groupoid
 from shiftdim.amenability import EquivariantMap, check_equivariance
-from shiftdim.errors import MissingEquivarianceCertificate
+from shiftdim.errors import InvalidSpec, MissingEquivarianceCertificate
 from shiftdim.groupoid import (
     DadCover,
     bound_chain,
@@ -59,6 +60,25 @@ def test_window_bruteforce_count():
                     if a - b in (-1, 0, 1) and (x + a) % 6 == (y + b) % 6:
                         expected.add((x, a - b, y))
     assert set(win.triples()) == expected
+
+
+def test_window_refuses_an_image_table_above_the_budget(monkeypatch):
+    # the merge system's a-step images hold 3, 5, then 9 states a level, so
+    # the table to bound 4 holds 35 members, 15 of them one per image
+    sys = merge_system()
+    assert sum(len(sys.image({x}, a)) for a in range(5) for x in range(3)) == 35
+    monkeypatch.setattr(groupoid, "SYMBOL_BUDGET", 35)
+    assert build_window(sys, [0], 4).check_unit_inclusion()
+    # counted level by level: refused at the last one
+    monkeypatch.setattr(groupoid, "SYMBOL_BUDGET", 34)
+    with pytest.raises(InvalidSpec, match=(
+        "^exponent bound 4: the image table holds at least 35 set members, "
+        "above the budget of 34$"
+    )):
+        build_window(sys, [0], 4)
+    # (11 + 1)·3 members at the least: refused before any level is built
+    with pytest.raises(InvalidSpec, match="^exponent bound 11: .* at least 36 set members"):
+        build_window(sys, [0], 11)
 
 
 def test_window_inversion_closure():

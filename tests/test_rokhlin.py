@@ -176,11 +176,7 @@ def test_shifted_disjointness_inherits(fib60):
 
 def _library_sweep(sys, rest, N):
     """The base that ``build_rokhlin_cover`` grows over ``rest``."""
-    W, swept = set(rest[:1]), rokhlin._swept(sys, rest[:1], N)
-    for x in rest[1:]:
-        if x not in swept:
-            rokhlin._chain_extend(sys, W, x, N, swept)
-    return frozenset(W)
+    return rokhlin._sweep(sys, rest, N)
 
 
 def test_sweep_matches_frozen_union_oracle_on_random_systems():
@@ -208,6 +204,56 @@ def test_sweep_matches_frozen_union_oracle_on_random_systems():
     assert grown >= 5
 
 
+def _sweep_postconditions(sys, rest, N):
+    """The sweep base over ``rest``, after asserting the properties it has
+    by construction: it holds the first state, its first 2N preimage
+    levels hold every state of ``rest``, and it is idempotent below N."""
+    W = rokhlin._sweep(sys, rest, N)
+    assert rest[0] in W
+    assert set(rest) <= set().union(*(sys.preimage(W, i) for i in range(2 * N)))
+    for i in range(1, N):
+        assert sys.preimage(sys.image(W, i), i) == W, i
+    return W
+
+
+def _ring_with_chords(rng) -> FiniteSymbolicSystem:
+    """A ring of 20-160 states with 1-4 chords, each adding a branch state
+    and a merge state."""
+    n = rng.randint(20, 160)
+    succ = [{(s + 1) % n} for s in range(n)]
+    for _ in range(rng.randint(1, 4)):
+        a, b = rng.sample(range(n), 2)
+        succ[a].add(b)
+    return FiniteSymbolicSystem(tuple(map(str, range(n))), tuple(tuple(sorted(t)) for t in succ))
+
+
+def test_sweep_base_keeps_its_postconditions_on_rings_with_chords():
+    # the post-conditions build_rokhlin_cover does not check, on every sweep
+    # that passes the first state's hypotheses and each block's collapse:
+    # over the states outside the special cone, as the build sweeps them,
+    # where no block fails to collapse, and over random states, where the
+    # collapse check decides
+    rng = random.Random(30)
+    seen = {"grown": 0, "hypothesis": 0, "collapse": 0}
+    for _ in range(300):
+        sys = _ring_with_chords(rng)
+        for N in range(2, 7):
+            sample = sorted(rng.sample(range(sys.num_states), rng.randint(2, sys.num_states)))
+            for rest in (special_cone_rest(sys, N), sample):
+                if not rest:
+                    continue
+                try:
+                    rokhlin.check_extension_hypotheses(sys, rest[:1], rest[:1], N)
+                except HypothesisViolated:
+                    seen["hypothesis"] += 1
+                    continue
+                try:
+                    seen["grown"] += len(_sweep_postconditions(sys, rest, N)) > 1
+                except DepthInsufficient:
+                    seen["collapse"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
 @pytest.mark.parametrize("make, grown", [
     pytest.param(thue_morse_spec, 881, id="tm"),
     pytest.param(lambda: SubstitutionSpec(Alphabet(("0", "1", "2")), TRIB_RULES), 642, id="trib"),
@@ -216,7 +262,9 @@ def test_sweep_matches_frozen_union_oracle_on_front_covers(make, grown):
     # the benchmark's front covers, whose sweep extends its base hundreds
     # of times
     sys = build_cover_graph(make(), 2000, 6).system
-    expected = rokhlin_sweep_oracle(sys, special_cone_rest(sys, 5), 5)
+    rest = special_cone_rest(sys, 5)
+    expected = rokhlin_sweep_oracle(sys, rest, 5)
+    assert _sweep_postconditions(sys, rest, 5) == expected
     assert build_rokhlin_cover(sys, 5).towers[0].base == expected
     assert len(expected) == grown
 

@@ -164,7 +164,7 @@ def test_chromatic_refuses_more_sets_than_the_search_limit():
 def test_phase_pairs_margins(fib_pipeline):
     _, sys, _ = fib_pipeline
     # rise 7 within the 34-cycle: span must fit under the collision depth
-    tps = build_phase_pairs(sys, 8, list(range(-7, 8)))
+    tps = build_phase_pairs(sys, 8, 7)
     cert = verify_tower_pairs(sys, tps)
     assert cert.passed, cert.first_failure()
     assert len(tps.pairs) == 8
