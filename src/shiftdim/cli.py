@@ -148,7 +148,8 @@ def main(argv=None) -> int:
                 except ValueError as exc:
                     print(f"verification failed: not a certificate: {exc}")
                     return EXIT_FAIL
-            ok, why = recheck_certificate(cert, os.path.dirname(args.certificate))
+            directory, file = os.path.split(args.certificate)
+            ok, why = recheck_certificate(cert, directory, name=file.removesuffix(".json"))
             if ok and cert.verdict == "pass":
                 print(f"verified: {cert.kind} (pass)")
                 return EXIT_PASS

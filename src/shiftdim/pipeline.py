@@ -1,34 +1,23 @@
 """End-to-end runs producing certificates, and the standalone re-checker.
 
-Each stage echoes the subshift presentation and every parameter into its
-certificate together with the witnesses needed to re-verify the claim
-without re-running the construction search: tower bases, pair bases and
-exponent ranges, the full equivariant map, the cover pieces.  The
-re-checker rebuilds the (deterministic) arena and the claimed objects
-from the echo, reruns the verifier and stamps the witnesses read off
-what it rebuilt through ``_stamp``, as construction does; a certificate
-is accepted when the recomputation reproduces it: the same JSON value,
-type for type, which is the same canonical text.
+Each stage echoes the presentation, every parameter and the witnesses
+that re-verify its claim without the construction search.  The
+re-checker rebuilds the arena (the cover graph a graph-based certificate
+names) and the claimed objects from the echo, reruns the verifier and
+stamps what it rebuilt through ``_stamp``, as construction does; it
+accepts a certificate the recomputation reproduces as the same JSON
+value, which is the same canonical text.
 
-Every graph-based certificate, ``cover.json`` included, makes its claim
-on one arena: the cover graph its echo of the presentation, k, l and
-horizon names.  The re-checker builds that graph once per arena and
-stamps the arena echo of the graph it built, not the file's, so a
-non-canonical echo fails; a chain builds ``cover.json``'s graph once and
-re-checks every graph-based stage file on it.
-
-The dad stage covers the map the amen stage built and checked, as it is.
-Its ``support``, ``F`` and ``projection_moved`` echoes derive from that
-map and its ``orbit_states`` from the graph; in a chain ``dad.json`` must
-echo ``amen.json``'s map.
-
-Two registries define the chain once.  ``KINDS`` says, for every
-certificate kind, which witnesses it echoes and how it is re-checked; the
-``run_*`` functions stamp their certificates from it and
-``recheck_certificate`` looks the kind up there.  ``STAGES`` lists the
-stages, the stages and parameters each reads and the certificates it
-emits; ``run_certify`` and the CLI subcommands run them through
-``run_stages``, and each subcommand's flags are the parameters it reads.
+``STAGES`` holds each stage's build: the stages and parameters it reads
+and the certificates it emits, run by ``run_stages`` for ``run_certify``
+and the CLI subcommands.  ``RECORDS`` holds one record per certificate
+file: its kind, witnesses, rebuild and ties.  A tie says that one of the
+file's echoes equals a value of another file (``chain.json`` included),
+as it is or through a named derivation.  ``verify chain.json`` checks
+every tie, then re-checks every stage file, the graph-based ones on
+``cover.json``'s graph, built once.  ``verify X.json`` re-checks X, then
+every tie with X at one end whose other file lies beside it; that file is
+read, not re-checked, since it can only make the check fail.
 """
 
 from __future__ import annotations
@@ -43,19 +32,9 @@ from .amenability import EquivariantMap, build_equivariant_map, check_equivarian
 from .certificates import Certificate, Clause, same_json
 from .config import spec_from_config
 from .cover import (
-    CoverGraph,
-    build_cover_graph,
-    check_intertwining,
-    isolated_orbit_window,
-    special_match_report,
+    CoverGraph, build_cover_graph, check_intertwining, isolated_orbit_window, special_match_report,
 )
-from .errors import (
-    ConfigError,
-    DepthInsufficient,
-    InvalidSpec,
-    PeriodicWitness,
-    ShiftDimError,
-)
+from .errors import ConfigError, DepthInsufficient, InvalidSpec, PeriodicWitness, ShiftDimError
 from .groupoid import (
     DadCover, bound_chain, build_dad_cover, build_window, difference_set, verify_dad_cover,
 )
@@ -63,13 +42,8 @@ from .rokhlin import RokhlinCover, RokhlinTower, build_rokhlin_cover, verify_rok
 from .special import sp_estimate
 from .systems import aperiodicity_window_check
 from .towers import (
-    TowerPair,
-    TowerPairSystem,
-    attach_shifted_pairs,
-    build_phase_pairs,
-    normalize_window,
-    pairs_from_rokhlin,
-    verify_tower_pairs,
+    TowerPair, TowerPairSystem, attach_shifted_pairs, build_phase_pairs, normalize_window,
+    pairs_from_rokhlin, verify_tower_pairs,
 )
 from .words import LanguageTable, SubshiftSpec
 
@@ -113,11 +87,7 @@ def run_lang(spec: SubshiftSpec, horizon: int, out_dir: str | None):
     table = LanguageTable.build(spec, _at_least(horizon, 1, "language horizon"))
     clauses = [
         Clause("factorial", table.check_factorial(), ""),
-        Clause(
-            "monotone",
-            all(a <= b for a, b in zip(table.p, table.p[1:])),
-            "",
-        ),
+        Clause("monotone", all(a <= b for a, b in zip(table.p, table.p[1:])), ""),
     ]
     cert = Certificate.build(
         kind="language-table",
@@ -143,21 +113,10 @@ def run_special(spec: SubshiftSpec, depth: int):
             "growth surrogate exceeded threshold" if report.superlinear_warning else "",
         ),
     ]
-    cert = Certificate.build(
-        kind="special-report",
-        params={
-            "spec": spec.describe(),
-            "depth": depth,
-            "counts": list(report.counts),
-            "branch_lower": report.branch_lower,
-            "branch_upper": report.branch_upper,
-            "stabilized": report.stabilized,
-            "d_hat": report.d_hat,
-            "bound": report.bound,
-        },
-        clauses=clauses,
-    )
-    return report, cert
+    # the report's fields but the warning, which the last clause carries
+    params = {"spec": spec.describe(), **report._asdict()}
+    del params["superlinear_warning"]
+    return report, Certificate.build(kind="special-report", params=params, clauses=clauses)
 
 
 def run_cover(spec: SubshiftSpec, k: int, l: int, horizon: int | None):
@@ -276,15 +235,7 @@ def run_bounds(q: int, dim_x: int):
     report = bound_chain(_at_least(q, 0, "q"), _at_least(dim_x, 0, "dim_x"))
     cert = Certificate.build(
         kind="bounds",
-        params={
-            "q": q,
-            "dim_x": dim_x,
-            "rokhlin": report.rokhlin,
-            "tower": report.tower,
-            "amenability": report.amenability,
-            "dad": report.dad,
-            "nuclear": report.nuclear,
-        },
+        params=report._asdict(),
         clauses=[
             Clause(
                 "monotone-in-q",
@@ -403,17 +354,19 @@ def run_certify(params: PipelineParams) -> tuple[dict[str, Certificate], str]:
     if params.out_dir:
         for name, cert in certs.items():
             write_file(params.out_dir, f"{name}.json", cert.canonical_json())
+        # the chain echoes the parameters that stage files tie to
+        tied = {tie.other_key for _, tie in TIES if tie.other == "chain"} - {"config"}
         master = _chain_certificate({
             "stages": {name: cert.verdict for name, cert in certs.items()},
             "config": params.config_text,
-            **{key: getattr(params, key) for key in CHAIN_ECHOES},
+            **{key: getattr(params, key) for key in tied},
         })
         write_file(params.out_dir, "chain.json", master.canonical_json())
         certs["chain"] = master
     return certs, overall
 
 
-# -- certificate kinds and standalone re-checking -------------------------------
+# -- certificate records and re-checking ----------------------------------------
 
 # The arena echo: a graph-based certificate's cover graph is rebuilt from these.
 ARENA = ("spec", "k", "l", "graph_horizon")
@@ -425,28 +378,50 @@ class Mismatch(Exception):
     """A re-check found a certificate that disagrees with what it refers to."""
 
 
-class GraphKind(NamedTuple):
-    """A certificate kind whose claim lives on a cover graph.
+class Tie(NamedTuple):
+    """A file's echo ``key`` equals ``other_key`` of ``{other}.json``, or ``derive`` of it."""
 
-    ``witnesses`` maps each witness key the certificate echoes to how it
-    is read off the objects the stage built; ``rebuild(graph, params)``
-    rebuilds those objects from the echoed values and returns the
-    verifier's certificate with them, named as construction names them.
-    Construction and re-check both stamp through ``_stamp``; the readers of
-    the ``canonical`` keys make canonical JSON, taken without a copy."""
+    key: str
+    other: str
+    other_key: str
+    derive: Callable | None = None
 
-    witnesses: dict[str, Callable[[SimpleNamespace], object]]
-    rebuild: Callable[[CoverGraph, dict], tuple[Certificate, dict]]
-    arena: tuple[str, ...] = ARENA
+    def check(self, name: str, files: dict) -> None:
+        """Raise ``Mismatch`` unless ``{name}.json`` and the other file, whose
+        params ``files`` holds by file name, agree; the message shows values
+        that hold no object and no list of lists."""
+        echoed, value = files[name].get(self.key), files[self.other].get(self.other_key)
+        where = f"{self.other}.json {self.other_key}"
+        if self.derive:
+            value, where = self.derive(value), f"{self.derive.__name__}({where})"
+        if echoed != value:
+            nested = [v for v in (echoed, value) if type(v) is dict or type(v) is list and any(
+                type(m) in (dict, list) for m in v)]
+            shown = f" other than {where}" if nested else f" = {echoed!r}, {where} = {value!r}"
+            raise Mismatch(f"stage {name}: {name}.json echoes {self.key}{shown}")
+
+
+class Record(NamedTuple):
+    """A certificate file: its ``kind``, its re-check and its ``ties``.  A
+    graph-based kind has an ``arena`` echo and ``witnesses``, read off the
+    objects its stage built; ``rebuild(graph, params)`` rebuilds them from
+    the echo and returns the verifier's certificate and them, and
+    construction and re-check both stamp through ``_stamp``.  The readers
+    of the ``canonical`` keys make canonical JSON, taken without a copy.
+    Any other kind is recomputed by ``rebuild(params, directory, arenas)``."""
+
+    kind: str
+    rebuild: Callable
+    witnesses: dict = {}
+    arena: tuple[str, ...] = ()
     canonical: tuple[str, ...] = ()
+    ties: tuple[Tie, ...] = ()
 
-    def echo(self, graph: CoverGraph) -> dict:
-        """The arena echo of ``graph``, under this kind's keys."""
-        return dict(zip(self.arena, (graph.spec.describe(), graph.k, graph.l, graph.horizon)))
-
-    def __call__(self, params: dict, directory: str | None, arenas: dict) -> Certificate:
-        """Rebuild on the echoed arena's graph, built once in ``arenas``;
-        its sizes must be ``int``s, as JSON ``true`` equals 1 in Python."""
+    def recheck(self, params: dict, directory: str | None, arenas: dict) -> Certificate:
+        """A graph-based kind on the echoed arena's graph, built once in
+        ``arenas``, whose sizes must be ``int``s, as ``true`` equals 1."""
+        if not self.arena:
+            return self.rebuild(params, directory, arenas)
         echo = [params[key] for key in self.arena]
         for key, size in zip(self.arena[1:], echo[1:]):
             _at_least(size, 1, key)
@@ -461,16 +436,16 @@ class GraphKind(NamedTuple):
 def _stamp(cert: Certificate, graph: CoverGraph, **built) -> Certificate:
     """The verifier's ``cert`` with the arena echo of ``graph`` and the
     witnesses its kind reads off ``built``."""
-    kind = KINDS[cert.kind]
+    record = _BY_KIND[cert.kind]
     objects = SimpleNamespace(**built)
-    witnesses = {key: read(objects) for key, read in kind.witnesses.items()}
-    canonical = {key: witnesses.pop(key) for key in kind.canonical}
-    return cert.with_params({**kind.echo(graph), **witnesses}, canonical)
+    witnesses = {key: read(objects) for key, read in record.witnesses.items()}
+    canonical = {key: witnesses.pop(key) for key in record.canonical}
+    echo = zip(record.arena, (graph.spec.describe(), graph.k, graph.l, graph.horizon))
+    return cert.with_params({**dict(echo), **witnesses}, canonical)
 
 
 def _config_from_echo(spec_echo: dict) -> str:
-    lines = [f"variant = {spec_echo['variant']}"]
-    lines.append("alphabet = " + " ".join(spec_echo["alphabet"]))
+    lines = [f"variant = {spec_echo['variant']}", "alphabet = " + " ".join(spec_echo["alphabet"])]
     if spec_echo["variant"] == "sft":
         lines.append("forbidden = " + ", ".join(spec_echo.get("forbidden", [])))
     if spec_echo["variant"] == "substitution":
@@ -518,7 +493,12 @@ def _exponent_range(rng) -> range:
 
 
 def _rebuild_pairs(graph: CoverGraph, p: dict):
-    sys = graph.system
+    """A pair taller than the state count is refused unwalked, since none
+    passes: a Rokhlin or shifted pair has the cover's height, at most the
+    state count, and a phase pair is one state on a cycle of its carrier,
+    whose preimage levels never become empty and meet again within the
+    cycle length."""
+    sys, n = graph.system, graph.num_states
     if p["carrier"] == "entry-free":
         sys = sys.without_entries_into(isolated_orbit_window(graph))
     elif p["carrier"] != "full":
@@ -531,13 +511,17 @@ def _rebuild_pairs(graph: CoverGraph, p: dict):
             raise ValueError(f"pair kind {kind!r} is none of base, shifted and phase")
         if type(origin) is not int or origin < 0:
             raise ValueError(f"pair origin {origin!r} is not a nonnegative integer")
-        pairs.append(TowerPair(_states(graph, base), _exponent_range(rng), kind, origin))
+        if len(exponents := _exponent_range(rng)) > n:
+            raise ValueError(f"exponent range {rng!r} is taller than the {n} states")
+        pairs.append(TowerPair(_states(graph, base), exponents, kind, origin))
     tps = TowerPairSystem(pairs, p["E"], p["d_claimed"])
     return verify_tower_pairs(sys, tps), {"tps": tps, "carrier": p["carrier"]}
 
 
 def _rebuild_equivariance(graph: CoverGraph, p: dict):
     emap = EquivariantMap.from_jsonable(p["map"])
+    if len(emap.assignment) != graph.num_states:
+        raise ValueError(f"the map has {len(emap.assignment)} points, not one per state")
     orbit = _states(graph, p["orbit_window"])
     # the phase pairs the map was built on: one per base, over [0, phase_span]
     span = _exponent_range([0, p["phase_span"]])
@@ -571,130 +555,104 @@ def _rebuild_dad(graph: CoverGraph, p: dict):
     return verify_dad_cover(window, cover), {"cover": cover, "emap": emap, "epsilon": epsilon}
 
 
-# chain parameter -> the (stage, key) under which each stage certificate echoes it
-CHAIN_ECHOES = {
-    "depth": (("cover", "k"),),
-    "past_len": (("cover", "l"),),
-    "height": (("rokhlin", "height"),),
-    "window_set": (("amen", "E"), ("dad", "E")),
-    "big_n": (("amen", "resolution"),),
-    "epsilon": (("amen", "epsilon"), ("dad", "epsilon")),
-}
+# -- the derivations through which a tie reads the other file's value
+
+
+def presentation(config) -> dict:
+    """The presentation echo of a chain's configuration text."""
+    if type(config) is not str:
+        raise ValueError(f"chain config {config!r} is not a string")
+    try:
+        return spec_from_config(config)[0].describe()
+    except ConfigError as exc:
+        raise Mismatch(f"chain config: {exc}")
+
+
+def normalized(window_set) -> list[int]:
+    if any(type(n) is not int for n in window_set):
+        raise ValueError(f"chain window_set {window_set!r} holds a non-integer")
+    return list(normalize_window(window_set))
+
+
+def span(ranges) -> int | list[int]:
+    """The h-1 of every pair's range [0, h-1], or the sorted h-1s if they differ."""
+    tops = sorted({_exponent_range(rng)[-1] for rng in ranges})
+    return tops[0] if len(tops) == 1 else tops
+
+
+def covering_dimension(_) -> int:
+    return 0  # a subshift is totally disconnected
 
 
 def _recheck_chain(params: dict, directory: str | None, arenas: dict) -> Certificate:
-    """Re-check every stage file the chain lists, from ``directory``: each
-    must record the chain's verdict for it, echo the presentation of the
-    chain's configuration and re-check, every graph-based one must echo
-    the arena of ``cover.json``, the stages in ``CHAIN_ECHOES`` must echo
-    the chain's parameters, ``dad.json`` must echo ``amen.json``'s map,
-    ``amen.json`` the phase pairs of ``amen_pairs.json`` and ``bounds.json``
-    the q and dim_x the bounds stage reads.  The graph-based files are
-    re-checked on one arena, ``cover.json``'s graph, built once.  Returns
-    the chain certificate recomputed from its ``stages``."""
+    """Read every stage file the chain lists from ``directory``, check every
+    tie, then that each file records the chain's verdict for it and
+    re-checks, the graph-based ones on ``cover.json``'s graph, built once.
+    Returns the chain certificate recomputed from its ``stages``."""
     if directory is None:
         raise Mismatch("a certify-chain certificate is re-checked from its directory")
     stages = params["stages"]
     if sorted(stages) != sorted(CERTIFICATES):
         raise Mismatch(f"chain lists stages {sorted(stages)}, not {sorted(CERTIFICATES)}")
-    try:
-        spec = spec_from_config(params["config"])[0].describe()
-    except ConfigError as exc:
-        raise Mismatch(f"chain config: {exc}")
-    certs = {}
-    for name in CERTIFICATES:
-        try:
-            with open(os.path.join(directory, f"{name}.json")) as fh:
-                certs[name] = cert = Certificate.from_json(fh.read())
-        except (OSError, ValueError) as exc:
-            raise Mismatch(f"stage {name}: cannot read {name}.json: {exc}")
+    certs = {name: _read_stage(directory, name) for name in CERTIFICATES}
+    files = {"chain": params, **{name: cert.params for name, cert in certs.items()}}
+    for owner, tie in TIES:
+        tie.check(owner, files)
+    for name, cert in certs.items():
         if cert.verdict != stages[name]:
-            raise Mismatch(
-                f"stage {name}: {name}.json records {cert.verdict}, the chain {stages[name]}"
-            )
-        if "spec" in cert.params and cert.params["spec"] != spec:
-            raise Mismatch(f"stage {name}: presentation differs from the chain's config")
-    # every graph-based stage file makes its claim on the graph of cover.json
-    cover = certs["cover"].params
-    for name, cert in certs.items():
-        kind = KINDS.get(cert.kind)
-        if isinstance(kind, GraphKind):
-            for key, cover_key in zip(kind.arena, COVER_ARENA):
-                echoed, value = cert.params.get(key), cover.get(cover_key)
-                if echoed != value:
-                    raise Mismatch(
-                        f"stage {name}: {name}.json echoes {key} = {echoed!r}, "
-                        f"cover.json {cover_key} = {value!r}"
-                    )
-    for key, echoes in CHAIN_ECHOES.items():
-        value = params[key]
-        if key == "window_set":
-            if any(type(n) is not int for n in value):
-                raise ValueError(f"chain window_set {value!r} holds a non-integer")
-            value = list(normalize_window(value))
-        for name, echo in echoes:
-            echoed = certs[name].params.get(echo)
-            if echoed != value:
-                raise Mismatch(
-                    f"stage {name}: {name}.json echoes {echo} = {echoed!r}, "
-                    f"the chain's {key} is {params[key]!r}"
-                )
-    # the dad cover is a cover of the map the amen stage checked
-    if certs["dad"].params.get("map") != certs["amen"].params.get("map"):
-        raise Mismatch("stage dad: dad.json echoes a map other than amen.json's")
-    # the amen map is built on the pairs amen_pairs.json lists
-    amen, pairs = certs["amen"].params, certs["amen_pairs"].params
-    if amen.get("phase_pair_bases") != pairs.get("pair_bases"):
-        raise Mismatch("stage amen: amen.json echoes phase_pair_bases other than "
-                       "amen_pairs.json's pair_bases")
-    span = amen.get("phase_span")
-    if any(rng != [0, span] for rng in pairs.get("pair_exponent_ranges", ())):
-        raise Mismatch(f"stage amen: amen.json echoes phase_span = {span!r}, not h-1 of "
-                       "amen_pairs.json's pair_exponent_ranges [0, h-1]")
-    # the bounds stage reads q, the number of cover special states, and dim_x 0
-    q = len(cover["special_states"])
-    bounds = certs["bounds"].params
-    if (bounds.get("q"), bounds.get("dim_x")) != (q, 0):
-        raise Mismatch(f"stage bounds: bounds.json echoes q = {bounds.get('q')!r} and "
-                       f"dim_x = {bounds.get('dim_x')!r}, the chain reads q = {q} and dim_x = 0")
-    for name, cert in certs.items():
+            raise Mismatch(f"stage {name}: {name}.json records {cert.verdict}, "
+                           f"the chain {stages[name]}")
         ok, why = recheck_certificate(cert, arenas=arenas)
         if not ok:
             raise Mismatch(f"stage {name}: {why}")
     return _chain_certificate(params)
 
 
-# kind -> recheck(params, directory, arenas), returning the recomputed certificate.
-KINDS: dict[str, Callable[[dict, str | None, dict], Certificate]] = {
-    "language-table": lambda p, *_: run_lang(_echoed_spec(p), p["n_max"], None)[1],
-    "special-report": lambda p, *_: run_special(_echoed_spec(p), p["depth"])[1],
-    "cover-graph": GraphKind({}, lambda graph, _: (_cover_certificate(graph), {}), COVER_ARENA),
-    "rokhlin-cover": GraphKind(
-        {"tower_bases": lambda o: [sorted(t.base) for t in o.cover.towers]}, _rebuild_rokhlin
+# every graph-based file makes its claim on the graph of cover.json
+ON_COVER = tuple(Tie(key, "cover", cover_key) for key, cover_key in zip(ARENA, COVER_ARENA))
+PRESENTATION = Tie("spec", "chain", "config", presentation)
+PAIRS = {
+    "carrier": lambda o: o.carrier,
+    "pair_bases": lambda o: [sorted(p.base) for p in o.tps.pairs],
+    "pair_kinds": lambda o: [p.kind for p in o.tps.pairs],
+    "pair_origins": lambda o: [p.origin for p in o.tps.pairs],
+    "pair_exponent_ranges": lambda o: [[p.exponents[0], p.exponents[-1]] for p in o.tps.pairs],
+}
+# file name -> its record, in chain order: the stage files, then chain.json
+RECORDS = {
+    "lang": Record("language-table", lambda p, *_: run_lang(
+        _echoed_spec(p), p["n_max"], None)[1], ties=(PRESENTATION,)),
+    "special": Record("special-report", lambda p, *_: run_special(
+        _echoed_spec(p), p["depth"])[1], ties=(PRESENTATION,)),
+    "cover": Record(
+        "cover-graph", lambda graph, _: (_cover_certificate(graph), {}), arena=COVER_ARENA,
+        ties=(PRESENTATION, Tie("k", "chain", "depth"), Tie("l", "chain", "past_len")),
     ),
-    "tower-pairs": GraphKind(
-        {
-            "carrier": lambda o: o.carrier,
-            "pair_bases": lambda o: [sorted(p.base) for p in o.tps.pairs],
-            "pair_kinds": lambda o: [p.kind for p in o.tps.pairs],
-            "pair_origins": lambda o: [p.origin for p in o.tps.pairs],
-            "pair_exponent_ranges": lambda o: [
-                [p.exponents[0], p.exponents[-1]] for p in o.tps.pairs
-            ],
-        },
-        _rebuild_pairs,
+    "rokhlin": Record(
+        "rokhlin-cover", _rebuild_rokhlin,
+        {"tower_bases": lambda o: [sorted(t.base) for t in o.cover.towers]},
+        ARENA, ties=(*ON_COVER, Tie("height", "chain", "height")),
     ),
-    "equivariance": GraphKind(
+    "towerdim": Record("tower-pairs", _rebuild_pairs, PAIRS, ARENA, ties=ON_COVER),
+    "amen_pairs": Record("tower-pairs", _rebuild_pairs, PAIRS, ARENA, ties=ON_COVER),
+    "amen": Record(
+        "equivariance", _rebuild_equivariance,
         {
             "orbit_window": lambda o: sorted(o.orbit),
             "phase_pair_bases": lambda o: [sorted(p.base) for p in o.tps.pairs],
             "phase_span": lambda o: o.tps.height - 1,
             "map": lambda o: o.emap.to_jsonable(),
         },
-        _rebuild_equivariance,
-        canonical=("map",),
+        ARENA, ("map",), (
+            *ON_COVER, Tie("E", "chain", "window_set", normalized),
+            Tie("resolution", "chain", "big_n"), Tie("epsilon", "chain", "epsilon"),
+            # the map is built on the phase pairs amen_pairs.json lists
+            Tie("phase_pair_bases", "amen_pairs", "pair_bases"),
+            Tie("phase_span", "amen_pairs", "pair_exponent_ranges", span),
+        ),
     ),
-    "dad-cover": GraphKind(
+    "dad": Record(
+        "dad-cover", _rebuild_dad,
         {
             "projection_moved": lambda o: Fraction(0),
             "support": lambda o: list(o.emap.support_window),
@@ -704,39 +662,66 @@ KINDS: dict[str, Callable[[dict, str | None, dict], Certificate]] = {
             "map": lambda o: o.emap.to_jsonable(),
             "epsilon": lambda o: Fraction(o.epsilon),
         },
-        _rebuild_dad,
-        canonical=("map",),
+        # the dad cover is a cover of the map the amen stage checked
+        ARENA, ("map",), (*ON_COVER, Tie("E", "chain", "window_set", normalized),
+                          Tie("epsilon", "chain", "epsilon"), Tie("map", "amen", "map")),
     ),
-    "bounds": lambda p, *_: run_bounds(p["q"], p["dim_x"])[1],
-    "certify-chain": _recheck_chain,
+    # the bounds stage reads q, the number of cover special states, and dim_x 0
+    "bounds": Record("bounds", lambda p, *_: run_bounds(p["q"], p["dim_x"])[1], ties=(
+        Tie("q", "cover", "special_states", len),
+        Tie("dim_x", "cover", "spec", covering_dimension),
+    )),
+    "chain": Record("certify-chain", _recheck_chain),
 }
+_BY_KIND = {record.kind: record for record in RECORDS.values()}
+# every tie, as (the file that declares it, the tie), in chain order
+TIES = tuple((name, tie) for name, record in RECORDS.items() for tie in record.ties)
 
 
-def _first_differing_key(fresh: dict, stored: dict) -> str | None:
-    """The first key, in sorted order, that only one of the params has or
-    whose values are not the same JSON value there (so ``true`` is not ``1``)."""
-    for key in sorted({*fresh, *stored}):
-        if key not in fresh or key not in stored or not same_json(fresh[key], stored[key]):
-            return key
-    return None
+def _read_stage(directory: str, name: str) -> Certificate:
+    """``{name}.json`` of ``directory``, a certificate of its record's kind."""
+    try:
+        with open(os.path.join(directory, f"{name}.json")) as fh:
+            cert = Certificate.from_json(fh.read())
+    except (OSError, ValueError) as exc:
+        raise Mismatch(f"stage {name}: cannot read {name}.json: {exc}")
+    if cert.kind != RECORDS[name].kind:
+        raise Mismatch(f"stage {name}: {name}.json is {cert.kind}, not {RECORDS[name].kind}")
+    return cert
 
 
-def recheck_certificate(cert: Certificate, directory=None, arenas=None) -> tuple[bool, str]:
-    """Recompute ``cert`` as its kind says and accept it when the two are
-    the same JSON value (``same_json`` of their ``to_dict()``), which is
-    the verdict of comparing their canonical texts, without writing them.
-    ``directory`` holds the stage files of a ``certify-chain``
-    certificate, ``arenas`` the cover graphs built so far by arena echo.
-    A certificate lacking an echo the re-check reads, or holding one of
-    the wrong type or out of range (such as a JSON ``Infinity`` where a
-    rational is read), fails as a missing or malformed witness; one whose
-    parameter breaks a bound of its stage fails as a bad parameter,
-    naming the bound."""
-    recheck = KINDS.get(cert.kind)
-    if recheck is None:
+def _check_beside(name: str, params: dict, directory: str) -> None:
+    """Check every tie with ``{name}.json`` at one end whose other file lies
+    in ``directory``, read but not re-checked: it can only make this fail."""
+    files = {name: params}
+    for owner, tie in TIES:
+        if name in (owner, tie.other):
+            other = tie.other if owner == name else owner
+            if other not in files and os.path.exists(os.path.join(directory, f"{other}.json")):
+                files[other] = _read_stage(directory, other).params
+            if other in files:
+                tie.check(owner, files)
+
+
+def recheck_certificate(cert: Certificate, directory=None, arenas=None, name=None):
+    """Recompute ``cert`` as its kind's record says and accept it when the
+    two are the same JSON value, the verdict of comparing their canonical
+    texts, and, if ``cert`` is the stage file ``{name}.json`` of
+    ``directory``, its ties to the files beside it hold.  ``directory``
+    holds a chain's stage files, ``arenas`` the cover graphs built so far.
+    An echo the re-check reads that is missing, of the wrong type or out of
+    range (a JSON ``Infinity`` for a rational) fails as a missing or
+    malformed witness, one that breaks a bound of its stage as a bad
+    parameter, naming the bound."""
+    record = _BY_KIND.get(cert.kind)
+    if record is None:
         return False, f"unknown certificate kind {cert.kind!r}"
     try:
-        fresh = recheck(cert.params, directory, {} if arenas is None else arenas)
+        fresh = record.recheck(cert.params, directory, {} if arenas is None else arenas)
+        same = same_json(fresh.to_dict(), cert.to_dict())
+        if same and directory is not None and name in CERTIFICATES:
+            if RECORDS[name].kind == cert.kind:
+                _check_beside(name, cert.params, directory)
     except Mismatch as exc:
         return False, str(exc)
     except KeyError as exc:
@@ -745,9 +730,13 @@ def recheck_certificate(cert: Certificate, directory=None, arenas=None) -> tuple
         return False, f"missing or malformed witness: {exc}"
     except InvalidSpec as exc:
         return False, f"bad parameter: {exc}"
-    if same_json(fresh.to_dict(), cert.to_dict()):
+    if same:
         return True, ""
-    key = _first_differing_key(fresh.params, cert.params)
+    # the first key, in sorted order, that only one has or whose JSON values differ
+    key = next((key for key in sorted({*fresh.params, *cert.params}) if not (
+        key in fresh.params and key in cert.params
+        and same_json(fresh.params[key], cert.params[key])
+    )), None)
     detail = fresh.first_failure()
     return False, (
         "recomputation differs from stored certificate"

@@ -3,12 +3,16 @@ import io
 import json
 import os
 import re
+import resource
 import shutil
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import shiftdim
 from shiftdim.certificates import Certificate
 from shiftdim.cli import main
 from shiftdim.config import parse_config_text, spec_from_config
@@ -267,13 +271,19 @@ def chain_dir(tmp_path_factory):
 
 
 def verify_copy(
-    chain_dir, tmp_path, capsys, edit=None, remove=None, target="chain.json", edited=None
+    chain_dir, tmp_path, capsys, edit=None, remove=None, target="chain.json", edited=None,
+    alone=False,
 ):
-    """Copy the chain, change the params of the files ``edited`` (by
-    default ``target``) by ``edit`` and delete the stage file ``remove``,
-    then verify ``target``; (exit code, stdout)."""
+    """Copy the chain, or only ``target`` into an empty directory when
+    ``alone``, change the params of the files ``edited`` (by default
+    ``target``) by ``edit`` and delete the stage file ``remove``, then
+    verify ``target``; (exit code, stdout)."""
     out = tmp_path / "chain"
-    shutil.copytree(chain_dir, out)
+    if alone:
+        out.mkdir()
+        shutil.copy(chain_dir / target, out / target)
+    else:
+        shutil.copytree(chain_dir, out)
     path = out / target
     for name in (edited or [target]) if edit else []:
         data = json.loads((out / name).read_text())
@@ -303,7 +313,10 @@ def test_verify_chain_rejects_other_config(chain_dir, tmp_path, capsys):
 
     code, out = verify_copy(chain_dir, tmp_path, capsys, edit=edit)
     assert code == 1
-    assert "stage lang: presentation differs from the chain's config" in out
+    assert out == (
+        "verification failed: stage lang: lang.json echoes spec other than "
+        "presentation(chain.json config)\n"
+    )
 
 
 def test_verify_chain_rejects_changed_stage_verdict(chain_dir, tmp_path, capsys):
@@ -313,6 +326,30 @@ def test_verify_chain_rejects_changed_stage_verdict(chain_dir, tmp_path, capsys)
     code, out = verify_copy(chain_dir, tmp_path, capsys, edit=edit)
     assert code == 1
     assert "stage dad: dad.json records pass, the chain fail" in out
+
+
+def test_verify_chain_rejects_a_stage_file_of_another_kind(chain_dir, tmp_path, capsys):
+    # a genuine bounds certificate, passing, in the place of lang.json
+    out = tmp_path / "chain"
+    shutil.copytree(chain_dir, out)
+    shutil.copy(out / "bounds.json", out / "lang.json")
+    capsys.readouterr()
+    assert main(["verify", str(out / "chain.json")]) == 1
+    assert capsys.readouterr().out == (
+        "verification failed: stage lang: lang.json is bounds, not language-table\n"
+    )
+
+
+@pytest.mark.parametrize("config, why", [
+    (7, "missing or malformed witness: chain config 7 is not a string"),
+    ("variant = banana\n", "chain config: missing key 'alphabet'"),
+], ids=["integer", "no-alphabet"])
+def test_verify_chain_refuses_a_config_it_cannot_parse(chain_dir, tmp_path, capsys, config, why):
+    def edit(params):
+        params["config"] = config
+
+    code, out = verify_copy(chain_dir, tmp_path, capsys, edit=edit)
+    assert (code, out) == (1, f"verification failed: {why}\n")
 
 
 def test_verify_chain_rejects_missing_stage_file(chain_dir, tmp_path, capsys):
@@ -359,8 +396,8 @@ def test_verify_rejects_malformed_spec_echo(chain_dir, tmp_path, capsys, target,
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("depth", 999, "stage cover: cover.json echoes k = 250, the chain's depth is 999"),
-    ("big_n", 1, "stage amen: amen.json echoes resolution = 30, the chain's big_n is 1"),
+    ("depth", 999, "stage cover: cover.json echoes k = 250, chain.json depth = 999"),
+    ("big_n", 1, "stage amen: amen.json echoes resolution = 30, chain.json big_n = 1"),
 ])
 def test_verify_chain_rejects_other_parameter(chain_dir, tmp_path, capsys, key, value, message):
     def edit(params):
@@ -479,7 +516,7 @@ def test_verify_chain_ties_the_dad_map_to_amen(chain_dir, tmp_path, capsys):
     # the amen re-check measures amen.json's map, so dad.json must echo it
     code, out = verify_copy(chain_dir, tmp_path, capsys, edit=swap_two_weights, edited=["dad.json"])
     assert code == 1
-    assert out == "verification failed: stage dad: dad.json echoes a map other than amen.json's\n"
+    assert out == "verification failed: stage dad: dad.json echoes map other than amen.json map\n"
 
 
 def test_dad_stage_covers_the_amen_map_without_projecting(tmp_path, capsys, monkeypatch):
@@ -544,8 +581,9 @@ def test_verify_rejects_a_support_window_off_the_atoms(chain_dir, tmp_path, caps
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("epsilon", "7/2", "dad.json echoes epsilon = '7/2', the chain's epsilon is '5/2'"),
-    ("E", [-2, 0, 2], "dad.json echoes E = [-2, 0, 2], the chain's window_set is [-1, 0, 1]"),
+    ("epsilon", "7/2", "dad.json echoes epsilon = '7/2', chain.json epsilon = '5/2'"),
+    ("E", [-2, 0, 2],
+     "dad.json echoes E = [-2, 0, 2], normalized(chain.json window_set) = [-1, 0, 1]"),
 ], ids=["epsilon-7/2", "E"])
 def test_verify_chain_compares_dad_echoes(chain_dir, tmp_path, capsys, key, value, message):
     out = tmp_path / "chain"
@@ -558,10 +596,13 @@ def test_verify_chain_compares_dad_echoes(chain_dir, tmp_path, capsys, key, valu
     assert capsys.readouterr().out == f"verification failed: stage dad: {message}\n"
 
 
-# The map's scalar echoes a standalone dad.json does not re-derive: the
-# resolution and the deviation are the amen stage's, and dad.json holds no
-# pairs to rebuild the map from (ROADMAP item 9).  A chain ties dad.json's
-# map to amen.json's, whose re-check measures both.
+# The map's scalar echoes that dad.json's own re-check does not re-derive:
+# the resolution and the deviation are the amen stage's, and dad.json holds
+# no pairs to rebuild the map from.  The map tie to amen.json, whose
+# re-check measures both, catches them when amen.json lies beside it
+# (test_verify_checks_the_ties_of_a_stage_file_beside_it); a dad.json alone
+# in its directory still passes them, the gap that ROADMAP item 9's rebuild
+# of the map from its pairs closes.
 DAD_MAP_ECHOES_NOT_RECHECKED = {"resolution", "epsilon_achieved"}
 
 
@@ -574,12 +615,14 @@ DAD_MAP_ECHOES_NOT_RECHECKED = {"resolution", "epsilon_achieved"}
 ], ids=["d", "resolution", "window-set", "window-set-not-normalised", "epsilon-achieved"])
 @pytest.mark.parametrize("target", ["amen.json", "dad.json", "chain.json"])
 def test_verify_re_derives_the_map_scalar_echoes(chain_dir, tmp_path, capsys, target, key, edit):
+    # a stage file is verified alone, so only its own re-check reads the edit
     def tamper_map(params):
         params["map"][key] = edit(params["map"][key])
 
-    edited = ["amen.json", "dad.json"] if target == "chain.json" else [target]
+    alone = target != "chain.json"
     code, out = verify_copy(
-        chain_dir, tmp_path, capsys, edit=tamper_map, target=target, edited=edited
+        chain_dir, tmp_path, capsys, edit=tamper_map, target=target,
+        edited=[target] if alone else ["amen.json", "dad.json"], alone=alone,
     )
     if target == "dad.json" and key in DAD_MAP_ECHOES_NOT_RECHECKED:
         assert (code, out) == (0, "verified: dad-cover (pass)\n")
@@ -612,6 +655,31 @@ def test_verify_builds_one_arena(chain_dir, monkeypatch, target, builds):
     assert len(calls) == builds
 
 
+@pytest.mark.parametrize("target, builds, message", [
+    ("chain.json", 0, "stage rokhlin: rokhlin.json echoes k = 251, cover.json k = 250"),
+    ("rokhlin.json", 1, "bad parameter: horizon 256 must be >= k + l = 257"),
+])
+def test_verify_checks_an_arena_tie_before_building_a_graph(
+    chain_dir, tmp_path, capsys, monkeypatch, target, builds, message
+):
+    # a chain checks every tie before any re-check, so a tampered arena
+    # echo builds no graph; a stage file is re-checked first, on the graph
+    # its own echo names
+    from shiftdim import pipeline
+
+    calls = []
+    build = pipeline.build_cover_graph
+    monkeypatch.setattr(pipeline, "build_cover_graph", lambda *a: calls.append(a) or build(*a))
+
+    def edit(params):
+        params["k"] = 251
+
+    code, out = verify_copy(
+        chain_dir, tmp_path, capsys, edit=edit, target=target, edited=["rokhlin.json"]
+    )
+    assert (code, out, len(calls)) == (1, f"verification failed: {message}\n", builds)
+
+
 def test_verify_chain_names_the_cover_stage_for_a_bad_arena(chain_dir, tmp_path, capsys):
     # the one arena is built while cover.json is re-checked
     def edit(params):
@@ -638,8 +706,8 @@ def test_verify_rejects_a_non_canonical_arena_echo(chain_dir, tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("flags, echoed", [
-    (["--q", "3"], "q = 3 and dim_x = 0"),
-    (["--q", "1", "--dim-x", "5"], "q = 1 and dim_x = 5"),
+    (["--q", "3"], "q = 3, len(cover.json special_states) = 1"),
+    (["--q", "1", "--dim-x", "5"], "dim_x = 5, covering_dimension(cover.json spec) = 0"),
 ], ids=["q-3", "dim-x-5"])
 def test_verify_chain_ties_bounds_to_the_cover(chain_dir, tmp_path, capsys, flags, echoed):
     # a genuine bounds certificate, but not for the q the chain's cover has
@@ -649,8 +717,7 @@ def test_verify_chain_ties_bounds_to_the_cover(chain_dir, tmp_path, capsys, flag
     capsys.readouterr()
     assert main(["verify", str(out / "chain.json")]) == 1
     assert capsys.readouterr().out == (
-        f"verification failed: stage bounds: bounds.json echoes {echoed}, "
-        "the chain reads q = 1 and dim_x = 0\n"
+        f"verification failed: stage bounds: bounds.json echoes {echoed}\n"
     )
 
 
@@ -663,13 +730,57 @@ def raise_span(params):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (cut_one_base, "phase_pair_bases other than amen_pairs.json's pair_bases"),
-    (raise_span, "phase_span = 239, not h-1 of amen_pairs.json's pair_exponent_ranges [0, h-1]"),
+    (cut_one_base, "phase_pair_bases other than amen_pairs.json pair_bases"),
+    (raise_span, "phase_span = 239, span(amen_pairs.json pair_exponent_ranges) = 232"),
 ], ids=["cut-base", "span-plus-7"])
 def test_verify_chain_ties_amen_to_its_pairs(chain_dir, tmp_path, capsys, edit, message):
     code, out = verify_copy(chain_dir, tmp_path, capsys, edit=edit, edited=["amen.json"])
     assert code == 1
     assert out == f"verification failed: stage amen: amen.json echoes {message}\n"
+
+
+def lower_dad_epsilon(params):
+    params["epsilon"] = "1/1000"
+
+
+def map_echo(key, value):
+    return lambda params: params["map"].update({key: value})
+
+
+DAD_MAP_TIE = "stage dad: dad.json echoes map other than amen.json map"
+# Edits that the edited file's own re-check accepts, so that only a tie to
+# a file beside it catches them: ROADMAP item 2's three, two swapped map
+# weights, and DAD_MAP_ECHOES_NOT_RECHECKED's two.  Each message names the
+# stage and both keys.
+TIED_BESIDE = {
+    "amen-cut-base": ("amen.json", cut_one_base, "stage amen: amen.json echoes "
+                      "phase_pair_bases other than amen_pairs.json pair_bases"),
+    "amen-span-plus-7": ("amen.json", raise_span, "stage amen: amen.json echoes "
+                         "phase_span = 239, span(amen_pairs.json pair_exponent_ranges) = 232"),
+    "dad-epsilon-1/1000": ("dad.json", lower_dad_epsilon, "stage dad: dad.json echoes "
+                           "epsilon = '1/1000', chain.json epsilon = '5/2'"),
+    "dad-swapped-weights": ("dad.json", swap_two_weights, DAD_MAP_TIE),
+    "dad-map-resolution": ("dad.json", map_echo("resolution", 31), DAD_MAP_TIE),
+    "dad-map-epsilon-achieved": ("dad.json", map_echo("epsilon_achieved", "1/1000000"),
+                                 DAD_MAP_TIE),
+}
+
+
+@pytest.mark.parametrize("case", TIED_BESIDE)
+def test_verify_checks_the_ties_of_a_stage_file_beside_it(chain_dir, tmp_path, capsys, case):
+    target, edit, message = TIED_BESIDE[case]
+    code, out = verify_copy(chain_dir, tmp_path, capsys, edit=edit, target=target)
+    assert (code, out) == (1, f"verification failed: {message}\n")
+
+
+@pytest.mark.parametrize("case", TIED_BESIDE)
+def test_verify_accepts_the_same_edits_in_a_file_alone(chain_dir, tmp_path, capsys, case):
+    # with no file beside it, only the file's own re-check runs: the gap
+    # that ROADMAP item 9's rebuild of the map from its pairs closes
+    target, edit, _ = TIED_BESIDE[case]
+    code, out = verify_copy(chain_dir, tmp_path, capsys, edit=edit, target=target, alone=True)
+    kind = {"amen.json": "equivariance", "dad.json": "dad-cover"}[target]
+    assert (code, out) == (0, f"verified: {kind} (pass)\n")
 
 
 def tamper(value):
@@ -701,25 +812,39 @@ TAMPER_ALLOWED = {
 }
 
 
+# (file, key) pairs whose tampered file still verifies by itself, with the
+# other files of its chain beside it, each because the edited file is still
+# true; the edits of phase_pair_bases, phase_span, dad.json's epsilon and
+# map, which each file's own re-check accepts, fail on their ties
+TAMPER_ALLOWED_ALONE = {
+    # the chain that `certify --window -1,0` writes, as above
+    ("chain.json", "window_set"),
+}
+
+
 def test_tamper_sweep(chain_dir, tmp_path):
     """Every stage file's every parameter, and the chain's, edited one at a
-    time: ``verify chain.json`` fails unless the pair is allowed."""
+    time: ``verify chain.json`` fails unless the pair is allowed, and so
+    does ``verify`` of the edited file, with its siblings beside it, unless
+    the pair is allowed alone."""
     out = tmp_path / "chain"
     shutil.copytree(chain_dir, out)
-    verified = set()
+    verified, alone = set(), set()
     for path in sorted(out.glob("*.json")):
         text = path.read_text()
         for key in sorted(json.loads(text)["params"]):
             data = json.loads(text)
             data["params"][key] = tamper(data["params"][key])
             path.write_text(json.dumps(data))
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = main(["verify", str(out / "chain.json")])
-            assert code in (0, 1), (path.name, key)
-            if code == 0:
-                verified.add((path.name, key))
+            for target, passed in (("chain.json", verified), (path.name, alone)):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = main(["verify", str(out / target)])
+                assert code in (0, 1), (target, path.name, key)
+                if code == 0:
+                    passed.add((path.name, key))
         path.write_text(text)
     assert verified == TAMPER_ALLOWED
+    assert alone == TAMPER_ALLOWED_ALONE
 
 
 def container_edits(value, path):
@@ -1101,6 +1226,22 @@ def test_resolution_cycle_is_inconclusive(fib_cfg, capsys):
     )
 
 
+def test_verify_reads_a_failing_certificate_back(tmp_path, capsys):
+    # the golden mean's complexity grows exponentially: its special report
+    # fails, and its re-check reproduces the failing clause, which a passing
+    # clause read back as passing would not
+    path = tmp_path / "golden.cfg"
+    path.write_text(SFT_CFG)
+    out = tmp_path / "out"
+    assert main(["special", "--config", str(path), "--depth", "12", "--out", str(out)]) == 1
+    capsys.readouterr()
+    assert main(["verify", str(out / "special.json")]) == 1
+    assert capsys.readouterr().out == (
+        "certificate is genuine but records verdict fail: "
+        "superlinear-warning-absent: growth surrogate exceeded threshold\n"
+    )
+
+
 def test_real_periodic_cycle_fails(tmp_path, capsys):
     # the golden mean shift holds the fixed point 0^inf
     path = tmp_path / "golden.cfg"
@@ -1182,6 +1323,45 @@ def test_verify_refuses_a_rokhlin_height_it_cannot_walk(
     assert time.perf_counter() - start < 1
     assert code == 1
     assert out == f"verification failed: {message}\n"
+
+
+def _limited_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_verify_refuses_a_pair_range_it_cannot_walk(chain_dir, tmp_path):
+    # no passing pair is taller than the 257 states; the re-check listed the
+    # levels of a ten-million-high pair and ran out of memory
+    out = tmp_path / "chain"
+    shutil.copytree(chain_dir, out)
+    path = out / "amen_pairs.json"
+    data = json.loads(path.read_text())
+    data["params"]["pair_exponent_ranges"][0] = [0, 10**7]
+    path.write_text(json.dumps(data))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shiftdim.__file__)))
+    start = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, "-m", "shiftdim.cli", "verify", str(path)],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limited_address_space,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert time.perf_counter() - start < 1
+    assert (run.returncode, run.stdout, run.stderr) == (1, (
+        "verification failed: missing or malformed witness: "
+        "exponent range [0, 10000000] is taller than the 257 states\n"
+    ), "")
+
+
+def test_verify_refuses_a_map_that_is_not_one_point_per_state(chain_dir, tmp_path, capsys):
+    # on a horizon one longer the graph has a state the map has no point for
+    def edit(params):
+        params["graph_horizon"] += 1
+
+    code, out = verify_copy(chain_dir, tmp_path, capsys, edit=edit, target="amen.json")
+    assert (code, out) == (1, (
+        "verification failed: missing or malformed witness: "
+        "the map has 257 points, not one per state\n"
+    ))
 
 
 def test_amen_span_below_a_large_big_n_exits_2_at_once(fib_cfg, capsys):

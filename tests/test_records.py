@@ -14,7 +14,7 @@ from shiftdim.amenability import EquivariantMap, PartitionB
 from shiftdim.certificates import Certificate, Clause
 from shiftdim.cover import PastSet, SpecialMatchReport
 from shiftdim.groupoid import BoundReport, DadCover
-from shiftdim.pipeline import GraphKind, PipelineParams, Stage
+from shiftdim.pipeline import PipelineParams, Record, Stage, Tie
 from shiftdim.rokhlin import RokhlinCover, RokhlinTower
 from shiftdim.simplex import SimplexPoint
 from shiftdim.special import SpecialReport
@@ -63,7 +63,8 @@ RECORDS = {
     ),
     "PipelineParams": (lambda: PipelineParams("variant = full", horizon=8), ()),
     "Stage": (lambda: Stage(("spec",), ("horizon",), ("lang",), _build), ()),
-    "GraphKind": (lambda: GraphKind({}, _rebuild), ()),
+    "Record": (lambda: Record("k", _rebuild, ties=(Tie("a", "b", "c", len),)), ()),
+    "Tie": (lambda: Tie("a", "b", "c", len), ()),
 }
 
 

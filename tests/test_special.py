@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from shiftdim.special import (
+    SpecialReport,
     check_useful_inequality,
     left_special_count,
     left_special_levels,
@@ -119,3 +120,17 @@ def test_left_special_words_match_oracle(name, depth, request):
             set(spec.language(n)), set(spec.language(n + 1)), spec.alphabet.chars
         )
         assert left_special_words(spec, n) == sorted(expected)
+
+
+def test_bound_consistency_fails_alone_on_the_least_report(fib, monkeypatch):
+    # one stabilized branch against the bound ceil(2 * 0) = 0 of no growth
+    from shiftdim import pipeline
+
+    report = SpecialReport(4, (1, 1, 1, 1), 1, 1, True, Fraction(0), 0, False)
+    monkeypatch.setattr(pipeline, "sp_estimate", lambda spec, depth: report)
+    _, cert = pipeline.run_special(fib, 4)
+    assert cert.verdict == "fail"
+    assert [(c.name, c.passed, c.witness) for c in cert.clauses] == [
+        ("bound-consistency", False, "branch_upper=1 bound=0"),
+        ("superlinear-warning-absent", True, ""),
+    ]

@@ -180,6 +180,23 @@ def test_language_table_factorial_and_monotone(fib):
     assert all(a <= b for a, b in zip(table.p, table.p[1:]))
 
 
+@pytest.mark.parametrize("table, failing", [
+    # "01" without its first symbol is "1", which is no length-1 word
+    (LanguageTable(2, ("01",), (1, 1)), "factorial"),
+    # a factorial top whose complexity column falls from 2 to 1
+    (LanguageTable(2, ("00",), (2, 1)), "monotone"),
+], ids=["factorial", "monotone"])
+def test_lang_clause_fails_alone_on_the_least_table(fib, monkeypatch, table, failing):
+    from shiftdim import pipeline
+
+    monkeypatch.setattr(pipeline, "LanguageTable", mock.Mock(build=lambda spec, n: table))
+    _, cert = pipeline.run_lang(fib, 2, None)
+    assert cert.verdict == "fail"
+    assert [(c.name, c.passed, c.witness) for c in cert.clauses] == [
+        (name, name != failing, "") for name in ("factorial", "monotone")
+    ]
+
+
 def test_left_extension_identity(fib, tm, golden):
     # p(m+1) - p(m) == sum over length-m words of (extensions - 1), the
     # words and their left extensions read off the oracles' factor sets
