@@ -18,7 +18,11 @@ indicators of clopen level sets here (one state-resolution quantum), the
 integer tent levels at every state are verified to sum to at least N
 (the normalizer H >= 1) before dividing, and the achieved deviation is
 measured, not assumed.  Weights and deviations stay integer numerators
-over a denominator, compared by cross-multiplication.
+over a denominator, compared by cross-multiplication.  A map of few
+numerator tuples over many translated supports has most window edges
+aligned (one point the other's translate, atom for atom), and the
+deviation of such an edge depends on the two numerator tuples alone, so
+the check measures it once per pair of tuples.
 """
 
 from __future__ import annotations
@@ -283,7 +287,15 @@ def check_equivariance(
     Its mirror (y, -n, x) has the same deviation (the shift is an l1
     isometry) and regularity (x is an n-step predecessor of y exactly when
     y is an n-step successor of x), and (x, 0, x) has deviation 0, so
-    ``edges`` is the states plus twice the forward edges.  The witness is
+    ``edges`` is the states plus twice the forward edges.
+
+    A forward edge is aligned when y's point has the atoms of x's point
+    less n: the same shape (atoms less the first atom) and the first atom
+    less n.  ``l1`` then pairs the atoms by position, so its unreduced
+    ``(numerator, denominator)`` depends on the two numerator tuples alone
+    and is measured once per pair of tuples in a call; every other edge is
+    measured on its own.  The deviations are the same pairs either way, so
+    the ties, the witness and ``edges`` are too.  The witness is
     the first worst regular edge in the order x, n, then y as
     ``sys.image({x}, n)`` or ``sys.preimage({x}, -n)`` iterates; None if
     every regular deviation is 0."""
@@ -298,6 +310,10 @@ def check_equivariance(
         for s, ts in enumerate(succ)
     ]
     steps = frozenset(E)
+    # aligned edges, measured once per pair of numerator tuples
+    firsts = [p.atoms[0] for p in points]
+    shapes = [tuple(a - p.atoms[0] for a in p.atoms) for p in points]
+    aligned: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, int]] = {}
     # deviations as (numerator, denominator) pairs, ordered by
     # cross-multiplication; the forward edges tied at the worst regular
     # deviation are kept to rank them and their mirrors for the witness
@@ -306,6 +322,7 @@ def check_equivariance(
     confined = True
     for x in range(sys.num_states):
         px, image, free = points[x], (x,), (x,)
+        shape, first = shapes[x], firsts[x]
         for n in range(1, E[-1] + 1):
             # a one-state set steps to its successor tuple, which is sorted
             # and holds each state once
@@ -323,7 +340,14 @@ def check_equivariance(
                 continue
             forward += len(image)
             for y in image:
-                dev = points[y].l1(px, n)
+                py = points[y]
+                if firsts[y] == first - n and shapes[y] == shape:
+                    key = (py.nums, px.nums)
+                    dev = aligned.get(key)
+                    if dev is None:
+                        dev = aligned[key] = py.l1(px, n)
+                else:
+                    dev = py.l1(px, n)
                 if y in free:
                     gap = dev[0] * worst[1] - worst[0] * dev[1]
                     if gap > 0:

@@ -8,6 +8,15 @@ certificate checks that every element restricted to one piece either has
 its middle coordinate inside the difference set of the support or has
 both endpoints in the finite orbit bucket, the two cases of the
 finiteness argument.
+
+The window grows level by level from an image table.  For one n, the
+level a0 = max(0, n) of the first witness pair walks every state; a later
+level walks only the merge states, the states with two predecessors or
+more.  A triple first witnessed at a level above a0 has both exponents at
+least 1, and had its common image one predecessor, that predecessor
+would witness it one level lower.  The merge states are met in the order
+a walk of every state meets them, so the elements, their least witnesses
+and the window order are those of a walk of every state.
 """
 
 from __future__ import annotations
@@ -31,6 +40,19 @@ def _check_table_budget(exponent_bound: int, members: int) -> None:
             f"exponent bound {exponent_bound}: the image table holds at least {members} "
             f"set members, above the budget of {SYMBOL_BUDGET}"
         )
+
+
+def _inverse(level, only=None) -> dict[int, list[int]]:
+    """z -> the states x whose image ``level[x]`` holds z, in increasing x,
+    keyed in the order a walk of x upwards first meets each z; only the z
+    of the set ``only``, if one is given."""
+    inv: dict[int, list[int]] = {}
+    for x, image in enumerate(level):
+        if only is None or not only.isdisjoint(image):
+            for z in image:
+                if only is None or z in only:
+                    inv.setdefault(z, []).append(x)
+    return inv
 
 
 class GroupoidWindow:
@@ -68,21 +90,21 @@ class GroupoidWindow:
             images.append(level)
             members += sum(map(len, level)) - n
             _check_table_budget(exponent_bound, members)
-        inverse: list[dict[int, list[int]]] = []
-        for level in images:
-            inv: dict[int, list[int]] = {}
-            for x, image in enumerate(level):
-                for z in image:
-                    inv.setdefault(z, []).append(x)
-            inverse.append(inv)
         # For one n the witness pairs (a, a - n) rise with a, so the first
-        # pair that reaches a triple is its least.
+        # pair that reaches a triple is its least.  Only merge states add
+        # triples past n's first witness level a0 (see the module docstring).
+        merge = frozenset(sys.special_states())
+        first_levels = {level for n in E for level in (max(0, n), max(0, n) - n)}
+        inverse = {level: _inverse(images[level]) for level in first_levels}
+        merge_inverse = [_inverse(level, merge) for level in images]
         elements: dict[tuple[int, int, int], tuple[int, int]] = {}
         add = elements.setdefault
         for n in E:
-            for a in range(max(0, n), min(exponent_bound, exponent_bound + n) + 1):
-                ab, inverse_b = (a, a - n), inverse[a - n]
-                for z, xs in inverse[a].items():
+            a0 = max(0, n)
+            for a in range(a0, min(exponent_bound, exponent_bound + n) + 1):
+                table = inverse if a == a0 else merge_inverse
+                ab, inverse_b = (a, a - n), table[a - n]
+                for z, xs in table[a].items():
                     ys = inverse_b.get(z)
                     if ys is None:
                         continue

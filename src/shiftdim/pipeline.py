@@ -389,11 +389,16 @@ class Tie(NamedTuple):
     def check(self, name: str, files: dict) -> None:
         """Raise ``Mismatch`` unless ``{name}.json`` and the other file, whose
         params ``files`` holds by file name, agree; the message shows values
-        that hold no object and no list of lists."""
+        that hold no object and no list of lists.  A derivation that refuses
+        the other file's value fails naming that file and key."""
         echoed, value = files[name].get(self.key), files[self.other].get(self.other_key)
         where = f"{self.other}.json {self.other_key}"
         if self.derive:
-            value, where = self.derive(value), f"{self.derive.__name__}({where})"
+            try:
+                value = self.derive(value)
+            except ValueError as exc:
+                raise Mismatch(f"stage {name}: {where}: {exc}")
+            where = f"{self.derive.__name__}({where})"
         if echoed != value:
             nested = [v for v in (echoed, value) if type(v) is dict or type(v) is list and any(
                 type(m) in (dict, list) for m in v)]
@@ -561,7 +566,7 @@ def _rebuild_dad(graph: CoverGraph, p: dict):
 def presentation(config) -> dict:
     """The presentation echo of a chain's configuration text."""
     if type(config) is not str:
-        raise ValueError(f"chain config {config!r} is not a string")
+        raise ValueError(f"{config!r} is not a string")
     try:
         return spec_from_config(config)[0].describe()
     except ConfigError as exc:
@@ -570,7 +575,7 @@ def presentation(config) -> dict:
 
 def normalized(window_set) -> list[int]:
     if any(type(n) is not int for n in window_set):
-        raise ValueError(f"chain window_set {window_set!r} holds a non-integer")
+        raise ValueError(f"{window_set!r} holds a non-integer")
     return list(normalize_window(window_set))
 
 

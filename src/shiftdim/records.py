@@ -13,9 +13,9 @@ from __future__ import annotations
 class Frozen:
     """Base of an immutable ``__slots__`` record.  ``_fields`` names the
     constructor's arguments, which decide equality, the hash and the repr
-    and rebuild a copy; the constructor sets every slot with
-    ``object.__setattr__``, and any later assignment or deletion raises
-    ``AttributeError``."""
+    and rebuild a copy; the constructor sets every slot past this
+    ``__setattr__``, with ``object.__setattr__`` or the slot's descriptor,
+    and any later assignment or deletion raises ``AttributeError``."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()

@@ -50,13 +50,14 @@ class SimplexPoint(Frozen):
         only emptiness and positivity are checked, as the constructor
         would check them."""
         atoms = tuple(sorted(masses))
-        nums = [masses[a] for a in atoms]
+        nums = tuple(map(masses.__getitem__, atoms))
         g = gcd(*nums)  # first, so a mass that is not an integer raises TypeError
         if not atoms:
             raise ValueError("a point needs one numerator per atom, and at least one atom")
         if min(nums) <= 0:
             raise ValueError("weights must be positive")
-        nums = tuple(x // g for x in nums)
+        if g > 1:
+            nums = tuple(x // g for x in nums)
         return cls._unchecked(atoms, nums, sum(nums))
 
     @classmethod
@@ -134,12 +135,20 @@ class SimplexPoint(Frozen):
         return sorted(zip(self.nums, self.atoms), key=lambda e: (-e[0], e[1]))
 
 
+# the slots' member descriptors set a slot past the class's ``__setattr__``,
+# without the name lookup of ``object.__setattr__``
+_SET_ATOMS = SimplexPoint.atoms.__set__
+_SET_NUMS = SimplexPoint.nums.__set__
+_SET_DEN = SimplexPoint.den.__set__
+_SET_BY_ATOM = SimplexPoint._by_atom.__set__
+
+
 def _fill(point: SimplexPoint, atoms: tuple, nums: tuple, den: int) -> None:
     """Set the slots of a new point, past its ``__setattr__``."""
-    object.__setattr__(point, "atoms", atoms)
-    object.__setattr__(point, "nums", nums)
-    object.__setattr__(point, "den", den)
-    object.__setattr__(point, "_by_atom", dict(zip(atoms, nums)))
+    _SET_ATOMS(point, atoms)
+    _SET_NUMS(point, nums)
+    _SET_DEN(point, den)
+    _SET_BY_ATOM(point, dict(zip(atoms, nums)))
 
 
 def skeleton_distance(mu: SimplexPoint, size: int):

@@ -452,7 +452,20 @@ TIE_POOL = (
     SimplexPoint.from_entries({-1: Fraction(1, 2), 1: Fraction(1, 3), 2: Fraction(1, 6)}.items()),
     dirac(1),
     dirac(3),
+    # translates: the same numerators on shifted atoms, and other
+    # numerators on a shape already in the pool
+    SimplexPoint((-1, 0), (1, 1)),
+    SimplexPoint((-2, -1), (1, 3)),
+    SimplexPoint((-3, -2), (3, 1)),
+    SimplexPoint((-4, -2, -1), (3, 2, 1)),
+    SimplexPoint((-4, -2, -1), (1, 2, 3)),
+    dirac(0),
 )
+
+
+def aligned(p: SimplexPoint, q: SimplexPoint, n: int) -> bool:
+    """``p`` is ``q`` translated n atoms down, atom for atom."""
+    return p.atoms == tuple(a - n for a in q.atoms)
 
 
 def random_branching_system(rng):
@@ -469,7 +482,9 @@ def test_equivariance_matches_edge_by_edge_oracle():
     # the forward walk with mirrored edges against the per-edge loop, whole
     # certificates compared, witness and counts included
     rng = random.Random(12)
-    seen = {"branch": 0, "merge": 0, "tied": 0, "exceptional": 0, "mirror-witness": 0}
+    seen = {"branch": 0, "merge": 0, "tied": 0, "exceptional": 0, "mirror-witness": 0,
+            "aligned-equal-numerators": 0, "aligned-other-numerators": 0,
+            "unaligned-equal-numerators": 0}
     for _ in range(200):
         sys = random_branching_system(rng)
         seen["branch"] += bool(sys.branch_states())
@@ -494,6 +509,69 @@ def test_equivariance_matches_edge_by_edge_oracle():
             seen["tied"] += max(devs) > 0 and devs.count(max(devs)) > 1
             seen["exceptional"] += cert.params["exceptional_edges"] > 0
             seen["mirror-witness"] += ", -" in cert.clauses[0].witness
+            # the forward edges' cases of the check's aligned-edge shortcut
+            cases = set()
+            for x, n, y, *_ in edges:
+                px, py = emap.assignment[x], emap.assignment[y]
+                if n <= 0:
+                    continue
+                if aligned(py, px, n):
+                    cases.add("aligned-equal-numerators" if py.nums == px.nums
+                              else "aligned-other-numerators")
+                elif py.nums == px.nums:
+                    cases.add("unaligned-equal-numerators")
+            for case in cases:
+                seen[case] += 1
+    assert min(seen.values()) > 50, seen
+
+
+def test_equivariance_matches_oracle_on_maps_of_translates():
+    # each state's point is a shape translated down by its state number, so
+    # along a cycle most forward edges are aligned and meet their numerator
+    # pair again on other atoms, with other partners for the same y point;
+    # a second shape with the same first atom lines edges up on their first
+    # atoms only
+    rng = random.Random(23)
+    shapes = ((0, 1), (0, 2), (0, 1, 3))
+    numerators = {2: ((1, 1), (1, 3), (3, 1)), 3: ((3, 2, 1), (1, 2, 3))}
+    seen = {"again-elsewhere": 0, "other-partner": 0, "first-atoms-only": 0}
+    for _ in range(100):
+        if rng.random() < 0.6:
+            sys = cycle_system(rng.randint(4, 12))
+        else:
+            sys = random_branching_system(rng)
+        main, other = rng.sample(shapes, 2)
+        points = []
+        for x in range(sys.num_states):
+            shape = rng.choice((main, main, main, other))
+            nums = rng.choice(numerators[len(shape)])
+            points.append(SimplexPoint(tuple(a - x for a in shape), nums))
+        emap = EquivariantMap(
+            assignment=tuple(points),
+            window_set=(0,),
+            resolution=1,
+            d=2,
+            epsilon_achieved=Fraction(0),
+            support_window=(),
+        )
+        for E in ((-1, 0, 1), (-2, 0, 3)):
+            orbit = frozenset(rng.sample(range(sys.num_states), rng.randint(0, 2)))
+            cert = check_equivariance(sys, emap, E, Fraction(1), orbit)
+            oracle = equivariance_oracle(sys, emap, E, Fraction(1), orbit)
+            assert cert.canonical_json() == oracle.canonical_json()
+            atoms_of, partners_of, first_only = {}, {}, False
+            for x in range(sys.num_states):
+                for n in (m for m in normalize_window(E) if m > 0):
+                    for y in sys.image({x}, n):
+                        px, py = points[x], points[y]
+                        if aligned(py, px, n):
+                            atoms_of.setdefault((py.nums, px.nums), set()).add(px.atoms)
+                            partners_of.setdefault(py.nums, set()).add(px.nums)
+                        elif py.atoms[0] == px.atoms[0] - n:
+                            first_only = True
+            seen["again-elsewhere"] += any(len(a) > 1 for a in atoms_of.values())
+            seen["other-partner"] += any(len(p) > 1 for p in partners_of.values())
+            seen["first-atoms-only"] += first_only
     assert min(seen.values()) > 50, seen
 
 
@@ -507,3 +585,11 @@ def test_skew_window_map_matches_edge_by_edge_oracle(fib_skew_dad):
         oracle = equivariance_oracle(sys, m, E, Fraction(2), orbit)
         assert cert.canonical_json() == oracle.canonical_json()
         assert cert.params["edges"] == 8545
+    # nearly every forward edge is aligned, and its numerator pair was met
+    # before on other atoms, so the check reads it from its memo
+    forward = [(x, n, y) for x in range(sys.num_states) for n in (2, 3)
+               for y in sys.image({x}, n)]
+    pairs = [(emap.point(y), emap.point(x), n) for x, n, y in forward]
+    shortcut = [(py.nums, px.nums) for py, px, n in pairs if aligned(py, px, n)]
+    assert len(shortcut) * 10 > len(forward) * 9
+    assert len(set(shortcut)) * 10 < len(shortcut)

@@ -341,7 +341,7 @@ def test_verify_chain_rejects_a_stage_file_of_another_kind(chain_dir, tmp_path, 
 
 
 @pytest.mark.parametrize("config, why", [
-    (7, "missing or malformed witness: chain config 7 is not a string"),
+    (7, "stage lang: chain.json config: 7 is not a string"),
     ("variant = banana\n", "chain config: missing key 'alphabet'"),
 ], ids=["integer", "no-alphabet"])
 def test_verify_chain_refuses_a_config_it_cannot_parse(chain_dir, tmp_path, capsys, config, why):
@@ -739,6 +739,20 @@ def test_verify_chain_ties_amen_to_its_pairs(chain_dir, tmp_path, capsys, edit, 
     assert out == f"verification failed: stage amen: amen.json echoes {message}\n"
 
 
+def test_verify_names_the_file_a_tie_derivation_refuses(chain_dir, tmp_path, capsys):
+    # amen.json is unchanged and passes its own re-check; the tie reads the
+    # span of amen_pairs.json's ranges, which refuses a reversed one
+    def reverse_first_range(params):
+        params["pair_exponent_ranges"][0] = [5, 2]
+
+    code, out = verify_copy(chain_dir, tmp_path, capsys, edit=reverse_first_range,
+                            target="amen.json", edited=["amen_pairs.json"])
+    assert (code, out) == (1, (
+        "verification failed: stage amen: amen_pairs.json pair_exponent_ranges: "
+        "exponent range [5, 2] is not [0, h-1] with h >= 1\n"
+    ))
+
+
 def lower_dad_epsilon(params):
     params["epsilon"] = "1/1000"
 
@@ -1041,8 +1055,8 @@ def test_verify_chain_refuses_a_boolean_window_member(chain_dir, tmp_path, capsy
     code, out = verify_copy(chain_dir, tmp_path, capsys, edit=edit)
     assert code == 1
     assert out == (
-        "verification failed: missing or malformed witness: "
-        "chain window_set [-1, False, 1] holds a non-integer\n"
+        "verification failed: stage amen: chain.json window_set: "
+        "[-1, False, 1] holds a non-integer\n"
     )
 
 

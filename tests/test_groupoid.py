@@ -14,6 +14,7 @@ from shiftdim.groupoid import (
     difference_set,
     verify_dad_cover,
 )
+from shiftdim.pipeline import run_cover
 from shiftdim.simplex import SimplexPoint, cover_index
 from shiftdim.systems import FiniteSymbolicSystem
 
@@ -191,13 +192,13 @@ def _oracle_closure_sizes(window, pieces) -> list[int]:
     return sizes
 
 
-def random_window_and_cover(rng):
+def random_window_and_cover(rng, slack=2):
     """The window of a random branching system for one of four window
-    sets, and 1-4 random pieces with a random difference set and orbit
-    states."""
+    sets, at an exponent bound of max|E| plus 0..``slack``, and 1-4 random
+    pieces with a random difference set and orbit states."""
     sys = random_branching_system(rng)
     E = rng.choice(((0,), (-1, 0, 1), (-2, 0, 3), (-3, 0, 5)))
-    window = build_window(sys, E, max(map(abs, E)) + rng.randint(0, 2))
+    window = build_window(sys, E, max(map(abs, E)) + rng.randint(0, slack))
     states = range(sys.num_states)
     pieces = tuple(
         frozenset(rng.sample(states, rng.randint(0, sys.num_states)))
@@ -228,24 +229,50 @@ def test_closure_sizes_match_closure_walk_on_skew_benchmark(fib_skew_dad):
     assert _closure_witness(fib_skew_dad.dad) == f"closure sizes within window: {sizes}"
 
 
+def assert_window_matches_oracle(window):
+    """The window's order, least witnesses and text against
+    ``window_elements_oracle``, which walks every state at every level."""
+    elements = window_elements_oracle(window.sys, window.E, window.exponent_bound)
+    assert list(window.elements.items()) == list(elements.items())
+    rows = sorted((x, n, y, a, b) for (x, n, y), (a, b) in elements.items())
+    assert window.element_rows() == rows
+    text = window.to_text().splitlines()
+    assert text[1:] == ["\t".join(map(str, row)) for row in rows]
+
+
 def test_window_and_dad_check_match_their_oracles():
     # the window's order and witnesses, and whole dad-cover certificates on
-    # random pieces, against one image dict per level and one walk per piece
+    # random pieces, against one image dict per level and one walk per piece;
+    # bounds up to max|E| + 6 give many levels past each n's first witness
+    # level, where the window walks merge states alone
     rng = random.Random(47)
     failing = 0
     for _ in range(400):
-        window, cover = random_window_and_cover(rng)
-        elements = window_elements_oracle(window.sys, window.E, window.exponent_bound)
-        assert list(window.triples()) == list(elements)
-        rows = sorted((x, n, y, a, b) for (x, n, y), (a, b) in elements.items())
-        assert window.element_rows() == rows
-        text = window.to_text().splitlines()
-        assert text[1:] == ["\t".join(map(str, row)) for row in rows]
+        window, cover = random_window_and_cover(rng, slack=6)
+        assert_window_matches_oracle(window)
         cert = verify_dad_cover(window, cover)
         assert cert.canonical_json() == dad_cover_oracle(window, cover).canonical_json()
         (two_cases,) = [c for c in cert.clauses if c.name == "restricted-elements-two-cases"]
         failing += not two_cases.passed
     assert failing >= 50, failing
+
+
+def test_skew_window_at_bound_12_matches_its_oracle(fib_skew_dad):
+    # one merge state, nine levels past the first witness level of n = 3
+    sys = fib_skew_dad.graph.system
+    assert len(sys.special_states()) == 1
+    window = build_window(sys, fib_skew_dad.E, 12)
+    assert_window_matches_oracle(window)
+    assert max(a for a, _ in window.elements.values()) > 3
+
+
+def test_thue_morse_window_matches_its_oracle(tm):
+    # two merge states, which a level's walk must meet in the order a walk
+    # of every image meets them
+    sys = run_cover(tm, 200, 6, None)[0].system
+    assert len(sys.special_states()) == 2
+    for E, bound in (((-2, 0, 3), 12), ((-1, 0, 1), 9)):
+        assert_window_matches_oracle(build_window(sys, E, bound))
 
 
 def _pieces_by_point(emap, orbit):
