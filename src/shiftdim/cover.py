@@ -18,9 +18,19 @@ comparing against the corpus at a row's start, which is small enough to
 stay in cache.  Strings are sliced off the corpus only when the
 read-only views ``stored`` and ``class_words`` are read, and a state's
 label is built only when the system's ``labels`` view is read.
-Many stored words share a tail, so the past of each distinct tail, at
-the lookahead and at one less for the stabilization flag, is found once
-per build.
+
+The build walks the rows once.  A row that does not start with the
+current length-``k`` prefix starts a prefix rank and a stored word; only
+a row that shares the prefix is compared on its other ``depth - k``
+symbols, against the current stored word's, which are sliced once and
+only then.  Many stored words share a tail, so the past of each distinct
+tail, at the lookahead and at one less for the stabilization flag, is
+found and numbered once per build.  A state is numbered by an integer
+code, ``rank · |pasts| +`` the place of its past among the pasts sorted,
+so the codes sort as the states do, by prefix and then by sorted past,
+and no ``(rank, past)`` pair is hashed per stored word.  A rank's stored
+words are neighbours, so the stabilization flag tallies the coarse keys
+(rank, past at one less lookahead) one rank at a time.
 
 The top reaches one symbol past the stored words, so the shift
 ``u[1:depth+1]`` of every top row ``u`` is a stored word; the index of
@@ -208,59 +218,77 @@ class CoverGraph:
         # stored word.
         top = self._top = spec.top(depth + 1)
         corpus = top.corpus
-        # One pass over neighbouring rows: a row starts a stored word when
-        # it does not start with the current one, and a prefix rank when
-        # it does not start with the current prefix.
-        rows: list[int] = []  # the row of each stored word
-        keys = []  # the (rank, past) of each stored word
+        # One pass over neighbouring rows: a row starts a prefix rank when
+        # it does not start with the current prefix, and a stored word
+        # when it does not, or when its other depth - k symbols differ from
+        # the current word's, sliced once per stored word and only when
+        # the next row shares its prefix.
+        rows: list[int] = []  # the first row of each stored word
+        ranks: list[int] = []  # the prefix rank of each stored word
+        fines: list[int] = []  # the number of each stored word's past
         rank_rows = self._rank_rows = []  # the first row of each prefix rank
+        numbers: dict[frozenset, int] = {}  # past -> its number, in the order found
+        rough_numbers: dict = {}  # past at lookahead-1 (None at lookahead 1) -> its number
+        tails: dict[str, tuple[int, int]] = {}  # tail -> the numbers of its two pasts
         # Stabilization: the same partition of stored words at lookahead-1,
         # so no coarse key (rank, past at lookahead-1) meets two fine keys,
         # which are in bijection with the states, and there are as many.
-        coarse: dict = {}  # coarse key -> the fine key of its first stored word
+        coarse: dict[int, int] = {}  # this rank's coarse pasts -> the fine past first met
+        coarse_keys = 0
         split = False
-        pasts: dict[str, tuple] = {}  # tail -> its past and its past at lookahead-1
         own: list[int] = []  # the stored word of each row
-        word = prefix = None
+        prefix = rest = None
+        start = 0  # the corpus position of the current stored word
         for row, s in enumerate(top.starts):
-            if word is not None and corpus.startswith(word, s):
-                own.append(len(rows) - 1)
-                continue
-            own.append(len(rows))
-            word = corpus[s : s + depth]
-            if prefix is None or not corpus.startswith(prefix, s):
+            if prefix is not None and corpus.startswith(prefix, s):
+                if rest is None:
+                    rest = corpus[start + k : start + depth]
+                if corpus.startswith(rest, s + k):
+                    own.append(len(rows) - 1)
+                    continue
+            else:
                 prefix = corpus[s : s + k]
+                rank = len(rank_rows)
                 rank_rows.append(row)
-            tail = corpus[s + k : s + k + lam]
-            both = pasts.get(tail)
-            if both is None:
-                both = pasts[tail] = (self._past(tail), self._past(tail[:-1]) if lam > 1 else None)
-            rank = len(rank_rows) - 1
-            key = (rank, both[0])
-            split |= coarse.setdefault((rank, both[1]), key) != key
+                coarse_keys += len(coarse)
+                coarse.clear()
+            start, rest = s, None
+            own.append(len(rows))
             rows.append(row)
-            keys.append(key)
+            tail = corpus[s + k : s + k + lam]
+            both = tails.get(tail)
+            if both is None:
+                fine = numbers.setdefault(self._past(tail), len(numbers))
+                rough = self._past(tail[:-1]) if lam > 1 else None
+                both = tails[tail] = (fine, rough_numbers.setdefault(rough, len(rough_numbers)))
+            split |= coarse.setdefault(both[1], both[0]) != both[0]
+            ranks.append(rank)
+            fines.append(both[0])
         if not rows:
             raise EmptyLanguage("no stored words at this depth")
         self._rows = rows
         shift = self._shift = self._shift_map(own)
-        # Rank order is prefix order, so this is the order of the spelled
-        # keys: by prefix, ties broken by the sorted past.  The keys come in
-        # rank order, and deduplicated in that order they are almost
-        # sorted already, which the sort finds in one pass.
-        sorted_pasts = {past: tuple(sorted(past)) for past in {past for _, past in keys}}
-        order = sorted(dict.fromkeys(keys), key=lambda key: (key[0], sorted_pasts[key[1]]))
-        self._keys = tuple(order)
-        index = {key: i for i, key in enumerate(order)}
-        classes = self._classes = [index[key] for key in keys]
-        class_rows: list[list[int]] = [[] for _ in order]
-        edges: list[set[int]] = [set() for _ in order]
+        # Rank order is prefix order, so the codes sort as the spelled keys
+        # do: by prefix, ties broken by the sorted past.
+        by_past = sorted(numbers, key=sorted)
+        place = {past: i for i, past in enumerate(by_past)}
+        renumber = [place[past] for past in numbers]  # past number -> its place
+        width = len(by_past)
+        codes = [rank * width + renumber[fine] for rank, fine in zip(ranks, fines)]
+        del ranks, fines  # freed before the state tables, which lowers the build's peak
+        states = sorted(set(codes))
+        self._keys = tuple([(code // width, by_past[code % width]) for code in states])
+        index = {code: i for i, code in enumerate(states)}
+        classes = self._classes = [index[code] for code in codes]
+        class_rows: list[list[int]] = [[] for _ in states]
+        edges: list[set[int]] = [set() for _ in states]
         for row, state in zip(rows, classes):
             class_rows[state].append(row)
             edges[state].add(classes[shift[row]])
         self._class_rows = tuple(map(tuple, class_rows))
         self.succ = tuple(tuple(e) if len(e) == 1 else tuple(sorted(e)) for e in edges)
-        self.past_stabilized = lam > 1 and not split and len(coarse) == len(order)
+        coarse_keys += len(coarse)
+        self.past_stabilized = lam > 1 and not split and coarse_keys == len(states)
         self.past_sound = isinstance(spec, SFTSpec) and lam >= spec.max_forbidden_len
         self._system = FiniteSymbolicSystem(
             labels=_labels(top, rank_rows, self._keys, k, spec.alphabet),

@@ -15,10 +15,12 @@ as one :class:`Top` and builds from the presentation itself only when asked
 for a longer length.  The top copies no factor: the presentation hands
 over texts whose length-``n`` windows are exactly the factors, the texts
 are joined into one corpus string, and each factor is the start of its
-first occurrence there.  The windows are sorted by growing prefix groups,
-not hashed whole (see :func:`_sorted_starts`).  A shorter length is the
-distinct length-``n`` prefixes of the top, which come out already sorted,
-and p(n) for every ``n`` up to its length is read off one histogram of the
+first occurrence there.  Each text's leading and trailing runs of windows
+that occur earlier are dropped first (see :meth:`Top.of_texts`), and the
+rest are sorted by growing prefix groups, not hashed whole (see
+:func:`_sorted_starts`).  A shorter length is the distinct length-``n``
+prefixes of the top, which come out already sorted, and p(n) for every
+``n`` up to its length is read off one histogram of the
 common-prefix lengths of neighbouring rows, each the ``bit_length`` of the
 XOR of two rows read as integers (see :meth:`SubshiftSpec.factor_counts`).
 
@@ -180,6 +182,46 @@ def _sorted_starts(corpus: str, starts, n: int, shared: int, out: list[int]) -> 
                 prev = windows[i]
 
 
+def _occurs_before(corpus: str, start: int, length: int) -> bool:
+    """Whether the ``length`` symbols of ``corpus`` at ``start`` also
+    occur starting earlier: one scan of the corpus before them."""
+    return corpus.find(corpus[start : start + length], 0, start + length - 1) >= 0
+
+
+def _repeated_run(corpus: str, first: int, last: int, n: int, least: int, from_end: bool) -> int:
+    """How many of the length-``n`` windows of ``corpus`` starting at
+    ``first`` to ``last``, counted from the first one (from the last one
+    with ``from_end``), each occur starting earlier in ``corpus``.
+
+    The run is found block by block.  A block of ``r`` neighbouring
+    windows occurs earlier when the ``n + r - 1`` symbols they span do,
+    and then so does each of its windows.  A block's length is galloped
+    from ``least`` and then halved to the longest that occurs earlier,
+    and the next block starts after it.  The run ends at the first block
+    shorter than ``least`` windows, which is not looked for."""
+    run = 0
+
+    def occurs(r: int) -> bool:  # the next r windows of the run occur earlier
+        start = last - run - r + 1 if from_end else first + run
+        return _occurs_before(corpus, start, n + r - 1)
+
+    while True:
+        windows = last - first + 1 - run
+        if windows < least or not occurs(least):
+            return run
+        lo, hi = least, 2 * least  # lo windows occur earlier; hi do not, or exceed windows
+        while hi <= windows and occurs(hi):
+            lo, hi = hi, 2 * hi
+        hi = min(hi, windows + 1)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if occurs(mid):
+                lo = mid
+            else:
+                hi = mid
+        run += lo
+
+
 class Top(Sequence):
     """The sorted distinct length-``n`` factors, read-only.  Each factor
     is the start of its first occurrence in ``corpus``, the texts it was
@@ -194,17 +236,37 @@ class Top(Sequence):
     @classmethod
     def of_texts(cls, texts, n: int) -> "Top":
         """The distinct length-``n`` windows of ``texts``.  When every text
-        is exactly one window, the words are sorted directly."""
+        is exactly one window, the words are sorted directly.
+
+        Otherwise the texts may repeat windows, and a substitution's
+        repeat most of theirs (see :class:`SubstitutionSpec`).  A repeated
+        window costs the sort the most, since the group of a window that
+        occurs twice never splits before its ``n`` symbols are sliced.  So
+        each text's leading and trailing runs of windows that occur
+        earlier in the corpus are dropped before the sort
+        (:func:`_repeated_run`).  A window that occurs earlier is not at
+        its first occurrence, so every first occurrence is kept: the sort
+        emits the same starts, and the corpus is the same.
+
+        Each block probed for a run is at least ``len(corpus) // n``
+        windows.  A probe's scan reads at most the corpus, and dropping
+        that many repeated windows spares the sort about as many symbols,
+        so a text whose repeats come in shorter runs pays one scan at
+        each end and keeps them."""
         texts = [t for t in texts if len(t) >= n]
         if all(len(t) == n for t in texts):
             words = [w for w, _ in itertools.groupby(sorted(texts))]
             return cls(_SEP.join(words), range(0, len(words) * (n + 1), n + 1), n)
+        corpus = _SEP.join(texts)
+        least = len(corpus) // n  # a text is longer than n, so at least 1
         starts: list[int] = []
         at = 0
         for t in texts:
-            starts.extend(range(at, at + len(t) - n + 1))
+            first, last = at, at + len(t) - n  # the text's first and last window
+            first += _repeated_run(corpus, first, last, n, least, False)
+            last -= _repeated_run(corpus, first, last, n, least, True)
+            starts.extend(range(first, last + 1))
             at += len(t) + 1
-        corpus = _SEP.join(texts)
         out: list[int] = []
         _sorted_starts(corpus, starts, n, 0, out)
         return cls(corpus, out, n)
@@ -523,6 +585,14 @@ class SubstitutionSpec(SubshiftSpec):
       (:meth:`_texts`): a window of a text is a window of every text that
       contains it.  For Tribonacci the three seams ``0|·`` are one string
       and ``σʲ(2)`` is a prefix of ``σʲ(0)``, so 3 of the 8 texts remain.
+      The kept texts still share most of their windows: the shift is
+      linearly recurrent (Durand 1998; Durand, Host and Skau 1999), so
+      every length-``n`` factor occurs in every factor of some length
+      ``C·n``, and each block or seam holds nearly every factor.  The
+      windows a text repeats from the texts before it come in long runs
+      at its two ends, which :meth:`Top.of_texts` drops before it sorts:
+      Fibonacci at ``n = 3407`` hands it 10 171 windows and it sorts the
+      p(n) = 3408 first occurrences.
 
     The 2-factors are found once, at construction.  The blocks of the
     largest power built so far are kept, so a longer length continues from

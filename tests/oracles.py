@@ -193,6 +193,55 @@ def shift_map_oracle(graph) -> list[int]:
     return [index[row[1 : graph.depth + 1]] for row in graph._top]
 
 
+def cover_rows_oracle(graph) -> dict:
+    """The cover built row by row from the top's rows, spelled out: each
+    row's stored word (its first ``depth`` symbols, numbered in sorted
+    order), the first row of each stored word, the state keys ``(prefix
+    rank, past)`` sorted by prefix and then by sorted past, the state of
+    each stored word, the successors (a row's stored word to the stored
+    word of its shift), and whether the partition at one less lookahead
+    is the same, and whether it splits a class.  Every past is filtered
+    from ``language(l)``; nothing of the top's positions is read."""
+    spec, k, l, lam, depth = graph.spec, graph.k, graph.l, graph.lookahead, graph.depth
+    top_rows = list(graph._top)
+    stored = sorted({row[:depth] for row in top_rows})
+    word_index = {w: i for i, w in enumerate(stored)}
+    own = [word_index[row[:depth]] for row in top_rows]
+    first_row: dict[int, int] = {}
+    for row, i in enumerate(own):
+        first_row.setdefault(i, row)
+    prefix_rank = {p: i for i, p in enumerate(sorted({w[:k] for w in stored}))}
+
+    pasts: dict[str, frozenset] = {}
+
+    def key(word: str, m: int) -> tuple:
+        tail = word[k : k + m]
+        if tail not in pasts:
+            pasts[tail] = frozenset(mu for mu in spec.language(l) if spec.is_factor(mu + tail))
+        return prefix_rank[word[:k]], pasts[tail]
+
+    fine = [key(w, lam) for w in stored]
+    keys = sorted(set(fine), key=lambda kp: (kp[0], sorted(kp[1])))
+    state = {kp: i for i, kp in enumerate(keys)}
+    classes = [state[kp] for kp in fine]
+    succ = [set() for _ in keys]
+    for row in top_rows:
+        succ[classes[word_index[row[:depth]]]].add(state[key(row[1 : depth + 1], lam)])
+    coarse: dict = {}
+    for w, kp in zip(stored, fine):
+        coarse.setdefault(key(w, lam - 1), set()).add(kp)
+    splits = any(len(group) > 1 for group in coarse.values())
+    return {
+        "rows": [first_row[i] for i in range(len(stored))],
+        "own": own,
+        "keys": tuple(keys),
+        "classes": classes,
+        "succ": tuple(tuple(sorted(e)) for e in succ),
+        "stabilized": lam > 1 and not splits and len(coarse) == len(keys),
+        "splits": lam > 1 and splits,
+    }
+
+
 def past_stabilized_oracle(graph) -> bool:
     """The graph's stabilization flag by two walks over its stored words,
     each key spelled out with its past filtered from ``language(l)``.  The

@@ -31,6 +31,7 @@ from shiftdim.words import (
 from .oracles import (
     cover_class,
     cover_key,
+    cover_rows_oracle,
     descriptor_oracle,
     orbit_window_oracle,
     past_stabilized_oracle,
@@ -445,6 +446,50 @@ def test_past_stabilized_matches_two_walk_oracle():
             assert graph.past_stabilized == past_stabilized_oracle(graph), (name, k, l, horizon)
             flags.add((graph.lookahead == 1, graph.past_stabilized))
     assert flags == {(True, False), (False, False), (False, True)}
+
+
+def test_cover_build_matches_per_row_oracle(monkeypatch):
+    """The row loop's first row of each stored word, its row-to-stored-word
+    map (read as ``_shift_map`` receives it), the state keys and classes,
+    the successors and the stabilization flag, against the cover spelled
+    out row by row.  The census runs at lookaheads 1, 2, 3 and 5 and at
+    k = 20, the small shifts at the four stabilization arenas.  Among the
+    runs are graphs where neighbouring rows share a stored word, graphs of
+    lookahead 1, and graphs where the partition at one less lookahead
+    splits a class."""
+    owns = []
+    shift_map = cover.CoverGraph._shift_map
+
+    def recording(graph, own):
+        owns.append(list(own))
+        return shift_map(graph, own)
+
+    monkeypatch.setattr(cover.CoverGraph, "_shift_map", recording)
+    runs = [(CENSUS, arena) for arena in STABILIZATION_ARENAS + [(20, 6, None)]]
+    runs += [(SMALL_SHIFTS, arena) for arena in STABILIZATION_ARENAS]
+    seen = set()
+    for presentations, arena in runs:
+        for name, make in presentations.items():
+            graph = build_cover_graph(make(), *arena)
+            expected = cover_rows_oracle(graph)
+            case = (name, arena)
+            assert owns.pop() == expected["own"], case
+            assert graph._rows == expected["rows"], case
+            assert graph._keys == expected["keys"], case
+            assert graph._classes == expected["classes"], case
+            assert graph.succ == expected["succ"], case
+            assert graph.past_stabilized == expected["stabilized"], case
+            if len(graph._rows) < len(graph._top):
+                seen.add("rows share a stored word")
+            if graph.lookahead == 1:
+                seen.add("lookahead 1")
+            if expected["splits"]:
+                seen.add("the coarse partition splits")
+            if expected["stabilized"]:
+                seen.add("stabilized")
+    assert seen == {
+        "rows share a stored word", "lookahead 1", "the coarse partition splits", "stabilized"
+    }
 
 
 def _failing_clauses(graph) -> dict:

@@ -322,17 +322,31 @@ def test_tribonacci_windows_three_of_eight_texts():
 @st.composite
 def window_texts(draw):
     """Texts over 1-4 letters and a window length below, at or above the
-    sort's first key.  Either every text is one word of length n, or the
-    texts are joins of a few shared pieces, so windows repeat within a
-    text and across texts, and some texts are shorter than n."""
+    sort's first key, of three kinds.  Every text is one word of length n;
+    or the texts are joins of a few shared pieces, so windows repeat
+    within a text and across texts, and some texts are shorter than n; or
+    the last of three texts has runs of repeated windows of two blocks at
+    both ends.  It starts with ``abc``, pieces of at least n symbols, and
+    ``ab`` occurs in the first text and ``bc`` in the second, but ``abc``
+    in neither; it ends with ``def``, made likewise.  The first text ends
+    with a repeat of its own start."""
     letters = "0123"[: draw(st.integers(1, 4))]
     n = draw(st.sampled_from([1, 2, 3, 7, words._KEY - 1, words._KEY, words._KEY + 1, 100, 150]))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["words", "joins", "runs"]))
+    if kind == "words":
         texts = draw(st.lists(st.text(letters, min_size=n, max_size=n), min_size=1, max_size=12))
-    else:
+    elif kind == "joins":
         pieces = draw(st.lists(st.text(letters, min_size=1, max_size=n + 20), min_size=1, max_size=4))
         joins = st.lists(st.sampled_from(pieces), max_size=8).map("".join)
         texts = draw(st.lists(joins, min_size=1, max_size=5))
+    else:
+        a, b, c, d, e, f = (draw(st.text(letters, min_size=n, max_size=2 * n + 20)) for _ in range(6))
+        fill = st.text(letters, max_size=n)
+        texts = [
+            draw(fill) + a + b + draw(fill) + e + f + draw(fill) + a,
+            draw(fill) + b + c + draw(fill) + d + e + draw(fill),
+            a + b + c + draw(fill) + d + e + f,
+        ]
     return texts, n
 
 
@@ -356,6 +370,62 @@ def test_window_sort_matches_sorted_distinct_windows(case, budget):
         assert top.rank(word) == row
         found = row < len(expected) and expected[row].startswith(word)
         assert top.find(word) == (row if found else None)
+
+
+def test_short_repeated_runs_cost_one_scan_at_each_end():
+    """Every window of the second text occurs in the first, a de Bruijn
+    sequence that holds each length-8 word once, but in runs of a few
+    windows: a repeat in it goes on only while its next symbol matches.
+    No such run reaches the least block, ``len(corpus) // n`` windows, so
+    the trim pays one scan at each end of each text, finds nothing, and
+    the sort gets every window."""
+    n = 8
+    # a de Bruijn sequence by the prefer-one rule: append 1 unless that repeats a window
+    first = "0" * n
+    seen = {first}
+    while True:
+        for a in "10":
+            if first[len(first) - n + 1 :] + a not in seen:
+                seen.add(first[len(first) - n + 1 :] + a)
+                first += a
+                break
+        else:
+            break
+    assert len(sliding_factors(first, n)) == 2**n == len(first) - n + 1
+    rng = random.Random(3)
+    second = "".join(rng.choice("01") for _ in range(500))
+    texts = [first, second]
+    with (
+        mock.patch.object(words, "_occurs_before", wraps=words._occurs_before) as probe,
+        mock.patch.object(words, "_sorted_starts", wraps=words._sorted_starts) as sort,
+    ):
+        top = Top.of_texts(texts, n)
+    assert list(top) == sorted(sliding_factors(first, n))
+    assert probe.call_count == 2 * len(texts)
+    assert [len(c.args[1]) for c in sort.call_args_list if c.args[3] == 0] == [
+        len(first) + len(second) - 2 * (n - 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "make, n, p",
+    [
+        (fibonacci_spec, 3407, 3408),
+        (thue_morse_spec, 4007, 12108),
+        (lambda: SubstitutionSpec(Alphabet(("0", "1", "2")), TRIB_RULES), 4007, 8015),
+    ],
+    ids=["fibonacci", "thue-morse", "tribonacci"],
+)
+def test_window_sort_receives_first_occurrences_only(make, n, p):
+    """Of the windows of a substitution's texts, the trim leaves the sort
+    only the p(n) first occurrences: every repeat lies in a text's leading
+    or trailing run (Fibonacci 10 171 windows, Thue-Morse 16 024,
+    Tribonacci 14 615)."""
+    spec = make()
+    with mock.patch.object(words, "_sorted_starts", wraps=words._sorted_starts) as sort:
+        top = spec.top(n)
+    assert [len(c.args[1]) for c in sort.call_args_list if c.args[3] == 0] == [p]
+    assert len(top) == p
 
 
 @pytest.mark.parametrize(
