@@ -32,6 +32,17 @@ and no ``(rank, past)`` pair is hashed per stored word.  A rank's stored
 words are neighbours, so the stabilization flag tallies the coarse keys
 (rank, past at one less lookahead) one rank at a time.
 
+The state tables are flat: per state the graph keeps its code, its class
+size and one tuple of its successors, and its system one tuple of its
+predecessors, and nothing else.  Nearly every state has one successor
+and one predecessor, as only the few left special words branch, so each
+table keeps a state's first one in a flat list and makes a set or a list
+only for a state with a second.  A tuple of integers is untracked by the
+first garbage collection that meets it, so the graph leaves no per-state
+work to later collections.  The spelled-out keys ``(prefix rank,
+past)`` and each class's rows are derived from the tables, once, when
+they are first read.
+
 The top reaches one symbol past the stored words, so the shift
 ``u[1:depth+1]`` of every top row ``u`` is a stored word; the index of
 that word for every row is the *shift map*.  A row starting at corpus
@@ -66,6 +77,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import EmptyLanguage, InvalidSpec
@@ -156,17 +168,18 @@ def _words(top: Top, rows, n: int) -> _View:
     return _View(len(rows), lambda j: top.prefix(rows[j], n))
 
 
-def _labels(top: Top, rank_rows, keys, k: int, alphabet) -> _View:
-    """The descriptor of each state, keyed ``(prefix rank, past)``, as a
-    view.  It holds the top and the keys, not the graph, so the graph and
-    its system form no reference cycle and are freed as soon as they are
-    dropped."""
+def _labels(top: Top, rank_rows, codes, width: int, by_past, k: int, alphabet) -> _View:
+    """The descriptor of each state, coded ``rank · width +`` the place of
+    its past in ``by_past``, as a view.  It holds the top and the codes,
+    not the graph, so the graph and its system form no reference cycle
+    and are freed as soon as they are dropped."""
 
     def label(s: int) -> str:
-        rank, past = keys[s]
-        return _descriptor(top.prefix(rank_rows[rank], k), k, _past_text(past, alphabet), alphabet)
+        rank, place = divmod(codes[s], width)
+        past_text = _past_text(by_past[place], alphabet)
+        return _descriptor(top.prefix(rank_rows[rank], k), k, past_text, alphabet)
 
-    return _View(len(keys), label)
+    return _View(len(codes), label)
 
 
 class CoverGraph:
@@ -174,10 +187,14 @@ class CoverGraph:
 
     The graph holds the presentation's top and integers into it: the row
     and the state of each stored word, the first row of each prefix rank,
-    per state its rank and past set, and the shift map.  ``stored`` (the
-    length-``depth`` factors in sorted order) and ``class_words`` (the
-    stored words of each state) are views that slice the top's corpus
-    when read; ``pi`` does too."""
+    the shift map, and per state its code ``rank · width +`` the place of
+    its past in the sorted pasts, its class size and its successor tuple;
+    its system holds each state's predecessor tuple.  ``_keys`` (each
+    state's ``(rank, past)``) and ``_class_rows`` (the first rows of each
+    state's stored words) are derived from these when first read.
+    ``stored`` (the length-``depth`` factors in sorted order) and
+    ``class_words`` (the stored words of each state) are views that slice
+    the top's corpus when read; ``pi`` does too."""
 
     def __init__(self, spec: SubshiftSpec, k: int, l: int, horizon: int):
         if k < 1 or l < 1:
@@ -270,28 +287,38 @@ class CoverGraph:
         shift = self._shift = self._shift_map(own)
         # Rank order is prefix order, so the codes sort as the spelled keys
         # do: by prefix, ties broken by the sorted past.
-        by_past = sorted(numbers, key=sorted)
+        by_past = self._by_past = sorted(numbers, key=sorted)
         place = {past: i for i, past in enumerate(by_past)}
         renumber = [place[past] for past in numbers]  # past number -> its place
-        width = len(by_past)
+        width = self._width = len(by_past)
         codes = [rank * width + renumber[fine] for rank, fine in zip(ranks, fines)]
-        del ranks, fines  # freed before the state tables, which lowers the build's peak
-        states = sorted(set(codes))
-        self._keys = tuple([(code // width, by_past[code % width]) for code in states])
+        del ranks, fines  # each table is freed once read, which lowers the build's peak
+        states = self._codes = sorted(set(codes))
         index = {code: i for i, code in enumerate(states)}
         classes = self._classes = [index[code] for code in codes]
-        class_rows: list[list[int]] = [[] for _ in states]
-        edges: list[set[int]] = [set() for _ in states]
+        del codes, index
+        # Nearly every state has one successor, so a state's first target
+        # is kept in a flat list and only a state with a second gets a set.
+        sizes = self._sizes = [0] * len(states)  # the stored words of each state
+        first = [-1] * len(states)
+        more: dict[int, set[int]] = {}  # state -> its targets, once it has two
         for row, state in zip(rows, classes):
-            class_rows[state].append(row)
-            edges[state].add(classes[shift[row]])
-        self._class_rows = tuple(map(tuple, class_rows))
-        self.succ = tuple(tuple(e) if len(e) == 1 else tuple(sorted(e)) for e in edges)
+            sizes[state] += 1
+            target = classes[shift[row]]
+            was = first[state]
+            if was < 0:
+                first[state] = target
+            elif was != target:
+                more.setdefault(state, {was}).add(target)
+        succ = [(target,) for target in first]
+        for state, targets in more.items():
+            succ[state] = tuple(sorted(targets))
+        self.succ = tuple(succ)
         coarse_keys += len(coarse)
         self.past_stabilized = lam > 1 and not split and coarse_keys == len(states)
         self.past_sound = isinstance(spec, SFTSpec) and lam >= spec.max_forbidden_len
         self._system = FiniteSymbolicSystem(
-            labels=_labels(top, rank_rows, self._keys, k, spec.alphabet),
+            labels=_labels(top, rank_rows, states, width, by_past, k, spec.alphabet),
             succ=self.succ,
             depth_meta=(
                 f"cover graph k={self.k} l={self.l} horizon={self.horizon} "
@@ -340,6 +367,27 @@ class CoverGraph:
                 shift[row] = stored
         return shift
 
+    # -- derived views ----------------------------------------------------------
+
+    def _key(self, state: int) -> tuple[int, frozenset]:
+        """``(prefix rank, past)`` of ``state``, spelled out from its code."""
+        rank, place = divmod(self._codes[state], self._width)
+        return rank, self._by_past[place]
+
+    @cached_property
+    def _keys(self) -> tuple[tuple[int, frozenset], ...]:
+        """The key of every state, built on first read."""
+        return tuple(map(self._key, range(len(self._codes))))
+
+    @cached_property
+    def _class_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The first rows of each state's stored words, built on first
+        read."""
+        class_rows: list[list[int]] = [[] for _ in self._sizes]
+        for row, state in zip(self._rows, self._classes):
+            class_rows[state].append(row)
+        return tuple(map(tuple, class_rows))
+
     # -- interface --------------------------------------------------------------
 
     @property
@@ -359,7 +407,7 @@ class CoverGraph:
 
     @property
     def num_states(self) -> int:
-        return len(self._keys)
+        return len(self.succ)
 
     @property
     def functional(self) -> bool:
@@ -371,7 +419,7 @@ class CoverGraph:
 
     def pi(self, state: int) -> str:
         """Length-k prefix of the class."""
-        return self._top.prefix(self._rank_rows[self._keys[state][0]], self.k)
+        return self._top.prefix(self._rank_rows[self._key(state)[0]], self.k)
 
     def to_adjacency_text(self) -> str:
         return self._system.to_adjacency_text()
@@ -410,7 +458,7 @@ def special_match_report(graph: CoverGraph) -> SpecialMatchReport:
     word is left special when at least two letter blocks reach its prefix
     rank.  Within a block the shift map is nondecreasing, so each block
     reaches a stored word or a rank in one run of neighbouring rows."""
-    shift, classes, keys = graph._shift, graph._classes, graph._keys
+    shift, classes, codes, width = graph._shift, graph._classes, graph._codes, graph._width
     letters = [0] * len(classes)  # left extensions of each stored word
     rank_letters = [0] * len(graph._rank_rows)  # of each length-k prefix
     blocks = graph._letter_rows
@@ -420,7 +468,7 @@ def special_match_report(graph: CoverGraph) -> SpecialMatchReport:
             if target != stored:
                 stored = target
                 letters[stored] += 1
-                prefix_rank = keys[classes[stored]][0]
+                prefix_rank = codes[classes[stored]] // width
                 if prefix_rank != rank:
                     rank = prefix_rank
                     rank_letters[rank] += 1
@@ -445,7 +493,7 @@ def isolated_orbit_window(graph: CoverGraph) -> frozenset:
     holding exactly one stored word, connected to a merge state through
     such classes.  This is the exception set the downstream certificates
     carry for orbit-related clauses."""
-    singles = {i for i, rows in enumerate(graph._class_rows) if len(rows) == 1}
+    singles = {s for s, size in enumerate(graph._sizes) if size == 1}
     sys = graph.system
     window: set[int] = set()
     frontier = list(sys.special_states())
@@ -497,17 +545,16 @@ def isolated_state_check(graph: CoverGraph, state: int, refinements) -> bool:
     exactly one class-determining word.  For states of the perfect part
     this fails at once (no unique marked continuation, the base set just
     splits)."""
-    base_key = graph._keys[state]
+    base_key = graph._key(state)
     for ref in refinements:
         fine = build_cover_graph(graph.spec, *ref)
         if fine.depth < graph.k + graph.lookahead:
             raise InvalidSpec("refinement too shallow to classify at the base level")
         specials = set(fine.system.special_states())
-        inside = {
-            s
-            for s, rows in enumerate(fine._class_rows)
-            if any(graph._rank_key(fine._top[row]) == base_key for row in rows)
-        }
+        inside: set[int] = set()
+        for row, s in zip(fine._rows, fine._classes):
+            if s not in inside and graph._rank_key(fine._top[row]) == base_key:
+                inside.add(s)
         marked = inside & specials
         if len(marked) != 1:
             return False

@@ -36,7 +36,7 @@ class FiniteSymbolicSystem(Frozen):
     labels: Sequence[str]  # read-only; a cover graph builds each label when it is read
     succ: tuple[tuple[int, ...], ...]  # sorted successor lists
     depth_meta: str
-    pred: tuple[tuple[int, ...], ...]
+    pred: tuple[tuple[int, ...], ...]  # sorted predecessor lists, one tuple per state
     _special: tuple[int, ...]
 
     def __init__(
@@ -47,20 +47,31 @@ class FiniteSymbolicSystem(Frozen):
             raise ValueError("labels and successor table disagree")
         if any(not targets for targets in succ):
             raise ValueError("shift relation must be total: a state has no successor")
-        preds: list[list[int]] = [[] for _ in range(n)]
+        # Nearly every state has one predecessor, so a state's first is
+        # kept in a flat list and only a merge state gets a list.  s runs
+        # upwards, so each list is sorted, and a repeat of s is its last.
+        first = [-1] * n
+        more: dict[int, list[int]] = {}  # merge state -> its predecessors
         for s, targets in enumerate(succ):
             for t in targets:
                 if not (0 <= t < n):
                     raise ValueError(f"edge target out of range: {s} -> {t}")
-                preds[t].append(s)
-        # s runs upwards, so each list is sorted already; only repeats go,
-        # and a list of one state has none
-        pred = tuple(tuple(p) if len(p) < 2 else tuple(dict.fromkeys(p)) for p in preds)
+                was = first[t]
+                if was < 0:
+                    first[t] = s
+                elif was != s:
+                    ps = more.setdefault(t, [was])
+                    if ps[-1] != s:
+                        ps.append(s)
+        preds = [(s,) if s >= 0 else () for s in first]
+        for t, ps in more.items():
+            preds[t] = tuple(ps)
+        pred = tuple(preds)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "succ", succ)
         object.__setattr__(self, "depth_meta", depth_meta)
         object.__setattr__(self, "pred", pred)
-        object.__setattr__(self, "_special", tuple(s for s, p in enumerate(pred) if len(p) >= 2))
+        object.__setattr__(self, "_special", tuple(sorted(more)))
 
     # -- basic structure -----------------------------------------------------
 

@@ -660,7 +660,8 @@ class SubstitutionSpec(SubshiftSpec):
         the letter blocks ``σʲ(c)`` and the ``2(n-1)``-symbol seams of the
         2-factors, without repeats and without any text that lies inside a
         longer kept one, whose windows are all windows of that one.  Longest
-        first."""
+        first, and texts of one length in string order, so the corpus does
+        not depend on the order of a set, which follows the hash seed."""
         blocks = self._blocks
         while min(map(len, blocks)) < n - 1:
             # σʲ⁺¹(c) = σʲ(σ(c)), a join of the current blocks
@@ -671,7 +672,7 @@ class SubstitutionSpec(SubshiftSpec):
         ends = [(b[1 - n :], b[: n - 1]) for b in blocks]  # last and first n-1 symbols
         seams = (ends[ord(a) - _BASE][0] + ends[ord(b) - _BASE][1] for a, b in self._pairs)
         kept: list[str] = []
-        for text in sorted({*blocks, *seams}, key=len, reverse=True):
+        for text in sorted({*blocks, *seams}, key=lambda t: (-len(t), t)):
             if not any(text in longer for longer in kept):
                 kept.append(text)
         return kept

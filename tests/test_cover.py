@@ -35,8 +35,10 @@ from .oracles import (
     descriptor_oracle,
     orbit_window_oracle,
     past_stabilized_oracle,
+    predecessors_oracle,
     shift_map_oracle,
 )
+from .test_amenability import random_branching_system
 from .test_words import RANDOM_RULES, TRIB_RULES
 
 
@@ -490,6 +492,28 @@ def test_cover_build_matches_per_row_oracle(monkeypatch):
     assert seen == {
         "rows share a stored word", "lookahead 1", "the coarse partition splits", "stabilized"
     }
+
+
+def test_flat_state_tables_match_oracles():
+    """The per-state tables against their definitions, on the census at
+    the stabilization arenas and on random branching systems: a state's
+    class size is its number of stored words, the predecessors are the
+    successors turned round, the merge states are those with two, and
+    every successor and predecessor list is a tuple."""
+    systems = []
+    for arena in STABILIZATION_ARENAS:
+        for name, make in CENSUS.items():
+            graph = build_cover_graph(make(), *arena)
+            assert graph._sizes == [len(words) for words in graph.class_words], (name, arena)
+            systems.append(graph.system)
+    rng = random.Random(34)
+    systems += [random_branching_system(rng) for _ in range(200)]
+    for sys in systems:
+        pred = predecessors_oracle(sys.succ)
+        assert sys.pred == pred
+        assert sys.special_states() == [t for t, ps in enumerate(pred) if len(ps) >= 2]
+        assert type(sys.succ) is tuple and type(sys.pred) is tuple
+        assert all(type(ts) is tuple for ts in (*sys.succ, *sys.pred))
 
 
 def _failing_clauses(graph) -> dict:
