@@ -18,9 +18,14 @@ Of the sweep base W, three properties hold by construction, as ``image``
 and ``preimage`` distribute over unions and every state has a successor:
 W holds its first state (it only grows); every state swept over lies in
 W's first 2N preimage levels (one no earlier block swept lies in level N
-of its own); and ``preimage(image(W, i), i) == W`` for i < N (the first
-state passes the U-idempotence hypothesis, and a block that collapses
-level by level does, by induction on i).  The fourth, that W's levels
+of its own); and ``preimage(image(W, i), i) == W`` for i < N.  For the
+last, the first state passes the U-idempotence hypothesis, and the block
+``image(x, N)`` of every later state x collapses level by level: the
+swept states ``rest`` lie outside every merge state's first 2N preimage
+levels, so each state of ``image(x, N + j + 1)`` with j < N - 1 is not a
+merge state, and its one predecessor lies in the block level before it,
+``image(x, N + j)``.  By induction on i, W collapses too.  This is proved
+here and tested, not re-checked.  The fourth property, that W's levels
 N..2N-1 are pairwise disjoint, can fail; it is checked once, on the
 levels the sweep towers are cut from.
 
@@ -128,54 +133,27 @@ def extend_tower_base(sys: FiniteSymbolicSystem, U, V, N: int) -> ClopenSet:
     return W
 
 
-def _chain_extend(sys, W: set, x, N: int, swept: set) -> None:
-    """Grow the base ``W`` and its swept set ``swept``, in place, by the
-    block of a state ``x`` outside the special cone and not yet swept.  The
-    hypothesis collapse conditions hold by construction (no merge state is
-    reachable from x within 2N - 1 steps); the block's level-by-level
-    collapse is checked here and nowhere else, and W's idempotence below N
-    follows from it.
-
-    Each walk steps by state number while the successor (forward) or the
-    predecessor (backward) is unique, and goes on over sets from the
-    first state where it is not, so every set, and the order in which
-    ``W`` takes its states, is the set walk's."""
-    succ, pred = sys.succ, sys.pred
-    y, steps = x, N
-    while steps and len(succ[y]) == 1:
-        y = succ[y][0]
-        steps -= 1
-    new = {y}
-    for _ in range(steps):
-        new = {t for s in new for t in succ[s]}
-    # level-local idempotence of the new block: preimage(image(.)) returns
-    # exactly the block at every level below N; for a one-state block with
-    # one successor, exactly when that successor has one predecessor
-    block, steps = new, N - 1
-    if len(block) == 1:
-        (b,) = block
-        while steps and len(succ[b]) == 1:
-            b = succ[b][0]
-            if len(pred[b]) != 1:
-                raise DepthInsufficient("new tower block is not level-collapsing")
-            steps -= 1
-        block = {b}
-    for _ in range(steps):
-        nxt = {t for s in block for t in succ[s]}
-        if {s for t in nxt for s in pred[t]} != block:
-            raise DepthInsufficient("new tower block is not level-collapsing")
-        block = nxt
-    swept |= _swept(sys, new, N)
-    W |= new
-
-
 def _sweep(sys: FiniteSymbolicSystem, rest, N: int) -> ClopenSet:
-    """The base W grown over the states ``rest``: the first of them, then
-    the block of each later one that no block before it has swept."""
+    """The base W grown over the states ``rest``, which lie outside the
+    special cone: the first of them, then the N-step image of each later
+    one that no block before it has swept.  The image is walked by state
+    number while the successor is unique, and over sets from the first
+    state where it is not, so every set, and the order in which ``W``
+    takes its states, is the set walk's."""
+    succ = sys.succ
     W, swept = set(rest[:1]), _swept(sys, rest[:1], N)
     for x in rest[1:]:
-        if x not in swept:
-            _chain_extend(sys, W, x, N, swept)
+        if x in swept:
+            continue
+        y, steps = x, N
+        while steps and len(succ[y]) == 1:
+            y = succ[y][0]
+            steps -= 1
+        new = {y}
+        for _ in range(steps):
+            new = {t for s in new for t in succ[s]}
+        swept |= _swept(sys, new, N)
+        W |= new
     return frozenset(W)
 
 

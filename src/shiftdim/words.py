@@ -122,12 +122,6 @@ class Alphabet(Frozen):
         return text[: len(text) - self._sep_len]
 
 
-def _prefixes(words, n: int) -> tuple[str, ...]:
-    """The distinct length-``n`` prefixes of the sorted ``words``, sorted:
-    equal prefixes of a sorted list are neighbours."""
-    return tuple(key for key, _ in itertools.groupby(w[:n] for w in words))
-
-
 def common_prefix_length(a: str, b: str) -> int:
     """Length of the longest common prefix of ``a`` and ``b``, by halving
     the unchecked span (each symbol is compared about twice)."""
@@ -274,6 +268,13 @@ class Top(Sequence):
     def __len__(self) -> int:
         return len(self.starts)
 
+    def __eq__(self, other) -> bool:
+        """Equal tops hold the same rows, wherever they were cut from."""
+        return isinstance(other, Top) and self.n == other.n and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash((self.n, tuple(self)))
+
     def __getitem__(self, row: int) -> str:
         s = self.starts[row]
         return self.corpus[s : s + self.n]
@@ -301,8 +302,11 @@ class Top(Sequence):
             s = starts[row]
             prefix = corpus[s : s + m]
             out.append(prefix)
+            row += 1
+            if row == end or not corpus.startswith(prefix, starts[row]):
+                continue
             # row lo starts with the prefix; row hi does not, or is the end
-            lo, hi, step = row, row + 1, 1
+            lo, hi, step = row, row + 1, 2
             while hi < end and corpus.startswith(prefix, starts[hi]):
                 lo, hi, step = hi, hi + step, 2 * step
             hi = min(hi, end)
@@ -777,33 +781,35 @@ def check_extendability(spec: SubshiftSpec, horizon: int) -> bool:
 
 
 class LanguageTable(NamedTuple):
-    """The sorted length-``n_max`` factors with the complexity column; every
-    shorter length is read off them."""
+    """The presentation's top with the complexity column; every length up
+    to ``n_max`` is read off the top."""
 
     n_max: int
-    top: tuple[str, ...]  # sorted length-n_max factors
+    top: Top  # the sorted factors of length at least n_max
     p: tuple[int, ...]  # index n-1 -> p(n)
 
     @classmethod
     def build(cls, spec: SubshiftSpec, n_max: int) -> "LanguageTable":
-        if n_max < 1:
-            return cls(n_max, (), ())
-        return cls(n_max, spec.sorted_language(n_max), spec.factor_counts(n_max)[1 : n_max + 1])
+        """The table of ``spec`` to ``n_max >= 1``."""
+        return cls(n_max, spec.top(n_max), spec.factor_counts(n_max)[1 : n_max + 1])
 
     def words(self, n: int) -> tuple[str, ...]:
         """Sorted length-``n`` factors, 1 <= n <= n_max."""
-        return _prefixes(self.top, n)
+        return self.top.prefixes(n)
 
     def check_factorial(self) -> bool:
         """Every length-(n-1) factor of every stored word occurs at n-1.
         Shorter lengths are prefixes of the top words, so the prefix half
         holds by construction, and the suffix half at every length follows
-        from the top: a top word with its first symbol dropped must be a
-        length-(n_max-1) prefix."""
-        if self.n_max < 2:
+        from length n_max: a word with its first symbol dropped must be a
+        length-(n_max-1) prefix.  Both are read in place off the corpus,
+        each at every top row."""
+        n = self.n_max
+        if n < 2:
             return True
-        shorter = set(self.words(self.n_max - 1))
-        return all(w[1:] in shorter for w in self.top)
+        corpus, starts = self.top.corpus, self.top.starts
+        shorter = {corpus[s : s + n - 1] for s in starts}
+        return all(corpus[s + 1 : s + n] in shorter for s in starts)
 
     def write_csv(self, directory: str, alphabet: Alphabet):
         """Write ``language.csv`` with columns (n, p, words_file) plus one

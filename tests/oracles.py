@@ -154,6 +154,27 @@ def sumset_partition_oracle(S, E, N: int, window: int) -> tuple[frozenset, ...]:
     return tuple(D[k - 1] - D[k] for k in range(1, N)) + (D[N - 1],)
 
 
+def partition_failure_oracle(part) -> str:
+    """The first property the margin partition ``part`` breaks, or "".
+    Its blocks tile the window: no point lies in two of them (block 0 is
+    every point in none).  A window shift moves a level by at most one:
+    for every x with |x| <= window - max|E| and every m in E, the levels
+    of x and x + m differ by at most 1."""
+    level = {}
+    for k, block in enumerate(part.blocks, start=1):
+        for x in block:
+            if x in level:
+                return f"blocks {level[x]} and {k} overlap at {x}"
+            level[x] = k
+    reach = part.window - max(abs(e) for e in part.window_set)
+    for x in range(-reach, reach + 1):
+        for m in part.window_set:
+            kx, ky = level.get(x, 0), level.get(x + m, 0)
+            if abs(kx - ky) > 1:
+                return f"shift containment fails: level({x})={kx} level({x + m})={ky}"
+    return ""
+
+
 def descriptor_oracle(prefix: str, past, alphabet) -> str:
     """The label of a cover state with length-k prefix ``prefix`` and past
     set ``past``, as ``graph.system.labels[s]`` reads it, the long way:

@@ -44,7 +44,12 @@ from shiftdim.words import (
     thue_morse_spec,
 )
 
-from .oracles import sliding_factors, substitution_factors_oracle, substitution_image
+from .oracles import (
+    partition_failure_oracle,
+    sliding_factors,
+    substitution_factors_oracle,
+    substitution_image,
+)
 from .test_simplex import random_point, skeleton_distance_oracle
 
 FIB_RULES = {"0": "01", "1": "0"}
@@ -212,7 +217,8 @@ def test_criterion_09_partition_fuzz():
         E = sorted(rng.sample(range(-e_max, e_max + 1), rng.randint(1, 2 * e_max)))
         S = sorted(rng.sample(range(0, 16), rng.randint(1, 10)))
         N = rng.randint(1, 5)
-        build_B_partition(S, E, N)  # partition + containments checked inside
+        part = build_B_partition(S, E, N)
+        assert partition_failure_oracle(part) == "", (S, E, N)
     report(9, "1000 random integer partitions: blocks tile the window and "
               "window shifts move levels by at most one, exactly")
 

@@ -22,6 +22,7 @@ from .oracles import (
     equivariance_oracle,
     iterated_sumsets,
     l1_oracle,
+    partition_failure_oracle,
     projection_oracle,
     sumset_partition_oracle,
     tower_pair_map_oracle,
@@ -62,7 +63,8 @@ def test_partition_fuzz_thousand():
         E = sorted(rng.sample(range(-e_max, e_max + 1), rng.randint(1, 2 * e_max)))
         S = sorted(rng.sample(range(0, 14), rng.randint(1, 9)))
         N = rng.randint(1, 5)
-        part = build_B_partition(S, E, N)  # checks run inside
+        part = build_B_partition(S, E, N)
+        assert partition_failure_oracle(part) == "", (S, E, N)
         table = part.level_table()
         assert all(0 <= v <= N for v in table.values())
         # blocks with level >= 1 always sit inside S

@@ -20,7 +20,7 @@ from shiftdim.simplex import SimplexPoint
 from shiftdim.special import SpecialReport
 from shiftdim.systems import FiniteSymbolicSystem
 from shiftdim.towers import TowerPair
-from shiftdim.words import Alphabet, GrowthReport, LanguageTable
+from shiftdim.words import Alphabet, GrowthReport, LanguageTable, Top
 
 
 def _build(params, built):
@@ -38,7 +38,7 @@ _TOWER = (frozenset({0}), 1, (frozenset({0}),))
 RECORDS = {
     "Alphabet": (lambda: Alphabet(("0", "1")), ("_decode_table", "_sep_len")),
     "GrowthReport": (lambda: GrowthReport(Fraction(1, 2), 3, False), ()),
-    "LanguageTable": (lambda: LanguageTable(2, ("00", "01", "10"), (2, 3)), ()),
+    "LanguageTable": (lambda: LanguageTable(2, Top.of_texts(("00", "01", "10"), 2), (2, 3)), ()),
     "FiniteSymbolicSystem": (
         lambda: FiniteSymbolicSystem(("a", "b"), ((1,), (0, 1)), "meta"),
         ("pred", "_special"),

@@ -26,6 +26,7 @@ from shiftdim.words import (
     SFTSpec,
     SubshiftSpec,
     SubstitutionSpec,
+    Top,
     common_prefix_length,
     full_shift_spec,
 )
@@ -138,7 +139,7 @@ def test_left_special_words_alone_on_a_fresh_presentation():
 def _table(words) -> LanguageTable:
     n_max = len(words[0])
     levels = prefix_sets_oracle(words, n_max)
-    return LanguageTable(n_max, tuple(sorted(words)), tuple(len(s) for s in levels))
+    return LanguageTable(n_max, Top.of_texts(words, n_max), tuple(len(s) for s in levels))
 
 
 @pytest.mark.parametrize("words, factorial", [
