@@ -3,8 +3,9 @@
 Subcommands: lang, special, cover, rokhlin, towerdim, amen, dad, bounds,
 certify (full chain), verify (re-check a certificate file).  Exit codes:
 0 pass, 1 fail (witnesses in the certificate), 2 inconclusive at this
-depth, 3 usage or configuration error or a bad parameter.  Errors name the
-stage that raised them.
+depth, 3 usage or configuration error or a bad parameter; an error exits
+with the code its class declares in ``errors``.  Errors name the stage
+that raised them.
 """
 
 from __future__ import annotations
@@ -15,14 +16,7 @@ import sys as _sys
 from fractions import Fraction
 
 from .certificates import Certificate
-from .errors import (
-    ConfigError,
-    DepthInsufficient,
-    HeightMismatch,
-    InvalidSpec,
-    NTooSmall,
-    ShiftDimError,
-)
+from .errors import ConfigError, ShiftDimError
 from .pipeline import (
     STAGES,
     PipelineParams,
@@ -36,7 +30,6 @@ from .pipeline import (
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
-EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
 
@@ -166,23 +159,14 @@ def main(argv=None) -> int:
             for name, cert in certs.items():
                 print(f"{name}: {cert.verdict}")
             print(f"overall: {overall}")
-            return EXIT_PASS if overall == "pass" else EXIT_FAIL
-        certs = run_stages(params, [args.command])
-        for name, cert in certs.items():
-            _emit(cert, args.out, name)
+        else:
+            certs = run_stages(params, [args.command])
+            for name, cert in certs.items():
+                _emit(cert, args.out, name)
         return max(_exit_for(cert) for cert in certs.values())
-    except ConfigError as exc:
-        print(f"config error{_in_stage(exc)}: {exc}", file=_sys.stderr)
-        return EXIT_USAGE
-    except (NTooSmall, InvalidSpec, HeightMismatch) as exc:
-        print(f"bad parameter{_in_stage(exc)}: {exc}", file=_sys.stderr)
-        return EXIT_USAGE
-    except DepthInsufficient as exc:
-        print(f"inconclusive at this depth{_in_stage(exc)}: {exc}", file=_sys.stderr)
-        return EXIT_INCONCLUSIVE
     except ShiftDimError as exc:
-        print(f"failed{_in_stage(exc)}: {exc}", file=_sys.stderr)
-        return EXIT_FAIL
+        print(f"{exc.outcome}{_in_stage(exc)}: {exc}", file=_sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"io error: {exc}", file=_sys.stderr)
         return EXIT_USAGE

@@ -9,14 +9,21 @@ from __future__ import annotations
 
 class ShiftDimError(Exception):
     """Base class for all package errors.  ``stage`` names the chain stage
-    that raised it, when it was raised inside one."""
+    that raised it, when it was raised inside one; ``outcome`` and
+    ``exit_code`` are the label the command line prints before its message
+    and the code it exits with."""
 
     stage: str | None = None
+    outcome = "failed"
+    exit_code = 1
 
 
 class InvalidSpec(ShiftDimError):
     """A subshift presentation is unusable (non-primitive substitution,
     empty language at the requested length, malformed alphabet, ...)."""
+
+    outcome = "bad parameter"
+    exit_code = 3
 
 
 class EmptyLanguage(ShiftDimError):
@@ -40,6 +47,9 @@ class DepthInsufficient(ShiftDimError):
     """A clopen choice is impossible at the current resolution; retry with a
     deeper graph.  Mapped to the ``inconclusive-at-depth`` verdict."""
 
+    outcome = "inconclusive at this depth"
+    exit_code = 2
+
 
 class HypothesisViolated(ShiftDimError):
     """An input set fails one of the stated preconditions.  ``clause`` names
@@ -54,13 +64,13 @@ class ConstructionFailed(ShiftDimError):
     """No admissible cover of the residual set exists at this resolution."""
 
 
-class HeightMismatch(ShiftDimError):
+class HeightMismatch(InvalidSpec):
     """Tower height does not match the formula required by the conversion."""
 
 
-class NTooSmall(ShiftDimError):
-    """Resolution parameter too small for the target accuracy; a bad
-    parameter, whose message names the least value that works."""
+class NTooSmall(InvalidSpec):
+    """Resolution parameter too small for the target accuracy; the message
+    names the least value that works."""
 
 
 class TailMassTooLarge(ShiftDimError):
@@ -79,3 +89,6 @@ class MissingEquivarianceCertificate(ShiftDimError):
 
 class ConfigError(ShiftDimError):
     """Malformed configuration file; carries line/key information."""
+
+    outcome = "config error"
+    exit_code = 3

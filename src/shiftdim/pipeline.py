@@ -734,7 +734,7 @@ def recheck_certificate(cert: Certificate, directory=None, arenas=None, name=Non
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         return False, f"missing or malformed witness: {exc}"
     except InvalidSpec as exc:
-        return False, f"bad parameter: {exc}"
+        return False, f"{exc.outcome}: {exc}"
     if same:
         return True, ""
     # the first key, in sorted order, that only one has or whose JSON values differ

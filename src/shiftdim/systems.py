@@ -102,15 +102,20 @@ class FiniteSymbolicSystem(Frozen):
 
     # -- clopen calculus -----------------------------------------------------
 
-    def preimage(self, clopen, n: int = 1) -> ClopenSet:
-        """{s : some n-step successor path from s lands in the set}; for a
-        deterministic shift this is the usual preimage of a map."""
+    @staticmethod
+    def _walk(step, clopen, n: int) -> ClopenSet:
+        """The states ``n`` steps from the set, one step from ``s`` going to ``step[s]``."""
         if n < 0:
             raise ValueError("n must be >= 0")
         cur = set(clopen)
         for _ in range(n):
-            cur = {s for t in cur for s in self.pred[t]}
+            cur = {t for s in cur for t in step[s]}
         return frozenset(cur)
+
+    def preimage(self, clopen, n: int = 1) -> ClopenSet:
+        """{s : some n-step successor path from s lands in the set}; for a
+        deterministic shift this is the usual preimage of a map."""
+        return self._walk(self.pred, clopen, n)
 
     def preimage_levels(self, base, count: int):
         """The first ``count`` preimage levels of ``base``: the base, then
@@ -137,12 +142,7 @@ class FiniteSymbolicSystem(Frozen):
 
     def image(self, clopen, n: int = 1) -> ClopenSet:
         """All states reachable from the set along n-step paths."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        cur = set(clopen)
-        for _ in range(n):
-            cur = {t for s in cur for t in self.succ[s]}
-        return frozenset(cur)
+        return self._walk(self.succ, clopen, n)
 
     # -- cycles ---------------------------------------------------------------
 

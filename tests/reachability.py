@@ -9,6 +9,8 @@ Under ``sys.setprofile`` this runs:
 - ``lang``, ``special`` and ``certify`` on the golden mean shift and the
   full shift, at depths whose languages can be listed, and ``verify`` on
   every certificate written;
+- ``towerdim`` on Fibonacci at height 2 over the window {0}, whose few
+  level sets the verifier colours exactly;
 - ``bounds --q 1``;
 - the six demos.
 
@@ -51,8 +53,6 @@ KEPT = {
     "cover:CoverGraph.pi": "acceptance criterion 5 reads the prefix of each state",
     "simplex:SimplexPoint.shift": "test test_simplex.py: the reference for l1(other, n)",
     "simplex:skeleton_distance": "acceptance criterion 12 checks its closed form",
-    "towers:chromatic_number":
-        "test test_towers.py: the verifier's exact branch for at most 20 nonempty level sets",
     "words:SFTSpec.left_special_count":
         "acceptance criterion 4 counts golden mean's left special words up to m = 100",
     "words:SubshiftSpec.describe": "abstract method",
@@ -115,6 +115,11 @@ def runs(work: pathlib.Path) -> list[list[str]]:
             "certify", *base, "--horizon", "16", "--depth", "250", "--big-n", "30",
             "--epsilon", "5/2", "--out", str(work / name / "certify"),
         ])
+    # height 2 over the window {0} leaves few enough level sets for the exact chromatic branch
+    lines.append([
+        "towerdim", "--config", str(work / "fibonacci.cfg"), "--depth", "250", "--height", "2",
+        "--window", "0", "--out", str(work / "fibonacci" / "towerdim-exact"),
+    ])
     return lines
 
 

@@ -13,11 +13,22 @@ from fractions import Fraction
 import pytest
 
 import shiftdim
+import shiftdim.cli
+from shiftdim import errors
 from shiftdim.certificates import Certificate
 from shiftdim.cli import main
 from shiftdim.config import parse_config_text, spec_from_config
-from shiftdim.errors import ConfigError
-from shiftdim.pipeline import recheck_certificate
+from shiftdim.errors import (
+    ConfigError,
+    DepthInsufficient,
+    HeightMismatch,
+    InvalidSpec,
+    NTooSmall,
+    PeriodicWitness,
+    ShiftDimError,
+    TowerPairsInsufficient,
+)
+from shiftdim.pipeline import recheck_certificate, run_stages
 
 FIB_CFG = """\
 variant = substitution
@@ -1503,3 +1514,54 @@ def test_verify_applies_the_stage_bound(fib_cfg, tmp_path, capsys, command, edit
     capsys.readouterr()
     assert main(["verify", str(path)]) == 1
     assert capsys.readouterr().out == f"verification failed: bad parameter: {bound}\n"
+
+
+# error class, stage, configuration, command line without --config, exit code
+EXIT_TABLE = [
+    (InvalidSpec, "lang", FIB_CFG, ["lang", "--horizon", "0"], 3),
+    (NTooSmall, "amen", FIB_CFG, ["amen", "--depth", "250", "--big-n", "1"], 3),
+    (HeightMismatch, "towerdim", FIB_CFG, ["towerdim", "--depth", "250", "--height", "4"], 3),
+    (ConfigError, "spec", FIB_CFG + "horizon = 3\n", ["lang"], 3),
+    (DepthInsufficient, "amen", FIB_CFG, ["amen", "--depth", "250", "--big-n", "1000000000"], 2),
+    (PeriodicWitness, "rokhlin", "variant = substitution\nalphabet = 0 1\nrule.0 = 0 1\n"
+     "rule.1 = 0 1\n", ["rokhlin", "--depth", "250"], 1),
+    (TowerPairsInsufficient, "amen", FIB_CFG,
+     ["amen", "--depth", "800", "--big-n", "30", "--epsilon", "5/2"], 1),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, stage, config, argv, code", EXIT_TABLE, ids=[row[0].__name__ for row in EXIT_TABLE]
+)
+def test_each_error_class_exits_with_its_code(
+    tmp_path, capsys, monkeypatch, cls, stage, config, argv, code
+):
+    raised = []
+
+    def recording(*args):
+        try:
+            return run_stages(*args)
+        except ShiftDimError as exc:
+            raised.append(type(exc))
+            raise
+
+    monkeypatch.setattr(shiftdim.cli, "run_stages", recording)
+    path = tmp_path / "x.cfg"
+    path.write_text(config)
+    assert main([argv[0], "--config", str(path), *argv[1:]]) == code
+    assert raised == [cls]
+    assert capsys.readouterr().err.startswith(f"{cls.outcome} in stage {stage}:")
+
+
+def test_missing_config_file_is_a_stage_less_config_error(tmp_path, capsys):
+    assert main(["lang", "--config", str(tmp_path / "none.cfg")]) == 3
+    assert capsys.readouterr().err.startswith(f"{ConfigError.outcome}: cannot read config ")
+
+
+def test_every_error_class_declares_an_exit_code():
+    classes = [
+        obj for obj in vars(errors).values()
+        if isinstance(obj, type) and issubclass(obj, ShiftDimError)
+    ]
+    assert len(classes) > 1
+    assert [cls.__name__ for cls in classes if cls.exit_code not in (1, 2, 3)] == []
